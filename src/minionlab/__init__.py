@@ -1,13 +1,13 @@
 """Relaxation hierarchies for (promise) constraint satisfaction.
 
-A library and CLI implementing local consistency, the marginal LP and
+A library implementing local consistency, the marginal LP and
 integer-programming hierarchies, their combination, the basic vector (SDP)
 relaxation and its squared (sum-of-squares) hierarchy, on a common core of
 relational structures, tensor powers and linear minions, with exact
 certificates wherever the underlying solver is exact.
 """
 
-from .budgets import Budget, DEFAULT_BUDGET, budget_from_env
+from .budgets import Budget, DEFAULT_BUDGET
 from .errors import MinionLabError
 from .free_structures import (
     HornFreeStructure,

@@ -2,17 +2,14 @@
 
 Enhancement, tensor powers and subset enumerations all grow exponentially in
 the level k, so every construction checks against a budget and fails fast
-with :class:`~minionlab.errors.BudgetExceeded` instead of thrashing.  The
-environment variable ``MINIONLAB_BUDGET`` overrides the defaults; it accepts
-either a single integer (atom budget, tuple budget = 10x) or ``atoms:tuples``.
+with :class:`~minionlab.errors.BudgetExceeded` instead of thrashing.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, MalformedInput
+from .errors import BudgetExceeded
 
 
 @dataclass(frozen=True)
@@ -35,25 +32,6 @@ class Budget:
             raise BudgetExceeded(
                 f"subset enumeration over {arity} rows exceeds budget {self.max_subset_arity}"
             )
-
-
-def budget_from_env(env: str | None = None) -> Budget:
-    """Budget with ``MINIONLAB_BUDGET`` applied on top of the defaults."""
-    raw = os.environ.get("MINIONLAB_BUDGET") if env is None else env
-    if not raw:
-        return Budget()
-    try:
-        if ":" in raw:
-            atoms_s, tuples_s = raw.split(":", 1)
-            atoms, tuples = int(atoms_s), int(tuples_s)
-        else:
-            atoms = int(raw)
-            tuples = 10 * atoms
-    except ValueError as exc:
-        raise MalformedInput(f"cannot parse MINIONLAB_BUDGET={raw!r}") from exc
-    if atoms <= 0 or tuples <= 0:
-        raise MalformedInput("budgets must be positive")
-    return Budget(max_atoms=atoms, max_tuples=tuples)
 
 
 DEFAULT_BUDGET = Budget()

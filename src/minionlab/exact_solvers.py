@@ -10,7 +10,7 @@ non-integer coordinate).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Hashable, Optional, Sequence
 

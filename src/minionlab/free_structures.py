@@ -1,11 +1,21 @@
-"""The free structure of the Horn family and the direct minion test.
+"""The free structure of the Horn family and the Horn minion test.
 
-For the Horn family the free structure generated by a base structure B is
-finite: its domain is the nonempty subsets of B's domain, and a tuple of
-subsets belongs to a relation exactly when some nonempty subset Q of the base
-relation projects onto it coordinatewise.  Subsets are bitmasks internally;
-the search for a homomorphism into the free structure evaluates relation
-membership lazily with per-relation caching.
+For the Horn family the free structure F_Horn(A) generated by a base
+structure A is finite: its domain is the nonempty subsets of A's domain, and
+a tuple of subsets belongs to a relation exactly when some nonempty subset Q
+of the base relation projects onto it coordinatewise.  Subsets are bitmasks
+internally.
+
+A mask assignment is a homomorphism from X into F_Horn(A) exactly when
+every mask is nonempty and generalised arc consistency on (X, A) cannot
+narrow it, with support taken per scope position (so a loop maps into K2
+through Q = {(0, 1), (1, 0)}).  Such assignments are closed under union, so
+X maps into F_Horn(A) iff arc consistency from full domains leaves every
+domain nonempty (Feder and Vardi 1998; Dalmau and Pearson 1999), and the
+fixpoint domains are then the greatest homomorphism.  The minion test runs
+that polynomial fixpoint and returns it as the witness; the exponential free
+structure is enumerated only on request, by ``domain_masks`` and
+``materialize``.
 """
 
 from __future__ import annotations
@@ -17,8 +27,7 @@ from time import perf_counter
 from typing import Optional, Sequence
 
 from .budgets import DEFAULT_BUDGET, Budget
-from .errors import BudgetExceeded, NotAHomomorphism
-from .minions import MinionElement, MinorMap, enumerate_horn, horn_indicator, minor
+from .errors import NotAHomomorphism
 from .structures import Structure, k_enhance, tensor_power
 from .verdicts import Status, Verdict
 
@@ -27,79 +36,48 @@ class HornFreeStructure:
     """Free structure of the Horn family generated by ``base``.
 
     Domain elements are nonempty subsets of the base domain, encoded as
-    bitmasks with bit i marking atom i (domain order).
+    bitmasks with bit i marking atom i (domain order).  Only the methods that
+    enumerate subsets check the exponential size against a budget.
     """
 
-    def __init__(self, base: Structure, budget: Budget = DEFAULT_BUDGET):
+    def __init__(self, base: Structure):
         self.base = base
-        n = len(base.domain)
-        if n > budget.max_subset_arity:
-            raise BudgetExceeded(f"free structure over {n} atoms exceeds the subset budget")
-        budget.check_tuples((1 << n) - 1, "free structure domain")
-        self.num_atoms = n
-        self.full_mask = (1 << n) - 1
+        self.num_atoms = len(base.domain)
+        self.full_mask = (1 << self.num_atoms) - 1
         # per symbol: list of base tuples as atom-id tuples
         self._tuples = {
             sym: [tuple(base.atom_id(a) for a in t) for t in base.tuples(sym)]
             for sym in base.signature.names()
         }
-        self._cache: dict = {}
 
-    def domain_masks(self) -> list[int]:
+    def domain_masks(self, budget: Budget = DEFAULT_BUDGET) -> list[int]:
         """All nonempty subsets, by ascending bitmask (the canonical order)."""
+        budget.check_subset_arity(self.num_atoms)
+        budget.check_tuples(self.full_mask, "free structure domain")
         return list(range(1, self.full_mask + 1))
-
-    def domain_elements(self) -> list[MinionElement]:
-        return enumerate_horn(self.num_atoms)
-
-    def mask_of_element(self, elem: MinionElement) -> int:
-        mask = 0
-        for i, v in enumerate(elem.matrix.entries):
-            if v:
-                mask |= 1 << i
-        return mask
-
-    def element_of_mask(self, mask: int) -> MinionElement:
-        return horn_indicator(self.num_atoms, [i + 1 for i in range(self.num_atoms) if mask >> i & 1])
 
     # -- relation membership ---------------------------------------------------
 
-    def admits(self, symbol: str, masks: Sequence[Optional[int]]) -> bool:
-        """Could some witness subset Q of the base relation project onto ``masks``?
+    def admits(self, symbol: str, masks: Sequence[int]) -> bool:
+        """Does some nonempty subset Q of the base relation project onto ``masks``?
 
-        Positions holding None are unconstrained.  For fully assigned tuples
-        this decides membership exactly: the inclusion-maximal candidate
-        Q* = {t : every projection of t lands inside its mask} works iff any
-        witness does, because projections only grow with Q.
+        The inclusion-maximal candidate Q* = {t : every projection of t lands
+        inside its mask} works iff any witness does, because projections only
+        grow with Q.
         """
-        key = (symbol, tuple(masks))
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        arity = self.base.signature.arity(symbol)
-        tuples = self._tuples[symbol]
-        assigned = [(pos, m) for pos, m in enumerate(masks) if m is not None]
-        covered = [0] * len(assigned)
+        covered = [0] * len(masks)
         nonempty = False
-        for t in tuples:
-            ok = True
-            for ai, (pos, m) in enumerate(assigned):
-                if not (m >> t[pos]) & 1:
-                    ok = False
-                    break
-            if ok:
+        for t in self._tuples[symbol]:
+            if all(m >> a & 1 for m, a in zip(masks, t)):
                 nonempty = True
-                for ai, (pos, _m) in enumerate(assigned):
-                    covered[ai] |= 1 << t[pos]
-        result = nonempty and all(covered[ai] == m for ai, (_pos, m) in enumerate(assigned))
-        if not tuples:
-            result = False
-        del arity
-        self._cache[key] = result
-        return result
+                for pos, a in enumerate(t):
+                    covered[pos] |= 1 << a
+        return nonempty and covered == list(masks)
 
     def materialize(self, symbol: str, budget: Budget = DEFAULT_BUDGET) -> set[tuple[int, ...]]:
         """All relation tuples (as mask tuples), by direct witness enumeration."""
+        budget.check_subset_arity(self.num_atoms)
+        budget.check_tuples(self.full_mask, "free structure domain")
         tuples = self._tuples[symbol]
         m = len(tuples)
         budget.check_subset_arity(m)
@@ -115,14 +93,9 @@ class HornFreeStructure:
             out.add(tuple(masks))
         return out
 
-    def projection_minor_map(self, symbol: str, position: int) -> MinorMap:
-        """The map sending each base relation tuple to its atom at ``position`` (1-based)."""
-        tuples = self._tuples[symbol]
-        return MinorMap.of([t[position - 1] + 1 for t in tuples], self.num_atoms)
 
-
-def horn_free_structure(base: Structure, budget: Budget = DEFAULT_BUDGET) -> HornFreeStructure:
-    return HornFreeStructure(base, budget)
+def horn_free_structure(base: Structure) -> HornFreeStructure:
+    return HornFreeStructure(base)
 
 
 def canonical_embedding(free: HornFreeStructure) -> dict:
@@ -160,62 +133,57 @@ class HornWitness:
 # -- the minion test and its levels ---------------------------------------------
 
 
-def _search_free_hom(X: Structure, free: HornFreeStructure) -> Optional[dict]:
-    """Backtracking search for a homomorphism from X into the free structure.
+def _greatest_free_hom(X: Structure, free: HornFreeStructure, budget: Budget) -> Optional[dict]:
+    """Generalised arc consistency on (X, free.base), from full domains.
 
-    Values are tried by ascending subset size (singletons first, which finds
-    the canonical image of a classical homomorphism quickly); constraints are
-    pruned through the partial membership check as soon as any scope variable
-    is assigned.
+    Support is positional: a variable repeated in a scope is narrowed by each
+    of its positions separately.  Returns the fixpoint domains, or None when
+    one empties.
     """
-    var_ids = {a: i for i, a in enumerate(X.domain)}
-    n = len(X.domain)
-    scopes: list[tuple[str, tuple[int, ...]]] = []
-    for sym in X.signature.names():
-        for t in X.tuples(sym):
-            scopes.append((sym, tuple(var_ids[a] for a in t)))
-    by_var: list[list[int]] = [[] for _ in range(n)]
-    degree = [0] * n
-    for ci, (_sym, scope) in enumerate(scopes):
-        for v in set(scope):
-            by_var[v].append(ci)
-            degree[v] += len(scope)
-    order = sorted(range(n), key=lambda v: (-degree[v], v))
-    values = sorted(free.domain_masks(), key=lambda m: (bin(m).count("1"), m))
-    assign: list[Optional[int]] = [None] * n
-
-    def consistent(ci: int) -> bool:
-        sym, scope = scopes[ci]
-        return free.admits(sym, [assign[v] for v in scope])
-
-    def extend(pos: int) -> bool:
-        if pos == n:
-            return True
-        v = order[pos]
-        for mask in values:
-            assign[v] = mask
-            if all(consistent(ci) for ci in by_var[v]) and extend(pos + 1):
-                return True
-        assign[v] = None
-        return False
-
-    if extend(0):
-        return {X.domain[v]: assign[v] for v in range(n)}
-    return None
+    domains = {x: free.full_mask for x in X.domain}
+    constraints = [(free._tuples[sym], scope) for sym in X.signature.names() for scope in X.tuples(sym)]
+    budget.check_tuples(sum(len(tuples) for tuples, _ in constraints), "arc consistency")
+    changed = True
+    while changed:
+        changed = False
+        for tuples, scope in constraints:
+            support = [0] * len(scope)
+            for t in tuples:
+                if all(domains[x] >> a & 1 for x, a in zip(scope, t)):
+                    for pos, a in enumerate(t):
+                        support[pos] |= 1 << a
+            for x, mask in zip(scope, support):
+                if domains[x] & ~mask:
+                    domains[x] &= mask
+                    if not domains[x]:
+                        return None
+                    changed = True
+    return domains
 
 
-def minion_test_horn(X: Structure, A: Structure, budget: Budget = DEFAULT_BUDGET) -> Verdict:
-    """The direct minion test for the Horn family (arc-consistency strength)."""
+def _horn_test(X: Structure, A: Structure, k: Optional[int], budget: Budget) -> Verdict:
     X.require_same_signature(A)
     t0 = perf_counter()
-    free = HornFreeStructure(A, budget)
-    found = _search_free_hom(X, free)
+    if k is not None:
+        X = tensor_power(k_enhance(X, k, budget), k, budget)
+        A = tensor_power(k_enhance(A, k, budget), k, budget)
+    found = _greatest_free_hom(X, HornFreeStructure(A), budget)
     stats = {"vars": len(X.domain), "constraints": sum(len(X.tuples(s)) for s in X.signature.names()),
              "millis": round(1000 * (perf_counter() - t0), 3)}
     if found is None:
-        return Verdict("minion-h", None, Status.REJECT, stats=stats)
+        return Verdict("minion-h", k, Status.REJECT, stats=stats)
     witness = HornWitness(tuple(X.domain), tuple(A.domain), found)
-    return Verdict("minion-h", None, Status.ACCEPT, witness=witness, stats=stats)
+    return Verdict("minion-h", k, Status.ACCEPT, witness=witness, stats=stats)
+
+
+def minion_test_horn(X: Structure, A: Structure, budget: Budget = DEFAULT_BUDGET) -> Verdict:
+    """The direct minion test for the Horn family: is there a homomorphism
+    from X into the free structure F_Horn(A)?
+
+    Decided by generalised arc consistency on (X, A); an ACCEPT carries the
+    greatest homomorphism, each atom of X sent to its fixpoint domain.
+    """
+    return _horn_test(X, A, None, budget)
 
 
 def minion_test_horn_level(
@@ -223,21 +191,11 @@ def minion_test_horn_level(
 ) -> Verdict:
     """Level k of the Horn minion test: the direct test on the k-th tensor powers.
 
-    Both structures are k-enhanced internally before tensorising.
+    Both structures are k-enhanced internally before tensorising; arc
+    consistency on the tensor powers is polynomial for fixed k, although the
+    free structure itself has 2^(|A|^k) - 1 elements.
     """
-    X.require_same_signature(A)
-    t0 = perf_counter()
-    Xk = tensor_power(k_enhance(X, k, budget), k, budget)
-    Ak = tensor_power(k_enhance(A, k, budget), k, budget)
-    free = HornFreeStructure(Ak, budget)
-    found = _search_free_hom(Xk, free)
-    stats = {"vars": len(Xk.domain),
-             "constraints": sum(len(Xk.tuples(s)) for s in Xk.signature.names()),
-             "millis": round(1000 * (perf_counter() - t0), 3)}
-    if found is None:
-        return Verdict("minion-h", k, Status.REJECT, stats=stats)
-    witness = HornWitness(tuple(Xk.domain), tuple(Ak.domain), found)
-    return Verdict("minion-h", k, Status.ACCEPT, witness=witness, stats=stats)
+    return _horn_test(X, A, k, budget)
 
 
 def verify_free_hom(X: Structure, free: HornFreeStructure, masks: dict) -> bool:
@@ -263,7 +221,7 @@ def check_vanishing(
     """
     Xk = tensor_power(k_enhance(X, k, budget), k, budget)
     Ak = tensor_power(k_enhance(A, k, budget), k, budget)
-    free = HornFreeStructure(Ak, budget)
+    free = HornFreeStructure(Ak)
     if not verify_free_hom(Xk, free, witness.masks):
         raise NotAHomomorphism("witness fails the free-structure constraints")
     target_tuples = list(itertools.product(range(len(A.domain)), repeat=k))

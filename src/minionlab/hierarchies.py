@@ -9,7 +9,7 @@ carry machine-checkable certificates wherever the underlying solver is exact.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Iterable, Optional
 
@@ -22,8 +22,6 @@ from .exact_solvers import (
     diophantine_solve,
     lp_feasible,
     maximal_support,
-    validate_integer_point,
-    validate_nonneg_point,
 )
 from .psd import (
     GramProblem,
@@ -31,19 +29,17 @@ from .psd import (
     NumericReject,
     PSDConfig,
     ReducedGramProblem,
-    SoSWitness,
     affine_reduce,
     expand_vectors,
     gram_to_vectors,
     psd_feasibility,
 )
-from .rationals import R0, is_integral, rat, rat_to_str
+from .rationals import R0, is_integral, rat_to_str
 from .structures import (
     Assignment,
     Structure,
     enumerate_partial_homomorphisms,
     find_homomorphism,
-    induced_substructure,
     is_partial_homomorphism,
     k_enhance,
 )

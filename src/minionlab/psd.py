@@ -23,7 +23,7 @@ from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
-from .errors import NotPSD, WrongKind
+from .errors import NotPSD
 from .rationals import R0, R1, rat, rat_to_str
 
 Label = Hashable

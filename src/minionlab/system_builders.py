@@ -19,7 +19,7 @@ rejects and its certificate verifies against the emitted system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Optional
+from typing import Hashable
 
 from .exact_solvers import DomainTag, LinearSystem
 from .rationals import R0, rat

@@ -12,11 +12,19 @@ from minionlab import (
     minion_test_horn,
     minion_test_horn_level,
 )
-from minionlab.errors import NotAHomomorphism
+from minionlab import Signature, Structure
+from minionlab.errors import BudgetExceeded, NotAHomomorphism
 from minionlab.free_structures import HornWitness, verify_free_hom
 from minionlab.structures import find_homomorphism, k_enhance, tensor_power
 
-from conftest import all_digraphs, clique, cycle, digraphs_up_to_renaming, one_in_three
+from conftest import (
+    all_digraphs,
+    clique,
+    cycle,
+    digraphs_up_to_renaming,
+    not_all_equal,
+    one_in_three,
+)
 
 
 # -- materialization ------------------------------------------------------------------
@@ -45,6 +53,16 @@ def test_relation_cardinality_bound():
         free = horn_free_structure(A)
         for sym in A.signature.names():
             assert len(free.materialize(sym)) <= 2 ** len(A.tuples(sym)) - 1
+
+
+def test_subset_enumeration_keeps_its_budget():
+    atoms = [str(i) for i in range(21)]
+    A = Structure(Signature.of({"R": 2}), atoms, {"R": [("0", "1")]})
+    free = horn_free_structure(A)
+    with pytest.raises(BudgetExceeded):
+        free.domain_masks()
+    with pytest.raises(BudgetExceeded):
+        free.materialize("R")
 
 
 def test_canonical_embedding_is_homomorphism():
@@ -92,6 +110,42 @@ def test_direct_test_k3_k2_accepts(k3, k2):
     assert verify_free_hom(k3, free, verdict.witness.masks)
 
 
+def test_direct_test_matches_brute_force():
+    # reference: every assignment of free-structure elements, checked exactly
+    # the directed path and the 2-vertex targets are asymmetric, so arc
+    # consistency narrows some domains only after several passes
+    directed_triangle = Structure(Signature.of({"R": 2}), ["0", "1", "2"],
+                                  {"R": [("0", "1"), ("1", "2"), ("2", "0")]})
+    directed_path = Structure(Signature.of({"R": 2}), ["0", "1", "2"],
+                              {"R": [("0", "1"), ("1", "2")]})
+    small = all_digraphs(2) + digraphs_up_to_renaming(3)
+    targets = [clique(2), directed_triangle, directed_path] + all_digraphs(2)
+    pairs = [(X, A) for A in targets for X in small]
+    pairs += [(X, cycle(4)) for X in all_digraphs(2)]
+    pairs += [(one_in_three(), not_all_equal())]
+    for X, A in pairs:
+        free = horn_free_structure(A)
+        verdict = minion_test_horn(X, A)
+        homs = []
+        for masks in itertools.product(free.domain_masks(), repeat=len(X.domain)):
+            assignment = dict(zip(X.domain, masks))
+            if verify_free_hom(X, free, assignment):
+                homs.append(assignment)
+        assert verdict.accepted == bool(homs)
+        for h in homs:
+            assert all(h[x] & ~verdict.witness.masks[x] == 0 for x in X.domain)
+        if verdict.accepted:
+            assert verdict.witness.masks in homs
+
+
+def test_loop_maps_into_k2_positionally(k2):
+    # Q = {(0, 1), (1, 0)} projects onto {0, 1} at both positions of the loop
+    loop = Structure(Signature.of({"R": 2}), ["v"], {"R": [("v", "v")]})
+    verdict = minion_test_horn(loop, k2)
+    assert verdict.accepted
+    assert verdict.witness.masks == {"v": 0b11}
+
+
 def test_levels_on_triangle_two_coloring(k3, k2):
     # two pebbles cannot refute 2-coloring a triangle: every pair of distinct
     # vertices is an edge, both proper colorings of it restrict and extend
@@ -135,6 +189,13 @@ def test_check_vanishing_on_accept_witnesses():
         verdict = minion_test_horn_level(X, A, 2)
         assert verdict.accepted
         assert check_vanishing(verdict.witness, X, A, 2)
+
+
+def test_level_three_runs_past_the_free_domain_budget(c5, k3):
+    # the free structure over K3^3 would have 2^27 - 1 elements
+    verdict = minion_test_horn_level(c5, k3, 3)
+    assert verdict.accepted
+    assert check_vanishing(verdict.witness, c5, k3, 3)
 
 
 def test_check_vanishing_level_one_is_vacuous(k2):
