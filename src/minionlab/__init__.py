@@ -28,7 +28,6 @@ from .hierarchies import (
     is_valid_bw_family,
     oracle,
     sa,
-    sa_alt,
     sdp,
     sos,
     support_family,
@@ -51,7 +50,6 @@ from .psd import (
     SoSWitness,
     affine_reduce,
     check_sdp_facts,
-    check_sos_product_facts,
     gram_to_vectors,
     psd_feasibility,
 )

@@ -60,10 +60,6 @@ class LinearSystem:
     def num_rows(self) -> int:
         return len(self.rows)
 
-    def dense_matrix(self) -> list[list]:
-        n = len(self.var_names)
-        return [[row.get(j, R0) for j in range(n)] for row in self.rows]
-
     def to_json(self) -> str:
         doc = {
             "domain": self.domain_tag.value,

@@ -4,6 +4,12 @@ Every driver maps a pair of structures (and a level k where applicable) to a
 :class:`~minionlab.verdicts.Verdict`.  Accepts carry witnesses that are
 re-validated against the defining equations before being returned; rejects
 carry machine-checkable certificates wherever the underlying solver is exact.
+
+Level k of ``sa``, ``aip``, ``ba`` and ``sos`` is one minion test: one
+marginal system over the k-enhanced pair, enumerated once by
+``_marginal_rows`` and read over the nonnegative rationals (``sa``), the
+integers (``aip``), the integers inside the rationals' maximal support
+(``ba``), or as Gram vectors (``sos``).
 """
 
 from __future__ import annotations
@@ -189,65 +195,64 @@ def is_valid_bw_family(
     return True
 
 
-# -- the marginal equality system ----------------------------------------------------
+# -- the marginal system -------------------------------------------------------------
 
 
-def _marginal_system(
-    X: Structure,
-    A: Structure,
-    k: int,
-    domain_tag: DomainTag,
-    budget: Budget,
-    zero_keys: Optional[set] = None,
-) -> tuple[PresolvedSystem, Structure, Structure]:
-    """The level-k marginal system over the k-enhanced structures.
+def _marginal_rows(Xk: Structure, Ak: Structure, k: int, budget: Budget) -> tuple[list, list]:
+    """The level-k marginal system of the k-enhanced pair, as scopes and identities.
 
-    Variables carry one weight per (symbol, scope tuple, image tuple) with
-    scope-respecting images only (a repeated variable never maps onto two
-    values; those weights are identically zero and are eliminated up front).
-    Rows say that each scope's weights are a unit mass and that projecting
-    any scope onto a k-tuple of its positions reproduces the weight of the
-    projected scope on the enhancement relation.
+    Each scope ``(sym, xt, images)`` lists the scope-respecting images of
+    ``xt``; its variables are the keys ``(sym, xt, at)``, one per image (a
+    repeated variable never maps onto two values, so those weights are
+    identically zero and never enumerated).  Each identity is a row, with
+    right-hand side 0, saying that projecting a scope onto a k-tuple of its
+    positions reproduces the weight of the projected scope on ``R_k``.
     """
-    Xk = k_enhance(X, k, budget)
-    Ak = k_enhance(A, k, budget)
     enh = f"R_{k}"
+    scopes = [(sym, xt, tuple(at for at in Ak.tuples(sym) if precedes(xt, at)))
+              for sym in Xk.signature.names() for xt in Xk.tuples(sym)]
+    budget.check_tuples(sum(len(images) for _, _, images in scopes), "marginal system variables")
+    identities = []
+    for sym, xt, images in scopes:
+        for i in itertools.product(range(1, len(xt) + 1), repeat=k):
+            xi = project(xt, i)
+            groups: dict = {}
+            for at in images:
+                groups.setdefault(project(at, i), []).append(at)
+            for b in itertools.product(Ak.domain, repeat=k):
+                row = {(sym, xt, at): 1 for at in groups.get(b, ())}  # the projected mass
+                if precedes(xi, b):
+                    key = (enh, xi, b)
+                    row[key] = row.get(key, 0) - 1
+                row = {key: c for key, c in row.items() if c != 0}
+                if row:
+                    identities.append(row)
+    return scopes, identities
+
+
+def _linear_system(domain_tag: DomainTag, scopes: list, identities: list) -> PresolvedSystem:
+    """Unit mass on each scope's weights, then the identities, presolved.
+
+    The unit-mass rows register every variable, in scope order.
+    """
     builder = EqualitySystemBuilder(domain_tag)
-    nvars = 0
-    for sym in Xk.signature.names():
-        for xt in Xk.tuples(sym):
-            for at in Ak.tuples(sym):
-                if precedes(xt, at):
-                    builder.ensure_var((sym, xt, at))
-                    nvars += 1
-    budget.check_tuples(nvars, "marginal system variables")
-    if zero_keys:
-        for key in sorted(zero_keys, key=str):
-            if builder.has_var(key):
-                builder.add_row({key: 1}, 0)
-    for sym in Xk.signature.names():
-        for xt in Xk.tuples(sym):
-            row = {(sym, xt, at): 1 for at in Ak.tuples(sym) if precedes(xt, at)}
-            builder.add_row(row, 1)
-    for sym, arity in Xk.signature.symbols:
-        for xt in Xk.tuples(sym):
-            compatible = [at for at in Ak.tuples(sym) if precedes(xt, at)]
-            for i in itertools.product(range(1, arity + 1), repeat=k):
-                xi = project(xt, i)
-                groups: dict = {}
-                for at in compatible:
-                    groups.setdefault(project(at, i), []).append(at)
-                for b in itertools.product(Ak.domain, repeat=k):
-                    row: dict = {}
-                    for at in groups.get(b, ()):  # the projected mass
-                        row[(sym, xt, at)] = row.get((sym, xt, at), 0) + 1
-                    if precedes(xi, b):
-                        key = (enh, xi, b)
-                        row[key] = row.get(key, 0) - 1
-                    row = {kk: c for kk, c in row.items() if c != 0}
-                    if row:
-                        builder.add_row(row, 0)
-    return builder.build(), Xk, Ak
+    for sym, xt, images in scopes:
+        builder.add_row({(sym, xt, at): 1 for at in images}, 1)
+    for row in identities:
+        builder.add_row(row, 0)
+    return builder.build()
+
+
+def _gram_problem(scopes: list, identities: list) -> GramProblem:
+    """One vector per variable; a scope's vectors are orthogonal with unit total norm."""
+    groups = tuple(tuple(("c", sym, xt, at) for at in images) for sym, xt, images in scopes)
+    return GramProblem(
+        labels=tuple(label for group in groups for label in group),
+        unit_groups=groups,
+        zero_pairs=tuple(pair for group in groups for pair in itertools.combinations(group, 2)),
+        identifications=tuple(tuple((("c",) + key, c) for key, c in row.items())
+                              for row in identities),
+    )
 
 
 def _full_values(presolved: PresolvedSystem, point: dict, Xk: Structure, Ak: Structure) -> dict:
@@ -291,10 +296,10 @@ def validate_marginal_witness(
                         )
 
 
-def _stats(presolved: PresolvedSystem, t0: float, extra: Optional[dict] = None) -> dict:
+def _stats(system: LinearSystem, t0: float, extra: Optional[dict] = None) -> dict:
     out = {
-        "vars": presolved.system.num_vars,
-        "constraints": presolved.system.num_rows,
+        "vars": system.num_vars,
+        "constraints": system.num_rows,
         "millis": round(1000 * (perf_counter() - t0), 3),
     }
     if extra:
@@ -306,9 +311,10 @@ def sa(X: Structure, A: Structure, k: int, budget: Budget = DEFAULT_BUDGET) -> V
     """Level-k marginal LP feasibility over nonnegative rationals."""
     X.require_same_signature(A)
     t0 = perf_counter()
-    presolved, Xk, Ak = _marginal_system(X, A, k, DomainTag.NONNEG_RAT, budget)
+    Xk, Ak = k_enhance(X, k, budget), k_enhance(A, k, budget)
+    presolved = _linear_system(DomainTag.NONNEG_RAT, *_marginal_rows(Xk, Ak, k, budget))
     outcome = lp_feasible(presolved.system, budget)
-    stats = _stats(presolved, t0, {"pivots": outcome.pivots})
+    stats = _stats(presolved.system, t0, {"pivots": outcome.pivots})
     if outcome.feasible:
         values = _full_values(presolved, outcome.point, Xk, Ak)
         validate_marginal_witness(values, Xk, Ak, k)
@@ -321,9 +327,10 @@ def aip(X: Structure, A: Structure, k: int, budget: Budget = DEFAULT_BUDGET) -> 
     """Level-k marginal feasibility over the integers."""
     X.require_same_signature(A)
     t0 = perf_counter()
-    presolved, Xk, Ak = _marginal_system(X, A, k, DomainTag.INT, budget)
+    Xk, Ak = k_enhance(X, k, budget), k_enhance(A, k, budget)
+    presolved = _linear_system(DomainTag.INT, *_marginal_rows(Xk, Ak, k, budget))
     outcome = diophantine_solve(presolved.system, budget)
-    stats = _stats(presolved, t0)
+    stats = _stats(presolved.system, t0)
     if outcome.feasible:
         values = _full_values(presolved, outcome.point, Xk, Ak)
         validate_marginal_witness(values, Xk, Ak, k, integral=True)
@@ -332,125 +339,67 @@ def aip(X: Structure, A: Structure, k: int, budget: Budget = DEFAULT_BUDGET) -> 
     return Verdict("aip", k, Status.REJECT, certificate=evidence, stats=stats)
 
 
+def _support_system(system: LinearSystem, support: set) -> tuple[LinearSystem, list]:
+    """The integer system on the support columns alone, with their column indices.
+
+    Every other column is zero.  A row left with no column held 0 = 0 at
+    the LP's support point, so it is dropped.
+    """
+    cols = sorted(support)
+    index = {j: i for i, j in enumerate(cols)}
+    rows, rhs = [], []
+    for row, b in zip(system.rows, system.rhs):
+        kept = {index[j]: c for j, c in row.items() if j in index}
+        if kept:
+            rows.append(kept)
+            rhs.append(b)
+    names = tuple(system.var_names[j] for j in cols)
+    return LinearSystem(names, tuple(rows), tuple(rhs), DomainTag.INT), cols
+
+
 def ba(X: Structure, A: Structure, k: int, budget: Budget = DEFAULT_BUDGET) -> Verdict:
     """Level-k combined LP/IP: an integer solution supported inside the LP's
     maximal support.
 
     The LP support is maximized variable by variable (the union of supports
     is attained by the average of the maximizers, i.e. at a relative-interior
-    point), so pinning the complement and solving over the integers decides
-    the refinement condition for every admissible pair of solutions at once.
+    point), so forcing every other variable to zero and solving over the
+    integers decides the refinement condition for every admissible pair of
+    solutions at once.
+
+    The integer phase runs on the LP's own presolved system, restricted to
+    the support columns.  That is the marginal system over the integers
+    with every variable outside the support set to zero: the presolve's
+    merges and single-variable pins hold over any domain, and each variable
+    it pins by sign (a row of one sign with right-hand side 0) is zero in
+    every nonnegative solution, so it lies outside the support anyway.
     """
     X.require_same_signature(A)
     t0 = perf_counter()
-    presolved, Xk, Ak = _marginal_system(X, A, k, DomainTag.NONNEG_RAT, budget)
+    Xk, Ak = k_enhance(X, k, budget), k_enhance(A, k, budget)
+    presolved = _linear_system(DomainTag.NONNEG_RAT, *_marginal_rows(Xk, Ak, k, budget))
     support_cols, point, cert, pivots = maximal_support(presolved.system, budget)
     if cert is not None:
-        stats = _stats(presolved, t0, {"pivots": pivots})
+        stats = _stats(presolved.system, t0, {"pivots": pivots})
         evidence = RejectionEvidence(cert, presolved.system, note="lp-phase")
         return Verdict("ba", k, Status.REJECT, certificate=evidence, stats=stats)
     lp_values = _full_values(presolved, point, Xk, Ak)
     validate_marginal_witness(lp_values, Xk, Ak, k)
     support_keys = {key for key, v in lp_values.items() if v > 0}
-    zero_keys = {key for key, v in lp_values.items() if v == 0}
-    presolved_ip, _, _ = _marginal_system(X, A, k, DomainTag.INT, budget, zero_keys=zero_keys)
-    outcome = diophantine_solve(presolved_ip.system, budget)
-    stats = _stats(presolved_ip, t0, {"pivots": pivots, "lp_support": len(support_keys)})
+    ip_system, cols = _support_system(presolved.system, support_cols)
+    outcome = diophantine_solve(ip_system, budget)
+    stats = _stats(ip_system, t0, {"pivots": pivots, "lp_support": len(support_keys)})
     if not outcome.feasible:
-        evidence = RejectionEvidence(outcome.certificate, presolved_ip.system, note="ip-phase")
+        evidence = RejectionEvidence(outcome.certificate, ip_system, note="ip-phase")
         return Verdict("ba", k, Status.REJECT, certificate=evidence, stats=stats)
-    ip_values = _full_values(presolved_ip, outcome.point, Xk, Ak)
+    ip_point = {cols[j]: v for j, v in outcome.point.items()}
+    ip_values = _full_values(presolved, ip_point, Xk, Ak)
     validate_marginal_witness(ip_values, Xk, Ak, k, integral=True)
     for key, v in ip_values.items():
         if v != 0 and key not in support_keys:
             raise InvalidWitness(f"integer support leaks outside the LP support at {key}")
     witness = CombinedWitness(MarginalWitness(lp_values), MarginalWitness(ip_values), support_keys)
     return Verdict("ba", k, Status.ACCEPT, witness=witness, stats=stats)
-
-
-# -- the subset formulation of the marginal LP ------------------------------------------
-
-
-def _functions(atoms: tuple, targets: tuple) -> list[dict]:
-    out = []
-    for image in itertools.product(targets, repeat=len(atoms)):
-        out.append(dict(zip(atoms, image)))
-    return out
-
-
-def sa_alt(X: Structure, A: Structure, k: int, budget: Budget = DEFAULT_BUDGET) -> Verdict:
-    """The subset formulation of the level-k marginal LP.
-
-    Distributions live on assignments of at-most-k-element variable subsets
-    and on assignments of constraint scopes; marginalisation ties them
-    together.  The structures are used as given (no enhancement here; the
-    subsets quantify over the domain directly).
-    """
-    X.require_same_signature(A)
-    t0 = perf_counter()
-    builder = EqualitySystemBuilder(DomainTag.NONNEG_RAT)
-
-    def fn_key(f: dict) -> tuple:
-        return tuple(sorted(f.items(), key=lambda ab: X.atom_id(ab[0])))
-
-    subsets: list[tuple] = []
-    for j in range(1, min(k, len(X.domain)) + 1):
-        subsets.extend(itertools.combinations(X.domain, j))
-    for V in subsets:
-        for f in _functions(V, A.domain):
-            builder.ensure_var(("mu", V, fn_key(f)))
-    scope_fns: dict = {}
-    for sym in X.signature.names():
-        for xt in X.tuples(sym):
-            atoms = tuple(dict.fromkeys(xt))  # scope set in first-occurrence order
-            fns = [
-                f
-                for f in _functions(atoms, A.domain)
-                if A.has_tuple(sym, tuple(f[x] for x in xt))
-            ]
-            scope_fns[(sym, xt)] = (atoms, fns)
-            for f in fns:
-                builder.ensure_var(("muR", sym, xt, fn_key(f)))
-    # unit mass on every subset distribution
-    for V in subsets:
-        builder.add_row({("mu", V, fn_key(f)): 1 for f in _functions(V, A.domain)}, 1)
-    # marginalisation between nested subsets
-    for V in subsets:
-        vset = set(V)
-        fsV = _functions(V, A.domain)
-        for U in subsets:
-            if set(U) < vset:
-                for fU in _functions(U, A.domain):
-                    row = {("mu", V, fn_key(g)): 1
-                           for g in fsV
-                           if all(g[u] == fU[u] for u in U)}
-                    row[("mu", U, fn_key(fU))] = row.get(("mu", U, fn_key(fU)), 0) - 1
-                    row = {kk: c for kk, c in row.items() if c != 0}
-                    if row:
-                        builder.add_row(row, 0)
-    # unit mass and marginalisation for the scope distributions
-    for (sym, xt), (atoms, fns) in scope_fns.items():
-        builder.add_row({("muR", sym, xt, fn_key(f)): 1 for f in fns}, 1)
-        for U in subsets:
-            if set(U) <= set(atoms):
-                for fU in _functions(U, A.domain):
-                    row = {("muR", sym, xt, fn_key(g)): 1
-                           for g in fns
-                           if all(g[u] == fU[u] for u in U)}
-                    key = ("mu", U, fn_key(fU))
-                    row[key] = row.get(key, 0) - 1
-                    row = {kk: c for kk, c in row.items() if c != 0}
-                    if row:
-                        builder.add_row(row, 0)
-    presolved = builder.build()
-    outcome = lp_feasible(presolved.system, budget)
-    stats = _stats(presolved, t0, {"pivots": outcome.pivots})
-    if outcome.feasible:
-        values = presolved.expand(outcome.point)
-        witness = MarginalWitness({k2: v for k2, v in values.items() if v != 0})
-        return Verdict("sa-alt", k, Status.ACCEPT, witness=witness, stats=stats)
-    evidence = RejectionEvidence(outcome.certificate, presolved.system)
-    return Verdict("sa-alt", k, Status.REJECT, certificate=evidence, stats=stats)
 
 
 # -- support structure of LP witnesses ----------------------------------------------
@@ -517,45 +466,7 @@ def _sdp_problem(X: Structure, A: Structure) -> GramProblem:
                     row = [(("c", sym, xt, at), 1) for at in A.tuples(sym) if at[i - 1] == a]
                     row.append((("v", xt[i - 1], a), -1))
                     idents.append(tuple(row))
-    omega = len(X.domain) * len(A.domain) + sum(
-        len(X.tuples(s)) * len(A.tuples(s)) for s in X.signature.names()
-    )
-    return GramProblem(tuple(labels), unit_groups, tuple(zero_pairs), tuple(idents), omega)
-
-
-def _sos_problem(Xk: Structure, Ak: Structure, k: int) -> GramProblem:
-    labels: list = []
-    surviving: dict = {}
-    for sym in Xk.signature.names():
-        for xt in Xk.tuples(sym):
-            good = tuple(at for at in Ak.tuples(sym) if precedes(xt, at))
-            surviving[(sym, xt)] = good
-            for at in good:
-                labels.append(("c", sym, xt, at))
-    unit_groups = tuple(
-        tuple(("c", sym, xt, at) for at in surviving[(sym, xt)])
-        for sym in Xk.signature.names()
-        for xt in Xk.tuples(sym)
-    )
-    zero_pairs: list = []
-    for (sym, xt), good in surviving.items():
-        for at, at2 in itertools.combinations(good, 2):
-            zero_pairs.append((("c", sym, xt, at), ("c", sym, xt, at2)))
-    enh = f"R_{k}"
-    idents: list = []
-    for sym, arity in Xk.signature.symbols:
-        for xt in Xk.tuples(sym):
-            good = surviving[(sym, xt)]
-            for i in itertools.product(range(1, arity + 1), repeat=k):
-                xi = project(xt, i)
-                for b in itertools.product(Ak.domain, repeat=k):
-                    row = [(("c", sym, xt, at), 1) for at in good if project(at, i) == b]
-                    if precedes(xi, b):
-                        row.append(((("c", enh, xi, b)), -1))
-                    if row:
-                        idents.append(tuple(row))
-    omega = sum(len(Xk.tuples(s)) * len(Ak.tuples(s)) for s in Xk.signature.names())
-    return GramProblem(tuple(labels), unit_groups, tuple(zero_pairs), tuple(idents), omega)
+    return GramProblem(tuple(labels), unit_groups, tuple(zero_pairs), tuple(idents))
 
 
 def _integral_warm_start(reduced: ReducedGramProblem, hom: Optional[Assignment]):
@@ -590,16 +501,11 @@ def sdp(
     """The basic vector relaxation: exact affine phase, then projections."""
     X.require_same_signature(A)
     t0 = perf_counter()
-    problem = _sdp_problem(X, A)
-    reduced = affine_reduce(problem)
-    nlab = len(problem.labels)
-    ncon = len(problem.zero_pairs) + len(problem.identifications) + len(problem.unit_groups)
-    if isinstance(reduced, Inconsistent):
-        stats = {"vars": nlab, "constraints": ncon,
-                 "millis": round(1000 * (perf_counter() - t0), 3)}
-        return Verdict("sdp", None, Status.REJECT, certificate=reduced, stats=stats)
-    warm = _integral_warm_start(reduced, find_homomorphism(X, A))
-    return _finish_gram("sdp", None, reduced, t0, nlab, ncon, cfg, warm)
+    nlabels = len(X.domain) * len(A.domain) + sum(
+        len(X.tuples(s)) * len(A.tuples(s)) for s in X.signature.names()
+    )
+    budget.check_tuples(nlabels, "vector labels")
+    return _finish_gram("sdp", None, _sdp_problem(X, A), X, A, t0, cfg)
 
 
 def sos(
@@ -609,60 +515,67 @@ def sos(
     budget: Budget = DEFAULT_BUDGET,
     cfg: PSDConfig = PSDConfig(),
 ) -> Verdict:
-    """Level-k squared relaxation on the enhanced structures.
+    """Level-k squared relaxation: one vector per variable of the marginal system.
 
-    Within one scope the vectors are pairwise orthogonal, so squared norms
-    add across the marginal identities and the squared norms of any exact
-    solution solve the level-k marginal LP.  That LP is therefore checked
-    first, exactly; its infeasibility is a rigorous rejection here.
+    The pair is enhanced and its marginal system enumerated once, then read
+    twice.  Within one scope the vectors are pairwise orthogonal, so squared
+    norms add across the marginal identities and the squared norms of any
+    exact solution solve the level-k marginal LP.  That LP is therefore
+    solved first, exactly; its infeasibility is a rigorous rejection here.
+    Otherwise the same scopes and identities become the Gram problem.
     """
     X.require_same_signature(A)
     t0 = perf_counter()
-    lp_verdict = sa(X, A, k, budget)
-    if not lp_verdict.accepted:
-        evidence = lp_verdict.certificate
-        evidence.note = "squared norms of any solution would solve this infeasible LP"
-        stats = dict(lp_verdict.stats)
-        stats["millis"] = round(1000 * (perf_counter() - t0), 3)
+    Xk, Ak = k_enhance(X, k, budget), k_enhance(A, k, budget)
+    scopes, identities = _marginal_rows(Xk, Ak, k, budget)
+    presolved = _linear_system(DomainTag.NONNEG_RAT, scopes, identities)
+    outcome = lp_feasible(presolved.system, budget)
+    if not outcome.feasible:
+        evidence = RejectionEvidence(
+            outcome.certificate, presolved.system,
+            note="squared norms of any solution would solve this infeasible LP",
+        )
+        stats = _stats(presolved.system, t0, {"pivots": outcome.pivots})
         return Verdict("sos", k, Status.REJECT, certificate=evidence, stats=stats)
-    Xk = k_enhance(X, k, budget)
-    Ak = k_enhance(A, k, budget)
-    problem = _sos_problem(Xk, Ak, k)
-    reduced = affine_reduce(problem)
-    nlab = len(problem.labels)
-    ncon = len(problem.zero_pairs) + len(problem.identifications) + len(problem.unit_groups)
-    if isinstance(reduced, Inconsistent):
-        stats = {"vars": nlab, "constraints": ncon,
-                 "millis": round(1000 * (perf_counter() - t0), 3)}
-        return Verdict("sos", k, Status.REJECT, certificate=reduced, stats=stats)
-    warm = _integral_warm_start(reduced, find_homomorphism(Xk, Ak))
-    return _finish_gram("sos", k, reduced, t0, nlab, ncon, cfg, warm)
+    return _finish_gram("sos", k, _gram_problem(scopes, identities), Xk, Ak, t0, cfg)
 
 
 def _finish_gram(
     algorithm: str,
     level: Optional[int],
-    reduced: ReducedGramProblem,
+    problem: GramProblem,
+    X: Structure,
+    A: Structure,
     t0: float,
-    nlab: int,
-    ncon: int,
     cfg: PSDConfig,
-    warm_start=None,
 ) -> Verdict:
-    outcome = psd_feasibility(reduced, cfg, warm_start=warm_start)
-    stats = {"vars": nlab, "constraints": ncon, "reduced_dim": len(reduced.reps)}
+    """Reduce the Gram problem exactly, then solve it by projections.
+
+    A homomorphism X -> A, when there is one, warm-starts the solve.
+    """
+    stats = {
+        "vars": len(problem.labels),
+        "constraints": len(problem.zero_pairs) + len(problem.identifications)
+        + len(problem.unit_groups),
+    }
+
+    def verdict(status: Status, **evidence) -> Verdict:
+        stats["millis"] = round(1000 * (perf_counter() - t0), 3)
+        return Verdict(algorithm, level, status, stats=stats, **evidence)
+
+    reduced = affine_reduce(problem)
+    if isinstance(reduced, Inconsistent):
+        return verdict(Status.REJECT, certificate=reduced)
+    stats["reduced_dim"] = len(reduced.reps)
+    warm = _integral_warm_start(reduced, find_homomorphism(X, A))
+    outcome = psd_feasibility(reduced, cfg, warm_start=warm)
     if isinstance(outcome, Inconsistent):
-        stats["millis"] = round(1000 * (perf_counter() - t0), 3)
-        return Verdict(algorithm, level, Status.REJECT, certificate=outcome, stats=stats)
-    if isinstance(outcome, NumericReject):
-        stats["millis"] = round(1000 * (perf_counter() - t0), 3)
-        stats["iterations"] = outcome.iterations
-        return Verdict(algorithm, level, Status.REJECT_NUMERIC, certificate=outcome, stats=stats)
-    factor = gram_to_vectors(outcome.gram)
-    outcome.vectors = expand_vectors(reduced, factor)
+        return verdict(Status.REJECT, certificate=outcome)
     stats["iterations"] = outcome.iterations
-    stats["millis"] = round(1000 * (perf_counter() - t0), 3)
-    return Verdict(algorithm, level, Status.ACCEPT, witness=outcome, stats=stats)
+    if isinstance(outcome, NumericReject):
+        return verdict(Status.REJECT_NUMERIC, certificate=outcome)
+    outcome.vectors = expand_vectors(reduced, gram_to_vectors(outcome.gram))
+    return verdict(Status.ACCEPT, witness=outcome)
 
 
 # -- the brute-force oracle -------------------------------------------------------------

@@ -17,7 +17,6 @@ Numeric stalls are reported as an explicitly non-rigorous outcome.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Hashable, Optional, Sequence
 
@@ -37,7 +36,6 @@ class GramProblem:
     unit_groups: tuple[tuple[Label, ...], ...]
     zero_pairs: tuple[tuple[Label, Label], ...]
     identifications: tuple[tuple[tuple[Label, object], ...], ...]
-    omega: int
 
 
 @dataclass
@@ -57,7 +55,6 @@ class ReducedGramProblem:
     reps: tuple[Label, ...]
     combos: dict  # label -> {rep: exact coefficient}
     constraints: list  # (dict[(si, ti) with si <= ti] -> exact coeff, rhs)
-    omega: int
     steps: list = field(default_factory=list)
 
 
@@ -80,9 +77,6 @@ class SoSWitness:
             "min_eig": self.min_eig,
             "iterations": self.iterations,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_doc(), sort_keys=True)
 
 
 @dataclass
@@ -245,7 +239,7 @@ def affine_reduce(problem: GramProblem):
         if bad:
             return bad
 
-    return ReducedGramProblem(problem.labels, reps, combos, constraints, problem.omega, steps)
+    return ReducedGramProblem(problem.labels, reps, combos, constraints, steps)
 
 
 def _proportionality(u: dict, w: dict):
@@ -529,57 +523,4 @@ def check_sdp_facts(vectors: dict, X, A, tol: float = 1e-6) -> FactReport:
                 ref = sums[x]
             else:
                 note("sum-invariance", x, float(np.max(np.abs(sums[x] - ref))))
-    return FactReport(checked, violations, max_err)
-
-
-def check_sos_product_facts(vectors: dict, X, A, k: int, tol: float = 1e-6) -> FactReport:
-    """Pairwise product constraints satisfied by level-2k solutions.
-
-    Products of squared-assignment vectors are nonnegative, vanish when the
-    two assignments conflict on a shared variable pattern, and are invariant
-    under permuting the doubled coordinates.
-    """
-    import itertools as _it
-
-    sym = f"R_{2 * k}"
-    violations = []
-    max_err = 0.0
-    checked = 0
-
-    def note(kind, where, err):
-        nonlocal max_err, checked
-        checked += 1
-        max_err = max(max_err, err)
-        if err > tol:
-            violations.append((kind, where, err))
-
-    def vec(x, a):
-        key = ("c", sym, x + x, a + a)
-        return vectors.get(key)
-
-    xs = list(_it.product(X.domain, repeat=k))
-    as_ = list(_it.product(A.domain, repeat=k))
-    idxs = list(_it.product(range(k), repeat=k))
-    for x in xs:
-        for a in as_:
-            va = vec(x, a)
-            if va is None:
-                continue
-            for y in xs:
-                for b in as_:
-                    vb = vec(y, b)
-                    if vb is None:
-                        continue
-                    dot = float(va @ vb)
-                    note("nonnegative-product", (x, a, y, b), max(0.0, -dot))
-                    conflict = any(
-                        tuple(x[i] for i in ii) == tuple(y[j] for j in jj)
-                        and tuple(a[i] for i in ii) != tuple(b[j] for j in jj)
-                        for ii in idxs
-                        for jj in idxs
-                    )
-                    if conflict:
-                        note("conflict-product", (x, a, y, b), abs(dot))
-                    # invariance under swapping the two doubled halves
-                    note("swap-invariance", (x, a, y, b), abs(dot - float(vb @ va)))
     return FactReport(checked, violations, max_err)

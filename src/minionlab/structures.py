@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
-import re
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -25,9 +25,6 @@ from .errors import (
 )
 
 Atom = Union[str, tuple]
-
-_ENHANCE_NAME = re.compile(r"^R_([1-9])$")
-
 
 @dataclass(frozen=True)
 class Signature:
@@ -58,17 +55,8 @@ class Signature:
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.symbols)
 
-    def max_arity(self) -> int:
-        return max(arity for _, arity in self.symbols)
-
     def __contains__(self, symbol: str) -> bool:
         return any(name == symbol for name, _ in self.symbols)
-
-
-def enhancement_level(symbol: str) -> Optional[int]:
-    """The k of a reserved enhancement symbol ``R_k``, else None."""
-    m = _ENHANCE_NAME.match(symbol)
-    return int(m.group(1)) if m else None
 
 
 class Structure:
@@ -127,9 +115,6 @@ class Structure:
     def tuples(self, symbol: str) -> tuple[tuple, ...]:
         return self.relations[symbol]
 
-    def size(self) -> int:
-        return len(self.domain)
-
     def same_signature(self, other: "Structure") -> bool:
         return self.signature.symbols == other.signature.symbols
 
@@ -179,10 +164,6 @@ class Assignment:
             if a == atom:
                 return b
         raise KeyError(atom)
-
-    def restrict(self, atoms: Iterable[Atom]) -> "Assignment":
-        keep = set(atoms)
-        return Assignment(tuple((a, b) for a, b in self.mapping if a in keep), False)
 
     def __len__(self) -> int:
         return len(self.mapping)
@@ -445,7 +426,7 @@ def enumerate_partial_homomorphisms(
     X.require_same_signature(A)
     nX, nA = len(X.domain), len(A.domain)
     total = sum(
-        _binomial(nX, j) * nA**j for j in range(0, min(k, nX) + 1)
+        math.comb(nX, j) * nA**j for j in range(0, min(k, nX) + 1)
     )
     budget.check_tuples(total, "partial homomorphism enumeration")
     out = [Assignment((), total=False)]
@@ -485,12 +466,3 @@ def polymorphisms(
     """The L-ary polymorphisms, i.e. all homomorphisms from the L-th power of A to B."""
     A.require_same_signature(B)
     return enumerate_homomorphisms(power(A, L, budget), B)
-
-
-def _binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out

@@ -50,14 +50,6 @@ class PresolvedSystem:
                 out[key] = point.get(col, R0) if col is not None else R0
         return out
 
-    def expand_support(self, cols: set[int]) -> set:
-        reps = {root for root, col in self.column_of.items() if col in cols}
-        return {
-            key
-            for key in self.key_order
-            if self.root_of[key] not in self.pinned and self.root_of[key] in reps
-        }
-
 
 class EqualitySystemBuilder:
     """Collects sparse equality rows over hashable variable keys."""
@@ -74,9 +66,6 @@ class EqualitySystemBuilder:
             self._key_set.add(key)
             self._keys.append(key)
             self._parent[key] = key
-
-    def has_var(self, key: Hashable) -> bool:
-        return key in self._key_set
 
     def add_row(self, coeffs: dict, rhs) -> None:
         row = {}

@@ -1,0 +1,238 @@
+"""The relaxation drivers: pinned facts, completeness, containments, evidence."""
+
+import itertools
+
+import pytest
+
+from minionlab import (
+    CertificateKind,
+    DomainTag,
+    Signature,
+    Status,
+    Structure,
+    aip,
+    ba,
+    bw,
+    check_sdp_facts,
+    lp_feasible,
+    oracle,
+    sa,
+    sdp,
+    sos,
+    support_family,
+    verify_farkas,
+    verify_parity_certificate,
+)
+from minionlab.budgets import Budget
+from minionlab.errors import BudgetExceeded
+from minionlab.hierarchies import RejectionEvidence, validate_marginal_witness
+from minionlab.structures import k_enhance
+from minionlab.system_builders import EqualitySystemBuilder
+
+from conftest import clique, digraphs_up_to_renaming, not_all_equal, one_in_three
+
+LEVELS = (1, 2)
+
+
+def directed_triangle() -> Structure:
+    return Structure(Signature.of({"R": 2}), ["0", "1", "2"],
+                     {"R": [("0", "1"), ("1", "2"), ("2", "0")]}, name="DT")
+
+
+# -- the subset formulation of the marginal LP, kept as a reference ------------------
+
+
+def _functions(atoms: tuple, targets: tuple) -> list[dict]:
+    out = []
+    for image in itertools.product(targets, repeat=len(atoms)):
+        out.append(dict(zip(atoms, image)))
+    return out
+
+
+def sa_reference(X: Structure, A: Structure, k: int) -> bool:
+    """Feasibility of the level-k marginal LP in its subset formulation.
+
+    Distributions live on assignments of at-most-k-element variable subsets
+    and on assignments of constraint scopes; marginalisation ties them
+    together.  The structures are used as given (no enhancement here; the
+    subsets quantify over the domain directly).
+    """
+    X.require_same_signature(A)
+    builder = EqualitySystemBuilder(DomainTag.NONNEG_RAT)
+
+    def fn_key(f: dict) -> tuple:
+        return tuple(sorted(f.items(), key=lambda ab: X.atom_id(ab[0])))
+
+    subsets: list[tuple] = []
+    for j in range(1, min(k, len(X.domain)) + 1):
+        subsets.extend(itertools.combinations(X.domain, j))
+    for V in subsets:
+        for f in _functions(V, A.domain):
+            builder.ensure_var(("mu", V, fn_key(f)))
+    scope_fns: dict = {}
+    for sym in X.signature.names():
+        for xt in X.tuples(sym):
+            atoms = tuple(dict.fromkeys(xt))  # scope set in first-occurrence order
+            fns = [
+                f
+                for f in _functions(atoms, A.domain)
+                if A.has_tuple(sym, tuple(f[x] for x in xt))
+            ]
+            scope_fns[(sym, xt)] = (atoms, fns)
+            for f in fns:
+                builder.ensure_var(("muR", sym, xt, fn_key(f)))
+    # unit mass on every subset distribution
+    for V in subsets:
+        builder.add_row({("mu", V, fn_key(f)): 1 for f in _functions(V, A.domain)}, 1)
+    # marginalisation between nested subsets
+    for V in subsets:
+        fsV = _functions(V, A.domain)
+        for U in subsets:
+            if set(U) < set(V):
+                for fU in _functions(U, A.domain):
+                    row = {("mu", V, fn_key(g)): 1
+                           for g in fsV
+                           if all(g[u] == fU[u] for u in U)}
+                    row[("mu", U, fn_key(fU))] = -1
+                    builder.add_row(row, 0)
+    # unit mass and marginalisation for the scope distributions
+    for (sym, xt), (atoms, fns) in scope_fns.items():
+        builder.add_row({("muR", sym, xt, fn_key(f)): 1 for f in fns}, 1)
+        for U in subsets:
+            if set(U) <= set(atoms):
+                for fU in _functions(U, A.domain):
+                    row = {("muR", sym, xt, fn_key(g)): 1
+                           for g in fns
+                           if all(g[u] == fU[u] for u in U)}
+                    row[("mu", U, fn_key(fU))] = -1
+                    builder.add_row(row, 0)
+    return lp_feasible(builder.build().system).feasible
+
+
+# -- pinned facts -------------------------------------------------------------------
+
+
+def test_pinned_facts(k3, k2):
+    assert aip(k3, k2, 1).status is Status.REJECT
+    assert sdp(k3, k2).status is Status.REJECT
+    assert sos(k3, k2, 1).status is Status.REJECT
+    assert bw(k3, k2, 3).status is Status.REJECT
+    assert ba(one_in_three(), not_all_equal(), 1).status is Status.ACCEPT
+
+
+def test_ba_is_stronger_than_sa_and_aip_together():
+    # the target is K2 on {0, 1} plus a sink 2: no LP solution puts mass on
+    # the sink, so inside the LP support only the odd cycle into K2 is left,
+    # while the integers alone can use the sink with negative weights
+    A = Structure(Signature.of({"R": 2}), ["0", "1", "2"],
+                  {"R": [("0", "1"), ("1", "0"), ("0", "2"), ("1", "2")]})
+    for k in LEVELS:
+        X = directed_triangle()
+        assert sa(X, A, k).accepted and aip(X, A, k).accepted
+        verdict = ba(X, A, k)
+        assert verdict.status is Status.REJECT and verdict.certificate.note == "ip-phase"
+        assert verify_parity_certificate(verdict.certificate.certificate,
+                                         verdict.certificate.system)
+
+
+def test_sdp_keeps_its_budget(k3, k2):
+    with pytest.raises(BudgetExceeded):
+        sdp(k3, k2, Budget(max_tuples=5))
+
+
+# -- every driver on the three-vertex digraphs ------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    """(X, A, verdicts) for the 104 three-vertex digraph classes into K2 and DT.
+
+    Verdicts are keyed by (driver, level), the level being None for the
+    level-free drivers.
+    """
+    out = []
+    for X in digraphs_up_to_renaming(3):
+        for A in (clique(2), directed_triangle()):
+            verdicts = {("oracle", None): oracle(X, A), ("sdp", None): sdp(X, A),
+                        ("sos", 1): sos(X, A, 1)}
+            for k in LEVELS:
+                for name, driver in (("bw", bw), ("sa", sa), ("aip", aip), ("ba", ba)):
+                    verdicts[(name, k)] = driver(X, A, k)
+            out.append((X, A, verdicts))
+    return out
+
+
+def test_sweep_covers_the_slice(sweep):
+    assert len(sweep) == 208
+    statuses = {(key, v.status) for _, _, verdicts in sweep for key, v in verdicts.items()}
+    for k in LEVELS:
+        for name in ("bw", "sa", "aip", "ba"):
+            assert ((name, k), Status.ACCEPT) in statuses
+            assert ((name, k), Status.REJECT) in statuses
+
+
+def test_completeness(sweep):
+    for X, A, verdicts in sweep:
+        if verdicts[("oracle", None)].accepted:
+            for key, verdict in verdicts.items():
+                assert verdict.accepted, (key, X.relations, A.name)
+
+
+def test_containments(sweep):
+    # (stronger, weaker): an accept of the first implies an accept of the second
+    implied = [(("sos", 1), ("sa", 1))]
+    for k in LEVELS:
+        implied += [(("ba", k), ("sa", k)), (("ba", k), ("aip", k)), (("sa", k), ("bw", k))]
+    for X, A, verdicts in sweep:
+        for stronger, weaker in implied:
+            if verdicts[stronger].accepted:
+                assert verdicts[weaker].accepted, (stronger, weaker, X.relations, A.name)
+
+
+def test_rejection_evidence_verifies(sweep):
+    phases = set()
+    for _, _, verdicts in sweep:
+        for (name, _k), verdict in verdicts.items():
+            evidence = verdict.certificate
+            if not isinstance(evidence, RejectionEvidence):
+                continue
+            if evidence.certificate.kind is CertificateKind.FARKAS:
+                assert verify_farkas(evidence.certificate, evidence.system)
+            else:
+                assert verify_parity_certificate(evidence.certificate, evidence.system)
+            if name == "ba":
+                phases.add(evidence.note)
+    assert phases == {"lp-phase", "ip-phase"}
+
+
+def test_accept_witnesses_revalidate(sweep):
+    for X, A, verdicts in sweep:
+        for k in LEVELS:
+            Xk, Ak = k_enhance(X, k), k_enhance(A, k)
+            if verdicts[("sa", k)].accepted:
+                witness = verdicts[("sa", k)].witness
+                validate_marginal_witness(witness.values, Xk, Ak, k)
+                support_family(witness, X, A, k)
+            if verdicts[("aip", k)].accepted:
+                validate_marginal_witness(verdicts[("aip", k)].witness.values, Xk, Ak, k,
+                                          integral=True)
+            if verdicts[("ba", k)].accepted:
+                witness = verdicts[("ba", k)].witness
+                validate_marginal_witness(witness.lp.values, Xk, Ak, k)
+                validate_marginal_witness(witness.ip.values, Xk, Ak, k, integral=True)
+                ip_support = {key for key, v in witness.ip.values.items() if v != 0}
+                assert ip_support <= witness.maximal_support
+        if verdicts[("sdp", None)].accepted:
+            assert check_sdp_facts(verdicts[("sdp", None)].witness.vectors, X, A).ok
+
+
+def test_verdicts_serialise(sweep):
+    for _, _, verdicts in sweep:
+        for verdict in verdicts.values():
+            verdict.to_json()
+
+
+def test_sa_matches_its_subset_formulation(sweep):
+    for X, A, verdicts in sweep:
+        for k in LEVELS:
+            assert sa_reference(X, A, k) == verdicts[("sa", k)].accepted, (k, X.relations, A.name)

@@ -1,0 +1,48 @@
+"""Every module of the package uses each name it imports."""
+
+import ast
+from pathlib import Path
+
+import minionlab
+
+PACKAGE = Path(minionlab.__file__).parent
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import statement and never read in the module."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # a quoted annotation such as -> "Signature" names a class inside a string
+    annotations = [node.returns for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    annotations += [node.annotation for node in ast.walk(tree)
+                    if isinstance(node, (ast.arg, ast.AnnAssign))]
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                expr = ast.parse(node.value, mode="eval")
+                used |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_guard_sees_an_unused_import():
+    source = "import os\nfrom json import dumps, loads\nfrom typing import Any\n" \
+             "def f(x: 'Any') -> None:\n    return loads('os')\n"
+    assert unused_imports(source) == ["os (line 1)", "dumps (line 2)"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    found = {
+        path.name: unused
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py" and (unused := unused_imports(path.read_text()))
+    }
+    assert found == {}
