@@ -1,10 +1,15 @@
 """Exact rational LP feasibility and integer linear feasibility.
 
 Everything here is exact: the simplex runs on arbitrary-precision rationals
-with Bland's anti-cycling rule, integer systems go through a column Hermite
-normal form, and every rejection carries a machine-checkable certificate
-(a Farkas vector, or the unimodular reduction exhibiting a forced
-non-integer coordinate).
+with Bland's anti-cycling rule, and integer systems go through a column
+Hermite normal form.  Every rejection carries one rational vector y, with
+one multiplier per row, that a single sparse product checks:
+
+- ``FARKAS``: y^T A <= 0 and y^T b > 0, so A x = b has no solution x >= 0
+  (Farkas' lemma); a solution would give 0 < y^T b = (y^T A) x <= 0.
+- ``PARITY``: y^T A is integral and y^T b is not, so A x = b has no integer
+  solution (integer Farkas lemma, Schrijver 1986, Cor. 4.1a); a solution
+  would make y^T b = (y^T A) x an integer.
 """
 
 from __future__ import annotations
@@ -26,8 +31,7 @@ class DomainTag(str, Enum):
 
 class CertificateKind(str, Enum):
     FARKAS = "farkas"
-    PARITY_HNF = "parity-hnf"
-    NONE = "none"
+    PARITY = "parity"
 
 
 @dataclass(frozen=True)
@@ -75,26 +79,13 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class Certificate:
-    """A machine-checkable refutation emitted by one of the solvers."""
+    """A machine-checkable refutation: one multiplier per row of the system."""
 
     kind: CertificateKind
     farkas: tuple = ()
-    hnf_h: tuple = ()
-    hnf_u: tuple = ()
-    hnf_w: tuple = ()
-    fail_row: int = -1
-    fail_kind: str = ""
 
     def to_json(self) -> str:
-        doc: dict = {"kind": self.kind.value}
-        if self.kind is CertificateKind.FARKAS:
-            doc["y"] = [rat_to_str(v) for v in self.farkas]
-        elif self.kind is CertificateKind.PARITY_HNF:
-            doc["H"] = [list(r) for r in self.hnf_h]
-            doc["U"] = [list(r) for r in self.hnf_u]
-            doc["W"] = [list(r) for r in self.hnf_w]
-            doc["fail_row"] = self.fail_row
-            doc["fail_kind"] = self.fail_kind
+        doc = {"kind": self.kind.value, "y": [rat_to_str(v) for v in self.farkas]}
         return json.dumps(doc, sort_keys=True)
 
 
@@ -291,21 +282,31 @@ def lp_feasible(sys: LinearSystem, budget: Budget = DEFAULT_BUDGET) -> SolveOutc
 
 def verify_farkas(cert: Certificate, sys: LinearSystem) -> bool:
     """Exact check that y^T A <= 0 componentwise and y^T b > 0."""
-    if cert.kind is not CertificateKind.FARKAS:
-        raise WrongKind(f"expected a farkas certificate, got {cert.kind.value}")
+    combined = _combine(cert, sys, CertificateKind.FARKAS)
+    if combined is None:
+        return False
+    yA, yb = combined
+    return all(v <= 0 for v in yA) and yb > 0
+
+
+def _combine(cert: Certificate, sys: LinearSystem, kind: CertificateKind):
+    """The nonzero-column entries of y^T A and the value y^T b, in one sparse pass.
+
+    None when y does not have one entry per row.
+    """
+    if cert.kind is not kind:
+        raise WrongKind(f"expected a {kind.value} certificate, got {cert.kind.value}")
     y = cert.farkas
     if len(y) != sys.num_rows:
-        return False
+        return None
     cols: dict[int, object] = {}
     for yi, row in zip(y, sys.rows):
         if yi == 0:
             continue
         for j, c in row.items():
             cols[j] = cols.get(j, R0) + yi * c
-    if any(v > 0 for v in cols.values()):
-        return False
     yb = sum((yi * b for yi, b in zip(y, sys.rhs)), R0)
-    return yb > 0
+    return cols.values(), yb
 
 
 def validate_nonneg_point(sys: LinearSystem, point: dict) -> None:
@@ -369,40 +370,41 @@ def hnf(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int
     the left of a pivot in its row are reduced modulo the pivot, which keeps
     coefficient growth under control.
     """
-    H, U, _W, _pivots = _hnf_with_inverse(matrix)
+    H, U, _pivots = _hnf(matrix, DEFAULT_BUDGET)
     return H, U
 
 
-def _hnf_with_inverse(matrix: Sequence[Sequence[int]]):
+def _hnf(matrix: Sequence[Sequence[int]], budget: Budget):
+    """H, U and the pivots (row, column) of H; column operations count against the budget."""
     H = [[int(v) for v in row] for row in matrix]
     m = len(H)
     n = len(H[0]) if m else 0
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    W = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = H + U  # a column operation acts on the rows of both
+    ops = 0
+
+    def count() -> None:
+        nonlocal ops
+        ops += 1
+        if ops > budget.max_pivots:
+            raise IterationBudget(f"Hermite form exceeded {budget.max_pivots} column operations")
 
     def col_swap(a: int, b: int) -> None:
-        for row in H:
+        count()
+        for row in rows:
             row[a], row[b] = row[b], row[a]
-        for row in U:
-            row[a], row[b] = row[b], row[a]
-        W[a], W[b] = W[b], W[a]
 
     def col_negate(a: int) -> None:
-        for row in H:
+        count()
+        for row in rows:
             row[a] = -row[a]
-        for row in U:
-            row[a] = -row[a]
-        W[a] = [-v for v in W[a]]
 
     def col_addmul(dst: int, src: int, q: int) -> None:
-        # col_dst += q * col_src; inverse tracking: row_src of W -= q * row_dst
         if q == 0:
             return
-        for row in H:
+        count()
+        for row in rows:
             row[dst] += q * row[src]
-        for row in U:
-            row[dst] += q * row[src]
-        W[src] = [a - q * b for a, b in zip(W[src], W[dst])]
 
     pivots: list[tuple[int, int]] = []
     c = 0
@@ -430,60 +432,56 @@ def _hnf_with_inverse(matrix: Sequence[Sequence[int]]):
                 col_addmul(j, c, -(H[i][j] // H[i][c]))
             pivots.append((i, c))
             c += 1
-    return H, U, W, pivots
+    return H, U, pivots
 
 
-def echelon_pivots(H: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
-    """Pivot positions of a column-echelon matrix; raises if H is not echelon."""
-    m = len(H)
-    n = len(H[0]) if m else 0
-    pivots = []
-    last_row = -1
-    for j in range(n):
-        rows = [i for i in range(m) if H[i][j] != 0]
-        if not rows:
-            for j2 in range(j + 1, n):
-                if any(H[i][j2] != 0 for i in range(m)):
-                    raise InvalidWitness("zero column precedes a nonzero one")
-            break
-        top = rows[0]
-        if top <= last_row:
-            raise InvalidWitness("pivot rows are not strictly increasing")
-        if H[top][j] <= 0:
-            raise InvalidWitness("pivot entries must be positive")
-        pivots.append((top, j))
-        last_row = top
-    return pivots
+def _substitute(H: Sequence[Sequence[int]], b: Sequence[int], pivots) -> tuple[list[int], int, int]:
+    """Forward substitution for H z = b over the integers; the echelon form forces each z_j.
 
-
-def _substitute(H: Sequence[Sequence[int]], b: Sequence[int], pivots) -> tuple[bool, list[int], int, str]:
-    """Solve H y = b over the integers by forward substitution.
-
-    Echelon structure makes the pivot coordinates forced, so failure of a
-    divisibility or consistency check is decisive.
+    Returns z, the first row whose residual no integer clears (-1 if none), and that residual.
     """
-    n = len(H[0]) if H else 0
-    y = [0] * n
-    pivot_of_row = {i: j for i, j in pivots}
-    for i in range(len(H)):
-        acc = b[i] - sum(H[i][j] * y[j] for j in range(n) if y[j] != 0 and H[i][j] != 0)
+    z = [0] * len(H[0])
+    pivot_of_row = dict(pivots)
+    for i, row in enumerate(H):
+        acc = b[i] - sum(h * zj for h, zj in zip(row, z) if zj != 0)
         j = pivot_of_row.get(i)
         if j is None:
             if acc != 0:
-                return False, y, i, "inconsistent"
+                return z, i, acc
         else:
-            q, r = divmod(acc, H[i][j])
+            q, r = divmod(acc, row[j])
             if r != 0:
-                return False, y, i, "divisibility"
-            y[j] = q
-    return True, y, -1, ""
+                return z, i, acc
+            z[j] = q
+    return z, -1, 0
+
+
+def _integer_farkas(H: Sequence[Sequence[int]], pivots, r: int, residual: int) -> tuple:
+    """A y with y^T H = e_j or 0 and y^T b = residual / H[r][j] or 1/2.
+
+    Substitution failed at row r.  If it pivots on column j, y_r = 1/H[r][j];
+    otherwise y_r = 1/(2 residual).  Each earlier pivot (i, c), last first,
+    then cancels column c of y^T H.
+    """
+    y = [R0] * len(H)
+    j = dict(pivots).get(r)
+    y[r] = rat(1, H[r][j]) if j is not None else rat(1, 2 * residual)
+    for i, c in reversed([p for p in pivots if p[0] < r]):
+        acc = sum((y[t] * H[t][c] for t in range(i + 1, r + 1) if y[t] != 0), R0)
+        y[i] = -acc / H[i][c]
+    return tuple(y)
 
 
 def diophantine_solve(sys: LinearSystem, budget: Budget = DEFAULT_BUDGET) -> SolveOutcome:
-    """Integer feasibility of A x = b via Hermite normal form over big integers."""
+    """Integer feasibility of A x = b, with an integer Farkas vector on reject.
+
+    With H = A U (U unimodular), x = U z turns A x = b into H z = b.  When
+    substitution fails, y^T A = y^T H U^{-1} is integral and y^T b is not;
+    such a y exists exactly when no integer solution does (Schrijver 1986,
+    Cor. 4.1a).  Hermite-form column operations count against ``max_pivots``.
+    """
     if sys.domain_tag is not DomainTag.INT:
         raise WrongKind("diophantine_solve needs an integer system")
-    del budget
     n = sys.num_vars
     A = []
     b = []
@@ -494,61 +492,26 @@ def diophantine_solve(sys: LinearSystem, budget: Budget = DEFAULT_BUDGET) -> Sol
         b.append(as_int(rhs))
     if not A:
         return SolveOutcome(True, point={j: R0 for j in range(n)})
-    H, U, W, pivots = _hnf_with_inverse(A)
-    ok, y, fail_row, fail_kind = _substitute(H, b, pivots)
-    if ok:
-        x = {j: rat(sum(U[j][t] * y[t] for t in range(n))) for j in range(n)}
+    H, U, pivots = _hnf(A, budget)
+    z, r, residual = _substitute(H, b, pivots)
+    if r < 0:
+        x = {j: rat(sum(U[j][t] * z[t] for t in range(n))) for j in range(n)}
         return SolveOutcome(True, point=x)
-    cert = Certificate(
-        CertificateKind.PARITY_HNF,
-        hnf_h=tuple(tuple(r) for r in H),
-        hnf_u=tuple(tuple(r) for r in U),
-        hnf_w=tuple(tuple(r) for r in W),
-        fail_row=fail_row,
-        fail_kind=fail_kind,
-    )
-    return SolveOutcome(False, certificate=cert)
+    y = _integer_farkas(H, pivots, r, residual)
+    return SolveOutcome(False, certificate=Certificate(CertificateKind.PARITY, farkas=y))
 
 
 def verify_parity_certificate(cert: Certificate, sys: LinearSystem) -> bool:
-    """Independent re-check of a Hermite-form infeasibility certificate.
+    """Exact check that y^T A is integral and y^T b is not.
 
-    Checks that U is unimodular (U W = I over the integers), that H = A U,
-    that H is column echelon, and that forward substitution fails exactly as
-    claimed.
+    Sound for any rational A: an integer x with A x = b would make
+    y^T b = (y^T A) x an integer.
     """
-    if cert.kind is not CertificateKind.PARITY_HNF:
-        raise WrongKind(f"expected a parity-hnf certificate, got {cert.kind.value}")
-    n = sys.num_vars
-    A = []
-    b = []
-    for row, rhs in zip(sys.rows, sys.rhs):
-        if not is_integral(rhs) or any(not is_integral(c) for c in row.values()):
-            return False
-        A.append([as_int(row.get(j, R0)) for j in range(n)])
-        b.append(as_int(rhs))
-    H = [list(r) for r in cert.hnf_h]
-    U = [list(r) for r in cert.hnf_u]
-    W = [list(r) for r in cert.hnf_w]
-    if len(U) != n or any(len(r) != n for r in U) or len(W) != n:
+    combined = _combine(cert, sys, CertificateKind.PARITY)
+    if combined is None:
         return False
-    for i in range(n):
-        for j in range(n):
-            s = sum(U[i][t] * W[t][j] for t in range(n))
-            if s != (1 if i == j else 0):
-                return False
-    if len(H) != len(A):
-        return False
-    for i in range(len(A)):
-        for j in range(n):
-            if H[i][j] != sum(A[i][t] * U[t][j] for t in range(n)):
-                return False
-    try:
-        pivots = echelon_pivots(H)
-    except InvalidWitness:
-        return False
-    ok, _y, fail_row, fail_kind = _substitute(H, b, pivots)
-    return (not ok) and fail_row == cert.fail_row and fail_kind == cert.fail_kind
+    yA, yb = combined
+    return all(is_integral(v) for v in yA) and not is_integral(yb)
 
 
 def validate_integer_point(sys: LinearSystem, point: dict) -> None:
@@ -564,16 +527,5 @@ def validate_integer_point(sys: LinearSystem, point: dict) -> None:
 
 def certificate_from_json(text: str) -> Certificate:
     doc = json.loads(text)
-    kind = CertificateKind(doc["kind"])
-    if kind is CertificateKind.FARKAS:
-        return Certificate(kind, farkas=tuple(rat_from_str(v) for v in doc["y"]))
-    if kind is CertificateKind.PARITY_HNF:
-        return Certificate(
-            kind,
-            hnf_h=tuple(tuple(r) for r in doc["H"]),
-            hnf_u=tuple(tuple(r) for r in doc["U"]),
-            hnf_w=tuple(tuple(r) for r in doc["W"]),
-            fail_row=doc["fail_row"],
-            fail_kind=doc["fail_kind"],
-        )
-    return Certificate(kind)
+    y = tuple(rat_from_str(v) for v in doc["y"])
+    return Certificate(CertificateKind(doc["kind"]), farkas=y)

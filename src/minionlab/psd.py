@@ -107,7 +107,7 @@ class PSDConfig:
 # -- phase one: exact affine reduction -------------------------------------------
 
 
-def _reduce_row(row: dict, pivot_rows: dict, label_order: dict) -> dict:
+def _reduce_row(row: dict, pivot_rows: dict) -> dict:
     row = dict(row)
     while True:
         hit = None
@@ -151,7 +151,7 @@ def affine_reduce(problem: GramProblem):
     steps: list = []
 
     def add_relation(row: dict, note) -> None:
-        reduced = _reduce_row(row, pivot_rows, label_order)
+        reduced = _reduce_row(row, pivot_rows)
         if reduced:
             _insert_pivot(reduced, pivot_rows, label_order)
             steps.append(note)
@@ -182,7 +182,7 @@ def affine_reduce(problem: GramProblem):
                 new_rows.append((dict(w), ("zero-norm", str(l1), str(l2))))
         grew = False
         for row, note in new_rows:
-            reduced = _reduce_row(row, pivot_rows, label_order)
+            reduced = _reduce_row(row, pivot_rows)
             if reduced:
                 _insert_pivot(reduced, pivot_rows, label_order)
                 steps.append(note)
@@ -462,13 +462,6 @@ class FactReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def to_doc(self) -> dict:
-        return {
-            "checked": self.checked,
-            "max_error": self.max_error,
-            "violations": [list(map(str, v)) for v in self.violations],
-        }
 
 
 def check_sdp_facts(vectors: dict, X, A, tol: float = 1e-6) -> FactReport:

@@ -14,17 +14,13 @@ class Status(str, Enum):
     REJECT_NUMERIC = "reject-numeric"
 
 
-EXIT_CODES = {Status.ACCEPT: 0, Status.REJECT: 1, Status.REJECT_NUMERIC: 2}
-EXIT_ERROR = 3
-
-
 @dataclass
 class Verdict:
     """Outcome of a relaxation: accept with witness, or reject with certificate.
 
     ``reject-numeric`` marks the one non-rigorous outcome (a stalled numeric
-    solve); it is never to be treated as ground truth and gets its own exit
-    code so scripts cannot conflate it with a certified rejection.
+    solve); it is never to be treated as ground truth or conflated with a
+    certified rejection.
     """
 
     algorithm: str
@@ -37,9 +33,6 @@ class Verdict:
     @property
     def accepted(self) -> bool:
         return self.status is Status.ACCEPT
-
-    def exit_code(self) -> int:
-        return EXIT_CODES[self.status]
 
     def to_doc(self) -> dict:
         doc: dict = {

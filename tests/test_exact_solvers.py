@@ -1,5 +1,6 @@
 """Exact LP feasibility, Farkas certificates, Hermite form, integer systems."""
 
+import json
 import random
 
 import pytest
@@ -15,13 +16,15 @@ from minionlab import (
     verify_farkas,
     verify_parity_certificate,
 )
-from minionlab.errors import WrongKind
+from minionlab.budgets import Budget
+from minionlab.errors import IterationBudget, WrongKind
 from minionlab.exact_solvers import (
     certificate_from_json,
     maximal_support,
     validate_integer_point,
     validate_nonneg_point,
 )
+from minionlab.hierarchies import _support_system
 from minionlab.rationals import rat
 
 
@@ -68,7 +71,7 @@ def test_verify_farkas_rejects_zero_vector():
 def test_verify_farkas_wrong_kind():
     sys = system([{0: 1}], [1], 1)
     with pytest.raises(WrongKind):
-        verify_farkas(Certificate(CertificateKind.PARITY_HNF), sys)
+        verify_farkas(Certificate(CertificateKind.PARITY), sys)
 
 
 def random_system(rng, domain=DomainTag.NONNEG_RAT, max_vars=6, max_rows=5):
@@ -205,7 +208,7 @@ def test_parity_blocks_half():
     sys = system([{0: 2}], [1], 1, DomainTag.INT)
     out = diophantine_solve(sys)
     assert not out.feasible
-    assert out.certificate.fail_kind == "divisibility"
+    assert out.certificate.farkas == (rat(1, 2),)
     assert verify_parity_certificate(out.certificate, sys)
 
 
@@ -222,6 +225,42 @@ def test_odd_cycle_sum_parity():
     out = diophantine_solve(sys)
     assert not out.feasible
     assert verify_parity_certificate(out.certificate, sys)
+
+
+def test_odd_cycle_keeps_its_budget():
+    sys = system([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}], [1, 1, 1], 3, DomainTag.INT)
+    with pytest.raises(IterationBudget):
+        diophantine_solve(sys, Budget(max_pivots=1))
+
+
+def test_inconsistent_pair_certificate_halves():
+    sys = system([{0: 1}, {0: 1}], [1, 2], 1, DomainTag.INT)
+    out = diophantine_solve(sys)
+    assert not out.feasible
+    y = out.certificate.farkas
+    assert len(y) == 2
+    assert sum(yi * b for yi, b in zip(y, sys.rhs)) == rat(1, 2)
+    assert verify_parity_certificate(out.certificate, sys)
+
+
+def test_tampered_parity_certificates_fail():
+    sys = system([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}], [1, 1, 1], 3, DomainTag.INT)
+    y = diophantine_solve(sys).certificate.farkas
+    assert verify_parity_certificate(Certificate(CertificateKind.PARITY, farkas=y), sys)
+    for bad in (
+        (rat(0),) * 3,  # y^T b = 0 is an integer
+        tuple(2 * v for v in y),  # doubles y^T b = 3/2 to 3
+        y[:2],  # one multiplier short
+        y + (rat(0),),  # one multiplier too many, though y^T A and y^T b are unchanged
+        (rat(1, 4), rat(1, 4), rat(1, 4)),  # y^T A = (1/2, 1/2, 1/2)
+    ):
+        assert not verify_parity_certificate(Certificate(CertificateKind.PARITY, farkas=bad), sys)
+
+
+def test_verify_parity_wrong_kind():
+    sys = system([{0: 2}], [1], 1, DomainTag.INT)
+    with pytest.raises(WrongKind):
+        verify_parity_certificate(Certificate(CertificateKind.FARKAS, farkas=(rat(1, 2),)), sys)
 
 
 def test_integer_negative_solutions_allowed():
@@ -277,3 +316,34 @@ def test_parity_certificate_json_round_trip():
     out = diophantine_solve(sys)
     again = certificate_from_json(out.certificate.to_json())
     assert verify_parity_certificate(again, sys)
+
+
+def test_parity_certificate_json_holds_one_multiplier_per_row():
+    sys = system([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}], [1, 1, 1], 3, DomainTag.INT)
+    doc = json.loads(diophantine_solve(sys).certificate.to_json())
+    assert set(doc) == {"kind", "y"}
+    assert doc["kind"] == "parity" and len(doc["y"]) == sys.num_rows
+
+
+# -- the support restriction of ba -----------------------------------------------------
+
+
+def test_support_restriction_decides_the_integer_phase():
+    # rows x0 - x1 + x2 = 0, -x0 + x1 + x3 = 0, 2 x0 + x2 = 1: adding the first
+    # two gives x2 + x3 = 0, so x2 = x3 = 0 in every nonnegative solution
+    rows = [{0: 1, 1: -1, 2: 1}, {0: -1, 1: 1, 3: 1}, {0: 2, 2: 1}]
+    sys = system(rows, [0, 0, 1], 4)
+    support, _point, cert, _ = maximal_support(sys)
+    assert cert is None and support == {0, 1}
+    restricted, cols = _support_system(sys, support)
+    assert cols == [0, 1]
+    out = diophantine_solve(restricted)
+    assert not out.feasible
+    assert out.certificate.farkas == (rat(0), rat(0), rat(1, 2))
+    assert verify_parity_certificate(out.certificate, restricted)
+    # over all four columns x = (1, 0, -1, 1) is an integer solution
+    unrestricted = system(rows, [0, 0, 1], 4, DomainTag.INT)
+    out = diophantine_solve(unrestricted)
+    assert out.feasible
+    validate_integer_point(unrestricted, out.point)
+    validate_integer_point(unrestricted, {0: rat(1), 1: rat(0), 2: rat(-1), 3: rat(1)})

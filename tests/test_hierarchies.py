@@ -183,6 +183,8 @@ def test_containments(sweep):
     implied = [(("sos", 1), ("sa", 1))]
     for k in LEVELS:
         implied += [(("ba", k), ("sa", k)), (("ba", k), ("aip", k)), (("sa", k), ("bw", k))]
+    # each hierarchy is monotone in k
+    implied += [((name, 2), (name, 1)) for name in ("bw", "sa", "aip", "ba")]
     for X, A, verdicts in sweep:
         for stronger, weaker in implied:
             if verdicts[stronger].accepted:

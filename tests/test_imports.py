@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and every private
+function reads each of its parameters."""
 
 import ast
 from pathlib import Path
@@ -44,5 +45,39 @@ def test_no_module_imports_a_name_it_never_uses():
         path.name: unused
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "__init__.py" and (unused := unused_imports(path.read_text()))
+    }
+    assert found == {}
+
+
+def unread_parameters(source: str) -> list[str]:
+    """Parameters of private functions (one leading underscore) never read in the body."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if not node.name.startswith("_") or node.name.startswith("__"):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [f"{node.name}({name}) (line {node.lineno})"
+                  for name in params if name not in read]
+    return found
+
+
+def test_guard_sees_an_unread_parameter():
+    source = "def _f(a, b, *rest, c=1):\n    del b\n    return a + c\n" \
+             "def g(unused):\n    return 0\n" \
+             "def __init__(self, unused):\n    pass\n"
+    assert unread_parameters(source) == ["_f(b) (line 1)", "_f(rest) (line 1)"]
+
+
+def test_no_private_function_ignores_a_parameter():
+    found = {
+        path.name: unread
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (unread := unread_parameters(path.read_text()))
     }
     assert found == {}
