@@ -3,8 +3,10 @@
 A library implementing local consistency, the marginal LP and
 integer-programming hierarchies, their combination, the basic vector (SDP)
 relaxation and its squared (sum-of-squares) hierarchy, on a common core of
-relational structures, tensor powers and linear minions, with exact
-certificates wherever the underlying solver is exact.
+relational structures and tensor powers.  Level k of each hierarchy is a
+minion test, and each minion is realised as its driver's system: a linear
+program, an integer system, a Gram problem or arc consistency.  Verdicts
+carry exact certificates wherever the underlying solver is exact.
 """
 
 from .budgets import Budget, DEFAULT_BUDGET
@@ -31,17 +33,6 @@ from .hierarchies import (
     sdp,
     sos,
     support_family,
-)
-from .minions import (
-    MinionElement,
-    MinionTag,
-    MinorMap,
-    check_membership,
-    combined,
-    enumerate_horn,
-    is_conic_matrix,
-    minor,
-    semidirect,
 )
 from .psd import (
     FactReport,
@@ -77,18 +68,10 @@ from .structures import (
     parse_structure,
     polymorphisms,
     power,
-    structure_to_json,
-    tensor_power,
-)
-from .tensors import (
-    SemiringTag,
-    Tensor,
-    contract,
-    power_projection_tensor,
     precedes,
     project,
-    relation_projection_tensor,
-    unit_tensor,
+    structure_to_json,
+    tensor_power,
 )
 from .verdicts import Status, Verdict
 

@@ -33,35 +33,12 @@ class EmptySubset(MinionLabError):
     """An induced substructure needs a nonempty atom subset."""
 
 
-class EmptyRelation(MinionLabError):
-    """An operation requires a nonempty relation."""
-
-
 class IndexOutOfRange(MinionLabError):
-    """A 1-based index tuple points outside its mode sizes."""
+    """A 1-based tuple position lies outside the tuple."""
 
 
 class LengthMismatch(MinionLabError):
     """Two tuples that must have equal length do not."""
-
-
-class ShapeMismatch(MinionLabError):
-    """Tensor shapes are incompatible for the requested contraction."""
-
-
-class SemiringMismatch(MinionLabError):
-    """Operands live over incompatible semirings."""
-
-
-class MembershipLost(MinionLabError):
-    """Internal invariant violation: a minor left its minion.
-
-    This signals an implementation bug, never an expected runtime condition.
-    """
-
-
-class SupportViolation(MinionLabError):
-    """A semi-direct product operand has support outside its partner."""
 
 
 class NotAHomomorphism(MinionLabError):

@@ -235,11 +235,11 @@ class ExactSimplex:
 
     # - phase 2 -
 
-    def maximize(self, col: int) -> tuple[str, Optional[dict]]:
+    def maximize(self, col: int) -> dict:
         """Maximize x_col over the feasible region; phase 1 must have succeeded.
 
-        Returns ("optimal", point) or ("unbounded", feasible point moved one
-        unit along an improving ray).
+        Returns an optimal point or, when x_col is unbounded, a feasible point
+        moved one unit along an improving ray.
         """
         assert self.feasible
         width = self.n + self.m + 1
@@ -253,7 +253,7 @@ class ExactSimplex:
         self.obj = obj
         bounded = self._run(self.n)
         if bounded:
-            return "optimal", self.solution()
+            return self.solution()
         # ray step: find the entering column with improving reduced cost
         enter = next(j for j in range(self.n) if self.obj[j] < 0)
         point = self.solution()
@@ -264,7 +264,7 @@ class ExactSimplex:
         moved = dict(point)
         for j, d in ray.items():
             moved[j] = moved.get(j, R0) + d
-        return "unbounded", moved
+        return moved
 
 
 def lp_feasible(sys: LinearSystem, budget: Budget = DEFAULT_BUDGET) -> SolveOutcome:
@@ -350,10 +350,9 @@ def maximal_support(
     for j in range(n):
         if acc[j] > 0:
             continue
-        status, point = simplex.maximize(j)
+        point = simplex.maximize(j)
         if point.get(j, R0) > 0:
             absorb(point)
-        del status
     support = {j for j in range(n) if acc[j] > 0}
     point = {j: acc[j] / count for j in range(n)}
     validate_nonneg_point(sys, point)

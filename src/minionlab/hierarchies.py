@@ -48,9 +48,10 @@ from .structures import (
     find_homomorphism,
     is_partial_homomorphism,
     k_enhance,
+    precedes,
+    project,
 )
 from .system_builders import EqualitySystemBuilder, PresolvedSystem
-from .tensors import precedes, project
 from .verdicts import Status, Verdict
 
 # -- witnesses and evidence -------------------------------------------------------

@@ -276,7 +276,6 @@ class _AffineProjector:
     """
 
     def __init__(self, n: int, constraints: Sequence[tuple[dict, object]]):
-        self.n = n
         # exact independence filter over the symmetric-pair coordinates;
         # a row reducing to 0 = nonzero proves the subspace empty
         pivots: dict = {}

@@ -2,6 +2,8 @@
 
 Atoms are strings at the base level; powered structures use tuples of atoms,
 so a tensor power is an ordinary structure whose atoms are length-k tuples.
+Tuples are projected onto 1-based position tuples (``project``), and
+``precedes`` compares the equality patterns of two tuples.
 All internal indexing goes through dense integer ids in domain order, which
 keeps every search and every emitted witness deterministic.
 """
@@ -18,6 +20,8 @@ from .budgets import DEFAULT_BUDGET, Budget
 from .errors import (
     ArityMismatch,
     EmptySubset,
+    IndexOutOfRange,
+    LengthMismatch,
     MalformedInput,
     SignatureMismatch,
     SymbolClash,
@@ -169,6 +173,33 @@ class Assignment:
         return len(self.mapping)
 
 
+# -- tuples -------------------------------------------------------------------
+
+
+def project(s: Sequence, i: Sequence[int]) -> tuple:
+    """Projection of the tuple s onto the 1-based index tuple i."""
+    out = []
+    for pos in i:
+        if not 1 <= pos <= len(s):
+            raise IndexOutOfRange(f"position {pos} outside 1..{len(s)}")
+        out.append(s[pos - 1])
+    return tuple(out)
+
+
+def precedes(s: Sequence, t: Sequence) -> bool:
+    """True iff equal positions of s force equal positions of t."""
+    if len(s) != len(t):
+        raise LengthMismatch(f"tuples of lengths {len(s)} and {len(t)}")
+    first_at = {}
+    for sv, tv in zip(s, t):
+        if sv in first_at:
+            if first_at[sv] != tv:
+                return False
+        else:
+            first_at[sv] = tv
+    return True
+
+
 # -- parsing and serialization ----------------------------------------------
 
 
@@ -178,6 +209,12 @@ def _atom_from_json(value) -> Atom:
     if isinstance(value, list):
         return tuple(_atom_from_json(v) for v in value)
     raise MalformedInput(f"atom must be a string or array, got {value!r}")
+
+
+def _json_array(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise MalformedInput(f"{what} must be an array, got {value!r}")
+    return value
 
 
 def _atom_to_json(atom: Atom):
@@ -198,7 +235,7 @@ def parse_structure(text: str, name: str = "") -> Structure:
         raise MalformedInput(f"bad JSON: {exc}") from exc
     if not isinstance(doc, dict) or "domain" not in doc or "relations" not in doc:
         raise MalformedInput("document needs 'domain' and 'relations' keys")
-    domain = [_atom_from_json(a) for a in doc["domain"]]
+    domain = [_atom_from_json(a) for a in _json_array(doc["domain"], "'domain'")]
     rel_doc = doc["relations"]
     if not isinstance(rel_doc, dict):
         raise MalformedInput("'relations' must be an object")
@@ -207,9 +244,14 @@ def parse_structure(text: str, name: str = "") -> Structure:
     for sym, body in rel_doc.items():
         if not isinstance(body, dict) or "arity" not in body or "tuples" not in body:
             raise MalformedInput(f"relation {sym!r} needs 'arity' and 'tuples'")
-        arity = int(body["arity"])
+        arity = body["arity"]
+        if not isinstance(arity, int) or isinstance(arity, bool):
+            raise MalformedInput(f"arity of {sym!r} must be an integer, got {arity!r}")
         sig_items.append((sym, arity))
-        relations[sym] = [tuple(_atom_from_json(a) for a in t) for t in body["tuples"]]
+        relations[sym] = [
+            tuple(_atom_from_json(a) for a in _json_array(t, f"a tuple of {sym!r}"))
+            for t in _json_array(body["tuples"], f"'tuples' of {sym!r}")
+        ]
     return Structure(Signature.of(sig_items), domain, relations, name=name or doc.get("name", ""))
 
 

@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and every private
-function reads each of its parameters."""
+"""Every module of the package uses each name it imports, every private
+function reads each of its parameters, and every module is imported, directly
+or through others, by a driver module."""
 
 import ast
 from pathlib import Path
@@ -81,3 +82,32 @@ def test_no_private_function_ignores_a_parameter():
         if (unread := unread_parameters(path.read_text()))
     }
     assert found == {}
+
+
+DRIVERS = ("hierarchies", "free_structures")
+
+
+def reached_modules(sources: dict[str, str], roots) -> set[str]:
+    """Modules reached from ``roots`` by following ``from .m import ...`` statements."""
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in ast.walk(ast.parse(sources[name])):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                todo.append(node.module)
+    return reached
+
+
+def test_guard_sees_an_orphan_module():
+    sources = {"drive": "from .solve import run\n", "solve": "from .util import f\n",
+               "util": "", "orphan": "from .util import f\n"}
+    assert set(sources) - reached_modules(sources, ["drive"]) == {"orphan"}
+
+
+def test_every_module_is_reached_from_a_driver():
+    sources = {path.stem: path.read_text()
+               for path in PACKAGE.glob("*.py") if path.name != "__init__.py"}
+    assert set(sources) - reached_modules(sources, DRIVERS) == set()

@@ -1,228 +1,237 @@
-"""Matrix minions: membership, minors, conic checks, products, enumeration."""
+"""The minions of the hierarchies, as the drivers realise them.
+
+Horn elements are the nonempty subsets of ``HornFreeStructure``.  Stochastic,
+affine and combined elements are the weights of the marginal system, read
+over the nonnegative rationals (``sa``), the integers (``aip``) or both
+(``ba``).  Orthogonal elements are the vectors of ``sdp``.  A minor along a
+map of positions pushes a scope's weights forward along ``project``.
+"""
 
 import itertools
 import random
 
 import pytest
 
-from minionlab import (
-    MinionTag,
-    MinorMap,
-    SemiringTag,
-    Tensor,
-    check_membership,
-    combined,
-    enumerate_horn,
-    is_conic_matrix,
-    minor,
-    semidirect,
-)
-from minionlab.errors import ArityMismatch, SemiringMismatch, SupportViolation
-from minionlab.minions import affine_integer, horn_indicator, orthogonal_rows, stochastic
-from minionlab.rationals import rat
+from minionlab import Signature, Status, Structure, aip, ba, check_sdp_facts, project, sa, sdp
+from minionlab import verify_farkas, verify_parity_certificate
+from minionlab.errors import InvalidWitness
+from minionlab.free_structures import HornFreeStructure
+from minionlab.hierarchies import validate_marginal_witness
+from minionlab.rationals import is_integral, rat
+from minionlab.structures import k_enhance
+
+from conftest import clique, not_all_equal, one_in_three, random_structure
+
+XY = ("x", "y")
+
+
+def edge() -> Structure:
+    return Structure(Signature.of({"R": 2}), list(XY), {"R": [XY]})
+
+
+def pushforward(weights: dict, i: tuple) -> dict:
+    """The minor of a weighting of tuples along the positions ``i``."""
+    out: dict = {}
+    for t, w in weights.items():
+        b = project(t, i)
+        out[b] = out.get(b, rat(0)) + w
+    return {b: w for b, w in out.items() if w != 0}
+
+
+def scope_weights(values: dict, sym: str, xt: tuple) -> dict:
+    return {at: w for (s, x, at), w in values.items() if s == sym and x == xt and w != 0}
+
+
+def zero_values(Xk: Structure, Ak: Structure) -> dict:
+    return {(sym, xt, at): rat(0) for sym in Xk.signature.names()
+            for xt in Xk.tuples(sym) for at in Ak.tuples(sym)}
+
+
+def cancelling_witness():
+    """Integer weights on the edge into K3 that cancel: (0,1) + (1,2) - (0,2).
+
+    Both marginals land on "1", so x and y go to the same atom; no
+    nonnegative weighting can do that, since K3 has no loop.
+    """
+    Xk, Ak = k_enhance(edge(), 1), k_enhance(clique(3), 1)
+    values = zero_values(Xk, Ak)
+    values[("R", XY, ("0", "1"))] = rat(1)
+    values[("R", XY, ("1", "2"))] = rat(1)
+    values[("R", XY, ("0", "2"))] = rat(-1)
+    values[("R_1", ("x",), ("1",))] = rat(1)
+    values[("R_1", ("y",), ("1",))] = rat(1)
+    return values, Xk, Ak
 
 
 # -- membership -------------------------------------------------------------------
 
 
 def test_stochastic_membership():
-    m = Tensor.build((2, 1), SemiringTag.RAT, ["1/3", "2/3"])
-    assert check_membership(m, MinionTag.STOCHASTIC)
-    bad = Tensor.build((2, 1), SemiringTag.RAT, ["2/3", "2/3"])
-    assert not check_membership(bad, MinionTag.STOCHASTIC)
-    negative = Tensor.build((2, 1), SemiringTag.RAT, ["-1/3", "4/3"])
-    assert not check_membership(negative, MinionTag.STOCHASTIC)
+    X, A = clique(2), clique(3)
+    values = sa(X, A, 1).witness.values
+    Xk, Ak = k_enhance(X, 1), k_enhance(A, 1)
+    validate_marginal_witness(values, Xk, Ak, 1)
+    doubled = {key: 2 * v if key[0] == "R" else v for key, v in values.items()}
+    with pytest.raises(InvalidWitness, match="unit mass"):
+        validate_marginal_witness(doubled, Xk, Ak, 1)
+    key = next(key for key, v in values.items() if v == 0)
+    negative = values | {key: rat(-1, 3)}
+    with pytest.raises(InvalidWitness, match="negative"):
+        validate_marginal_witness(negative, Xk, Ak, 1)
 
 
 def test_affine_membership_allows_negatives():
-    m = Tensor.build((3, 1), SemiringTag.INT, [1, -1, 1])
-    assert check_membership(m, MinionTag.AFFINE)
-    assert not check_membership(Tensor.build((2, 1), SemiringTag.INT, [1, 1]), MinionTag.AFFINE)
+    values, Xk, Ak = cancelling_witness()
+    validate_marginal_witness(values, Xk, Ak, 1, integral=True)
+    assert aip(edge(), clique(3), 1).status is Status.ACCEPT
+    doubled = {key: 2 * v for key, v in values.items()}
+    with pytest.raises(InvalidWitness, match="unit mass"):
+        validate_marginal_witness(doubled, Xk, Ak, 1, integral=True)
 
 
 def test_orthogonal_membership():
-    r = 2 ** -0.5
-    m = Tensor.build((2, 2), SemiringTag.REAL, [r, 0.0, 0.0, r])
-    # rows orthogonal, squared norms 1/2 + 1/2 = 1
-    assert check_membership(m, MinionTag.ORTHOGONAL)
-    bad = Tensor.build((2, 2), SemiringTag.REAL, [1.0, 0.0, 1.0, 0.0])
-    assert not check_membership(bad, MinionTag.ORTHOGONAL)
+    verdict = sdp(clique(2), clique(2))
+    assert verdict.status is Status.ACCEPT
+    vectors = verdict.witness.vectors
+    assert check_sdp_facts(vectors, clique(2), clique(2)).ok
+    label = next(lab for lab, v in vectors.items() if lab[0] == "c" and float(v @ v) > 0.1)
+    stretched = dict(vectors) | {label: 2 * vectors[label]}
+    assert not check_sdp_facts(stretched, clique(2), clique(2)).ok
 
 
 def test_combined_membership_matrix_form():
-    good = Tensor.build((3, 2), SemiringTag.RAT, ["1/2", "2", "1/2", "-1", "0", "0"])
-    assert check_membership(good, MinionTag.COMBINED)
-    leaking = Tensor.build((2, 2), SemiringTag.RAT, ["1", "0", "0", "1"])
-    assert not check_membership(leaking, MinionTag.COMBINED)
+    X, A = one_in_three(), not_all_equal()
+    verdict = ba(X, A, 1)
+    assert verdict.status is Status.ACCEPT
+    witness = verdict.witness
+    Xk, Ak = k_enhance(X, 1), k_enhance(A, 1)
+    validate_marginal_witness(witness.lp.values, Xk, Ak, 1)
+    validate_marginal_witness(witness.ip.values, Xk, Ak, 1, integral=True)
+    assert {key for key, v in witness.lp.values.items() if v > 0} == witness.maximal_support
+    assert {key for key, v in witness.ip.values.items() if v != 0} <= witness.maximal_support
 
 
 def test_horn_membership_rejects_zero():
-    zero = Tensor.build((2, 1), SemiringTag.BOOL, [0, 0])
-    assert not check_membership(zero, MinionTag.HORN)
+    free = HornFreeStructure(clique(2))
+    assert 0 not in free.domain_masks()
+    assert not free.admits("R", (0, 1))
+    assert not free.admits("R", (0, 0))
+    assert free.admits("R", (1, 2))
 
 
 # -- minors -----------------------------------------------------------------------
 
 
 def test_identity_minor_preserves_element():
-    q = stochastic(["1/2", "1/2"])
-    out = minor(q, MinorMap.of([1, 2], 2))
-    assert out.matrix.entries == q.matrix.entries
+    values = sa(clique(2), clique(3), 2).witness.values
+    weights = scope_weights(values, "R", ("0", "1"))
+    assert weights
+    assert pushforward(weights, (1, 2)) == weights
 
 
 def test_merging_minor_on_stochastic():
-    q = stochastic(["1/2", "1/2"])
-    out = minor(q, MinorMap.of([1, 1], 1))
-    assert out.matrix.entries == (rat(1),)
+    # merging both positions sends all mass onto the diagonal of R_2
+    values = sa(clique(2), clique(3), 2).witness.values
+    merged = pushforward(scope_weights(values, "R", ("0", "1")), (1, 1))
+    assert all(b[0] == b[1] for b in merged)
+    assert sum(merged.values()) == 1
+    assert merged == scope_weights(values, "R_2", ("0", "0"))
 
 
 def test_minor_composition_random():
     rng = random.Random(5)
     for _ in range(40):
-        L = rng.randint(1, 4)
-        weights = [rng.randint(0, 4) for _ in range(L)]
-        while sum(weights) == 0:
-            weights = [rng.randint(0, 4) for _ in range(L)]
-        total = sum(weights)
-        q = stochastic([rat(w, total) for w in weights])
-        L2, L3 = rng.randint(1, 4), rng.randint(1, 4)
-        pi = MinorMap.of([rng.randint(1, L2) for _ in range(L)], L2)
-        pi2 = MinorMap.of([rng.randint(1, L3) for _ in range(L2)], L3)
-        assert minor(minor(q, pi), pi2).matrix.entries == minor(q, pi.compose(pi2)).matrix.entries
-
-
-def test_minor_arity_mismatch():
-    with pytest.raises(ArityMismatch):
-        minor(stochastic(["1"]), MinorMap.of([1, 1], 1))
+        L, L2, L3 = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        i = tuple(rng.randint(1, L) for _ in range(L2))
+        j = tuple(rng.randint(1, L2) for _ in range(L3))
+        composed = tuple(i[m - 1] for m in j)
+        weights = {}
+        for t in itertools.product("ab", repeat=L):
+            if rng.random() < 0.5:
+                weights[t] = rat(rng.randint(1, 4))
+        for t in weights:
+            assert project(project(t, i), j) == project(t, composed)
+        assert pushforward(pushforward(weights, i), j) == pushforward(weights, composed)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_minor_preserves_membership_sampled(seed):
+    # every minor of an accepted scope is again stochastic (sa) or affine
+    # (aip), and it is the enhancement weight at the projected scope
     rng = random.Random(seed)
-    for _ in range(25):
-        L = rng.randint(1, 5)
-        pi = MinorMap.of([rng.randint(1, 3) for _ in range(L)], 3)
-        # stochastic
-        weights = [rng.randint(0, 3) for _ in range(L)] or [1]
-        if sum(weights) == 0:
-            weights[0] = 1
-        q = stochastic([rat(w, sum(weights)) for w in weights])
-        minor(q, pi).validate()
-        # affine
-        vals = [rng.randint(-3, 3) for _ in range(L - 1)]
-        vals.append(1 - sum(vals))
-        minor(affine_integer(vals), pi).validate()
-        # combined: nest the affine support inside the stochastic support
-        zvals = [v if w > 0 else 0 for v, w in zip(vals, weights)]
-        fix = 1 - sum(zvals)
-        support_rows = [i for i, w in enumerate(weights) if w > 0]
-        zvals[support_rows[0]] += fix
-        m = combined([rat(w, sum(weights)) for w in weights], zvals)
-        minor(m, pi).validate()
+    k = 2
+    for _ in range(4):
+        X = random_structure(rng, 3, rng.randint(1, 4))
+        A = random_structure(rng, 3, rng.randint(2, 5))
+        for driver, integral in ((sa, False), (aip, True)):
+            verdict = driver(X, A, k)
+            if verdict.status is Status.REJECT:
+                evidence = verdict.certificate
+                check = verify_parity_certificate if integral else verify_farkas
+                assert check(evidence.certificate, evidence.system)
+                continue
+            values = verdict.witness.values
+            for xt in X.tuples("R"):
+                weights = scope_weights(values, "R", xt)
+                for i in itertools.product((1, 2), repeat=k):
+                    minor = pushforward(weights, i)
+                    assert sum(minor.values()) == 1
+                    assert all((w >= 0) or integral for w in minor.values())
+                    assert all(is_integral(w) or not integral for w in minor.values())
+                    assert minor == scope_weights(values, "R_2", project(xt, i))
 
 
 def test_minor_preserves_membership_horn_exhaustive():
-    for L in (1, 2, 3, 4):
-        elems = enumerate_horn(L)
-        masks = {tuple(e.matrix.entries) for e in elems}
-        for L2 in (1, 2, 3, 4):
-            for pi_values in itertools.product(range(1, L2 + 1), repeat=L):
-                pi = MinorMap.of(list(pi_values), L2)
-                for e in elems:
-                    out = minor(e, pi)
-                    assert tuple(out.matrix.entries) in {
-                        tuple(x.matrix.entries) for x in enumerate_horn(L2)
-                    }
-                    # the minor is the indicator of the image subset
-                    members = {i + 1 for i in range(L) if e.matrix.entries[i]}
-                    image = {pi_values[i - 1] for i in members}
-                    expect = horn_indicator(L2, image)
-                    assert out.matrix.entries == expect.matrix.entries
-        del masks
+    # a free relation tuple is the coordinatewise minor of a nonempty Q
+    for base in (clique(2), clique(3), one_in_three()):
+        free = HornFreeStructure(base)
+        arity = base.signature.arity("R")
+        tuples = base.tuples("R")
+        images = set()
+        for size in range(1, len(tuples) + 1):
+            for Q in itertools.combinations(tuples, size):
+                images.add(tuple(
+                    sum({1 << base.atom_id(project(t, (pos,))[0]) for t in Q})
+                    for pos in range(1, arity + 1)
+                ))
+        assert free.materialize("R") == images
+        for masks in itertools.product(free.domain_masks(), repeat=arity):
+            assert free.admits("R", masks) == (masks in images)
 
 
-def test_orthogonal_minor_trace_invariance():
-    m = orthogonal_rows([[0.6, 0.0], [0.0, 0.8]])
-    for pi_values in itertools.product((1, 2), repeat=2):
-        out = minor(m, MinorMap.of(list(pi_values), 2))
-        rows = [out.matrix.entries[i * 2:(i + 1) * 2] for i in range(2)]
-        trace = sum(sum(v * v for v in row) for row in rows)
-        assert abs(trace - 1.0) <= 1e-9
-
-
-# -- conic checks -----------------------------------------------------------------------
-
-
-def test_stochastic_elements_are_conic():
-    assert is_conic_matrix(stochastic(["1/4", "0", "3/4"]))
+# -- cancellation ---------------------------------------------------------------------
 
 
 def test_affine_with_cancellation_is_not_conic():
-    assert not is_conic_matrix(affine_integer([1, -1, 1]))
-
-
-def test_horn_elements_are_conic():
-    for e in enumerate_horn(3):
-        assert is_conic_matrix(e)
-
-
-def test_orthogonal_elements_behave_conically():
-    m = orthogonal_rows([[0.6, 0.0], [0.0, 0.8], [0.0, 0.0]])
-    assert is_conic_matrix(m)
+    values, Xk, Ak = cancelling_witness()
+    with pytest.raises(InvalidWitness, match="negative"):
+        validate_marginal_witness(values, Xk, Ak, 1)
 
 
 # -- semi-direct products ------------------------------------------------------------------
 
 
 def test_semidirect_combined_example():
-    m = semidirect(stochastic(["1/2", "1/2", "0"]), affine_integer([2, -1, 0]))
-    assert m.tag is MinionTag.COMBINED
-    m.validate()
-
-
-def test_semidirect_support_violation():
-    with pytest.raises(SupportViolation):
-        semidirect(stochastic(["1", "0"]), affine_integer([0, 1]))
-
-
-def test_semidirect_rejects_left_affine():
-    with pytest.raises(SemiringMismatch):
-        semidirect(affine_integer([1, 0]), stochastic(["1", "0"]))
-
-
-def test_semidirect_rejects_heterogeneous_boolean_integer():
-    with pytest.raises(SemiringMismatch):
-        semidirect(horn_indicator(2, [1]), affine_integer([1, 0]))
-
-
-def test_combined_equals_product_membership_sampled():
-    rng = random.Random(9)
-    for _ in range(30):
-        L = rng.randint(1, 4)
-        weights = [rng.randint(0, 3) for _ in range(L)]
-        if sum(weights) == 0:
-            weights[0] = 1
-        col1 = [rat(w, sum(weights)) for w in weights]
-        col2 = [rng.randint(-2, 2) if w > 0 else 0 for w in weights]
-        support_rows = [i for i, w in enumerate(weights) if w > 0]
-        col2[support_rows[0]] += 1 - sum(col2)
-        as_matrix = Tensor.build(
-            (L, 2), SemiringTag.RAT,
-            [v for pair in zip(col1, [rat(z) for z in col2]) for v in pair],
-        )
-        elem = combined(col1, col2)
-        elem.validate()
-        assert check_membership(as_matrix, MinionTag.COMBINED)
-        assert is_conic_matrix(elem)
+    # the integer part of ba's witness lives inside the LP part's support,
+    # and each part is a witness of sa and aip in its own right
+    X, A = clique(2), clique(3)
+    verdict = ba(X, A, 1)
+    assert verdict.status is Status.ACCEPT
+    assert sa(X, A, 1).status is Status.ACCEPT
+    assert aip(X, A, 1).status is Status.ACCEPT
+    witness = verdict.witness
+    ip_support = {key for key, v in witness.ip.values.items() if v != 0}
+    assert ip_support and ip_support <= witness.maximal_support
 
 
 # -- enumeration ---------------------------------------------------------------------------
 
 
 def test_enumerate_horn_small():
-    assert [tuple(e.matrix.entries) for e in enumerate_horn(1)] == [(1,)]
-    assert [tuple(e.matrix.entries) for e in enumerate_horn(2)] == [(1, 0), (0, 1), (1, 1)]
+    single = Structure(Signature.of({"R": 2}), ["0"], {"R": []})
+    assert HornFreeStructure(single).domain_masks() == [1]
+    assert HornFreeStructure(clique(2)).domain_masks() == [1, 2, 3]
 
 
 def test_enumerate_horn_count():
-    assert len(enumerate_horn(5)) == 31
+    assert len(HornFreeStructure(clique(5)).domain_masks()) == 31

@@ -1,15 +1,18 @@
-"""Structures, homomorphisms, powers, tensor powers, partial homomorphisms."""
+"""Structures, parsing, tuple projection, homomorphisms, powers, tensor powers,
+partial homomorphisms."""
 
 import itertools
 import json
 
 import pytest
 
-from minionlab import Assignment, Signature, Structure
+from minionlab import Assignment, Signature, Structure, precedes, project
 from minionlab.errors import (
     ArityMismatch,
     BudgetExceeded,
     EmptySubset,
+    IndexOutOfRange,
+    LengthMismatch,
     MalformedInput,
     SymbolClash,
     UnknownAtom,
@@ -79,10 +82,64 @@ def test_parse_bad_json():
         parse_structure("{nope")
 
 
+@pytest.mark.parametrize("domain,relation", [
+    ("01", {"arity": 2, "tuples": [["0", "1"]]}),
+    (["0", "1"], {"arity": 2, "tuples": ["01"]}),
+    (["0", "1"], {"arity": 2.7, "tuples": [["0", "1"]]}),
+    (["0", "1"], {"arity": True, "tuples": [["0"]]}),
+    (["0", "1"], {"arity": "x", "tuples": [["0", "1"]]}),
+    (["0", "1"], {"arity": 2, "tuples": 5}),
+], ids=["string-domain", "string-tuple", "float-arity", "bool-arity", "string-arity",
+        "number-tuples"])
+def test_parse_rejects_malformed_documents(domain, relation):
+    text = json.dumps({"domain": domain, "relations": {"R": relation}})
+    with pytest.raises(MalformedInput):
+        parse_structure(text)
+
+
+def test_parse_arity_below_one():
+    text = json.dumps({"domain": ["0"], "relations": {"R": {"arity": 0, "tuples": []}}})
+    with pytest.raises(ArityMismatch):
+        parse_structure(text)
+
+
 def test_json_round_trip(k3):
     again = parse_structure(structure_to_json(k3))
     assert again.domain == k3.domain
     assert again.relations == k3.relations
+
+
+# -- tuples ----------------------------------------------------------------------
+
+
+def test_project_examples():
+    assert project(("a", "b", "c"), (2, 2)) == ("b", "b")
+    assert project(("a", "b", "c"), (1, 2, 3)) == ("a", "b", "c")
+    assert project((2, 3), (1, 1, 2)) == (2, 2, 3)
+
+
+def test_project_out_of_range():
+    with pytest.raises(IndexOutOfRange):
+        project(("a",), (2,))
+
+
+def test_precedes_basic():
+    assert precedes(("x", "x"), ("a", "a"))
+    assert not precedes(("x", "x"), ("a", "b"))
+    with pytest.raises(LengthMismatch):
+        precedes(("x",), ("a", "b"))
+
+
+def test_precedes_preserved_under_projection():
+    symbols = ("p", "q")
+    for n in (1, 2, 3):
+        for s in itertools.product(symbols, repeat=n):
+            for t in itertools.product(symbols, repeat=n):
+                if not precedes(s, t):
+                    continue
+                for ell in (1, 2):
+                    for idx in itertools.product(range(1, n + 1), repeat=ell):
+                        assert precedes(project(s, idx), project(t, idx))
 
 
 # -- homomorphisms --------------------------------------------------------------

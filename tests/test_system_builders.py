@@ -1,0 +1,48 @@
+"""The presolve of the equality-system builder: duplicate rows, pins and merges."""
+
+from minionlab.exact_solvers import DomainTag, lp_feasible, verify_farkas
+from minionlab.rationals import rat
+from minionlab.system_builders import EqualitySystemBuilder
+
+
+def build(domain, *rows):
+    builder = EqualitySystemBuilder(domain)
+    for coeffs, rhs in rows:
+        builder.add_row(coeffs, rhs)
+    return builder.build()
+
+
+def test_parallel_rows_with_different_rhs_both_stay():
+    presolved = build(DomainTag.NONNEG_RAT, ({"x": 1, "y": 1}, 1), ({"x": 2, "y": 2}, 4))
+    system = presolved.system
+    assert system.num_rows == 2
+    outcome = lp_feasible(system)
+    assert not outcome.feasible
+    assert verify_farkas(outcome.certificate, system)
+
+
+def test_zero_sum_pins_only_nonnegative_variables():
+    nonneg = build(DomainTag.NONNEG_RAT, ({"x": 1, "y": 1}, 0))
+    assert nonneg.system.num_vars == 0 and nonneg.system.num_rows == 0
+    assert nonneg.pinned == {"x", "y"}
+    assert nonneg.expand({}) == {"x": 0, "y": 0}
+    integer = build(DomainTag.INT, ({"x": 1, "y": 1}, 0))
+    assert integer.system.num_vars == 2 and integer.system.num_rows == 1
+    assert integer.system.rows == ({0: 1, 1: 1},)
+
+
+def test_difference_row_merges_and_expand_repeats_the_value():
+    presolved = build(DomainTag.NONNEG_RAT, ({"x": 1, "y": -1}, 0), ({"y": 1, "z": 1}, 1))
+    system = presolved.system
+    assert presolved.root_of["y"] == presolved.root_of["x"]
+    assert system.var_names == ("x", "z")
+    assert system.rows == ({0: 1, 1: 1},) and system.rhs == (1,)
+    values = presolved.expand({0: rat(1, 3), 1: rat(2, 3)})
+    assert values == {"x": rat(1, 3), "y": rat(1, 3), "z": rat(2, 3)}
+
+
+def test_scaled_copy_of_a_row_collapses():
+    presolved = build(DomainTag.NONNEG_RAT, ({"x": 1, "z": 1}, 1), ({"x": 2, "z": 2}, 2))
+    system = presolved.system
+    assert system.rows == ({0: 1, 1: 1},) and system.rhs == (1,)
+    assert system.var_names == ("x", "z")

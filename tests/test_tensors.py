@@ -1,241 +1,161 @@
-"""Semiring tensors, contraction, projection tensors and their row laws."""
+"""Projection identities of the level-k marginal system.
+
+Projecting a relation onto the positions ``i`` groups its tuples by their
+image under ``project``.  The marginal system states that grouping as one
+identity per (scope, index tuple, image): the weights of the scope's images
+that project onto ``b`` sum to the enhancement weight at ``b``.  These tests
+read the identities of ``_marginal_rows`` directly.
+"""
 
 import itertools
-import random
 
 import pytest
 
 from minionlab import (
-    SemiringTag,
-    Tensor,
-    contract,
-    power_projection_tensor,
+    Certificate,
+    CertificateKind,
+    DomainTag,
+    LinearSystem,
+    Signature,
+    Status,
+    Structure,
+    diophantine_solve,
+    lp_feasible,
     precedes,
     project,
-    relation_projection_tensor,
-    unit_tensor,
+    sa,
+    verify_farkas,
 )
-from minionlab.errors import (
-    EmptyRelation,
-    IndexOutOfRange,
-    LengthMismatch,
-    SemiringMismatch,
-    ShapeMismatch,
-)
+from minionlab.budgets import DEFAULT_BUDGET
+from minionlab.errors import MalformedInput, WrongKind
+from minionlab.exact_solvers import certificate_from_json
+from minionlab.hierarchies import _marginal_rows
 from minionlab.rationals import rat
-from minionlab.structures import Signature, Structure, k_enhance
-from minionlab.tensors import semiring_add, semiring_mul, semiring_zero, semiring_one
+from minionlab.structures import k_enhance
 
 from conftest import clique
 
-
-# -- tuples ----------------------------------------------------------------------
-
-
-def test_project_examples():
-    assert project(("a", "b", "c"), (2, 2)) == ("b", "b")
-    assert project(("a", "b", "c"), (1, 2, 3)) == ("a", "b", "c")
-    assert project((2, 3), (1, 1, 2)) == (2, 2, 3)
+XY = ("x", "y")
 
 
-def test_project_out_of_range():
-    with pytest.raises(IndexOutOfRange):
-        project(("a",), (2,))
+def one_scope(sym: str, k: int) -> Structure:
+    """A k-enhanced source holding the single scope ("x", "y") under ``sym``."""
+    relations = {"R": [], f"R_{k}": []}
+    relations[sym] = [XY]
+    return Structure(Signature.of({"R": 2, f"R_{k}": k}), list(XY), relations)
 
 
-def test_precedes_basic():
-    assert precedes(("x", "x"), ("a", "a"))
-    assert not precedes(("x", "x"), ("a", "b"))
-    with pytest.raises(LengthMismatch):
-        precedes(("x",), ("a", "b"))
+def rows_by_marginal(Xk: Structure, Ak: Structure, k: int) -> dict:
+    """Each identity keyed by its enhancement variable, mapped to the variables it sums.
 
-
-def test_precedes_preserved_under_projection():
-    symbols = ("p", "q")
-    for n in (1, 2, 3):
-        for s in itertools.product(symbols, repeat=n):
-            for t in itertools.product(symbols, repeat=n):
-                if not precedes(s, t):
-                    continue
-                for ell in (1, 2):
-                    for idx in itertools.product(range(1, n + 1), repeat=ell):
-                        assert precedes(project(s, idx), project(t, idx))
-
-
-# -- semiring sanity -----------------------------------------------------------------
-
-
-@pytest.mark.parametrize("tag", list(SemiringTag))
-def test_semiring_axioms_sampled(tag):
-    rng = random.Random(7)
-    if tag is SemiringTag.BOOL:
-        pool = [0, 1]
-    elif tag is SemiringTag.RAT:
-        pool = [rat(n, d) for n in range(-3, 4) for d in (1, 2, 3)]
-    elif tag is SemiringTag.REAL:
-        pool = [rng.uniform(-2, 2) for _ in range(12)]
-    else:
-        pool = list(range(-4, 5))
-    zero, one = semiring_zero(tag), semiring_one(tag)
-    eps = 1e-12
-    for _ in range(60):
-        a, b, c = (rng.choice(pool) for _ in range(3))
-        add = lambda x, y: semiring_add(tag, x, y)
-        mul = lambda x, y: semiring_mul(tag, x, y)
-        assert abs(add(add(a, b), c) - add(a, add(b, c))) <= eps
-        assert add(a, zero) == a
-        assert add(a, b) == add(b, a)
-        assert abs(mul(mul(a, b), c) - mul(a, mul(b, c))) <= eps
-        assert mul(a, one) == a and mul(one, a) == a
-        assert abs(mul(a, add(b, c)) - add(mul(a, b), mul(a, c))) <= eps
-        assert mul(a, zero) == zero and mul(zero, a) == zero
-
-
-# -- contraction -----------------------------------------------------------------------
-
-
-def test_matrix_vector_contraction_rat():
-    ident = Tensor.build((2, 2), SemiringTag.RAT, ["1", "0", "0", "1"])
-    vec = Tensor.build((2,), SemiringTag.RAT, ["1/2", "1/2"])
-    out = contract(ident, vec, 1)
-    assert out.shape == (2,)
-    assert out.entries == (rat(1, 2), rat(1, 2))
-
-
-def test_dot_product_int():
-    u = Tensor.build((2,), SemiringTag.INT, [1, 2])
-    v = Tensor.build((2,), SemiringTag.INT, [3, 4])
-    assert contract(u, v, 1).scalar() == 11
-
-
-def test_unit_extraction_on_random_tensor():
-    rng = random.Random(3)
-    T = Tensor.build((2, 2, 2), SemiringTag.RAT, [rat(rng.randint(-5, 5)) for _ in range(8)])
-    for idx in itertools.product((1, 2), repeat=3):
-        E = unit_tensor(idx, (2, 2, 2), SemiringTag.RAT)
-        assert contract(E, T, 3).scalar() == T.at(*idx)
-
-
-def test_contract_shape_and_semiring_errors():
-    a = Tensor.build((2, 3), SemiringTag.INT, range(6))
-    b = Tensor.build((2, 2), SemiringTag.INT, range(4))
-    with pytest.raises(ShapeMismatch):
-        contract(a, b, 1)
-    c = Tensor.build((3, 2), SemiringTag.RAT, range(6))
-    with pytest.raises(SemiringMismatch):
-        contract(a, c, 1)
-
-
-def test_disjoint_contractions_commute():
-    rng = random.Random(11)
-
-    def rand(shape):
-        total = 1
-        for s in shape:
-            total *= s
-        return Tensor.build(shape, SemiringTag.INT, [rng.randint(-4, 4) for _ in range(total)])
-
-    # (U * T) vs contracting T's trailing mode first: contract over disjoint
-    # mode sets in both orders and compare entrywise
-    for _ in range(10):
-        T = rand((2, 3, 2))
-        left = rand((2,))
-        right = rand((2,))
-        first = contract(left, T, 1)          # over T's leading mode
-        then = contract(first, right, 1)      # over T's trailing mode
-        alt = contract(T, right, 1)
-        alt2 = contract(left, alt, 1)
-        assert then.entries == alt2.entries
-
-
-def test_unit_tensor_examples():
-    e = unit_tensor((1,), (2,), SemiringTag.BOOL)
-    assert e.entries == (1, 0)
-    total = Tensor.zeros((2, 2), SemiringTag.INT)
-    for idx in itertools.product((1, 2), repeat=2):
-        total = total.add(unit_tensor(idx, (2, 2), SemiringTag.INT))
-    assert all(v == 1 for v in total.entries)
-    assert unit_tensor((2, 1), (2, 2)).support() == {(2, 1)}
-
-
-def test_json_round_trip():
-    T = Tensor.build((2, 2), SemiringTag.RAT, ["1/3", "0", "-2", "5/7"])
-    again = Tensor.from_json(T.to_json())
-    assert again == T
-
-
-# -- projection tensors ------------------------------------------------------------------
+    With one scope of distinct atoms, index tuples with distinct projections
+    give distinct enhancement variables, so the keys do not collide.
+    """
+    _, identities = _marginal_rows(Xk, Ak, k, DEFAULT_BUDGET)
+    out = {}
+    for row in identities:
+        (enh,) = [key for key, c in row.items() if c == -1]
+        assert all(c == 1 for key, c in row.items() if key != enh)
+        out[enh] = {key for key in row if key != enh}
+    assert len(out) == len(identities)
+    return out
 
 
 def test_relation_projection_tensor_k2_first_coordinate(k2):
-    P = relation_projection_tensor(k2, "R", (1,), SemiringTag.INT)
-    # tuples in canonical order: ("0","1"), ("1","0")
-    assert P.shape == (2, 2)
-    assert P.at(1, 1) == 1 and P.at(1, 2) == 0
-    assert P.at(2, 1) == 0 and P.at(2, 2) == 1
+    rows = rows_by_marginal(one_scope("R", 1), k_enhance(k2, 1), 1)
+    assert rows[("R_1", ("x",), ("0",))] == {("R", XY, ("0", "1"))}
+    assert rows[("R_1", ("x",), ("1",))] == {("R", XY, ("1", "0"))}
 
 
 def test_relation_projection_empty_relation():
     A = Structure(Signature.of({"R": 2}), ["0"], {"R": []})
-    with pytest.raises(EmptyRelation):
-        relation_projection_tensor(A, "R", (1,))
+    X = Structure(Signature.of({"R": 2}), list(XY), {"R": [XY]})
+    scopes, _ = _marginal_rows(k_enhance(X, 1), k_enhance(A, 1), 1, DEFAULT_BUDGET)
+    assert ("R", XY, ()) in scopes
+    verdict = sa(X, A, 1)
+    assert verdict.status is Status.REJECT
+    assert verify_farkas(verdict.certificate.certificate, verdict.certificate.system)
 
 
 @pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (3, 1), (3, 2)])
 def test_projection_row_law_exhaustive(n, k):
-    # contracting a unit tensor from the left sums the unit tensors of the
-    # relation tuples projecting onto it
+    # the identity at (i, a) sums exactly the relation tuples projecting onto a
     A = clique(n)
-    tuples = A.tuples("R")
-    arity = 2
-    for i in itertools.product(range(1, arity + 1), repeat=k):
-        P = relation_projection_tensor(A, "R", i, SemiringTag.INT)
-        for a_atoms in itertools.product(A.domain, repeat=k):
-            a_idx = tuple(A.atom_id(x) + 1 for x in a_atoms)
-            row = contract(unit_tensor(a_idx, (n,) * k, SemiringTag.INT), P, k)
-            expected = Tensor.zeros((len(tuples),), SemiringTag.INT)
-            for ti, t in enumerate(tuples):
-                if project(t, i) == a_atoms:
-                    expected = expected.add(
-                        unit_tensor((ti + 1,), (len(tuples),), SemiringTag.INT)
-                    )
-            assert row.entries == expected.entries
+    rows = rows_by_marginal(one_scope("R", k), k_enhance(A, k), k)
+    for i in itertools.product((1, 2), repeat=k):
+        xi = project(XY, i)
+        for a in itertools.product(A.domain, repeat=k):
+            expected = {("R", XY, t) for t in A.tuples("R") if project(t, i) == a}
+            key = (f"R_{k}", xi, a)
+            if precedes(xi, a):
+                assert rows[key] == expected
+            else:
+                assert not expected and key not in rows
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_power_projection_row_law(n):
     A = clique(n)
     k = 2
-    for i in itertools.product(range(1, k + 1), repeat=k):
-        Pi = power_projection_tensor(A, k, i, SemiringTag.INT)
-        for a_atoms in itertools.product(A.domain, repeat=k):
-            a_idx = tuple(A.atom_id(x) + 1 for x in a_atoms)
-            row = contract(unit_tensor(a_idx, (n,) * k, SemiringTag.INT), Pi, k)
-            for b_atoms in itertools.product(A.domain, repeat=k):
-                b_idx = tuple(A.atom_id(x) + 1 for x in b_atoms)
-                assert row.at(*b_idx) == (1 if project(b_atoms, i) == a_atoms else 0)
+    rows = rows_by_marginal(one_scope("R_2", k), k_enhance(A, k), k)
+    for i in itertools.product((1, 2), repeat=k):
+        if i == (1, 2):
+            continue
+        xi = project(XY, i)
+        for a in itertools.product(A.domain, repeat=k):
+            expected = {("R_2", XY, b) for b in itertools.product(A.domain, repeat=k)
+                        if project(b, i) == a}
+            key = ("R_2", xi, a)
+            if precedes(xi, a):
+                assert rows[key] == expected
+            else:
+                assert not expected and key not in rows
 
 
 def test_power_projection_matches_relation_projection_on_enhancement(k2):
-    # for the full enhancement relation the two constructions coincide
+    # R_2 holds the domain pairs in canonical order, so a scope read over the
+    # full binary relation has the identities of an R_2 scope
     k = 2
     enhanced = k_enhance(k2, k)
-    for i in itertools.product(range(1, k + 1), repeat=k):
-        P = relation_projection_tensor(enhanced, "R_2", i, SemiringTag.INT)
-        Pi = power_projection_tensor(enhanced, k, i, SemiringTag.INT)
-        # relation tuples of R_2 are exactly the domain pairs in canonical order
-        assert P.entries == Pi.entries
+    assert enhanced.tuples("R_2") == tuple(itertools.product(k2.domain, repeat=k))
+    full = Structure(Signature.of({"R": 2}), k2.domain, {"R": enhanced.tuples("R_2")})
+    relation_rows = rows_by_marginal(one_scope("R", k), k_enhance(full, k), k)
+    power_rows = rows_by_marginal(one_scope("R_2", k), enhanced, k)
+    renamed = {key: {("R_2",) + var[1:] for var in summed}
+               for key, summed in relation_rows.items() if key[1] != XY}
+    assert renamed == power_rows
 
 
 def test_identity_index_projection_acts_as_identity(k2):
-    k = 2
-    Pi = power_projection_tensor(k2, k, (1, 2), SemiringTag.RAT)
-    M = Tensor.build((2, 2), SemiringTag.RAT, ["1/4", "1/4", "1/4", "1/4"])
-    out = contract(Pi, M, k)
-    assert out.entries == M.entries
+    # along (1, 2) an R_2 scope projects onto itself: the identity cancels
+    for b in itertools.product(k2.domain, repeat=2):
+        assert project(b, (1, 2)) == b
+    rows = rows_by_marginal(one_scope("R_2", 2), k_enhance(k2, 2), 2)
+    assert rows and all(key[1] != XY for key in rows)
 
 
 def test_constant_index_support_size(k2):
-    Pi = power_projection_tensor(k2, 2, (1, 1), SemiringTag.INT)
-    # entry (a, b) nonzero iff (b1, b1) == a: diagonal a only, 2 choices of b2
-    assert len(Pi.support()) == 4
+    # along (1, 1) weight at b reaches (a, a) iff b1 == a: 2 diagonals, 2 choices of b2
+    rows = rows_by_marginal(one_scope("R_2", 2), k_enhance(k2, 2), 2)
+    constant = [summed for key, summed in rows.items() if key[1] == ("x", "x")]
+    assert len(constant) == 2
+    assert sum(len(summed) for summed in constant) == 4
+
+
+def test_contract_shape_and_semiring_errors():
+    with pytest.raises(MalformedInput):
+        LinearSystem(("x", "y"), ({0: rat(1)},), (), DomainTag.NONNEG_RAT)
+    with pytest.raises(MalformedInput):
+        LinearSystem(("x",), ({1: rat(1)},), (rat(1),), DomainTag.NONNEG_RAT)
+    integer = LinearSystem(("x",), ({0: rat(2)},), (rat(1),), DomainTag.INT)
+    with pytest.raises(WrongKind):
+        lp_feasible(integer)
+    rational = LinearSystem(("x",), ({0: rat(2)},), (rat(1),), DomainTag.NONNEG_RAT)
+    with pytest.raises(WrongKind):
+        diophantine_solve(rational)
+
+
+def test_json_round_trip():
+    cert = Certificate(CertificateKind.FARKAS, farkas=(rat(1, 3), rat(0), rat(-2), rat(5, 7)))
+    again = certificate_from_json(cert.to_json())
+    assert again == cert
