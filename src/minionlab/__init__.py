@@ -13,10 +13,7 @@ from .budgets import Budget, DEFAULT_BUDGET
 from .errors import MinionLabError
 from .free_structures import (
     HornFreeStructure,
-    canonical_embedding,
     check_vanishing,
-    horn_free_structure,
-    minion_test_horn,
     minion_test_horn_level,
 )
 from .hierarchies import (
@@ -32,15 +29,11 @@ from .hierarchies import (
     sa,
     sdp,
     sos,
-    support_family,
 )
 from .psd import (
-    FactReport,
     GramProblem,
-    PSDConfig,
     SoSWitness,
     affine_reduce,
-    check_sdp_facts,
     gram_to_vectors,
     psd_feasibility,
 )
@@ -50,7 +43,6 @@ from .exact_solvers import (
     DomainTag,
     LinearSystem,
     diophantine_solve,
-    hnf,
     lp_feasible,
     verify_farkas,
     verify_parity_certificate,
@@ -59,15 +51,12 @@ from .structures import (
     Assignment,
     Signature,
     Structure,
-    enumerate_homomorphisms,
     enumerate_partial_homomorphisms,
     find_homomorphism,
     induced_substructure,
     is_homomorphism,
     k_enhance,
     parse_structure,
-    polymorphisms,
-    power,
     precedes,
     project,
     structure_to_json,

@@ -1,8 +1,9 @@
 """Size budgets guarding the exponential constructions.
 
-Enhancement, tensor powers and subset enumerations all grow exponentially in
-the level k, so every construction checks against a budget and fails fast
-with :class:`~minionlab.errors.BudgetExceeded` instead of thrashing.
+Enhancement, tensor powers and partial-map enumerations all grow
+exponentially in the level k, so every construction checks against a budget
+and fails fast with :class:`~minionlab.errors.BudgetExceeded` instead of
+thrashing.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from .errors import BudgetExceeded
 class Budget:
     max_atoms: int = 10_000
     max_tuples: int = 100_000
-    max_subset_arity: int = 20
     max_pivots: int = 1_000_000
 
     def check_atoms(self, n: int, what: str = "domain") -> None:
@@ -26,12 +26,6 @@ class Budget:
     def check_tuples(self, n: int, what: str = "relation") -> None:
         if n > self.max_tuples:
             raise BudgetExceeded(f"{what} needs {n} tuples, budget is {self.max_tuples}")
-
-    def check_subset_arity(self, arity: int) -> None:
-        if arity > self.max_subset_arity:
-            raise BudgetExceeded(
-                f"subset enumeration over {arity} rows exceeds budget {self.max_subset_arity}"
-            )
 
 
 DEFAULT_BUDGET = Budget()

@@ -21,7 +21,7 @@ from typing import Hashable, Optional, Sequence
 
 from .budgets import DEFAULT_BUDGET, Budget
 from .errors import InvalidWitness, IterationBudget, MalformedInput, WrongKind
-from .rationals import R0, R1, as_int, is_integral, rat, rat_from_str, rat_to_str
+from .rationals import R0, R1, as_int, is_integral, rat, rat_to_str
 
 
 class DomainTag(str, Enum):
@@ -362,19 +362,14 @@ def maximal_support(
 # -- integer systems via column Hermite normal form ---------------------------------
 
 
-def hnf(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """Column Hermite normal form: H = A U with U unimodular.
+def _hnf(matrix: Sequence[Sequence[int]], budget: Budget):
+    """Column Hermite normal form H = A U with U unimodular, and the pivots (row, column) of H.
 
     Pivot entries are positive, entries above a pivot vanish, and entries to
     the left of a pivot in its row are reduced modulo the pivot, which keeps
-    coefficient growth under control.
+    coefficient growth under control.  Column operations count against the
+    budget.
     """
-    H, U, _pivots = _hnf(matrix, DEFAULT_BUDGET)
-    return H, U
-
-
-def _hnf(matrix: Sequence[Sequence[int]], budget: Budget):
-    """H, U and the pivots (row, column) of H; column operations count against the budget."""
     H = [[int(v) for v in row] for row in matrix]
     m = len(H)
     n = len(H[0]) if m else 0
@@ -511,20 +506,3 @@ def verify_parity_certificate(cert: Certificate, sys: LinearSystem) -> bool:
         return False
     yA, yb = combined
     return all(is_integral(v) for v in yA) and not is_integral(yb)
-
-
-def validate_integer_point(sys: LinearSystem, point: dict) -> None:
-    """Raise InvalidWitness unless the point is integral and solves Ax = b."""
-    for j in range(sys.num_vars):
-        if not is_integral(point.get(j, R0)):
-            raise InvalidWitness(f"variable {sys.var_names[j]} is not an integer")
-    for i, (row, b) in enumerate(zip(sys.rows, sys.rhs)):
-        acc = sum((c * point.get(j, R0) for j, c in row.items()), R0)
-        if acc != b:
-            raise InvalidWitness(f"row {i} violated: {acc} != {b}")
-
-
-def certificate_from_json(text: str) -> Certificate:
-    doc = json.loads(text)
-    y = tuple(rat_from_str(v) for v in doc["y"])
-    return Certificate(CertificateKind(doc["kind"]), farkas=y)

@@ -13,9 +13,15 @@ through Q = {(0, 1), (1, 0)}).  Such assignments are closed under union, so
 X maps into F_Horn(A) iff arc consistency from full domains leaves every
 domain nonempty (Feder and Vardi 1998; Dalmau and Pearson 1999), and the
 fixpoint domains are then the greatest homomorphism.  The minion test runs
-that polynomial fixpoint and returns it as the witness; the exponential free
-structure is enumerated only on request, by ``domain_masks`` and
-``materialize``.
+that polynomial fixpoint and returns it as the witness.  The exponential
+free structure itself is never enumerated: ``admits`` decides whether one
+tuple of masks lies in a free relation, which is how ``check_vanishing``
+re-checks a witness.
+
+Level k of the test is the same fixpoint on the k-th tensor powers of the
+k-enhanced pair.  Level 1 is the test on (X, A) itself: the enhancement adds
+only the full unary relation, which arc consistency never narrows, and the
+first tensor power of a structure is the structure.
 """
 
 from __future__ import annotations
@@ -23,38 +29,29 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Optional, Sequence
 
 from .budgets import DEFAULT_BUDGET, Budget
 from .errors import NotAHomomorphism
 from .structures import Structure, k_enhance, tensor_power
-from .verdicts import Status, Verdict
+from .verdicts import Status, Verdict, driver
 
 
 class HornFreeStructure:
     """Free structure of the Horn family generated by ``base``.
 
     Domain elements are nonempty subsets of the base domain, encoded as
-    bitmasks with bit i marking atom i (domain order).  Only the methods that
-    enumerate subsets check the exponential size against a budget.
+    bitmasks with bit i marking atom i (domain order).
     """
 
     def __init__(self, base: Structure):
         self.base = base
-        self.num_atoms = len(base.domain)
-        self.full_mask = (1 << self.num_atoms) - 1
+        self.full_mask = (1 << len(base.domain)) - 1
         # per symbol: list of base tuples as atom-id tuples
         self._tuples = {
             sym: [tuple(base.atom_id(a) for a in t) for t in base.tuples(sym)]
             for sym in base.signature.names()
         }
-
-    def domain_masks(self, budget: Budget = DEFAULT_BUDGET) -> list[int]:
-        """All nonempty subsets, by ascending bitmask (the canonical order)."""
-        budget.check_subset_arity(self.num_atoms)
-        budget.check_tuples(self.full_mask, "free structure domain")
-        return list(range(1, self.full_mask + 1))
 
     # -- relation membership ---------------------------------------------------
 
@@ -74,39 +71,6 @@ class HornFreeStructure:
                     covered[pos] |= 1 << a
         return nonempty and covered == list(masks)
 
-    def materialize(self, symbol: str, budget: Budget = DEFAULT_BUDGET) -> set[tuple[int, ...]]:
-        """All relation tuples (as mask tuples), by direct witness enumeration."""
-        budget.check_subset_arity(self.num_atoms)
-        budget.check_tuples(self.full_mask, "free structure domain")
-        tuples = self._tuples[symbol]
-        m = len(tuples)
-        budget.check_subset_arity(m)
-        budget.check_tuples((1 << m) - 1, "free relation enumeration")
-        arity = self.base.signature.arity(symbol)
-        out = set()
-        for q in range(1, 1 << m):
-            masks = [0] * arity
-            for ti in range(m):
-                if q >> ti & 1:
-                    for pos in range(arity):
-                        masks[pos] |= 1 << tuples[ti][pos]
-            out.add(tuple(masks))
-        return out
-
-
-def horn_free_structure(base: Structure) -> HornFreeStructure:
-    return HornFreeStructure(base)
-
-
-def canonical_embedding(free: HornFreeStructure) -> dict:
-    """The map sending each base atom to its singleton subset.
-
-    Its image tuples always satisfy the free relations (witness: the matching
-    singleton subset of the base relation), so it is a homomorphism from the
-    base into its free structure.
-    """
-    return {a: 1 << free.base.atom_id(a) for a in free.base.domain}
-
 
 # -- homomorphism witnesses ----------------------------------------------------
 
@@ -125,9 +89,6 @@ class HornWitness:
 
     def to_doc(self) -> dict:
         return {json.dumps(a): self.bitstring(a) for a in self.atoms}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_doc(), sort_keys=True)
 
 
 # -- the minion test and its levels ---------------------------------------------
@@ -161,41 +122,27 @@ def _greatest_free_hom(X: Structure, free: HornFreeStructure, budget: Budget) ->
     return domains
 
 
-def _horn_test(X: Structure, A: Structure, k: Optional[int], budget: Budget) -> Verdict:
-    X.require_same_signature(A)
-    t0 = perf_counter()
-    if k is not None:
-        X = tensor_power(k_enhance(X, k, budget), k, budget)
-        A = tensor_power(k_enhance(A, k, budget), k, budget)
-    found = _greatest_free_hom(X, HornFreeStructure(A), budget)
-    stats = {"vars": len(X.domain), "constraints": sum(len(X.tuples(s)) for s in X.signature.names()),
-             "millis": round(1000 * (perf_counter() - t0), 3)}
-    if found is None:
-        return Verdict("minion-h", k, Status.REJECT, stats=stats)
-    witness = HornWitness(tuple(X.domain), tuple(A.domain), found)
-    return Verdict("minion-h", k, Status.ACCEPT, witness=witness, stats=stats)
-
-
-def minion_test_horn(X: Structure, A: Structure, budget: Budget = DEFAULT_BUDGET) -> Verdict:
-    """The direct minion test for the Horn family: is there a homomorphism
-    from X into the free structure F_Horn(A)?
-
-    Decided by generalised arc consistency on (X, A); an ACCEPT carries the
-    greatest homomorphism, each atom of X sent to its fixpoint domain.
-    """
-    return _horn_test(X, A, None, budget)
-
-
+@driver
 def minion_test_horn_level(
     X: Structure, A: Structure, k: int, budget: Budget = DEFAULT_BUDGET
 ) -> Verdict:
-    """Level k of the Horn minion test: the direct test on the k-th tensor powers.
+    """Level k of the Horn minion test: is there a homomorphism from the k-th
+    tensor power of X into the free structure of the k-th tensor power of A?
 
-    Both structures are k-enhanced internally before tensorising; arc
-    consistency on the tensor powers is polynomial for fixed k, although the
-    free structure itself has 2^(|A|^k) - 1 elements.
+    Both structures are k-enhanced before tensorising.  Decided by
+    generalised arc consistency on the tensor powers, which is polynomial for
+    fixed k, although the free structure itself has 2^(|A|^k) - 1 elements;
+    an ACCEPT carries the greatest homomorphism, each atom sent to its
+    fixpoint domain.
     """
-    return _horn_test(X, A, k, budget)
+    Xk = tensor_power(k_enhance(X, k, budget), k, budget)
+    Ak = tensor_power(k_enhance(A, k, budget), k, budget)
+    found = _greatest_free_hom(Xk, HornFreeStructure(Ak), budget)
+    stats = {"vars": len(Xk.domain), "constraints": sum(len(Xk.tuples(s)) for s in Xk.signature.names())}
+    if found is None:
+        return Verdict("minion-h", k, Status.REJECT, stats=stats)
+    witness = HornWitness(tuple(Xk.domain), tuple(Ak.domain), found)
+    return Verdict("minion-h", k, Status.ACCEPT, witness=witness, stats=stats)
 
 
 def verify_free_hom(X: Structure, free: HornFreeStructure, masks: dict) -> bool:

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Iterable, Optional
 
 from .budgets import DEFAULT_BUDGET, Budget
-from .errors import InvalidWitness
+from .errors import ArityMismatch, InvalidWitness
 from .exact_solvers import (
     Certificate,
     DomainTag,
@@ -33,7 +32,6 @@ from .psd import (
     GramProblem,
     Inconsistent,
     NumericReject,
-    PSDConfig,
     ReducedGramProblem,
     affine_reduce,
     expand_vectors,
@@ -52,7 +50,7 @@ from .structures import (
     project,
 )
 from .system_builders import EqualitySystemBuilder, PresolvedSystem
-from .verdicts import Status, Verdict
+from .verdicts import Status, Verdict, driver
 
 # -- witnesses and evidence -------------------------------------------------------
 
@@ -119,6 +117,7 @@ class RejectionEvidence:
 # -- bounded width -----------------------------------------------------------------
 
 
+@driver
 def bw(X: Structure, A: Structure, k: int, budget: Budget = DEFAULT_BUDGET) -> Verdict:
     """Level-k local consistency via the greatest fixpoint of deletion.
 
@@ -128,8 +127,8 @@ def bw(X: Structure, A: Structure, k: int, budget: Budget = DEFAULT_BUDGET) -> V
     survives every deletion pass, so the fixpoint is nonempty exactly when
     some family exists.
     """
-    X.require_same_signature(A)
-    t0 = perf_counter()
+    if k < 1:
+        raise ArityMismatch(f"local consistency level {k} must be >= 1")
     maps = enumerate_partial_homomorphisms(X, A, k, budget)
     fam = {frozenset(m.mapping) for m in maps}
     doms = [frozenset(c)
@@ -157,8 +156,7 @@ def bw(X: Structure, A: Structure, k: int, budget: Budget = DEFAULT_BUDGET) -> V
         if not kill:
             break
         fam -= kill
-    stats = {"vars": len(maps), "constraints": len(doms),
-             "millis": round(1000 * (perf_counter() - t0), 3)}
+    stats = {"vars": len(maps), "constraints": len(doms)}
     if not fam:
         return Verdict("bw", k, Status.REJECT, stats=stats)
     family = BWFamily(tuple(sorted((Assignment(tuple(sorted(f, key=repr))) for f in fam),
@@ -297,25 +295,17 @@ def validate_marginal_witness(
                         )
 
 
-def _stats(system: LinearSystem, t0: float, extra: Optional[dict] = None) -> dict:
-    out = {
-        "vars": system.num_vars,
-        "constraints": system.num_rows,
-        "millis": round(1000 * (perf_counter() - t0), 3),
-    }
-    if extra:
-        out.update(extra)
-    return out
+def _stats(system: LinearSystem, **counters) -> dict:
+    return {"vars": system.num_vars, "constraints": system.num_rows, **counters}
 
 
+@driver
 def sa(X: Structure, A: Structure, k: int, budget: Budget = DEFAULT_BUDGET) -> Verdict:
     """Level-k marginal LP feasibility over nonnegative rationals."""
-    X.require_same_signature(A)
-    t0 = perf_counter()
     Xk, Ak = k_enhance(X, k, budget), k_enhance(A, k, budget)
     presolved = _linear_system(DomainTag.NONNEG_RAT, *_marginal_rows(Xk, Ak, k, budget))
     outcome = lp_feasible(presolved.system, budget)
-    stats = _stats(presolved.system, t0, {"pivots": outcome.pivots})
+    stats = _stats(presolved.system, pivots=outcome.pivots)
     if outcome.feasible:
         values = _full_values(presolved, outcome.point, Xk, Ak)
         validate_marginal_witness(values, Xk, Ak, k)
@@ -324,14 +314,13 @@ def sa(X: Structure, A: Structure, k: int, budget: Budget = DEFAULT_BUDGET) -> V
     return Verdict("sa", k, Status.REJECT, certificate=evidence, stats=stats)
 
 
+@driver
 def aip(X: Structure, A: Structure, k: int, budget: Budget = DEFAULT_BUDGET) -> Verdict:
     """Level-k marginal feasibility over the integers."""
-    X.require_same_signature(A)
-    t0 = perf_counter()
     Xk, Ak = k_enhance(X, k, budget), k_enhance(A, k, budget)
     presolved = _linear_system(DomainTag.INT, *_marginal_rows(Xk, Ak, k, budget))
     outcome = diophantine_solve(presolved.system, budget)
-    stats = _stats(presolved.system, t0)
+    stats = _stats(presolved.system)
     if outcome.feasible:
         values = _full_values(presolved, outcome.point, Xk, Ak)
         validate_marginal_witness(values, Xk, Ak, k, integral=True)
@@ -358,6 +347,7 @@ def _support_system(system: LinearSystem, support: set) -> tuple[LinearSystem, l
     return LinearSystem(names, tuple(rows), tuple(rhs), DomainTag.INT), cols
 
 
+@driver
 def ba(X: Structure, A: Structure, k: int, budget: Budget = DEFAULT_BUDGET) -> Verdict:
     """Level-k combined LP/IP: an integer solution supported inside the LP's
     maximal support.
@@ -375,13 +365,11 @@ def ba(X: Structure, A: Structure, k: int, budget: Budget = DEFAULT_BUDGET) -> V
     it pins by sign (a row of one sign with right-hand side 0) is zero in
     every nonnegative solution, so it lies outside the support anyway.
     """
-    X.require_same_signature(A)
-    t0 = perf_counter()
     Xk, Ak = k_enhance(X, k, budget), k_enhance(A, k, budget)
     presolved = _linear_system(DomainTag.NONNEG_RAT, *_marginal_rows(Xk, Ak, k, budget))
     support_cols, point, cert, pivots = maximal_support(presolved.system, budget)
     if cert is not None:
-        stats = _stats(presolved.system, t0, {"pivots": pivots})
+        stats = _stats(presolved.system, pivots=pivots)
         evidence = RejectionEvidence(cert, presolved.system, note="lp-phase")
         return Verdict("ba", k, Status.REJECT, certificate=evidence, stats=stats)
     lp_values = _full_values(presolved, point, Xk, Ak)
@@ -389,7 +377,7 @@ def ba(X: Structure, A: Structure, k: int, budget: Budget = DEFAULT_BUDGET) -> V
     support_keys = {key for key, v in lp_values.items() if v > 0}
     ip_system, cols = _support_system(presolved.system, support_cols)
     outcome = diophantine_solve(ip_system, budget)
-    stats = _stats(ip_system, t0, {"pivots": pivots, "lp_support": len(support_keys)})
+    stats = _stats(ip_system, pivots=pivots, lp_support=len(support_keys))
     if not outcome.feasible:
         evidence = RejectionEvidence(outcome.certificate, ip_system, note="ip-phase")
         return Verdict("ba", k, Status.REJECT, certificate=evidence, stats=stats)
@@ -401,39 +389,6 @@ def ba(X: Structure, A: Structure, k: int, budget: Budget = DEFAULT_BUDGET) -> V
             raise InvalidWitness(f"integer support leaks outside the LP support at {key}")
     witness = CombinedWitness(MarginalWitness(lp_values), MarginalWitness(ip_values), support_keys)
     return Verdict("ba", k, Status.ACCEPT, witness=witness, stats=stats)
-
-
-# -- support structure of LP witnesses ----------------------------------------------
-
-
-def support_family(
-    witness: MarginalWitness, X: Structure, A: Structure, k: int,
-    budget: Budget = DEFAULT_BUDGET,
-) -> BWFamily:
-    """The partial maps carrying positive enhancement weight, plus the empty map.
-
-    The result is asserted to be a valid local-consistency family: members
-    are partial homomorphisms (positive weight never sits on a scope
-    violation), restrictions follow from marginalisation, and extensions from
-    positive mass in the projected scopes.
-    """
-    enh = f"R_{k}"
-    maps = {Assignment(())}
-    for (sym, xt, at), v in witness.values.items():
-        if sym != enh or v == 0:
-            continue
-        if v < 0:
-            raise InvalidWitness(f"negative weight at {(sym, xt, at)}")
-        if not precedes(xt, at):
-            raise InvalidWitness(f"positive weight on a scope violation at {(xt, at)}")
-        maps.add(Assignment(tuple(sorted(zip(xt, at), key=repr))))
-    family = sorted(maps, key=lambda a: (len(a.mapping), repr(a.mapping)))
-    for f in family:
-        if not is_partial_homomorphism(f, X, A):
-            raise InvalidWitness(f"support map {f.mapping} is not a partial homomorphism")
-    if not is_valid_bw_family(family, X, A, k):
-        raise InvalidWitness("support does not form a valid local-consistency family")
-    return BWFamily(tuple(family))
 
 
 # -- vector relaxations ---------------------------------------------------------------
@@ -493,29 +448,18 @@ def _integral_warm_start(reduced: ReducedGramProblem, hom: Optional[Assignment])
     return np.outer(v, v)
 
 
-def sdp(
-    X: Structure,
-    A: Structure,
-    budget: Budget = DEFAULT_BUDGET,
-    cfg: PSDConfig = PSDConfig(),
-) -> Verdict:
+@driver
+def sdp(X: Structure, A: Structure, budget: Budget = DEFAULT_BUDGET) -> Verdict:
     """The basic vector relaxation: exact affine phase, then projections."""
-    X.require_same_signature(A)
-    t0 = perf_counter()
     nlabels = len(X.domain) * len(A.domain) + sum(
         len(X.tuples(s)) * len(A.tuples(s)) for s in X.signature.names()
     )
     budget.check_tuples(nlabels, "vector labels")
-    return _finish_gram("sdp", None, _sdp_problem(X, A), X, A, t0, cfg)
+    return _finish_gram("sdp", None, _sdp_problem(X, A), X, A)
 
 
-def sos(
-    X: Structure,
-    A: Structure,
-    k: int,
-    budget: Budget = DEFAULT_BUDGET,
-    cfg: PSDConfig = PSDConfig(),
-) -> Verdict:
+@driver
+def sos(X: Structure, A: Structure, k: int, budget: Budget = DEFAULT_BUDGET) -> Verdict:
     """Level-k squared relaxation: one vector per variable of the marginal system.
 
     The pair is enhanced and its marginal system enumerated once, then read
@@ -525,8 +469,6 @@ def sos(
     solved first, exactly; its infeasibility is a rigorous rejection here.
     Otherwise the same scopes and identities become the Gram problem.
     """
-    X.require_same_signature(A)
-    t0 = perf_counter()
     Xk, Ak = k_enhance(X, k, budget), k_enhance(A, k, budget)
     scopes, identities = _marginal_rows(Xk, Ak, k, budget)
     presolved = _linear_system(DomainTag.NONNEG_RAT, scopes, identities)
@@ -536,9 +478,9 @@ def sos(
             outcome.certificate, presolved.system,
             note="squared norms of any solution would solve this infeasible LP",
         )
-        stats = _stats(presolved.system, t0, {"pivots": outcome.pivots})
+        stats = _stats(presolved.system, pivots=outcome.pivots)
         return Verdict("sos", k, Status.REJECT, certificate=evidence, stats=stats)
-    return _finish_gram("sos", k, _gram_problem(scopes, identities), Xk, Ak, t0, cfg)
+    return _finish_gram("sos", k, _gram_problem(scopes, identities), Xk, Ak)
 
 
 def _finish_gram(
@@ -547,8 +489,6 @@ def _finish_gram(
     problem: GramProblem,
     X: Structure,
     A: Structure,
-    t0: float,
-    cfg: PSDConfig,
 ) -> Verdict:
     """Reduce the Gram problem exactly, then solve it by projections.
 
@@ -561,7 +501,6 @@ def _finish_gram(
     }
 
     def verdict(status: Status, **evidence) -> Verdict:
-        stats["millis"] = round(1000 * (perf_counter() - t0), 3)
         return Verdict(algorithm, level, status, stats=stats, **evidence)
 
     reduced = affine_reduce(problem)
@@ -569,7 +508,7 @@ def _finish_gram(
         return verdict(Status.REJECT, certificate=reduced)
     stats["reduced_dim"] = len(reduced.reps)
     warm = _integral_warm_start(reduced, find_homomorphism(X, A))
-    outcome = psd_feasibility(reduced, cfg, warm_start=warm)
+    outcome = psd_feasibility(reduced, warm_start=warm)
     if isinstance(outcome, Inconsistent):
         return verdict(Status.REJECT, certificate=outcome)
     stats["iterations"] = outcome.iterations
@@ -582,14 +521,13 @@ def _finish_gram(
 # -- the brute-force oracle -------------------------------------------------------------
 
 
+@driver
 def oracle(X: Structure, A: Structure, budget: Budget = DEFAULT_BUDGET) -> Verdict:
     """Exhaustive homomorphism search; ground truth at desk scale."""
     del budget
-    t0 = perf_counter()
     found = find_homomorphism(X, A)
     stats = {"vars": len(X.domain),
-             "constraints": sum(len(X.tuples(s)) for s in X.signature.names()),
-             "millis": round(1000 * (perf_counter() - t0), 3)}
+             "constraints": sum(len(X.tuples(s)) for s in X.signature.names())}
     if found is None:
         return Verdict("oracle", None, Status.REJECT, stats=stats)
     return Verdict("oracle", None, Status.ACCEPT,

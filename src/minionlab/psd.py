@@ -96,12 +96,15 @@ class NumericReject:
         }
 
 
-@dataclass(frozen=True)
-class PSDConfig:
-    accept_tol: float = 1e-8
-    reject_floor: float = 1e-4
-    stall_window: int = 500
-    max_iter: int = 100_000
+# the projection loop accepts at this residual, and gives up (reject-numeric)
+# once the residual has stayed above the floor without a 1 % improvement for
+# the stall window, or after the iteration cap
+ACCEPT_TOL = 1e-8
+REJECT_FLOOR = 1e-4
+STALL_WINDOW = 500
+MAX_ITER = 100_000
+# eigenvalues below this count as zero when a Gram matrix is factored
+RANK_TOL = 1e-9
 
 
 # -- phase one: exact affine reduction -------------------------------------------
@@ -362,11 +365,7 @@ def _invert_exact(matrix: list[list]) -> list[list]:
     return [row[m:] for row in aug]
 
 
-def psd_feasibility(
-    reduced: ReducedGramProblem,
-    cfg: PSDConfig = PSDConfig(),
-    warm_start: Optional[np.ndarray] = None,
-):
+def psd_feasibility(reduced: ReducedGramProblem, warm_start: Optional[np.ndarray] = None):
     """Projection iterations on the reduced Gram problem.
 
     Alternates between the exact affine projector and the semidefinite cone
@@ -392,7 +391,7 @@ def psd_feasibility(
     best_at = 0
     it = 0
     residual = np.inf
-    while it < cfg.max_iter:
+    while it < MAX_ITER:
         it += 1
         xa = projector.project(z)
         lam, vec = np.linalg.eigh((xa + xa.T) / 2.0)
@@ -401,14 +400,14 @@ def psd_feasibility(
         P = (vec * clamped) @ vec.T
         aff = projector.violation(P)
         residual = max(neg, aff)
-        if it % 25 == 0 or residual <= cfg.accept_tol or it <= 2:
+        if it % 25 == 0 or residual <= ACCEPT_TOL or it <= 2:
             trace.append((it, residual))
-        if residual <= cfg.accept_tol:
+        if residual <= ACCEPT_TOL:
             min_eig = float(clamped[0]) if clamped.size else 0.0
             return SoSWitness(reduced.reps, P, residual, min_eig, it)
         if residual < best * 0.99:
             best, best_at = residual, it
-        if it - best_at > cfg.stall_window and residual >= cfg.reject_floor:
+        if it - best_at > STALL_WINDOW and residual >= REJECT_FLOOR:
             trace.append((it, residual))
             return NumericReject(residual, it, trace)
         # reflect through the affine point, project back onto the cone
@@ -420,17 +419,17 @@ def psd_feasibility(
     return NumericReject(residual, it, trace)
 
 
-def gram_to_vectors(G: np.ndarray, rank_tol: float = 1e-9) -> np.ndarray:
+def gram_to_vectors(G: np.ndarray) -> np.ndarray:
     """Rows of a factor V with V V^T = G, via eigendecomposition.
 
-    Raises NotPSD when an eigenvalue is below ``-rank_tol``; eigenvalues below
+    Raises NotPSD when an eigenvalue is below ``-RANK_TOL``; eigenvalues below
     the tolerance are dropped, so the embedding dimension equals the numeric
     rank.
     """
     lam, vec = np.linalg.eigh((G + G.T) / 2.0)
-    if lam.size and lam[0] < -rank_tol:
-        raise NotPSD(f"eigenvalue {lam[0]} below -{rank_tol}")
-    keep = lam > rank_tol
+    if lam.size and lam[0] < -RANK_TOL:
+        raise NotPSD(f"eigenvalue {lam[0]} below -{RANK_TOL}")
+    keep = lam > RANK_TOL
     if not np.any(keep):
         return np.zeros((G.shape[0], 1))
     return vec[:, keep] * np.sqrt(lam[keep])
@@ -447,72 +446,3 @@ def expand_vectors(reduced: ReducedGramProblem, factor: np.ndarray) -> dict:
             v += float(c) * factor[rep_index[repl]]
         out[lab] = v
     return out
-
-
-# -- structural fact checks on extracted vectors -----------------------------------
-
-
-@dataclass
-class FactReport:
-    checked: int
-    violations: list
-    max_error: float
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_sdp_facts(vectors: dict, X, A, tol: float = 1e-6) -> FactReport:
-    """Consequences every exact solution of the basic vector relaxation obeys.
-
-    (i) the vectors of one variable sum to a unit vector; (ii) squared norms
-    within one constraint sum to one, as does the norm of their sum; (iii)
-    mixed products match marginal mass; (iv) with the full binary relation
-    present, the per-variable sums agree across variables.
-    """
-    violations = []
-    max_err = 0.0
-    checked = 0
-
-    def note(kind, where, err):
-        nonlocal max_err, checked
-        checked += 1
-        max_err = max(max_err, err)
-        if err > tol:
-            violations.append((kind, where, err))
-
-    sums = {}
-    for x in X.domain:
-        s = sum((vectors[("v", x, a)] for a in A.domain), start=np.zeros_like(next(iter(vectors.values()))))
-        sums[x] = s
-        note("unit-variable-sum", x, abs(float(s @ s) - 1.0))
-    for sym in X.signature.names():
-        for xt in X.tuples(sym):
-            vs = [vectors[("c", sym, xt, at)] for at in A.tuples(sym)]
-            total = sum(vs[1:], start=vs[0]) if vs else np.zeros(1)
-            sq = sum(float(v @ v) for v in vs)
-            note("constraint-mass", (sym, xt), abs(sq - 1.0))
-            note("constraint-sum-norm", (sym, xt), abs(float(total @ total) - 1.0))
-            r = X.signature.arity(sym)
-            for i in range(r):
-                for j in range(r):
-                    for a in A.domain:
-                        for b in A.domain:
-                            mass = sum(
-                                float(vectors[("c", sym, xt, at)] @ vectors[("c", sym, xt, at)])
-                                for at in A.tuples(sym)
-                                if at[i] == a and at[j] == b
-                            )
-                            dot = float(
-                                vectors[("v", xt[i], a)] @ vectors[("v", xt[j], b)]
-                            )
-                            note("mixed-product", (sym, xt, i + 1, j + 1, a, b), abs(mass - dot))
-    if "R_2" in X.signature:
-        ref = None
-        for x in X.domain:
-            if ref is None:
-                ref = sums[x]
-            else:
-                note("sum-invariance", x, float(np.max(np.abs(sums[x] - ref))))
-    return FactReport(checked, violations, max_err)

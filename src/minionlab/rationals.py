@@ -27,15 +27,6 @@ R0 = rat(0)
 R1 = rat(1)
 
 
-def rat_from_str(s: str):
-    """Parse ``"p/q"`` or ``"p"`` into an exact rational."""
-    s = s.strip()
-    if "/" in s:
-        p, q = s.split("/", 1)
-        return rat(int(p), int(q))
-    return rat(int(s))
-
-
 def rat_to_str(x) -> str:
     """Render an exact rational as ``"p/q"`` (or ``"p"`` when integral)."""
     n, d = x.numerator, x.denominator

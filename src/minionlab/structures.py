@@ -1,7 +1,7 @@
-"""Relational signatures and structures, homomorphisms, powers and tensor powers.
+"""Relational signatures and structures, homomorphisms, enhancement and tensor powers.
 
-Atoms are strings at the base level; powered structures use tuples of atoms,
-so a tensor power is an ordinary structure whose atoms are length-k tuples.
+Atoms are strings at the base level; a tensor power is an ordinary
+structure whose atoms are length-k tuples of atoms.
 Tuples are projected onto 1-based position tuples (``project``), and
 ``precedes`` compares the equality patterns of two tuples.
 All internal indexing goes through dense integer ids in domain order, which
@@ -162,15 +162,6 @@ class Assignment:
 
     def domain_set(self) -> frozenset:
         return frozenset(a for a, _ in self.mapping)
-
-    def __call__(self, atom: Atom) -> Atom:
-        for a, b in self.mapping:
-            if a == atom:
-                return b
-        raise KeyError(atom)
-
-    def __len__(self) -> int:
-        return len(self.mapping)
 
 
 # -- tuples -------------------------------------------------------------------
@@ -358,20 +349,14 @@ def find_homomorphism(X: Structure, A: Structure) -> Optional[Assignment]:
     return None
 
 
-def enumerate_homomorphisms(X: Structure, A: Structure) -> list[Assignment]:
-    return [Assignment.of(f, total=True) for f in _iter_homomorphisms(X, A)]
-
-
-def count_homomorphisms(X: Structure, A: Structure) -> int:
-    return sum(1 for _ in _iter_homomorphisms(X, A))
-
-
-# -- powers and enhancement --------------------------------------------------
+# -- enhancement and tensor powers -------------------------------------------
 
 
 def k_enhance(A: Structure, k: int, budget: Budget = DEFAULT_BUDGET) -> Structure:
     """Add the k-ary symbol ``R_k`` holding every k-tuple of the domain."""
-    if not 1 <= k <= 9:
+    if k < 1:
+        raise ArityMismatch(f"enhancement level {k} must be >= 1")
+    if k > 9:
         raise SymbolClash(f"enhancement level {k} outside the reserved range 1..9")
     sym = f"R_{k}"
     n = len(A.domain)
@@ -385,25 +370,6 @@ def k_enhance(A: Structure, k: int, budget: Budget = DEFAULT_BUDGET) -> Structur
     rels = dict(A.relations)
     rels[sym] = full
     return Structure(sig, A.domain, rels, name=A.name)
-
-
-def power(A: Structure, L: int, budget: Budget = DEFAULT_BUDGET) -> Structure:
-    """The L-th power: domain A^L, tuples are columns of row matrices over R^A."""
-    if L < 1:
-        raise ArityMismatch("power exponent must be >= 1")
-    n = len(A.domain)
-    budget.check_atoms(n**L, "power domain")
-    domain = [t for t in itertools.product(A.domain, repeat=L)]
-    rels: dict[str, list[tuple]] = {}
-    for sym, arity in A.signature.symbols:
-        base = A.tuples(sym)
-        budget.check_tuples(len(base) ** L, f"power relation {sym}")
-        out = []
-        for rows in itertools.product(base, repeat=L):
-            # rows is an L x arity matrix over R^A; its columns form the tuple
-            out.append(tuple(tuple(rows[l][j] for l in range(L)) for j in range(arity)))
-        rels[sym] = out
-    return Structure(A.signature, domain, rels)
 
 
 def tensor_power(A: Structure, k: int, budget: Budget = DEFAULT_BUDGET) -> Structure:
@@ -433,16 +399,6 @@ def tensor_power(A: Structure, k: int, budget: Budget = DEFAULT_BUDGET) -> Struc
     return Structure(Signature(tuple(sig_items)), domain, rels, name=A.name)
 
 
-def tensor_cell_index(arity: int, k: int, idx: tuple[int, ...]) -> int:
-    """Flat position of the 1-based cell (i_1, ..., i_k) inside a tensor-power tuple."""
-    pos = 0
-    for i in idx:
-        if not 1 <= i <= arity:
-            raise ArityMismatch(f"cell index {idx} outside [{arity}]^{k}")
-        pos = pos * arity + (i - 1)
-    return pos
-
-
 def induced_substructure(A: Structure, atoms: Iterable[Atom]) -> Structure:
     """Substructure induced by a nonempty subset of the domain."""
     keep = set(atoms)
@@ -458,7 +414,7 @@ def induced_substructure(A: Structure, atoms: Iterable[Atom]) -> Structure:
     return Structure(A.signature, domain, rels)
 
 
-# -- partial homomorphisms and polymorphisms ---------------------------------
+# -- partial homomorphisms ----------------------------------------------------
 
 
 def enumerate_partial_homomorphisms(
@@ -500,11 +456,3 @@ def is_partial_homomorphism(f: Assignment, X: Structure, A: Structure) -> bool:
     if any(b not in A._atom_id for b in fmap.values()):
         return False
     return _maps_relations(induced_substructure(X, dom), A, fmap)
-
-
-def polymorphisms(
-    A: Structure, B: Structure, L: int, budget: Budget = DEFAULT_BUDGET
-) -> list[Assignment]:
-    """The L-ary polymorphisms, i.e. all homomorphisms from the L-th power of A to B."""
-    A.require_same_signature(B)
-    return enumerate_homomorphisms(power(A, L, budget), B)

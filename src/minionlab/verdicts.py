@@ -1,10 +1,12 @@
-"""The shared outcome type of every relaxation run."""
+"""The shared outcome type of every relaxation run, and the shell every driver runs in."""
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from time import perf_counter
 from typing import Any, Optional
 
 
@@ -21,6 +23,21 @@ class Verdict:
     ``reject-numeric`` marks the one non-rigorous outcome (a stalled numeric
     solve); it is never to be treated as ground truth or conflated with a
     certified rejection.
+
+    ``stats`` has one schema for every driver:
+
+    - ``vars`` and ``constraints``: the size of the last system the driver
+      decided.  These are the columns and rows of a linear system (``sa``,
+      ``aip``, ``ba``, and an ``sos`` whose marginal LP rejects), the labels
+      and constraints of a Gram problem (``sdp``, ``sos``), the partial maps
+      and the variable subsets of at most k atoms (``bw``), or the atoms and
+      relation tuples of the tested structure (``oracle``, and the Horn test
+      on the tensorised structure).
+    - ``millis``: the driver's wall time, set by :func:`driver`.
+    - optional counters: ``pivots`` (simplex pivots), ``lp_support`` (``ba``:
+      the variables in the LP's maximal support), ``reduced_dim`` (Gram
+      representatives left by the exact affine phase) and ``iterations``
+      (projection iterations).
     """
 
     algorithm: str
@@ -49,6 +66,24 @@ class Verdict:
 
     def to_json(self) -> str:
         return json.dumps(self.to_doc(), sort_keys=True)
+
+
+def driver(decide):
+    """Run ``decide(X, A, ...)`` as a driver.
+
+    The wrapper refuses a pair whose signatures differ, then times the call
+    and records the wall time as ``stats["millis"]`` of the returned verdict.
+    """
+
+    @functools.wraps(decide)
+    def run(X, A, *args, **kwargs) -> Verdict:
+        X.require_same_signature(A)
+        t0 = perf_counter()
+        verdict = decide(X, A, *args, **kwargs)
+        verdict.stats["millis"] = round(1000 * (perf_counter() - t0), 3)
+        return verdict
+
+    return run
 
 
 def _jsonable(obj):

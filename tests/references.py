@@ -1,0 +1,202 @@
+"""Reference checks and helpers that only the tests use.
+
+Each one re-derives or re-checks something a driver or solver produces:
+the local-consistency family inside an LP witness, the consequences every
+basic-SDP solution obeys, integer points, homomorphism counts, tensor-power
+cell positions, certificates read back from JSON, the Hermite form, and the
+Horn free structure enumerated in full.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+
+import numpy as np
+
+from minionlab.budgets import DEFAULT_BUDGET
+from minionlab.errors import ArityMismatch, InvalidWitness
+from minionlab.exact_solvers import Certificate, CertificateKind, LinearSystem, _hnf
+from minionlab.free_structures import HornFreeStructure
+from minionlab.hierarchies import BWFamily, MarginalWitness, is_valid_bw_family
+from minionlab.rationals import R0, is_integral, rat
+from minionlab.structures import (
+    Assignment,
+    Structure,
+    _iter_homomorphisms,
+    is_partial_homomorphism,
+    precedes,
+)
+
+# -- local consistency inside an LP witness -------------------------------------------
+
+
+def support_family(witness: MarginalWitness, X: Structure, A: Structure, k: int) -> BWFamily:
+    """The partial maps carrying positive enhancement weight, plus the empty map.
+
+    The result is asserted to be a valid local-consistency family: members
+    are partial homomorphisms (positive weight never sits on a scope
+    violation), restrictions follow from marginalisation, and extensions from
+    positive mass in the projected scopes.
+    """
+    enh = f"R_{k}"
+    maps = {Assignment(())}
+    for (sym, xt, at), v in witness.values.items():
+        if sym != enh or v == 0:
+            continue
+        if v < 0:
+            raise InvalidWitness(f"negative weight at {(sym, xt, at)}")
+        if not precedes(xt, at):
+            raise InvalidWitness(f"positive weight on a scope violation at {(xt, at)}")
+        maps.add(Assignment(tuple(sorted(zip(xt, at), key=repr))))
+    family = sorted(maps, key=lambda a: (len(a.mapping), repr(a.mapping)))
+    for f in family:
+        if not is_partial_homomorphism(f, X, A):
+            raise InvalidWitness(f"support map {f.mapping} is not a partial homomorphism")
+    if not is_valid_bw_family(family, X, A, k):
+        raise InvalidWitness("support does not form a valid local-consistency family")
+    return BWFamily(tuple(family))
+
+
+# -- structural fact checks on extracted vectors -----------------------------------
+
+
+@dataclass
+class FactReport:
+    checked: int
+    violations: list
+    max_error: float
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def check_sdp_facts(vectors: dict, X, A, tol: float = 1e-6) -> FactReport:
+    """Consequences every exact solution of the basic vector relaxation obeys.
+
+    (i) the vectors of one variable sum to a unit vector; (ii) squared norms
+    within one constraint sum to one, as does the norm of their sum; (iii)
+    mixed products match marginal mass; (iv) with the full binary relation
+    present, the per-variable sums agree across variables.
+    """
+    violations = []
+    max_err = 0.0
+    checked = 0
+
+    def note(kind, where, err):
+        nonlocal max_err, checked
+        checked += 1
+        max_err = max(max_err, err)
+        if err > tol:
+            violations.append((kind, where, err))
+
+    sums = {}
+    for x in X.domain:
+        s = sum((vectors[("v", x, a)] for a in A.domain), start=np.zeros_like(next(iter(vectors.values()))))
+        sums[x] = s
+        note("unit-variable-sum", x, abs(float(s @ s) - 1.0))
+    for sym in X.signature.names():
+        for xt in X.tuples(sym):
+            vs = [vectors[("c", sym, xt, at)] for at in A.tuples(sym)]
+            total = sum(vs[1:], start=vs[0]) if vs else np.zeros(1)
+            sq = sum(float(v @ v) for v in vs)
+            note("constraint-mass", (sym, xt), abs(sq - 1.0))
+            note("constraint-sum-norm", (sym, xt), abs(float(total @ total) - 1.0))
+            r = X.signature.arity(sym)
+            for i in range(r):
+                for j in range(r):
+                    for a in A.domain:
+                        for b in A.domain:
+                            mass = sum(
+                                float(vectors[("c", sym, xt, at)] @ vectors[("c", sym, xt, at)])
+                                for at in A.tuples(sym)
+                                if at[i] == a and at[j] == b
+                            )
+                            dot = float(
+                                vectors[("v", xt[i], a)] @ vectors[("v", xt[j], b)]
+                            )
+                            note("mixed-product", (sym, xt, i + 1, j + 1, a, b), abs(mass - dot))
+    if "R_2" in X.signature:
+        ref = None
+        for x in X.domain:
+            if ref is None:
+                ref = sums[x]
+            else:
+                note("sum-invariance", x, float(np.max(np.abs(sums[x] - ref))))
+    return FactReport(checked, violations, max_err)
+
+
+# -- exact solvers ------------------------------------------------------------------
+
+
+def validate_integer_point(sys: LinearSystem, point: dict) -> None:
+    """Raise InvalidWitness unless the point is integral and solves Ax = b."""
+    for j in range(sys.num_vars):
+        if not is_integral(point.get(j, R0)):
+            raise InvalidWitness(f"variable {sys.var_names[j]} is not an integer")
+    for i, (row, b) in enumerate(zip(sys.rows, sys.rhs)):
+        acc = sum((c * point.get(j, R0) for j, c in row.items()), R0)
+        if acc != b:
+            raise InvalidWitness(f"row {i} violated: {acc} != {b}")
+
+
+def _rat_from_str(s: str):
+    """Parse ``"p/q"`` or ``"p"`` into an exact rational."""
+    s = s.strip()
+    if "/" in s:
+        p, q = s.split("/", 1)
+        return rat(int(p), int(q))
+    return rat(int(s))
+
+
+def certificate_from_json(text: str) -> Certificate:
+    doc = json.loads(text)
+    y = tuple(_rat_from_str(v) for v in doc["y"])
+    return Certificate(CertificateKind(doc["kind"]), farkas=y)
+
+
+def hnf(matrix) -> tuple[list[list[int]], list[list[int]]]:
+    """Column Hermite normal form H = A U with U unimodular, under the default budget."""
+    return _hnf(matrix, DEFAULT_BUDGET)[:2]
+
+
+# -- structures ------------------------------------------------------------------
+
+
+def count_homomorphisms(X: Structure, A: Structure) -> int:
+    return sum(1 for _ in _iter_homomorphisms(X, A))
+
+
+def tensor_cell_index(arity: int, k: int, idx: tuple[int, ...]) -> int:
+    """Flat position of the 1-based cell (i_1, ..., i_k) inside a tensor-power tuple."""
+    pos = 0
+    for i in idx:
+        if not 1 <= i <= arity:
+            raise ArityMismatch(f"cell index {idx} outside [{arity}]^{k}")
+        pos = pos * arity + (i - 1)
+    return pos
+
+
+# -- the Horn free structure, enumerated -----------------------------------------------
+
+
+def domain_masks(free: HornFreeStructure) -> list[int]:
+    """All nonempty subsets, by ascending bitmask (the canonical order)."""
+    return list(range(1, free.full_mask + 1))
+
+
+def materialize(free: HornFreeStructure, symbol: str) -> set[tuple[int, ...]]:
+    """All relation tuples (as mask tuples), by direct witness enumeration."""
+    tuples = free._tuples[symbol]
+    m = len(tuples)
+    arity = free.base.signature.arity(symbol)
+    out = set()
+    for q in range(1, 1 << m):
+        masks = [0] * arity
+        for ti in range(m):
+            if q >> ti & 1:
+                for pos in range(arity):
+                    masks[pos] |= 1 << tuples[ti][pos]
+        out.add(tuple(masks))
+    return out

@@ -11,21 +11,17 @@ from minionlab import (
     DomainTag,
     LinearSystem,
     diophantine_solve,
-    hnf,
     lp_feasible,
     verify_farkas,
     verify_parity_certificate,
 )
 from minionlab.budgets import Budget
 from minionlab.errors import IterationBudget, WrongKind
-from minionlab.exact_solvers import (
-    certificate_from_json,
-    maximal_support,
-    validate_integer_point,
-    validate_nonneg_point,
-)
+from minionlab.exact_solvers import maximal_support, validate_nonneg_point
 from minionlab.hierarchies import _support_system
 from minionlab.rationals import rat
+
+from references import certificate_from_json, hnf, validate_integer_point
 
 
 def system(rows, rhs, nvars, domain=DomainTag.NONNEG_RAT):

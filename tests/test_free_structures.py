@@ -1,19 +1,18 @@
-"""The Horn free structure, the direct minion test, and its levels."""
+"""The Horn free structure and the levels of the Horn minion test; level 1 is
+the direct test on the pair itself."""
 
 import itertools
 
 import pytest
 
 from minionlab import (
+    HornFreeStructure,
     Status,
-    canonical_embedding,
     check_vanishing,
-    horn_free_structure,
-    minion_test_horn,
     minion_test_horn_level,
 )
 from minionlab import Signature, Structure
-from minionlab.errors import BudgetExceeded, NotAHomomorphism
+from minionlab.errors import NotAHomomorphism
 from minionlab.free_structures import HornWitness, verify_free_hom
 from minionlab.structures import find_homomorphism, k_enhance, tensor_power
 
@@ -25,50 +24,36 @@ from conftest import (
     not_all_equal,
     one_in_three,
 )
+from references import domain_masks, materialize
 
 
 # -- materialization ------------------------------------------------------------------
 
 
 def test_free_structure_of_k2_materialized(k2):
-    free = horn_free_structure(k2)
-    assert free.domain_masks() == [1, 2, 3]
-    rel = free.materialize("R")
+    free = HornFreeStructure(k2)
+    assert domain_masks(free) == [1, 2, 3]
+    rel = materialize(free, "R")
     # witnesses over the 2 edge tuples: {(0,1)}, {(1,0)}, both
     assert rel == {(1, 2), (2, 1), (3, 3)}
 
 
 def test_materialized_relation_matches_lazy_predicate():
     for A in [clique(2), cycle(3), one_in_three()]:
-        free = horn_free_structure(A)
+        free = HornFreeStructure(A)
         for sym in A.signature.names():
-            rel = free.materialize(sym)
+            rel = materialize(free, sym)
             arity = A.signature.arity(sym)
-            for masks in itertools.product(free.domain_masks(), repeat=arity):
+            for masks in itertools.product(domain_masks(free), repeat=arity):
                 assert free.admits(sym, list(masks)) == (masks in rel)
-
-
-def test_relation_cardinality_bound():
-    for A in [clique(2), clique(3), one_in_three()]:
-        free = horn_free_structure(A)
-        for sym in A.signature.names():
-            assert len(free.materialize(sym)) <= 2 ** len(A.tuples(sym)) - 1
-
-
-def test_subset_enumeration_keeps_its_budget():
-    atoms = [str(i) for i in range(21)]
-    A = Structure(Signature.of({"R": 2}), atoms, {"R": [("0", "1")]})
-    free = horn_free_structure(A)
-    with pytest.raises(BudgetExceeded):
-        free.domain_masks()
-    with pytest.raises(BudgetExceeded):
-        free.materialize("R")
 
 
 def test_canonical_embedding_is_homomorphism():
     for A in [clique(2), clique(3), cycle(5), one_in_three()]:
-        free = horn_free_structure(A)
-        masks = canonical_embedding(free)
+        free = HornFreeStructure(A)
+        # each atom to its singleton subset; the matching singleton subset of
+        # the base relation witnesses every image tuple
+        masks = {a: 1 << A.atom_id(a) for a in A.domain}
         assert verify_free_hom(A, free, masks)
 
 
@@ -76,12 +61,12 @@ def test_block_vanishing_on_tensor_square():
     # entries with a repeated cell pattern but distinct values never appear
     A = k_enhance(clique(2), 2)
     T = tensor_power(A, 2)
-    free = horn_free_structure(T)
+    free = HornFreeStructure(T)
     atom_pairs = list(itertools.product(A.domain, repeat=2))
     for sym in T.signature.names():
         arity_base = A.signature.arity(sym)
         cells = list(itertools.product(range(1, arity_base + 1), repeat=2))
-        for masks in free.materialize(sym):
+        for masks in materialize(free, sym):
             for pos, cell in enumerate(cells):
                 for ti, t in enumerate(atom_pairs):
                     if masks[pos] >> free.base.atom_id(t) & 1:
@@ -90,23 +75,23 @@ def test_block_vanishing_on_tensor_square():
                 del ti
 
 
-# -- the direct test ------------------------------------------------------------------
+# -- level 1, the direct test ----------------------------------------------------
 
 
 def test_direct_test_accepts_when_hom_exists(k2, k3):
-    assert minion_test_horn(k2, k3).accepted
+    assert minion_test_horn_level(k2, k3, 1).accepted
 
 
 def test_direct_test_identity(k3):
-    assert minion_test_horn(k3, k3).accepted
+    assert minion_test_horn_level(k3, k3, 1).accepted
 
 
 def test_direct_test_k3_k2_accepts(k3, k2):
     # arc consistency does not refute 2-coloring a triangle: the all-atoms
     # subset satisfies every edge constraint with the full witness set
-    verdict = minion_test_horn(k3, k2)
+    verdict = minion_test_horn_level(k3, k2, 1)
     assert verdict.accepted
-    free = horn_free_structure(k2)
+    free = HornFreeStructure(k2)
     assert verify_free_hom(k3, free, verdict.witness.masks)
 
 
@@ -124,10 +109,10 @@ def test_direct_test_matches_brute_force():
     pairs += [(X, cycle(4)) for X in all_digraphs(2)]
     pairs += [(one_in_three(), not_all_equal())]
     for X, A in pairs:
-        free = horn_free_structure(A)
-        verdict = minion_test_horn(X, A)
+        free = HornFreeStructure(A)
+        verdict = minion_test_horn_level(X, A, 1)
         homs = []
-        for masks in itertools.product(free.domain_masks(), repeat=len(X.domain)):
+        for masks in itertools.product(domain_masks(free), repeat=len(X.domain)):
             assignment = dict(zip(X.domain, masks))
             if verify_free_hom(X, free, assignment):
                 homs.append(assignment)
@@ -141,7 +126,7 @@ def test_direct_test_matches_brute_force():
 def test_loop_maps_into_k2_positionally(k2):
     # Q = {(0, 1), (1, 0)} projects onto {0, 1} at both positions of the loop
     loop = Structure(Signature.of({"R": 2}), ["v"], {"R": [("v", "v")]})
-    verdict = minion_test_horn(loop, k2)
+    verdict = minion_test_horn_level(loop, k2, 1)
     assert verdict.accepted
     assert verdict.witness.masks == {"v": 0b11}
 
@@ -171,13 +156,6 @@ def test_level_monotone_on_corpus():
             v1 = minion_test_horn_level(X, A, 1)
             if v2.accepted:
                 assert v1.accepted
-
-
-def test_level_one_matches_direct_test():
-    # the level-1 enhancement adds only vacuous unary constraints
-    for X in all_digraphs(2)[1::3]:
-        for A in [clique(2), cycle(3)]:
-            assert minion_test_horn_level(X, A, 1).accepted == minion_test_horn(X, A).accepted
 
 
 # -- witness structure -----------------------------------------------------------------

@@ -13,13 +13,11 @@ from minionlab import (
     aip,
     ba,
     bw,
-    check_sdp_facts,
     lp_feasible,
     oracle,
     sa,
     sdp,
     sos,
-    support_family,
     verify_farkas,
     verify_parity_certificate,
 )
@@ -30,6 +28,7 @@ from minionlab.structures import k_enhance
 from minionlab.system_builders import EqualitySystemBuilder
 
 from conftest import clique, digraphs_up_to_renaming, not_all_equal, one_in_three
+from references import check_sdp_facts, support_family
 
 LEVELS = (1, 2)
 

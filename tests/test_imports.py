@@ -1,13 +1,16 @@
 """Every module of the package uses each name it imports, every private
-function reads each of its parameters, and every module is imported, directly
-or through others, by a driver module."""
+function reads each of its parameters, every module is imported, directly
+or through others, by a driver module, and every public definition is used
+by the package or the benchmark, not only by the tests."""
 
 import ast
+import re
 from pathlib import Path
 
 import minionlab
 
 PACKAGE = Path(minionlab.__file__).parent
+BENCHMARK = PACKAGE.parent.parent / "minionbench"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -111,3 +114,44 @@ def test_every_module_is_reached_from_a_driver():
     sources = {path.stem: path.read_text()
                for path in PACKAGE.glob("*.py") if path.name != "__init__.py"}
     assert set(sources) - reached_modules(sources, DRIVERS) == set()
+
+
+def unnamed_definitions(sources: dict[str, str], others: list[str]) -> list[str]:
+    """Public top-level functions and classes that nothing outside the tests names.
+
+    A definition counts as used when its name appears as a whole word in its
+    own module outside the definition, in another module of ``sources``, or
+    in one of ``others``.  A definition decorated with ``@driver`` is an entry
+    point and counts as used.
+    """
+    found = []
+    for module, text in sources.items():
+        lines = text.splitlines()
+        for node in ast.parse(text).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if any(isinstance(d, ast.Name) and d.id == "driver" for d in node.decorator_list):
+                continue
+            rest = "\n".join(lines[:node.lineno - 1] + lines[node.end_lineno:])
+            texts = [rest] + [t for m, t in sources.items() if m != module] + others
+            if not any(re.search(rf"\b{node.name}\b", t) for t in texts):
+                found.append(f"{module}.{node.name}")
+    return found
+
+
+def test_guard_sees_test_only_code():
+    sources = {"solve": "def run():\n    return helper()\n\n\ndef helper():\n    return 1\n\n\n"
+                        "def only_tests():\n    return 2\n\n\n"
+                        "def recurse(n):\n    return recurse(n - 1)\n\n\n"
+                        "@driver\ndef entry(X, A):\n    return 3\n",
+               "bench": "from solve import run\n"}
+    assert unnamed_definitions(sources, []) == ["solve.only_tests", "solve.recurse"]
+    assert unnamed_definitions(sources, ["only_tests()"]) == ["solve.recurse"]
+
+
+def test_no_public_definition_is_used_only_by_tests():
+    # __init__.py re-exports every public name, so it would count each as used
+    sources = {path.stem: path.read_text()
+               for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    others = [path.read_text() for path in sorted(BENCHMARK.glob("*.py"))]
+    assert unnamed_definitions(sources, others) == []

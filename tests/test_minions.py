@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from minionlab import Signature, Status, Structure, aip, ba, check_sdp_facts, project, sa, sdp
+from minionlab import Signature, Status, Structure, aip, ba, project, sa, sdp
 from minionlab import verify_farkas, verify_parity_certificate
 from minionlab.errors import InvalidWitness
 from minionlab.free_structures import HornFreeStructure
@@ -21,6 +21,7 @@ from minionlab.rationals import is_integral, rat
 from minionlab.structures import k_enhance
 
 from conftest import clique, not_all_equal, one_in_three, random_structure
+from references import check_sdp_facts, domain_masks, materialize
 
 XY = ("x", "y")
 
@@ -113,7 +114,7 @@ def test_combined_membership_matrix_form():
 
 def test_horn_membership_rejects_zero():
     free = HornFreeStructure(clique(2))
-    assert 0 not in free.domain_masks()
+    assert 0 not in domain_masks(free)
     assert not free.admits("R", (0, 1))
     assert not free.admits("R", (0, 0))
     assert free.admits("R", (1, 2))
@@ -194,8 +195,8 @@ def test_minor_preserves_membership_horn_exhaustive():
                     sum({1 << base.atom_id(project(t, (pos,))[0]) for t in Q})
                     for pos in range(1, arity + 1)
                 ))
-        assert free.materialize("R") == images
-        for masks in itertools.product(free.domain_masks(), repeat=arity):
+        assert materialize(free, "R") == images
+        for masks in itertools.product(domain_masks(free), repeat=arity):
             assert free.admits("R", masks) == (masks in images)
 
 
@@ -222,16 +223,3 @@ def test_semidirect_combined_example():
     witness = verdict.witness
     ip_support = {key for key, v in witness.ip.values.items() if v != 0}
     assert ip_support and ip_support <= witness.maximal_support
-
-
-# -- enumeration ---------------------------------------------------------------------------
-
-
-def test_enumerate_horn_small():
-    single = Structure(Signature.of({"R": 2}), ["0"], {"R": []})
-    assert HornFreeStructure(single).domain_masks() == [1]
-    assert HornFreeStructure(clique(2)).domain_masks() == [1, 2, 3]
-
-
-def test_enumerate_horn_count():
-    assert len(HornFreeStructure(clique(5)).domain_masks()) == 31

@@ -1,4 +1,4 @@
-"""Structures, parsing, tuple projection, homomorphisms, powers, tensor powers,
+"""Structures, parsing, tuple projection, homomorphisms, tensor powers,
 partial homomorphisms."""
 
 import itertools
@@ -18,23 +18,19 @@ from minionlab.errors import (
     UnknownAtom,
 )
 from minionlab.structures import (
-    count_homomorphisms,
-    enumerate_homomorphisms,
     enumerate_partial_homomorphisms,
     find_homomorphism,
     induced_substructure,
     is_homomorphism,
     k_enhance,
     parse_structure,
-    polymorphisms,
-    power,
     structure_to_json,
     tensor_power,
-    tensor_cell_index,
 )
 from minionlab.budgets import Budget
 
 from conftest import all_digraphs, clique, cycle, digraphs_up_to_renaming, single_vertex
+from references import count_homomorphisms, tensor_cell_index
 
 
 # -- parsing ------------------------------------------------------------------
@@ -158,8 +154,9 @@ def test_constant_map_on_clique_fails(k3):
 def test_c5_to_k3_explicit_map(c5, k3):
     # walk the 5-cycle as 1,2,1,2,3; every edge image is checked explicitly
     f = Assignment.of({"0": "1", "1": "2", "2": "1", "3": "2", "4": "3"}, total=True)
+    fmap = f.as_dict()
     for u, v in c5.tuples("R"):
-        assert f(u) != f(v)
+        assert fmap[u] != fmap[v]
     assert is_homomorphism(f, c5, k3)
 
 
@@ -217,31 +214,6 @@ def test_k_enhance_symbol_clash():
 def test_k_enhance_budget():
     with pytest.raises(BudgetExceeded):
         k_enhance(clique(4), 3, Budget(max_atoms=10, max_tuples=10))
-
-
-# -- powers ----------------------------------------------------------------------
-
-
-def test_power_one_is_isomorphic_copy(k2):
-    P = power(k2, 1)
-    assert len(P.domain) == 2
-    assert len(P.tuples("R")) == len(k2.tuples("R"))
-
-
-def test_power_two_of_k2():
-    P = power(clique(2), 2)
-    assert len(P.domain) == 4
-    tuples = set(P.tuples("R"))
-    assert len(tuples) == 4
-    assert ((("0", "0"), ("1", "1"))) in {(t[0], t[1]) for t in tuples}
-    assert ((("0", "1"), ("1", "0"))) in {(t[0], t[1]) for t in tuples}
-
-
-def test_power_counts_are_exponential():
-    for A in [clique(2), clique(3), cycle(3)]:
-        for L in (1, 2):
-            P = power(A, L)
-            assert len(P.tuples("R")) == len(A.tuples("R")) ** L
 
 
 # -- tensor powers ------------------------------------------------------------------
@@ -386,23 +358,3 @@ def test_total_hom_appears_in_partial_enumeration(k2, k3):
     h = find_homomorphism(k2, k3)
     fams = enumerate_partial_homomorphisms(k2, k3, len(k2.domain))
     assert h.mapping in {f.mapping for f in fams}
-
-
-# -- polymorphisms -----------------------------------------------------------------------
-
-
-def test_unary_polymorphisms_of_k2_are_automorphisms(k2):
-    polys = polymorphisms(k2, k2, 1)
-    assert len(polys) == 2
-
-
-def test_binary_polymorphisms_contain_projections(k2):
-    polys = polymorphisms(k2, k2, 2)
-    images = {p.mapping for p in polys}
-    proj1 = Assignment.of({t: t[0] for t in itertools.product(k2.domain, repeat=2)}, total=True)
-    proj2 = Assignment.of({t: t[1] for t in itertools.product(k2.domain, repeat=2)}, total=True)
-    assert proj1.mapping in images and proj2.mapping in images
-
-
-def test_unary_polymorphism_count_is_hom_count(k2, k3):
-    assert len(polymorphisms(k2, k3, 1)) == count_homomorphisms(k2, k3)

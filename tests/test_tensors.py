@@ -28,12 +28,12 @@ from minionlab import (
 )
 from minionlab.budgets import DEFAULT_BUDGET
 from minionlab.errors import MalformedInput, WrongKind
-from minionlab.exact_solvers import certificate_from_json
 from minionlab.hierarchies import _marginal_rows
 from minionlab.rationals import rat
 from minionlab.structures import k_enhance
 
 from conftest import clique
+from references import certificate_from_json
 
 XY = ("x", "y")
 
