@@ -509,8 +509,6 @@ def _finish_gram(
     stats["reduced_dim"] = len(reduced.reps)
     warm = _integral_warm_start(reduced, find_homomorphism(X, A))
     outcome = psd_feasibility(reduced, warm_start=warm)
-    if isinstance(outcome, Inconsistent):
-        return verdict(Status.REJECT, certificate=outcome)
     stats["iterations"] = outcome.iterations
     if isinstance(outcome, NumericReject):
         return verdict(Status.REJECT_NUMERIC, certificate=outcome)

@@ -1,18 +1,20 @@
-"""Gram-matrix feasibility: exact affine pre-reduction, then projections.
+"""Gram-matrix feasibility: exact affine reduction, then projections in float.
 
 A Gram problem constrains the pairwise inner products of a family of labelled
 vectors: some pairs are forced orthogonal, some signed sums of vectors are
 identified with each other, and some groups of squared norms must sum to one.
 
-The solve is two-phase.  Phase one works exactly over the rationals: vector
-identifications are Gauss-eliminated, forced-zero vectors are propagated to a
-fixpoint, and contradictions (a unit group whose members all collapse to the
-zero vector, or affinely conflicting Gram constraints) are returned as exact
-rejections with a derivation trace.  Phase two is numeric: alternating
-projections between the affine subspace of admissible Gram matrices (exact
-least-squares projector, precomputed over the rationals and applied in
-float) and the cone of positive semidefinite matrices (eigenvalue clamping).
-Numeric stalls are reported as an explicitly non-rigorous outcome.
+The solve is two-phase.  Phase one, :func:`affine_reduce`, is the only exact
+phase: over the rationals, vector identifications are Gauss-eliminated,
+forced-zero vectors are propagated to a fixpoint, and the Gram constraints on
+the remaining representatives are filtered down to an independent set.  Every
+contradiction (a unit group whose members all collapse to the zero vector, or
+a Gram constraint that reduces to 0 = nonzero) is returned as an exact
+rejection with a derivation trace.  Phase two, :func:`psd_feasibility`, works
+in float only: Douglas-Rachford iterations between the affine subspace of
+admissible Gram matrices (an orthogonal projection through one
+pseudo-inverse) and the cone of positive semidefinite matrices (eigenvalue
+clamping).  Numeric stalls are reported as an explicitly non-rigorous outcome.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ class ReducedGramProblem:
     labels: tuple[Label, ...]
     reps: tuple[Label, ...]
     combos: dict  # label -> {rep: exact coefficient}
-    constraints: list  # (dict[(si, ti) with si <= ti] -> exact coeff, rhs)
+    constraints: list  # independent (dict[(si, ti) with si <= ti] -> exact coeff, rhs)
     steps: list = field(default_factory=list)
 
 
@@ -127,9 +129,9 @@ def _reduce_row(row: dict, pivot_rows: dict) -> dict:
         row = {k: v for k, v in row.items() if v != 0}
 
 
-def _insert_pivot(row: dict, pivot_rows: dict, label_order: dict) -> None:
-    # eliminate the latest-registered label so early labels stay representatives
-    pivot = max(row, key=lambda lab: label_order[lab])
+def _insert_pivot(row: dict, pivot_rows: dict, rank) -> None:
+    # the pivot is the row's greatest key, ordered by rank (natural order if None)
+    pivot = max(row, key=rank)
     inv = R1 / row[pivot]
     norm = {k: v * inv for k, v in row.items()}
     for other, prow in list(pivot_rows.items()):
@@ -145,19 +147,24 @@ def _insert_pivot(row: dict, pivot_rows: dict, label_order: dict) -> None:
 def affine_reduce(problem: GramProblem):
     """Exact consequence closure of the vector identifications.
 
-    Returns a :class:`ReducedGramProblem`, or :class:`Inconsistent` when the
-    closure contradicts a unit-norm group (all members forced to the zero
-    vector) or the Gram constraints are affinely contradictory.
+    The Gram constraints over the representatives left by the closure are
+    kept when independent of those kept before them, so the reduced
+    constraints are linearly independent.  Returns a
+    :class:`ReducedGramProblem`, or :class:`Inconsistent` when the closure
+    contradicts a unit-norm group (all members forced to the zero vector) or
+    a Gram constraint reduces to 0 = nonzero.
     """
     label_order = {lab: i for i, lab in enumerate(problem.labels)}
     pivot_rows: dict = {}
     steps: list = []
 
-    def add_relation(row: dict, note) -> None:
+    def add_relation(row: dict, note) -> bool:
         reduced = _reduce_row(row, pivot_rows)
         if reduced:
-            _insert_pivot(reduced, pivot_rows, label_order)
+            # eliminate the latest-registered label so early labels stay representatives
+            _insert_pivot(reduced, pivot_rows, label_order.__getitem__)
             steps.append(note)
+        return bool(reduced)
 
     for ident in problem.identifications:
         row: dict = {}
@@ -183,14 +190,8 @@ def affine_reduce(problem: GramProblem):
             if ratio is not None:
                 # <u, w> = ratio * ||w||^2 = 0 with ratio != 0 forces w = 0
                 new_rows.append((dict(w), ("zero-norm", str(l1), str(l2))))
-        grew = False
-        for row, note in new_rows:
-            reduced = _reduce_row(row, pivot_rows)
-            if reduced:
-                _insert_pivot(reduced, pivot_rows, label_order)
-                steps.append(note)
-                grew = True
-        if not grew:
+        grew = [add_relation(row, note) for row, note in new_rows]
+        if not any(grew):
             break
 
     for group in problem.unit_groups:
@@ -214,18 +215,20 @@ def affine_reduce(problem: GramProblem):
                 out[key] = out.get(key, R0) + cs * ct
         return {k: v for k, v in out.items() if v != 0}
 
+    # keep each Gram constraint that is independent of those kept before it.
+    # The right-hand side rides along under the key (), which sorts below
+    # every (si, ti) and so is never a pivot: a row that reduces to () alone
+    # reads 0 = nonzero
     constraints: list = []
-    seen = set()
+    gram_pivots: dict = {}
 
     def push(coeffs: dict, rhs) -> Optional[Inconsistent]:
-        if not coeffs:
-            if rhs != 0:
-                steps.append(("empty-constraint", rat_to_str(rhs)))
-                return Inconsistent(steps, "a Gram constraint reduced to 0 = nonzero")
-            return None
-        key = (tuple(sorted(coeffs.items())), rhs)
-        if key not in seen:
-            seen.add(key)
+        reduced = _reduce_row({**coeffs, (): rat(rhs)}, gram_pivots)
+        if list(reduced) == [()]:
+            steps.append(("affine-contradiction", f"0 = {rat_to_str(reduced[()])}"))
+            return Inconsistent(steps, "the Gram constraints are affinely contradictory")
+        if reduced:
+            _insert_pivot(reduced, gram_pivots, None)
             constraints.append((coeffs, rat(rhs)))
         return None
 
@@ -238,7 +241,7 @@ def affine_reduce(problem: GramProblem):
         for lab in group:
             for k, v in bilinear(combos[lab], combos[lab]).items():
                 acc[k] = acc.get(k, R0) + v
-        bad = push({k: v for k, v in acc.items() if v != 0}, 1)
+        bad = push(acc, 1)
         if bad:
             return bad
 
@@ -271,120 +274,54 @@ def _fmt_labels(group) -> str:
 
 
 class _AffineProjector:
-    """Exact least-squares projector onto the admissible affine subspace.
+    """Orthogonal projector, in float, onto the Gram matrices meeting the constraints.
 
-    Constraint rows are made linearly independent by exact Gaussian
-    elimination (detecting contradictions on the way); the normal-equation
-    inverse is computed once over the rationals and then applied in float.
+    Each constraint sum v * G[s, t] = b becomes the symmetric matrix with v/2
+    at (s, t) and at (t, s), flattened into one row of C, so that C vec G = b
+    on symmetric G.  The pseudo-inverse of C is computed once, and
+    ``project(G)`` is G - C^+ (C vec G - b), the nearest point in the
+    Frobenius norm.
     """
 
     def __init__(self, n: int, constraints: Sequence[tuple[dict, object]]):
-        # exact independence filter over the symmetric-pair coordinates;
-        # a row reducing to 0 = nonzero proves the subspace empty
-        pivots: dict = {}
-        kept_rows: list[tuple[dict, object]] = []
-        self.contradiction = False
-        for coeffs, rhs in constraints:
-            original = {k: rat(v) for k, v in coeffs.items()}
-            row = dict(original)
-            r = rat(rhs)
-            while row:
-                lead = min(row)
-                if lead not in pivots:
-                    break
-                prow, prhs = pivots[lead]
-                c = row[lead] / prow[lead]
-                for k, v in prow.items():
-                    row[k] = row.get(k, R0) - c * v
-                r = r - c * prhs
-                row = {k: v for k, v in row.items() if v != 0}
-            if row:
-                pivots[min(row)] = (row, r)
-                kept_rows.append((original, rat(rhs)))
-            elif r != 0:
-                self.contradiction = True
-                self.rows = []
-                return
-        self.rows = kept_rows
-        m = len(kept_rows)
-        # exact normal matrix under the Frobenius geometry of symmetric matrices
-        normal = [[R0] * m for _ in range(m)]
-        for i, (ri, _) in enumerate(kept_rows):
-            for j in range(i, m):
-                rj = kept_rows[j][0]
-                small, big = (ri, rj) if len(ri) <= len(rj) else (rj, ri)
-                acc = R0
-                for key, v in small.items():
-                    if key in big:
-                        w = R1 if key[0] == key[1] else rat(2)
-                        acc += w * v * big[key]
-                normal[i][j] = acc
-                normal[j][i] = acc
-        inv = _invert_exact(normal)
-        self.normal_inv = np.array([[float(v) for v in r] for r in inv]) if m else np.zeros((0, 0))
-        # dense float coefficient matrices
-        self.c_mats = np.zeros((m, n, n))
-        self.rhs = np.zeros(m)
-        for i, (row, r) in enumerate(kept_rows):
-            self.rhs[i] = float(r)
+        c = np.zeros((len(constraints), n, n))
+        for i, (row, _) in enumerate(constraints):
             for (s, t), v in row.items():
-                fv = float(v)
-                if s == t:
-                    self.c_mats[i, s, s] += fv
-                else:
-                    self.c_mats[i, s, t] += fv / 2.0
-                    self.c_mats[i, t, s] += fv / 2.0
+                c[i, s, t] += float(v) / 2.0
+                c[i, t, s] += float(v) / 2.0
+        self.c = c.reshape(len(constraints), n * n)
+        self.c_pinv = np.linalg.pinv(self.c)
+        self.rhs = np.array([float(r) for _, r in constraints])
+
+    def _misfit(self, G: np.ndarray) -> np.ndarray:
+        return self.c @ G.reshape(-1) - self.rhs
 
     def violation(self, G: np.ndarray) -> float:
-        if not len(self.rows):
-            return 0.0
-        v = np.einsum("rij,ij->r", self.c_mats, G) - self.rhs
-        return float(np.max(np.abs(v))) if v.size else 0.0
+        return float(np.max(np.abs(self._misfit(G)), initial=0.0))
 
     def project(self, G: np.ndarray) -> np.ndarray:
-        if not len(self.rows):
-            return G
-        v = np.einsum("rij,ij->r", self.c_mats, G) - self.rhs
-        alpha = self.normal_inv @ v
-        return G - np.einsum("r,rij->ij", alpha, self.c_mats)
-
-
-def _invert_exact(matrix: list[list]) -> list[list]:
-    m = len(matrix)
-    aug = [[rat(v) for v in row] + [R1 if i == j else R0 for j in range(m)]
-           for i, row in enumerate(matrix)]
-    for col in range(m):
-        piv = next(r for r in range(col, m) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = R1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * p for v, p in zip(aug[r], aug[col])]
-    return [row[m:] for row in aug]
+        return G - (self.c_pinv @ self._misfit(G)).reshape(G.shape)
 
 
 def psd_feasibility(reduced: ReducedGramProblem, warm_start: Optional[np.ndarray] = None):
-    """Projection iterations on the reduced Gram problem.
+    """Projection iterations on the reduced Gram problem, in float.
 
-    Alternates between the exact affine projector and the semidefinite cone
-    (eigenvalue clamping) in the Douglas-Rachford arrangement, which handles
-    the tangential geometry of boundary-only feasible sets far better than
-    plain alternation.  The residual reported with an accept is measured on
-    the returned matrix, so a warm start (for instance the integral Gram
-    matrix of a classical solution) is certified rather than trusted.
+    Alternates between the affine subspace of the constraints and the
+    semidefinite cone (eigenvalue clamping) in the Douglas-Rachford
+    arrangement, which handles the tangential geometry of boundary-only
+    feasible sets far better than plain alternation.  The residual reported
+    with an accept is measured on the returned matrix, so a warm start (for
+    instance the integral Gram matrix of a classical solution) is certified
+    rather than trusted.
 
-    Returns an (accept) :class:`SoSWitness`, a (rigorous) :class:`Inconsistent`
-    when the affine subspace is exactly empty, or a :class:`NumericReject`.
+    Returns an (accept) :class:`SoSWitness` or a (non-rigorous)
+    :class:`NumericReject`; every rigorous rejection comes from
+    :func:`affine_reduce`.
     """
     n = len(reduced.reps)
-    projector = _AffineProjector(n, reduced.constraints)
-    if projector.contradiction:
-        steps = reduced.steps + [("affine-contradiction", "gram constraints")]
-        return Inconsistent(steps, "the Gram constraints are affinely contradictory")
     if n == 0:
         return SoSWitness(reduced.reps, np.zeros((0, 0)), 0.0, 0.0, 0)
+    projector = _AffineProjector(n, reduced.constraints)
     z = np.array(warm_start, dtype=float) if warm_start is not None else np.eye(n) / n
     trace: list = []
     best = np.inf
@@ -395,7 +332,7 @@ def psd_feasibility(reduced: ReducedGramProblem, warm_start: Optional[np.ndarray
         it += 1
         xa = projector.project(z)
         lam, vec = np.linalg.eigh((xa + xa.T) / 2.0)
-        neg = max(0.0, float(-lam[0])) if lam.size else 0.0
+        neg = max(0.0, float(-lam[0]))
         clamped = np.clip(lam, 0.0, None)
         P = (vec * clamped) @ vec.T
         aff = projector.violation(P)
@@ -403,7 +340,7 @@ def psd_feasibility(reduced: ReducedGramProblem, warm_start: Optional[np.ndarray
         if it % 25 == 0 or residual <= ACCEPT_TOL or it <= 2:
             trace.append((it, residual))
         if residual <= ACCEPT_TOL:
-            min_eig = float(clamped[0]) if clamped.size else 0.0
+            min_eig = float(clamped[0])
             return SoSWitness(reduced.reps, P, residual, min_eig, it)
         if residual < best * 0.99:
             best, best_at = residual, it

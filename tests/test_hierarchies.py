@@ -153,7 +153,7 @@ def sweep():
     for X in digraphs_up_to_renaming(3):
         for A in (clique(2), directed_triangle()):
             verdicts = {("oracle", None): oracle(X, A), ("sdp", None): sdp(X, A),
-                        ("sos", 1): sos(X, A, 1)}
+                        ("sos", 1): sos(X, A, 1), ("sos", 2): sos(X, A, 2)}
             for k in LEVELS:
                 for name, driver in (("bw", bw), ("sa", sa), ("aip", aip), ("ba", ba)):
                     verdicts[(name, k)] = driver(X, A, k)
@@ -179,11 +179,11 @@ def test_completeness(sweep):
 
 def test_containments(sweep):
     # (stronger, weaker): an accept of the first implies an accept of the second
-    implied = [(("sos", 1), ("sa", 1))]
+    implied = [(("sos", 1), ("sa", 1)), (("sos", 2), ("sa", 2))]
     for k in LEVELS:
         implied += [(("ba", k), ("sa", k)), (("ba", k), ("aip", k)), (("sa", k), ("bw", k))]
     # each hierarchy is monotone in k
-    implied += [((name, 2), (name, 1)) for name in ("bw", "sa", "aip", "ba")]
+    implied += [((name, 2), (name, 1)) for name in ("bw", "sa", "aip", "ba", "sos")]
     for X, A, verdicts in sweep:
         for stronger, weaker in implied:
             if verdicts[stronger].accepted:
