@@ -34,7 +34,6 @@ from .psd import (
     GramProblem,
     SoSWitness,
     affine_reduce,
-    gram_to_vectors,
     psd_feasibility,
 )
 from .exact_solvers import (

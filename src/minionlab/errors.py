@@ -55,7 +55,3 @@ class WrongKind(MinionLabError):
 
 class IterationBudget(MinionLabError):
     """An iterative solver exceeded its pivot/iteration budget."""
-
-
-class NotPSD(MinionLabError):
-    """A matrix expected to be positive semidefinite is not."""

@@ -64,8 +64,8 @@ class LinearSystem:
     def num_rows(self) -> int:
         return len(self.rows)
 
-    def to_json(self) -> str:
-        doc = {
+    def to_doc(self) -> dict:
+        return {
             "domain": self.domain_tag.value,
             "vars": [str(v) for v in self.var_names],
             "rows": [
@@ -74,7 +74,6 @@ class LinearSystem:
                 for row, b in zip(self.rows, self.rhs)
             ],
         }
-        return json.dumps(doc, sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -84,9 +83,11 @@ class Certificate:
     kind: CertificateKind
     farkas: tuple = ()
 
+    def to_doc(self) -> dict:
+        return {"kind": self.kind.value, "y": [rat_to_str(v) for v in self.farkas]}
+
     def to_json(self) -> str:
-        doc = {"kind": self.kind.value, "y": [rat_to_str(v) for v in self.farkas]}
-        return json.dumps(doc, sort_keys=True)
+        return json.dumps(self.to_doc(), sort_keys=True)
 
 
 @dataclass
@@ -151,11 +152,11 @@ class ExactSimplex:
             self.obj = [v - f * p for v, p in zip(self.obj, prow)]
         self.basis[row] = col
 
-    def _run(self, allowed: int) -> bool:
-        """Bland iterations over the first ``allowed`` columns; False if unbounded."""
+    def _run(self) -> bool:
+        """Bland iterations over the structural columns; False if unbounded."""
         while True:
             enter = -1
-            for j in range(allowed):
+            for j in range(self.n):
                 if self.obj[j] < 0:
                     enter = j
                     break
@@ -190,7 +191,7 @@ class ExactSimplex:
         for j in range(self.n, self.n + self.m):
             obj[j] = R0
         self.obj = obj
-        bounded = self._run(self.n)
+        bounded = self._run()
         assert bounded, "phase 1 objective is bounded below by zero"
         value = -self.obj[-1]
         self.feasible = value == 0
@@ -251,7 +252,7 @@ class ExactSimplex:
                 obj = [v + p for v, p in zip(obj, self.table[i])]
                 break
         self.obj = obj
-        bounded = self._run(self.n)
+        bounded = self._run()
         if bounded:
             return self.solution()
         # ray step: find the entering column with improving reduced cost

@@ -34,8 +34,6 @@ from .psd import (
     NumericReject,
     ReducedGramProblem,
     affine_reduce,
-    expand_vectors,
-    gram_to_vectors,
     psd_feasibility,
 )
 from .rationals import R0, is_integral, rat_to_str
@@ -103,12 +101,7 @@ class RejectionEvidence:
     note: str = ""
 
     def to_doc(self) -> dict:
-        import json
-
-        doc = {
-            "certificate": json.loads(self.certificate.to_json()),
-            "system": json.loads(self.system.to_json()),
-        }
+        doc = {"certificate": self.certificate.to_doc(), "system": self.system.to_doc()}
         if self.note:
             doc["note"] = self.note
         return doc
@@ -512,7 +505,6 @@ def _finish_gram(
     stats["iterations"] = outcome.iterations
     if isinstance(outcome, NumericReject):
         return verdict(Status.REJECT_NUMERIC, certificate=outcome)
-    outcome.vectors = expand_vectors(reduced, gram_to_vectors(outcome.gram))
     return verdict(Status.ACCEPT, witness=outcome)
 
 

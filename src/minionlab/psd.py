@@ -10,21 +10,24 @@ forced-zero vectors are propagated to a fixpoint, and the Gram constraints on
 the remaining representatives are filtered down to an independent set.  Every
 contradiction (a unit group whose members all collapse to the zero vector, or
 a Gram constraint that reduces to 0 = nonzero) is returned as an exact
-rejection with a derivation trace.  Phase two, :func:`psd_feasibility`, works
-in float only: Douglas-Rachford iterations between the affine subspace of
+rejection whose trace holds only derived steps: the vectors forced to zero,
+then the contradiction itself.  Phase two, :func:`psd_feasibility`, works in
+float only: Douglas-Rachford iterations between the affine subspace of
 admissible Gram matrices (an orthogonal projection through one
 pseudo-inverse) and the cone of positive semidefinite matrices (eigenvalue
-clamping).  Numeric stalls are reported as an explicitly non-rigorous outcome.
+clamping).  An accepted Gram matrix is built from the clamped
+eigendecomposition of the last iterate, so that same decomposition gives its
+vectors: the witness arrives with one vector per label.  Numeric stalls are
+reported as an explicitly non-rigorous outcome.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
-from .errors import NotPSD
 from .rationals import R0, R1, rat, rat_to_str
 
 Label = Hashable
@@ -42,7 +45,13 @@ class GramProblem:
 
 @dataclass
 class Inconsistent:
-    """Exact infeasibility of the affine phase, with its derivation trace."""
+    """Exact infeasibility of the affine phase, with its derivation trace.
+
+    The trace holds only what the reduction derived, never the input
+    restated: a ``zero-norm`` step for each orthogonal pair that forced a
+    vector to zero, then the closing ``unit-group-empty`` or
+    ``affine-contradiction``.
+    """
 
     steps: list
     reason: str
@@ -57,19 +66,22 @@ class ReducedGramProblem:
     reps: tuple[Label, ...]
     combos: dict  # label -> {rep: exact coefficient}
     constraints: list  # independent (dict[(si, ti) with si <= ti] -> exact coeff, rhs)
-    steps: list = field(default_factory=list)
 
 
 @dataclass
 class SoSWitness:
-    """An accepted Gram matrix together with extraction diagnostics."""
+    """An accepted Gram matrix over the representatives, with a vector for every label.
+
+    ``gram`` is exactly the Gram matrix of the representatives' vectors, and
+    every other label's vector is its exact combination of theirs.
+    """
 
     labels: tuple[Label, ...]
     gram: np.ndarray
     residual: float
     min_eig: float
     iterations: int
-    vectors: Optional[dict] = None
+    vectors: dict
 
     def to_doc(self) -> dict:
         return {
@@ -105,8 +117,6 @@ ACCEPT_TOL = 1e-8
 REJECT_FLOOR = 1e-4
 STALL_WINDOW = 500
 MAX_ITER = 100_000
-# eigenvalues below this count as zero when a Gram matrix is factored
-RANK_TOL = 1e-9
 
 
 # -- phase one: exact affine reduction -------------------------------------------
@@ -158,21 +168,18 @@ def affine_reduce(problem: GramProblem):
     pivot_rows: dict = {}
     steps: list = []
 
-    def add_relation(row: dict, note) -> bool:
+    def add_relation(row: dict) -> bool:
         reduced = _reduce_row(row, pivot_rows)
         if reduced:
             # eliminate the latest-registered label so early labels stay representatives
             _insert_pivot(reduced, pivot_rows, label_order.__getitem__)
-            steps.append(note)
         return bool(reduced)
 
     for ident in problem.identifications:
         row: dict = {}
         for lab, c in ident:
             row[lab] = row.get(lab, R0) + rat(c)
-        row = {lab: c for lab, c in row.items() if c != 0}
-        if row:
-            add_relation(row, ("identify", _fmt_row(ident)))
+        add_relation(row)
 
     def combo(lab: Label) -> dict:
         if lab not in pivot_rows:
@@ -190,9 +197,10 @@ def affine_reduce(problem: GramProblem):
             if ratio is not None:
                 # <u, w> = ratio * ||w||^2 = 0 with ratio != 0 forces w = 0
                 new_rows.append((dict(w), ("zero-norm", str(l1), str(l2))))
-        grew = [add_relation(row, note) for row, note in new_rows]
-        if not any(grew):
+        grew = [note for row, note in new_rows if add_relation(row)]
+        if not grew:
             break
+        steps += grew
 
     for group in problem.unit_groups:
         if all(not combo(lab) for lab in group):
@@ -245,7 +253,7 @@ def affine_reduce(problem: GramProblem):
         if bad:
             return bad
 
-    return ReducedGramProblem(problem.labels, reps, combos, constraints, steps)
+    return ReducedGramProblem(problem.labels, reps, combos, constraints)
 
 
 def _proportionality(u: dict, w: dict):
@@ -260,10 +268,6 @@ def _proportionality(u: dict, w: dict):
         elif r != ratio:
             return None
     return ratio
-
-
-def _fmt_row(ident) -> str:
-    return " + ".join(f"{rat_to_str(rat(c))}*{lab}" for lab, c in ident)
 
 
 def _fmt_labels(group) -> str:
@@ -316,11 +320,15 @@ def psd_feasibility(reduced: ReducedGramProblem, warm_start: Optional[np.ndarray
 
     Returns an (accept) :class:`SoSWitness` or a (non-rigorous)
     :class:`NumericReject`; every rigorous rejection comes from
-    :func:`affine_reduce`.
+    :func:`affine_reduce`.  An accepted matrix is V V^T for the factor V of
+    its own clamped eigendecomposition, whose row i is the vector of
+    ``reduced.reps[i]``; the witness carries those vectors, expanded to every
+    label through the exact elimination combos.
     """
     n = len(reduced.reps)
     if n == 0:
-        return SoSWitness(reduced.reps, np.zeros((0, 0)), 0.0, 0.0, 0)
+        empty = np.zeros((0, 0))
+        return SoSWitness(reduced.reps, empty, 0.0, 0.0, 0, expand_vectors(reduced, empty))
     projector = _AffineProjector(n, reduced.constraints)
     z = np.array(warm_start, dtype=float) if warm_start is not None else np.eye(n) / n
     trace: list = []
@@ -340,8 +348,8 @@ def psd_feasibility(reduced: ReducedGramProblem, warm_start: Optional[np.ndarray
         if it % 25 == 0 or residual <= ACCEPT_TOL or it <= 2:
             trace.append((it, residual))
         if residual <= ACCEPT_TOL:
-            min_eig = float(clamped[0])
-            return SoSWitness(reduced.reps, P, residual, min_eig, it)
+            vectors = expand_vectors(reduced, vec * np.sqrt(clamped))
+            return SoSWitness(reduced.reps, P, residual, float(clamped[0]), it, vectors)
         if residual < best * 0.99:
             best, best_at = residual, it
         if it - best_at > STALL_WINDOW and residual >= REJECT_FLOOR:
@@ -354,22 +362,6 @@ def psd_feasibility(reduced: ReducedGramProblem, warm_start: Optional[np.ndarray
         z = z + (xb - xa)
     trace.append((it, residual))
     return NumericReject(residual, it, trace)
-
-
-def gram_to_vectors(G: np.ndarray) -> np.ndarray:
-    """Rows of a factor V with V V^T = G, via eigendecomposition.
-
-    Raises NotPSD when an eigenvalue is below ``-RANK_TOL``; eigenvalues below
-    the tolerance are dropped, so the embedding dimension equals the numeric
-    rank.
-    """
-    lam, vec = np.linalg.eigh((G + G.T) / 2.0)
-    if lam.size and lam[0] < -RANK_TOL:
-        raise NotPSD(f"eigenvalue {lam[0]} below -{RANK_TOL}")
-    keep = lam > RANK_TOL
-    if not np.any(keep):
-        return np.zeros((G.shape[0], 1))
-    return vec[:, keep] * np.sqrt(lam[keep])
 
 
 def expand_vectors(reduced: ReducedGramProblem, factor: np.ndarray) -> dict:

@@ -11,17 +11,15 @@ from __future__ import annotations
 try:
     from gmpy2 import mpq as _mpq
 
-    def rat(p=0, q=1):
-        return _mpq(p, q)
-
     RATIONAL_BACKEND = "gmpy2"
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     from fractions import Fraction as _mpq
 
-    def rat(p=0, q=1):
-        return _mpq(p, q)
-
     RATIONAL_BACKEND = "fractions"
+
+
+def rat(p=0, q=1):
+    return _mpq(p, q)
 
 R0 = rat(0)
 R1 = rat(1)

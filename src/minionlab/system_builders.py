@@ -87,15 +87,6 @@ class EqualitySystemBuilder:
                 self._parent[key], key = root, self._parent[key]
             return root
 
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                return
-            if order[ra] <= order[rb]:
-                self._parent[rb] = ra
-            else:
-                self._parent[ra] = rb
-
         pinned: set = set()
         pending = list(self._rows)
         while True:
@@ -123,7 +114,8 @@ class EqualitySystemBuilder:
                     if len(canon) == 2:
                         (k1, c1), (k2, c2) = sorted(canon.items(), key=lambda t: order[t[0]])
                         if c1 == -c2:
-                            union(k1, k2)
+                            # both are current roots, k1 registered first
+                            self._parent[k2] = k1
                             changed = True
                             continue
                     if self.domain is DomainTag.NONNEG_RAT:

@@ -89,8 +89,6 @@ def driver(decide):
 def _jsonable(obj):
     if hasattr(obj, "to_doc"):
         return obj.to_doc()
-    if hasattr(obj, "to_json"):
-        return json.loads(obj.to_json())
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set, frozenset)):

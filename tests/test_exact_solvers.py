@@ -16,7 +16,7 @@ from minionlab import (
     verify_parity_certificate,
 )
 from minionlab.budgets import Budget
-from minionlab.errors import IterationBudget, WrongKind
+from minionlab.errors import InvalidWitness, IterationBudget, WrongKind
 from minionlab.exact_solvers import maximal_support, validate_nonneg_point
 from minionlab.hierarchies import _support_system
 from minionlab.rationals import rat
@@ -57,6 +57,24 @@ def test_lp_negativity_requirement():
     out = lp_feasible(sys)
     assert not out.feasible
     assert verify_farkas(out.certificate, sys)
+
+
+def test_simplex_keeps_its_pivot_budget():
+    sys = system([{0: 1}, {1: 1}], [1, 1], 2)
+    assert lp_feasible(sys).pivots == 2
+    with pytest.raises(IterationBudget):
+        lp_feasible(sys, Budget(max_pivots=1))
+
+
+@pytest.mark.parametrize("point, message", [
+    ({0: rat(2), 1: rat(-1)}, "negative"),
+    ({0: rat(1, 2), 1: rat(1, 4)}, "violated"),
+], ids=["negative-entry", "violated-row"])
+def test_validate_nonneg_point_refuses_a_non_solution(point, message):
+    sys = system([{0: 1, 1: 1}], [1], 2)
+    validate_nonneg_point(sys, {0: rat(1, 2), 1: rat(1, 2)})
+    with pytest.raises(InvalidWitness, match=message):
+        validate_nonneg_point(sys, point)
 
 
 def test_verify_farkas_rejects_zero_vector():

@@ -202,6 +202,27 @@ def test_check_vanishing_flags_violations(k2):
     assert result is False
 
 
+def bits(witness: HornWitness, *targets) -> int:
+    return sum(1 << witness.target_atoms.index(t) for t in targets)
+
+
+# The free-structure check already refuses both corruptions: the tensorised
+# R_2 tuple of (x, y) has cells (x, x), (x, y), (y, x), (y, y), so a
+# homomorphism pins every repeat and every projection of a level-2 mask.
+@pytest.mark.parametrize("atom, targets", [
+    # the repeated pair (0, 0) may only take repeated pairs of values
+    (("0", "0"), (("0", "0"), ("0", "1"), ("1", "1"))),
+    # (0, 1) -> {(0, 1)} projects (0, 0) onto {(0, 0)}, but (0, 0) keeps {(0, 0), (1, 1)}
+    (("0", "1"), (("0", "1"),)),
+], ids=["equality-pattern", "projection"])
+def test_check_vanishing_refuses_a_corrupted_mask(atom, targets, k2):
+    witness = minion_test_horn_level(k2, k2, 2).witness
+    assert witness.masks[("0", "0")] == bits(witness, ("0", "0"), ("1", "1"))
+    masks = {**witness.masks, atom: bits(witness, *targets)}
+    with pytest.raises(NotAHomomorphism):
+        check_vanishing(HornWitness(witness.atoms, witness.target_atoms, masks), k2, k2, 2)
+
+
 def test_rejected_witness_raises(k2):
     masks = {a: 0 for a in k2.domain}
     witness = HornWitness(tuple(k2.domain), tuple(k2.domain), masks)

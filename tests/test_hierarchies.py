@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from minionlab import (
+    Assignment,
     CertificateKind,
     DomainTag,
     Signature,
@@ -13,6 +14,7 @@ from minionlab import (
     aip,
     ba,
     bw,
+    is_valid_bw_family,
     lp_feasible,
     oracle,
     sa,
@@ -22,8 +24,9 @@ from minionlab import (
     verify_parity_certificate,
 )
 from minionlab.budgets import Budget
-from minionlab.errors import BudgetExceeded
+from minionlab.errors import BudgetExceeded, InvalidWitness
 from minionlab.hierarchies import RejectionEvidence, validate_marginal_witness
+from minionlab.rationals import rat
 from minionlab.structures import k_enhance
 from minionlab.system_builders import EqualitySystemBuilder
 
@@ -137,6 +140,88 @@ def test_ba_is_stronger_than_sa_and_aip_together():
 def test_sdp_keeps_its_budget(k3, k2):
     with pytest.raises(BudgetExceeded):
         sdp(k3, k2, Budget(max_tuples=5))
+
+
+def test_rejection_evidence_composes_its_two_documents(k3, k2):
+    evidence = aip(k3, k2, 1).certificate
+    doc = evidence.to_doc()
+    assert doc == {"certificate": evidence.certificate.to_doc(),
+                   "system": evidence.system.to_doc()}
+    assert len(doc["certificate"]["y"]) == len(doc["system"]["rows"]) == evidence.system.num_rows
+
+
+# -- the accept-side validators refuse what is not a witness -----------------------------
+
+
+def family(*maps: dict) -> list[Assignment]:
+    return [Assignment.of(m) for m in maps]
+
+
+# every partial homomorphism K2 -> K2 on at most two atoms
+K2_FAMILY = ({}, {"0": "0"}, {"0": "1"}, {"1": "0"}, {"1": "1"},
+             {"0": "0", "1": "1"}, {"0": "1", "1": "0"})
+
+
+def test_the_full_bw_family_is_valid(k2):
+    assert is_valid_bw_family(family(*K2_FAMILY), k2, k2, 2)
+
+
+@pytest.mark.parametrize("maps, k", [
+    ((), 2),
+    # a total map in a level-1 family
+    (K2_FAMILY[:5] + ({"0": "0", "1": "1"},), 1),
+    # the edge 0 -> 1 is sent to the non-edge 0 -> 0
+    (K2_FAMILY + ({"0": "0", "1": "0"},), 2),
+    # the restriction {0: 0} of {0: 0, 1: 1} is missing
+    (K2_FAMILY[:1] + K2_FAMILY[2:], 2),
+    # {0: 1} has no extension to both atoms
+    (K2_FAMILY[:-1], 2),
+], ids=["empty", "too-many-atoms", "not-a-homomorphism", "missing-restriction",
+        "missing-extension"])
+def test_an_invalid_bw_family_is_refused(maps, k, k2):
+    assert not is_valid_bw_family(family(*maps), k2, k2, k)
+
+
+def marginals(homs: list[dict], Xk: Structure, Ak: Structure) -> dict:
+    """The marginal weights of the uniform distribution on ``homs``."""
+    return {(sym, xt, at): rat(sum(tuple(h[x] for x in xt) == at for h in homs), len(homs))
+            for sym in Xk.signature.names() for xt in Xk.tuples(sym) for at in Ak.tuples(sym)}
+
+
+@pytest.fixture
+def k2_marginals(k2):
+    """The level-2 marginals of the two automorphisms of K2, each with weight 1/2."""
+    Xk = k_enhance(k2, 2)
+    return marginals([{"0": "0", "1": "1"}, {"0": "1", "1": "0"}], Xk, Xk), Xk
+
+
+def test_averaged_homomorphisms_are_a_marginal_witness(k2_marginals):
+    values, Xk = k2_marginals
+    validate_marginal_witness(values, Xk, Xk, 2)
+
+
+def test_a_fractional_weight_is_not_an_integer_witness(k2_marginals):
+    values, Xk = k2_marginals
+    with pytest.raises(InvalidWitness, match="non-integer"):
+        validate_marginal_witness(values, Xk, Xk, 2, integral=True)
+
+
+def test_a_weight_on_a_scope_violating_image_is_refused(k2_marginals):
+    values, Xk = k2_marginals
+    # the repeated pair (0, 0) cannot map onto the distinct pair (0, 1)
+    values[("R_2", ("0", "0"), ("0", "1"))] = rat(1, 2)
+    with pytest.raises(InvalidWitness, match="scope-violating"):
+        validate_marginal_witness(values, Xk, Xk, 2)
+
+
+def test_moved_mass_breaks_a_marginal(k2_marginals):
+    values, Xk = k2_marginals
+    # the edge 0 -> 1 keeps unit mass, all on (0, 1), but the pair (0, 1) of R_2
+    # still puts half its mass on (1, 0)
+    values[("R", ("0", "1"), ("0", "1"))] = rat(1)
+    values[("R", ("0", "1"), ("1", "0"))] = rat(0)
+    with pytest.raises(InvalidWitness, match="marginal violated"):
+        validate_marginal_witness(values, Xk, Xk, 2)
 
 
 # -- every driver on the three-vertex digraphs ------------------------------------------

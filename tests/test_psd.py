@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from minionlab import sdp
 from minionlab.budgets import DEFAULT_BUDGET
 from minionlab.hierarchies import _gram_problem, _marginal_rows, _sdp_problem
 from minionlab.psd import (
@@ -82,3 +83,23 @@ def contradictory() -> ReducedGramProblem:
 ], ids=["sdp-K2-K3", "sdp-K4-K3", "contradictory"])
 def test_psd_feasibility_accepts_or_gives_up(build, outcome):
     assert type(psd_feasibility(build())) is outcome
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: psd_feasibility(affine_reduce(_sdp_problem(clique(2), clique(3)))),
+    lambda: sdp(clique(2), clique(3)).witness,
+], ids=["cold", "driver"])
+def test_an_accept_carries_the_vectors_of_its_gram_matrix(solve):
+    witness = solve()
+    assert isinstance(witness, SoSWitness)
+    V = np.array([witness.vectors[rep] for rep in witness.labels])
+    assert np.max(np.abs(V @ V.T - witness.gram)) <= 1e-9
+    assert set(witness.vectors) == set(_sdp_problem(clique(2), clique(3)).labels)
+
+
+def test_an_affine_reject_traces_derived_steps_only():
+    verdict = sdp(clique(3), clique(2))
+    assert isinstance(verdict.certificate, Inconsistent)
+    steps = verdict.certificate.steps
+    assert {step[0] for step in steps[:-1]} == {"zero-norm"}
+    assert steps[-1][0] == "unit-group-empty"

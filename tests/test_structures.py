@@ -244,6 +244,12 @@ def test_tensor_power_cells_of_paper_edge(k3):
     )
 
 
+def test_tensor_power_keeps_its_atom_budget(k3):
+    assert len(tensor_power(k3, 2, Budget(max_atoms=9)).domain) == 9
+    with pytest.raises(BudgetExceeded):
+        tensor_power(k3, 2, Budget(max_atoms=8))
+
+
 def test_tensor_power_level_one_is_identity():
     for A in [clique(2), clique(3), cycle(5), single_vertex()]:
         assert tensor_power(A, 1) == A
