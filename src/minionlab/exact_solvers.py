@@ -183,13 +183,12 @@ class ExactSimplex:
     def solve_phase1(self) -> bool:
         width = self.n + self.m + 1
         obj = [R0] * width
-        # minimize the sum of artificials: reduced costs under the artificial basis
+        # minimize the sum of artificials: reduced costs under the artificial basis,
+        # which are zero on the artificial columns themselves
         for i in self.live_rows:
             for j in range(width):
                 if j < self.n or j == width - 1:
                     obj[j] -= self.table[i][j]
-        for j in range(self.n, self.n + self.m):
-            obj[j] = R0
         self.obj = obj
         bounded = self._run()
         assert bounded, "phase 1 objective is bounded below by zero"

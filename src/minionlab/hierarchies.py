@@ -32,7 +32,6 @@ from .psd import (
     GramProblem,
     Inconsistent,
     NumericReject,
-    ReducedGramProblem,
     affine_reduce,
     psd_feasibility,
 )
@@ -418,29 +417,6 @@ def _sdp_problem(X: Structure, A: Structure) -> GramProblem:
     return GramProblem(tuple(labels), unit_groups, tuple(zero_pairs), tuple(idents))
 
 
-def _integral_warm_start(reduced: ReducedGramProblem, hom: Optional[Assignment]):
-    """The rank-one Gram matrix of a classical solution, over the reduced labels.
-
-    The integral point satisfies every original constraint exactly, hence
-    every reduced one; the accept path still measures its residual honestly.
-    """
-    if hom is None:
-        return None
-    import numpy as np
-
-    hmap = hom.as_dict()
-
-    def match(label) -> bool:
-        if label[0] == "v":
-            _, x, a = label
-            return hmap[x] == a
-        _, _sym, xt, at = label
-        return tuple(hmap[x] for x in xt) == at
-
-    v = np.array([1.0 if match(lab) else 0.0 for lab in reduced.reps])
-    return np.outer(v, v)
-
-
 @driver
 def sdp(X: Structure, A: Structure, budget: Budget = DEFAULT_BUDGET) -> Verdict:
     """The basic vector relaxation: exact affine phase, then projections."""
@@ -448,7 +424,7 @@ def sdp(X: Structure, A: Structure, budget: Budget = DEFAULT_BUDGET) -> Verdict:
         len(X.tuples(s)) * len(A.tuples(s)) for s in X.signature.names()
     )
     budget.check_tuples(nlabels, "vector labels")
-    return _finish_gram("sdp", None, _sdp_problem(X, A), X, A)
+    return _finish_gram("sdp", None, _sdp_problem(X, A))
 
 
 @driver
@@ -473,19 +449,14 @@ def sos(X: Structure, A: Structure, k: int, budget: Budget = DEFAULT_BUDGET) -> 
         )
         stats = _stats(presolved.system, pivots=outcome.pivots)
         return Verdict("sos", k, Status.REJECT, certificate=evidence, stats=stats)
-    return _finish_gram("sos", k, _gram_problem(scopes, identities), Xk, Ak)
+    return _finish_gram("sos", k, _gram_problem(scopes, identities))
 
 
-def _finish_gram(
-    algorithm: str,
-    level: Optional[int],
-    problem: GramProblem,
-    X: Structure,
-    A: Structure,
-) -> Verdict:
+def _finish_gram(algorithm: str, level: Optional[int], problem: GramProblem) -> Verdict:
     """Reduce the Gram problem exactly, then solve it by projections.
 
-    A homomorphism X -> A, when there is one, warm-starts the solve.
+    The solve reads the Gram problem alone and starts at I/n: no search for
+    a homomorphism runs inside the relaxation.
     """
     stats = {
         "vars": len(problem.labels),
@@ -500,8 +471,7 @@ def _finish_gram(
     if isinstance(reduced, Inconsistent):
         return verdict(Status.REJECT, certificate=reduced)
     stats["reduced_dim"] = len(reduced.reps)
-    warm = _integral_warm_start(reduced, find_homomorphism(X, A))
-    outcome = psd_feasibility(reduced, warm_start=warm)
+    outcome = psd_feasibility(reduced)
     stats["iterations"] = outcome.iterations
     if isinstance(outcome, NumericReject):
         return verdict(Status.REJECT_NUMERIC, certificate=outcome)

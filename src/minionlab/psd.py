@@ -12,8 +12,8 @@ contradiction (a unit group whose members all collapse to the zero vector, or
 a Gram constraint that reduces to 0 = nonzero) is returned as an exact
 rejection whose trace holds only derived steps: the vectors forced to zero,
 then the contradiction itself.  Phase two, :func:`psd_feasibility`, works in
-float only: Douglas-Rachford iterations between the affine subspace of
-admissible Gram matrices (an orthogonal projection through one
+float only: Douglas-Rachford iterations, started at I/n, between the affine
+subspace of admissible Gram matrices (an orthogonal projection through one
 pseudo-inverse) and the cone of positive semidefinite matrices (eigenvalue
 clamping).  An accepted Gram matrix is built from the clamped
 eigendecomposition of the last iterate, so that same decomposition gives its
@@ -307,16 +307,15 @@ class _AffineProjector:
         return G - (self.c_pinv @ self._misfit(G)).reshape(G.shape)
 
 
-def psd_feasibility(reduced: ReducedGramProblem, warm_start: Optional[np.ndarray] = None):
+def psd_feasibility(reduced: ReducedGramProblem):
     """Projection iterations on the reduced Gram problem, in float.
 
     Alternates between the affine subspace of the constraints and the
     semidefinite cone (eigenvalue clamping) in the Douglas-Rachford
     arrangement, which handles the tangential geometry of boundary-only
-    feasible sets far better than plain alternation.  The residual reported
-    with an accept is measured on the returned matrix, so a warm start (for
-    instance the integral Gram matrix of a classical solution) is certified
-    rather than trusted.
+    feasible sets far better than plain alternation.  The iterations start
+    at I/n, and the residual reported with an accept is measured on the
+    returned matrix itself.
 
     Returns an (accept) :class:`SoSWitness` or a (non-rigorous)
     :class:`NumericReject`; every rigorous rejection comes from
@@ -330,7 +329,7 @@ def psd_feasibility(reduced: ReducedGramProblem, warm_start: Optional[np.ndarray
         empty = np.zeros((0, 0))
         return SoSWitness(reduced.reps, empty, 0.0, 0.0, 0, expand_vectors(reduced, empty))
     projector = _AffineProjector(n, reduced.constraints)
-    z = np.array(warm_start, dtype=float) if warm_start is not None else np.eye(n) / n
+    z = np.eye(n) / n
     trace: list = []
     best = np.inf
     best_at = 0

@@ -30,24 +30,19 @@ class PresolvedSystem:
     system: LinearSystem
     key_order: tuple[Hashable, ...]
     root_of: dict
-    pinned: set
     column_of: dict
 
     def expand(self, point: dict) -> dict:
         """Lift a solution over representative columns back to every key.
 
-        Pinned keys take zero; merged keys take their representative's value;
-        keys whose every row was discharged by the presolve are free and take
-        zero as well.
+        Merged keys take their representative's value.  A representative
+        without a column is zero: either the presolve pinned it, or every row
+        it was in was discharged, leaving it free.
         """
         out = {}
         for key in self.key_order:
-            root = self.root_of[key]
-            if root in self.pinned:
-                out[key] = R0
-            else:
-                col = self.column_of.get(root)
-                out[key] = point.get(col, R0) if col is not None else R0
+            col = self.column_of.get(self.root_of[key])
+            out[key] = R0 if col is None else point.get(col, R0)
         return out
 
 
@@ -56,16 +51,11 @@ class EqualitySystemBuilder:
 
     def __init__(self, domain: DomainTag):
         self.domain = domain
-        self._keys: list = []
-        self._key_set: set = set()
-        self._parent: dict = {}
+        self._parent: dict = {}  # union-find links, keyed in registration order
         self._rows: list[tuple[dict, object]] = []
 
     def ensure_var(self, key: Hashable) -> None:
-        if key not in self._key_set:
-            self._key_set.add(key)
-            self._keys.append(key)
-            self._parent[key] = key
+        self._parent.setdefault(key, key)
 
     def add_row(self, coeffs: dict, rhs) -> None:
         row = {}
@@ -77,7 +67,8 @@ class EqualitySystemBuilder:
         self._rows.append(({k: c for k, c in row.items() if c != 0}, rat(rhs)))
 
     def build(self) -> PresolvedSystem:
-        order = {k: i for i, k in enumerate(self._keys)}
+        keys = tuple(self._parent)
+        order = {k: i for i, k in enumerate(keys)}
 
         def find(key):
             root = key
@@ -162,5 +153,5 @@ class EqualitySystemBuilder:
         )
         rhs = tuple(b for _, b in final_rows)
         system = LinearSystem(tuple(roots_in_rows), rows, rhs, self.domain)
-        root_of = {k: find(k) for k in self._keys}
-        return PresolvedSystem(system, tuple(self._keys), root_of, pinned, column_of)
+        root_of = {k: find(k) for k in keys}
+        return PresolvedSystem(system, keys, root_of, column_of)

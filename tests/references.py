@@ -3,12 +3,14 @@
 Each one re-derives or re-checks something a driver or solver produces:
 the local-consistency family inside an LP witness, the consequences every
 basic-SDP solution obeys, integer points, homomorphism counts, tensor-power
-cell positions, certificates read back from JSON, the Hermite form, and the
-Horn free structure enumerated in full.
+cell positions, certificates read back from JSON, the Hermite form, the
+Horn free structure enumerated in full, and the vanishing conditions on a
+level-k Horn witness.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -200,3 +202,36 @@ def materialize(free: HornFreeStructure, symbol: str) -> set[tuple[int, ...]]:
                     masks[pos] |= 1 << tuples[ti][pos]
         out.add(tuple(masks))
     return out
+
+
+# -- the vanishing conditions on a level-k Horn witness ----------------------------
+#
+# For k >= 2 the atoms of the tensorised pair are k-tuples, and bit i of a
+# mask marks the i-th k-tuple of target atom ids in product order.
+
+
+def repeats_vanish(masks: dict, n_targets: int, k: int) -> bool:
+    """Equal positions of an atom hold equal values in every tuple of its mask."""
+    targets = list(itertools.product(range(n_targets), repeat=k))
+    for x, mask in masks.items():
+        for ti, t in enumerate(targets):
+            if mask >> ti & 1:
+                for a, b in itertools.combinations(range(k), 2):
+                    if x[a] == x[b] and t[a] != t[b]:
+                        return False
+    return True
+
+
+def projections_commute(masks: dict, n_targets: int, k: int) -> bool:
+    """The mask of each projection of an atom is the projection of the atom's mask."""
+    targets = list(itertools.product(range(n_targets), repeat=k))
+    index_of = {t: i for i, t in enumerate(targets)}
+    for x, mask in masks.items():
+        for idx in itertools.product(range(k), repeat=k):
+            projected = 0
+            for ti, t in enumerate(targets):
+                if mask >> ti & 1:
+                    projected |= 1 << index_of[tuple(t[i] for i in idx)]
+            if masks[tuple(x[i] for i in idx)] != projected:
+                return False
+    return True

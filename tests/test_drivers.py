@@ -57,9 +57,8 @@ SEAMS = {
     "aip": {"hierarchies.k_enhance", "hierarchies.diophantine_solve"},
     "ba": {"hierarchies.k_enhance", "hierarchies.maximal_support", "hierarchies.diophantine_solve"},
     "sos": {"hierarchies.k_enhance", "hierarchies.lp_feasible", "hierarchies.affine_reduce",
-            "hierarchies.psd_feasibility", "hierarchies.find_homomorphism"},
-    "sdp": {"hierarchies.affine_reduce", "hierarchies.psd_feasibility",
-            "hierarchies.find_homomorphism"},
+            "hierarchies.psd_feasibility"},
+    "sdp": {"hierarchies.affine_reduce", "hierarchies.psd_feasibility"},
     "oracle": {"hierarchies.find_homomorphism"},
     "minion-h": {"free_structures.k_enhance", "free_structures.tensor_power"},
 }

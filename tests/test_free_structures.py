@@ -20,11 +20,12 @@ from conftest import (
     all_digraphs,
     clique,
     cycle,
+    digraph_from_mask,
     digraphs_up_to_renaming,
     not_all_equal,
     one_in_three,
 )
-from references import domain_masks, materialize
+from references import domain_masks, materialize, projections_commute, repeats_vanish
 
 
 # -- materialization ------------------------------------------------------------------
@@ -221,6 +222,22 @@ def test_check_vanishing_refuses_a_corrupted_mask(atom, targets, k2):
     masks = {**witness.masks, atom: bits(witness, *targets)}
     with pytest.raises(NotAHomomorphism):
         check_vanishing(HornWitness(witness.atoms, witness.target_atoms, masks), k2, k2, 2)
+
+
+@pytest.mark.parametrize("X", [clique(2), digraph_from_mask(2, 0b0010)], ids=["K2", "one-edge"])
+def test_the_free_structure_check_forces_the_vanishing_conditions(X, k2):
+    # every level-2 mask assignment into K2, 15^4 of them: each one the
+    # free-structure check accepts already meets both vanishing conditions
+    Xk = tensor_power(k_enhance(X, 2), 2)
+    free = HornFreeStructure(tensor_power(k_enhance(k2, 2), 2))
+    accepted = 0
+    for choice in itertools.product(domain_masks(free), repeat=len(Xk.domain)):
+        masks = dict(zip(Xk.domain, choice))
+        if verify_free_hom(Xk, free, masks):
+            accepted += 1
+            assert repeats_vanish(masks, len(k2.domain), 2), masks
+            assert projections_commute(masks, len(k2.domain), 2), masks
+    assert accepted > 0
 
 
 def test_rejected_witness_raises(k2):

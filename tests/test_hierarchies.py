@@ -137,6 +137,20 @@ def test_ba_is_stronger_than_sa_and_aip_together():
                                          verdict.certificate.system)
 
 
+def test_ba_runs_its_integer_phase_inside_the_lp_support():
+    # the integers alone reach a solution with weight outside the LP's
+    # maximal support; only the restriction to the support keeps it out
+    X = Structure(Signature.of({"R": 3}), ["0", "1", "2", "3"],
+                  {"R": [("0", "1", "2"), ("2", "3", "0")]})
+    A = Structure(Signature.of({"R": 3}), ["0", "1"],
+                  {"R": [("0", "0", "0"), ("0", "1", "1"), ("1", "0", "1")]})
+    verdict = ba(X, A, 1)
+    assert verdict.accepted
+    assert verdict.stats["vars"] < sa(X, A, 1).stats["vars"]  # the support is a strict subset
+    witness = verdict.witness
+    assert all(v == 0 or key in witness.maximal_support for key, v in witness.ip.values.items())
+
+
 def test_sdp_keeps_its_budget(k3, k2):
     with pytest.raises(BudgetExceeded):
         sdp(k3, k2, Budget(max_tuples=5))

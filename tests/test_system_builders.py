@@ -24,7 +24,6 @@ def test_parallel_rows_with_different_rhs_both_stay():
 def test_zero_sum_pins_only_nonnegative_variables():
     nonneg = build(DomainTag.NONNEG_RAT, ({"x": 1, "y": 1}, 0))
     assert nonneg.system.num_vars == 0 and nonneg.system.num_rows == 0
-    assert nonneg.pinned == {"x", "y"}
     assert nonneg.expand({}) == {"x": 0, "y": 0}
     integer = build(DomainTag.INT, ({"x": 1, "y": 1}, 0))
     assert integer.system.num_vars == 2 and integer.system.num_rows == 1
