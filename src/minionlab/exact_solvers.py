@@ -2,8 +2,12 @@
 
 Everything here is exact: the simplex runs on arbitrary-precision rationals
 with Bland's anti-cycling rule, and integer systems go through a column
-Hermite normal form.  Every rejection carries one rational vector y, with
-one multiplier per row, that a single sparse product checks:
+Hermite normal form.  The systems the hierarchies pose are tall, sparse and
+mostly +-1, so both solvers touch nonzero entries only: a simplex pivot
+updates the pivot row's nonzero columns, and a Hermite-form column
+operation walks the source column's nonzeros.  Every rejection carries one
+rational vector y, with one multiplier per row, that a single sparse
+product checks:
 
 - ``FARKAS``: y^T A <= 0 and y^T b > 0, so A x = b has no solution x >= 0
   (Farkas' lemma); a solution would give 0 < y^T b = (y^T A) x <= 0.
@@ -105,7 +109,10 @@ class ExactSimplex:
     """Phase-1/phase-2 tableau simplex over exact rationals, Bland's rule.
 
     The tableau keeps the artificial columns; after a successful phase 1 they
-    also provide the basis-inverse data needed for Farkas extraction.
+    also provide the basis-inverse data needed for Farkas extraction.  Rows
+    are dense lists, but a pivot scales the pivot row once, collects its
+    nonzero columns, and updates only those entries, in place, in each row
+    (and the objective) with a nonzero entry in the pivot column.
     """
 
     def __init__(self, sys: LinearSystem, budget: Budget = DEFAULT_BUDGET):
@@ -137,19 +144,27 @@ class ExactSimplex:
         if self.pivots > self.budget.max_pivots:
             raise IterationBudget(f"simplex exceeded {self.budget.max_pivots} pivots")
         tab = self.table
-        piv = tab[row][col]
-        inv = R1 / piv
-        tab[row] = [v * inv for v in tab[row]]
         prow = tab[row]
+        inv = R1 / prow[col]
+        nonzeros = []
+        for j, v in enumerate(prow):
+            if v:
+                v *= inv
+                prow[j] = v
+                nonzeros.append((j, v))
         for i in self.live_rows:
             if i == row:
                 continue
-            f = tab[i][col]
-            if f != R0:
-                tab[i] = [v - f * p for v, p in zip(tab[i], prow)]
-        f = self.obj[col]
-        if f != R0:
-            self.obj = [v - f * p for v, p in zip(self.obj, prow)]
+            r = tab[i]
+            f = r[col]
+            if f:
+                for j, p in nonzeros:
+                    r[j] -= f * p
+        obj = self.obj
+        f = obj[col]
+        if f:
+            for j, p in nonzeros:
+                obj[j] -= f * p
         self.basis[row] = col
 
     def _run(self) -> bool:
@@ -186,9 +201,10 @@ class ExactSimplex:
         # minimize the sum of artificials: reduced costs under the artificial basis,
         # which are zero on the artificial columns themselves
         for i in self.live_rows:
-            for j in range(width):
-                if j < self.n or j == width - 1:
-                    obj[j] -= self.table[i][j]
+            row = self.table[i]
+            for j, v in enumerate(row):
+                if v and (j < self.n or j == width - 1):
+                    obj[j] -= v
         self.obj = obj
         bounded = self._run()
         assert bounded, "phase 1 objective is bounded below by zero"
@@ -248,7 +264,9 @@ class ExactSimplex:
         for i in self.live_rows:
             if self.basis[i] == col:
                 # restore zero reduced cost on the basic column
-                obj = [v + p for v, p in zip(obj, self.table[i])]
+                for j, p in enumerate(self.table[i]):
+                    if p:
+                        obj[j] += p
                 break
         self.obj = obj
         bounded = self._run()
@@ -342,8 +360,9 @@ def maximal_support(
 
     def absorb(point: dict) -> None:
         nonlocal count
-        for j in range(n):
-            acc[j] += point.get(j, R0)
+        for j, v in point.items():
+            if v:
+                acc[j] += v
         count += 1
 
     absorb(simplex.solution())
@@ -362,19 +381,23 @@ def maximal_support(
 # -- integer systems via column Hermite normal form ---------------------------------
 
 
-def _hnf(matrix: Sequence[Sequence[int]], budget: Budget):
-    """Column Hermite normal form H = A U with U unimodular, and the pivots (row, column) of H.
+def _hnf(cols: list[dict], m: int, budget: Budget) -> list[tuple[int, int]]:
+    """Column Hermite normal form H = A U, U unimodular, in place; returns the pivots (row, col).
+
+    ``cols[j]`` holds the nonzero entries of column j of A, keyed by row
+    0..m-1.  Each column gains the entries of U at keys m..m+n-1, so one
+    sparse map holds a column of [H; U] and a column operation acts on
+    both: a swap exchanges two maps and an added multiple walks only the
+    source column's nonzeros.
 
     Pivot entries are positive, entries above a pivot vanish, and entries to
     the left of a pivot in its row are reduced modulo the pivot, which keeps
     coefficient growth under control.  Column operations count against the
     budget.
     """
-    H = [[int(v) for v in row] for row in matrix]
-    m = len(H)
-    n = len(H[0]) if m else 0
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    rows = H + U  # a column operation acts on the rows of both
+    n = len(cols)
+    for j, col in enumerate(cols):
+        col[m + j] = 1
     ops = 0
 
     def count() -> None:
@@ -385,20 +408,23 @@ def _hnf(matrix: Sequence[Sequence[int]], budget: Budget):
 
     def col_swap(a: int, b: int) -> None:
         count()
-        for row in rows:
-            row[a], row[b] = row[b], row[a]
+        cols[a], cols[b] = cols[b], cols[a]
 
     def col_negate(a: int) -> None:
         count()
-        for row in rows:
-            row[a] = -row[a]
+        cols[a] = {t: -v for t, v in cols[a].items()}
 
     def col_addmul(dst: int, src: int, q: int) -> None:
         if q == 0:
             return
         count()
-        for row in rows:
-            row[dst] += q * row[src]
+        d = cols[dst]
+        for t, v in cols[src].items():
+            w = d.get(t, 0) + q * v
+            if w:
+                d[t] = w
+            else:
+                del d[t]
 
     pivots: list[tuple[int, int]] = []
     c = 0
@@ -406,63 +432,74 @@ def _hnf(matrix: Sequence[Sequence[int]], budget: Budget):
         if c >= n:
             break
         while True:
-            nz = [j for j in range(c, n) if H[i][j] != 0]
+            nz = [j for j in range(c, n) if i in cols[j]]
             if not nz:
                 break
             if len(nz) == 1:
                 if nz[0] != c:
                     col_swap(c, nz[0])
                 break
-            j0 = min(nz, key=lambda j: abs(H[i][j]))
-            if H[i][j0] < 0:
+            j0 = min(nz, key=lambda j: abs(cols[j][i]))
+            if cols[j0][i] < 0:
                 col_negate(j0)
+            h0 = cols[j0][i]
             for j in nz:
                 if j != j0:
-                    col_addmul(j, j0, -(H[i][j] // H[i][j0]))
-        if c < n and H[i][c] != 0:
-            if H[i][c] < 0:
+                    col_addmul(j, j0, -(cols[j][i] // h0))
+        if c < n and i in cols[c]:
+            if cols[c][i] < 0:
                 col_negate(c)
+            h = cols[c][i]
             for j in range(c):
-                col_addmul(j, c, -(H[i][j] // H[i][c]))
+                col_addmul(j, c, -(cols[j].get(i, 0) // h))
             pivots.append((i, c))
             c += 1
-    return H, U, pivots
+    return pivots
 
 
-def _substitute(H: Sequence[Sequence[int]], b: Sequence[int], pivots) -> tuple[list[int], int, int]:
+def _substitute(cols: list[dict], m: int, b: Sequence[int], pivots) -> tuple[dict, int, int]:
     """Forward substitution for H z = b over the integers; the echelon form forces each z_j.
 
-    Returns z, the first row whose residual no integer clears (-1 if none), and that residual.
+    The residual b - H z is updated as each z_j is fixed.  Column j has no
+    entries above its pivot row, so each row's residual is final when that
+    row is reached.  Returns the nonzero z_j, the first row whose residual
+    no integer clears (-1 if none), and that residual.
     """
-    z = [0] * len(H[0])
+    z: dict[int, int] = {}
+    residual = list(b)
     pivot_of_row = dict(pivots)
-    for i, row in enumerate(H):
-        acc = b[i] - sum(h * zj for h, zj in zip(row, z) if zj != 0)
+    for i in range(m):
+        acc = residual[i]
         j = pivot_of_row.get(i)
         if j is None:
             if acc != 0:
                 return z, i, acc
-        else:
-            q, r = divmod(acc, row[j])
-            if r != 0:
-                return z, i, acc
+            continue
+        q, r = divmod(acc, cols[j][i])
+        if r != 0:
+            return z, i, acc
+        if q:
             z[j] = q
+            for t, h in cols[j].items():
+                if t < m:
+                    residual[t] -= h * q
     return z, -1, 0
 
 
-def _integer_farkas(H: Sequence[Sequence[int]], pivots, r: int, residual: int) -> tuple:
+def _integer_farkas(cols: list[dict], m: int, pivots, r: int, residual: int) -> tuple:
     """A y with y^T H = e_j or 0 and y^T b = residual / H[r][j] or 1/2.
 
     Substitution failed at row r.  If it pivots on column j, y_r = 1/H[r][j];
     otherwise y_r = 1/(2 residual).  Each earlier pivot (i, c), last first,
-    then cancels column c of y^T H.
+    then cancels column c of y^T H, reading only that column's nonzeros.
     """
-    y = [R0] * len(H)
+    y = [R0] * m
     j = dict(pivots).get(r)
-    y[r] = rat(1, H[r][j]) if j is not None else rat(1, 2 * residual)
+    y[r] = rat(1, cols[j][r]) if j is not None else rat(1, 2 * residual)
     for i, c in reversed([p for p in pivots if p[0] < r]):
-        acc = sum((y[t] * H[t][c] for t in range(i + 1, r + 1) if y[t] != 0), R0)
-        y[i] = -acc / H[i][c]
+        col = cols[c]
+        acc = sum((y[t] * h for t, h in col.items() if i < t <= r and y[t] != 0), R0)
+        y[i] = -acc / col[i]
     return tuple(y)
 
 
@@ -476,22 +513,28 @@ def diophantine_solve(sys: LinearSystem, budget: Budget = DEFAULT_BUDGET) -> Sol
     """
     if sys.domain_tag is not DomainTag.INT:
         raise WrongKind("diophantine_solve needs an integer system")
-    n = sys.num_vars
-    A = []
+    n, m = sys.num_vars, sys.num_rows
+    if not m:
+        return SolveOutcome(True, point={j: R0 for j in range(n)})
+    cols: list[dict] = [{} for _ in range(n)]
     b = []
-    for row, rhs in zip(sys.rows, sys.rhs):
+    for i, (row, rhs) in enumerate(zip(sys.rows, sys.rhs)):
         if not is_integral(rhs) or any(not is_integral(c) for c in row.values()):
             raise MalformedInput("integer systems need integer entries")
-        A.append([as_int(row.get(j, R0)) for j in range(n)])
+        for j, c in row.items():
+            if c:
+                cols[j][i] = as_int(c)
         b.append(as_int(rhs))
-    if not A:
-        return SolveOutcome(True, point={j: R0 for j in range(n)})
-    H, U, pivots = _hnf(A, budget)
-    z, r, residual = _substitute(H, b, pivots)
+    pivots = _hnf(cols, m, budget)
+    z, r, residual = _substitute(cols, m, b, pivots)
     if r < 0:
-        x = {j: rat(sum(U[j][t] * z[t] for t in range(n))) for j in range(n)}
-        return SolveOutcome(True, point=x)
-    y = _integer_farkas(H, pivots, r, residual)
+        x = [0] * n
+        for t, zt in z.items():
+            for row, u in cols[t].items():
+                if row >= m:
+                    x[row - m] += u * zt
+        return SolveOutcome(True, point={j: rat(v) for j, v in enumerate(x)})
+    y = _integer_farkas(cols, m, pivots, r, residual)
     return SolveOutcome(False, certificate=Certificate(CertificateKind.PARITY, farkas=y))
 
 

@@ -1,9 +1,12 @@
 """Exact rational arithmetic used throughout the solvers.
 
-gmpy2's mpq is the workhorse (roughly 7x faster than fractions.Fraction on
-the pivot-heavy simplex paths); Fraction is the fallback so the package still
-imports without the C extension.  All rational values must be created through
-:func:`rat` so the two types never mix inside one computation.
+gmpy2's mpq is used when it is installed; fractions.Fraction is the fallback
+so the package still imports without the C extension (the project has no
+measurement of how much faster mpq is on the simplex paths).  Every
+rational value is created through :func:`rat`, so the two rational types
+never mix inside one computation.  Python ints mix safely with either type: the system builder
+holds the ints its callers pass, and converts them with :func:`rat` when a
+row leaves it.
 """
 
 from __future__ import annotations

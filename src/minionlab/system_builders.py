@@ -14,6 +14,10 @@ solvers run:
 
 Inconsistent rows such as ``0 = 1`` are kept so that the downstream solver
 rejects and its certificate verifies against the emitted system.
+
+Coefficients stay as the caller passed them (the marginal rows pass Python
+ints) while the presolve runs; ``rat`` converts them only where a row
+leaves the builder as a ``LinearSystem`` row and right-hand side.
 """
 
 from __future__ import annotations
@@ -58,13 +62,13 @@ class EqualitySystemBuilder:
         self._parent.setdefault(key, key)
 
     def add_row(self, coeffs: dict, rhs) -> None:
+        """Record a row as given; ints and exact rationals both work as coefficients."""
         row = {}
         for key, c in coeffs.items():
             self.ensure_var(key)
-            c = rat(c)
             if c != 0:
-                row[key] = row.get(key, R0) + c
-        self._rows.append(({k: c for k, c in row.items() if c != 0}, rat(rhs)))
+                row[key] = row.get(key, 0) + c
+        self._rows.append(({k: c for k, c in row.items() if c != 0}, rhs))
 
     def build(self) -> PresolvedSystem:
         keys = tuple(self._parent)
@@ -89,7 +93,7 @@ class EqualitySystemBuilder:
                     root = find(key)
                     if root in pinned:
                         continue
-                    canon[root] = canon.get(root, R0) + c
+                    canon[root] = canon.get(root, 0) + c
                 canon = {k: c for k, c in canon.items() if c != 0}
                 if not canon:
                     if rhs == 0:
@@ -128,8 +132,8 @@ class EqualitySystemBuilder:
                 items = sorted(canon.items(), key=lambda t: order[t[0]])
                 scale = items[0][1]
                 key = (
-                    tuple((order[k], c / scale) for k, c in items),
-                    rhs / scale,
+                    tuple((order[k], rat(c) / scale) for k, c in items),
+                    rat(rhs) / scale,
                 )
             else:
                 key = ((), rat(1))  # all inconsistent empty rows are equivalent
@@ -149,9 +153,9 @@ class EqualitySystemBuilder:
         column_of = {root: i for i, root in enumerate(roots_in_rows)}
 
         rows = tuple(
-            {column_of[root]: c for root, c in canon.items()} for canon, _ in final_rows
+            {column_of[root]: rat(c) for root, c in canon.items()} for canon, _ in final_rows
         )
-        rhs = tuple(b for _, b in final_rows)
+        rhs = tuple(rat(b) for _, b in final_rows)
         system = LinearSystem(tuple(roots_in_rows), rows, rhs, self.domain)
         root_of = {k: find(k) for k in keys}
         return PresolvedSystem(system, keys, root_of, column_of)

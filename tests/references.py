@@ -159,8 +159,41 @@ def certificate_from_json(text: str) -> Certificate:
 
 
 def hnf(matrix) -> tuple[list[list[int]], list[list[int]]]:
-    """Column Hermite normal form H = A U with U unimodular, under the default budget."""
-    return _hnf(matrix, DEFAULT_BUDGET)[:2]
+    """Column Hermite normal form H = A U with U unimodular, as dense rows (default budget)."""
+    m, n = len(matrix), len(matrix[0]) if matrix else 0
+    cols = [{i: int(matrix[i][j]) for i in range(m) if matrix[i][j]} for j in range(n)]
+    _hnf(cols, m, DEFAULT_BUDGET)
+    H = [[cols[j].get(i, 0) for j in range(n)] for i in range(m)]
+    U = [[cols[j].get(m + i, 0) for j in range(n)] for i in range(n)]
+    return H, U
+
+
+def matmul(A, B) -> list[list[int]]:
+    return [[sum(a * B[t][j] for t, a in enumerate(row)) for j in range(len(B[0]))] for row in A]
+
+
+def is_column_hermite(H) -> bool:
+    """H is in column Hermite normal form.
+
+    The top nonzero rows of the nonzero columns strictly increase, the zero
+    columns come last, each top entry (the pivot) is positive, and every
+    entry left of a pivot in its row lies in [0, pivot).
+    """
+    n = len(H[0]) if H else 0
+    tops = []
+    for c in range(n):
+        top = next((i for i, row in enumerate(H) if row[c] != 0), None)
+        if top is None:
+            if any(row[j] != 0 for row in H for j in range(c, n)):
+                return False
+            break
+        tops.append(top)
+    if any(a >= b for a, b in zip(tops, tops[1:])):
+        return False
+    for c, i in enumerate(tops):
+        if H[i][c] <= 0 or not all(0 <= H[i][j] < H[i][c] for j in range(c)):
+            return False
+    return True
 
 
 # -- structures ------------------------------------------------------------------

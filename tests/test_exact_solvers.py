@@ -21,7 +21,13 @@ from minionlab.exact_solvers import maximal_support, validate_nonneg_point
 from minionlab.hierarchies import _support_system
 from minionlab.rationals import rat
 
-from references import certificate_from_json, hnf, validate_integer_point
+from references import (
+    certificate_from_json,
+    hnf,
+    is_column_hermite,
+    matmul,
+    validate_integer_point,
+)
 
 
 def system(rows, rhs, nvars, domain=DomainTag.NONNEG_RAT):
@@ -181,6 +187,53 @@ def test_maximal_support_matches_enumeration_on_small_systems():
                     raise AssertionError("support missed a supportable variable")
 
 
+def sparse_system(rng, domain, m=50, n=40):
+    """m rows of 2-4 entries +-1 over n columns, like the marginal systems.
+
+    The right-hand side is A x for a hidden 0/1 point x, with one entry
+    raised by 1 in half the systems, so both outcomes occur.
+    """
+    x = [rng.randint(0, 1) for _ in range(n)]
+    rows = [{j: rng.choice((-1, 1)) for j in rng.sample(range(n), rng.randint(2, 4))}
+            for _ in range(m)]
+    rhs = [sum(c * x[j] for j, c in row.items()) for row in rows]
+    if rng.random() < 0.5:
+        rhs[rng.randrange(m)] += 1
+    return system(rows, rhs, n, domain)
+
+
+def test_lp_on_sparse_unit_systems():
+    rng = random.Random(5)
+    outcomes = []
+    for _ in range(20):
+        sys = sparse_system(rng, DomainTag.NONNEG_RAT)
+        out = lp_feasible(sys)
+        if out.feasible:
+            validate_nonneg_point(sys, out.point)
+        else:
+            assert verify_farkas(out.certificate, sys)
+        outcomes.append(out.feasible)
+    assert 5 <= sum(outcomes) <= 15
+
+
+def test_integer_systems_on_sparse_unit_systems():
+    rng = random.Random(5)
+    outcomes = []
+    for _ in range(30):
+        sys = sparse_system(rng, DomainTag.INT)
+        out = diophantine_solve(sys)
+        if out.feasible:
+            validate_integer_point(sys, out.point)
+        else:
+            assert verify_parity_certificate(out.certificate, sys)
+        outcomes.append(out.feasible)
+        A = [[int(row.get(j, 0)) for j in range(sys.num_vars)] for row in sys.rows]
+        H, U = hnf(A)
+        assert H == matmul(A, U)
+        assert is_column_hermite(H)
+    assert 8 <= sum(outcomes) <= 22
+
+
 # -- Hermite normal form ------------------------------------------------------------------
 
 
@@ -201,9 +254,8 @@ def test_hnf_reconstruction_random():
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
         H, U = hnf(A)
-        for i in range(m):
-            for j in range(n):
-                assert H[i][j] == sum(A[i][t] * U[t][j] for t in range(n))
+        assert H == matmul(A, U)
+        assert is_column_hermite(H)
 
 
 def test_hnf_idempotence():

@@ -183,26 +183,6 @@ def test_check_vanishing_level_one_is_vacuous(k2):
     assert check_vanishing(verdict.witness, k2, k2, 1)
 
 
-def test_check_vanishing_flags_violations(k2):
-    verdict = minion_test_horn_level(k2, k2, 2)
-    masks = dict(verdict.witness.masks)
-    # corrupt one entry: give a repeated-variable pair a mixed-value member
-    target = ("0", "0")
-    bad_index = None
-    pairs = list(itertools.product(range(2), repeat=2))
-    for i, t in enumerate(pairs):
-        if t[0] != t[1]:
-            bad_index = i
-            break
-    masks[target] = masks[target] | (1 << bad_index)
-    witness = HornWitness(verdict.witness.atoms, verdict.witness.target_atoms, masks)
-    try:
-        result = check_vanishing(witness, k2, k2, 2)
-    except NotAHomomorphism:
-        result = False
-    assert result is False
-
-
 def bits(witness: HornWitness, *targets) -> int:
     return sum(1 << witness.target_atoms.index(t) for t in targets)
 

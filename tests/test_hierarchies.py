@@ -1,6 +1,8 @@
 """The relaxation drivers: pinned facts, completeness, containments, evidence."""
 
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -30,7 +32,7 @@ from minionlab.rationals import rat
 from minionlab.structures import k_enhance
 from minionlab.system_builders import EqualitySystemBuilder
 
-from conftest import clique, digraphs_up_to_renaming, not_all_equal, one_in_three
+from conftest import clique, cycle, digraphs_up_to_renaming, not_all_equal, one_in_three
 from references import check_sdp_facts, support_family
 
 LEVELS = (1, 2)
@@ -120,6 +122,35 @@ def test_pinned_facts(k3, k2):
     assert sos(k3, k2, 1).status is Status.REJECT
     assert bw(k3, k2, 3).status is Status.REJECT
     assert ba(one_in_three(), not_all_equal(), 1).status is Status.ACCEPT
+
+
+# (driver, k, X, A) -> status, pivots, lp_support, the length and nonzero
+# multipliers of y, and the SHA-256 of the witness document.  Every pivot,
+# point and certificate of the exact solvers is pinned, so a change to their
+# arithmetic must reproduce all of them.
+PINNED_OUTPUTS = [
+    (sa, 2, cycle(5), clique(3), Status.ACCEPT, 65, None, None,
+     "2286bc384fbc23c22c4fc2ec72bd69f10a49e769d1f2e9b33711210352a3468d"),
+    (aip, 2, cycle(5), clique(2), Status.REJECT, None, None, (26, {0: rat(1, 2)}), None),
+    (ba, 2, cycle(5), clique(2), Status.REJECT, 23, 90, (26, {0: rat(1, 2)}), None),
+    (aip, 1, cycle(7), clique(4), Status.ACCEPT, None, None, None,
+     "044d1a3621c51c2f743212c65d6fd72d03a4c9bf452421699690aa85078832dc"),
+]
+
+
+@pytest.mark.parametrize("driver, k, X, A, status, pivots, lp_support, y, digest",
+                         PINNED_OUTPUTS, ids=["sa2-C5-K3", "aip2-C5-K2", "ba2-C5-K2", "aip1-C7-K4"])
+def test_exact_outputs_are_pinned(driver, k, X, A, status, pivots, lp_support, y, digest):
+    verdict = driver(X, A, k)
+    assert verdict.status is status
+    assert verdict.stats.get("pivots") == pivots
+    assert verdict.stats.get("lp_support") == lp_support
+    if y is not None:
+        farkas = verdict.certificate.certificate.farkas
+        assert (len(farkas), {i: v for i, v in enumerate(farkas) if v != 0}) == y
+    if digest is not None:
+        doc = json.dumps(verdict.to_doc()["witness"], sort_keys=True)
+        assert hashlib.sha256(doc.encode()).hexdigest() == digest
 
 
 def test_ba_is_stronger_than_sa_and_aip_together():
@@ -269,24 +300,49 @@ def test_sweep_covers_the_slice(sweep):
             assert ((name, k), Status.REJECT) in statuses
 
 
+# (stronger, weaker): an accept of the first implies an accept of the second
+CONTAINMENTS = [pair for k in LEVELS
+                for pair in ((("ba", k), ("sa", k)), (("ba", k), ("aip", k)), (("sa", k), ("bw", k)))]
+# each hierarchy is monotone in k
+CONTAINMENTS += [((name, 2), (name, 1)) for name in ("bw", "sa", "aip", "ba")]
+
+
+def assert_complete(X, A, verdicts):
+    if verdicts[("oracle", None)].accepted:
+        for key, verdict in verdicts.items():
+            assert verdict.accepted, (key, X.relations, A.name)
+
+
+def assert_contained(X, A, verdicts, implied):
+    for stronger, weaker in implied:
+        if verdicts[stronger].accepted:
+            assert verdicts[weaker].accepted, (stronger, weaker, X.relations, A.name)
+
+
 def test_completeness(sweep):
     for X, A, verdicts in sweep:
-        if verdicts[("oracle", None)].accepted:
-            for key, verdict in verdicts.items():
-                assert verdict.accepted, (key, X.relations, A.name)
+        assert_complete(X, A, verdicts)
 
 
 def test_containments(sweep):
-    # (stronger, weaker): an accept of the first implies an accept of the second
-    implied = [(("sos", 1), ("sa", 1)), (("sos", 2), ("sa", 2))]
-    for k in LEVELS:
-        implied += [(("ba", k), ("sa", k)), (("ba", k), ("aip", k)), (("sa", k), ("bw", k))]
-    # each hierarchy is monotone in k
-    implied += [((name, 2), (name, 1)) for name in ("bw", "sa", "aip", "ba", "sos")]
+    implied = CONTAINMENTS + [(("sos", 1), ("sa", 1)), (("sos", 2), ("sa", 2)),
+                              (("sos", 2), ("sos", 1))]
     for X, A, verdicts in sweep:
-        for stronger, weaker in implied:
-            if verdicts[stronger].accepted:
-                assert verdicts[weaker].accepted, (stronger, weaker, X.relations, A.name)
+        assert_contained(X, A, verdicts, implied)
+
+
+@pytest.mark.slow
+def test_completeness_and_containments_into_k3_and_c4():
+    # the 104 three-vertex digraph classes into two larger targets, where the
+    # LP and integer systems are several times the size of the K2 and DT ones
+    for X in digraphs_up_to_renaming(3):
+        for A in (clique(3), cycle(4)):
+            verdicts = {("oracle", None): oracle(X, A)}
+            for k in LEVELS:
+                for name, driver in (("bw", bw), ("sa", sa), ("aip", aip), ("ba", ba)):
+                    verdicts[(name, k)] = driver(X, A, k)
+            assert_complete(X, A, verdicts)
+            assert_contained(X, A, verdicts, CONTAINMENTS)
 
 
 def test_rejection_evidence_verifies(sweep):
