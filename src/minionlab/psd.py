@@ -7,7 +7,10 @@ identified with each other, and some groups of squared norms must sum to one.
 The solve is two-phase.  Phase one, :func:`affine_reduce`, is the only exact
 phase: over the rationals, vector identifications are Gauss-eliminated,
 forced-zero vectors are propagated to a fixpoint, and the Gram constraints on
-the remaining representatives are filtered down to an independent set.  Every
+the remaining representatives are filtered down to an independent set.  Its
+values are Python ints while they are integral: a row whose pivot is ±1 is
+normalised by multiplying it by the pivot, and only a non-unit pivot brings
+in a Fraction, so the elimination of ±1 identifications runs on ints.  Every
 contradiction (a unit group whose members all collapse to the zero vector, or
 a Gram constraint that reduces to 0 = nonzero) is returned as an exact
 rejection whose trace holds only derived steps: the vectors forced to zero,
@@ -24,11 +27,12 @@ reported as an explicitly non-rigorous outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
-from .rationals import R0, R1, rat, rat_to_str
+from .rationals import R1, rat_to_str
 
 Label = Hashable
 
@@ -64,6 +68,7 @@ class Inconsistent:
 class ReducedGramProblem:
     labels: tuple[Label, ...]
     reps: tuple[Label, ...]
+    # exact coefficients are ints, or Fractions past a non-unit pivot
     combos: dict  # label -> {rep: exact coefficient}
     constraints: list  # independent (dict[(si, ti) with si <= ti] -> exact coeff, rhs)
 
@@ -135,21 +140,23 @@ def _reduce_row(row: dict, pivot_rows: dict) -> dict:
         c = row.pop(hit)
         for k, v in pivot_rows[hit].items():
             if k != hit:
-                row[k] = row.get(k, R0) - c * v
+                row[k] = row.get(k, 0) - c * v
         row = {k: v for k, v in row.items() if v != 0}
 
 
 def _insert_pivot(row: dict, pivot_rows: dict, rank) -> None:
     # the pivot is the row's greatest key, ordered by rank (natural order if None)
     pivot = max(row, key=rank)
-    inv = R1 / row[pivot]
-    norm = {k: v * inv for k, v in row.items()}
+    # a unit pivot is its own inverse, so an integral row stays integral
+    p = row[pivot]
+    scale = p if p in (1, -1) else R1 / p
+    norm = {k: v * scale for k, v in row.items()}
     for other, prow in list(pivot_rows.items()):
         if pivot in prow:
             c = prow.pop(pivot)
             for k, v in norm.items():
                 if k != pivot:
-                    prow[k] = prow.get(k, R0) - c * v
+                    prow[k] = prow.get(k, 0) - c * v
             pivot_rows[other] = {k: v for k, v in prow.items() if v != 0 or k == other}
     pivot_rows[pivot] = norm
 
@@ -178,12 +185,12 @@ def affine_reduce(problem: GramProblem):
     for ident in problem.identifications:
         row: dict = {}
         for lab, c in ident:
-            row[lab] = row.get(lab, R0) + rat(c)
+            row[lab] = row.get(lab, 0) + c
         add_relation(row)
 
     def combo(lab: Label) -> dict:
         if lab not in pivot_rows:
-            return {lab: R1}
+            return {lab: 1}
         return {k: -v for k, v in pivot_rows[lab].items() if k != lab}
 
     # propagate forced-zero vectors to a fixpoint
@@ -220,7 +227,7 @@ def affine_reduce(problem: GramProblem):
             for t, ct in w.items():
                 si, ti = rep_index[s], rep_index[t]
                 key = (si, ti) if si <= ti else (ti, si)
-                out[key] = out.get(key, R0) + cs * ct
+                out[key] = out.get(key, 0) + cs * ct
         return {k: v for k, v in out.items() if v != 0}
 
     # keep each Gram constraint that is independent of those kept before it.
@@ -231,24 +238,31 @@ def affine_reduce(problem: GramProblem):
     gram_pivots: dict = {}
 
     def push(coeffs: dict, rhs) -> Optional[Inconsistent]:
-        reduced = _reduce_row({**coeffs, (): rat(rhs)}, gram_pivots)
+        reduced = _reduce_row({**coeffs, (): rhs}, gram_pivots)
         if list(reduced) == [()]:
             steps.append(("affine-contradiction", f"0 = {rat_to_str(reduced[()])}"))
             return Inconsistent(steps, "the Gram constraints are affinely contradictory")
         if reduced:
             _insert_pivot(reduced, gram_pivots, None)
-            constraints.append((coeffs, rat(rhs)))
+            constraints.append((coeffs, rhs))
         return None
 
+    # an empty form, or one pushed before, would reduce to nothing
+    pushed: set = set()
     for l1, l2 in problem.zero_pairs:
-        bad = push(bilinear(combos[l1], combos[l2]), 0)
+        form = bilinear(combos[l1], combos[l2])
+        key = frozenset(form.items())
+        if not form or key in pushed:
+            continue
+        pushed.add(key)
+        bad = push(form, 0)
         if bad:
             return bad
     for group in problem.unit_groups:
         acc: dict = {}
         for lab in group:
             for k, v in bilinear(combos[lab], combos[lab]).items():
-                acc[k] = acc.get(k, R0) + v
+                acc[k] = acc.get(k, 0) + v
         bad = push(acc, 1)
         if bad:
             return bad
@@ -257,17 +271,17 @@ def affine_reduce(problem: GramProblem):
 
 
 def _proportionality(u: dict, w: dict):
-    """The scalar r with u = r*w, or None if the combos are not proportional."""
+    """The scalar r with u = r*w, or None if the combos are not proportional.
+
+    The ratios are compared by cross-multiplication, so int combos stay exact.
+    """
     if set(u) != set(w):
         return None
-    ratio = None
-    for k, uv in u.items():
-        r = uv / w[k]
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            return None
-    return ratio
+    k0 = next(iter(u))
+    u0, w0 = u[k0], w[k0]
+    if any(uv * w0 != u0 * w[k] for k, uv in u.items()):
+        return None
+    return Fraction(u0, w0)
 
 
 def _fmt_labels(group) -> str:

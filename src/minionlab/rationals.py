@@ -1,28 +1,20 @@
 """Exact rational arithmetic used throughout the solvers.
 
-gmpy2's mpq is used when it is installed; fractions.Fraction is the fallback
-so the package still imports without the C extension (the project has no
-measurement of how much faster mpq is on the simplex paths).  Every
-rational value is created through :func:`rat`, so the two rational types
-never mix inside one computation.  Python ints mix safely with either type: the system builder
-holds the ints its callers pass, and converts them with :func:`rat` when a
-row leaves it.
+Every rational value is a ``fractions.Fraction`` created through :func:`rat`.
+Python ints mix safely with it: the system builder holds the ints its
+callers pass, and converts them with :func:`rat` when a row leaves it, and
+the exact Gram reduction keeps its values as ints while they are integral.
 """
 
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpq as _mpq
+from fractions import Fraction
 
-    RATIONAL_BACKEND = "gmpy2"
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as _mpq
-
-    RATIONAL_BACKEND = "fractions"
+RATIONAL_BACKEND = "fractions"
 
 
 def rat(p=0, q=1):
-    return _mpq(p, q)
+    return Fraction(p, q)
 
 R0 = rat(0)
 R1 = rat(1)

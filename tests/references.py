@@ -2,7 +2,7 @@
 
 Each one re-derives or re-checks something a driver or solver produces:
 the local-consistency family inside an LP witness, the consequences every
-basic-SDP solution obeys, integer points, homomorphism counts, tensor-power
+basic-SDP solution obeys, the exact Gram reduction in Fractions alone, integer points, homomorphism counts, tensor-power
 cell positions, certificates read back from JSON, the Hermite form, the
 Horn free structure enumerated in full, and the vanishing conditions on a
 level-k Horn witness.
@@ -21,7 +21,8 @@ from minionlab.errors import ArityMismatch, InvalidWitness
 from minionlab.exact_solvers import Certificate, CertificateKind, LinearSystem, _hnf
 from minionlab.free_structures import HornFreeStructure
 from minionlab.hierarchies import BWFamily, MarginalWitness, is_valid_bw_family
-from minionlab.rationals import R0, is_integral, rat
+from minionlab.psd import GramProblem, Inconsistent, ReducedGramProblem
+from minionlab.rationals import R0, R1, is_integral, rat, rat_to_str
 from minionlab.structures import (
     Assignment,
     Structure,
@@ -127,6 +128,145 @@ def check_sdp_facts(vectors: dict, X, A, tol: float = 1e-6) -> FactReport:
             else:
                 note("sum-invariance", x, float(np.max(np.abs(sums[x] - ref))))
     return FactReport(checked, violations, max_err)
+
+
+# -- the exact Gram reduction, every value a Fraction ----------------------------------
+
+
+def _reference_reduce_row(row: dict, pivot_rows: dict) -> dict:
+    row = dict(row)
+    while True:
+        hit = None
+        for lab in row:
+            if lab in pivot_rows:
+                hit = lab
+                break
+        if hit is None:
+            return {k: v for k, v in row.items() if v != 0}
+        c = row.pop(hit)
+        for k, v in pivot_rows[hit].items():
+            if k != hit:
+                row[k] = row.get(k, R0) - c * v
+        row = {k: v for k, v in row.items() if v != 0}
+
+
+def _reference_insert_pivot(row: dict, pivot_rows: dict, rank) -> None:
+    pivot = max(row, key=rank)
+    inv = R1 / row[pivot]
+    norm = {k: v * inv for k, v in row.items()}
+    for other, prow in list(pivot_rows.items()):
+        if pivot in prow:
+            c = prow.pop(pivot)
+            for k, v in norm.items():
+                if k != pivot:
+                    prow[k] = prow.get(k, R0) - c * v
+            pivot_rows[other] = {k: v for k, v in prow.items() if v != 0 or k == other}
+    pivot_rows[pivot] = norm
+
+
+def _reference_proportionality(u: dict, w: dict):
+    if set(u) != set(w):
+        return None
+    ratio = None
+    for k, uv in u.items():
+        r = uv / w[k]
+        if ratio is None:
+            ratio = r
+        elif r != ratio:
+            return None
+    return ratio
+
+
+def reference_affine_reduce(problem: GramProblem):
+    """``psd.affine_reduce`` as it was with every value a Fraction.
+
+    The same elimination in the same order: identifications, forced-zero
+    fixpoint, unit-group check, then the independent Gram constraints, with
+    every zero-pair form pushed.  The fast reduction must give equal reps,
+    combos and constraints, or an equal ``Inconsistent``.
+    """
+    label_order = {lab: i for i, lab in enumerate(problem.labels)}
+    pivot_rows: dict = {}
+    steps: list = []
+
+    def add_relation(row: dict) -> bool:
+        reduced = _reference_reduce_row(row, pivot_rows)
+        if reduced:
+            _reference_insert_pivot(reduced, pivot_rows, label_order.__getitem__)
+        return bool(reduced)
+
+    for ident in problem.identifications:
+        row: dict = {}
+        for lab, c in ident:
+            row[lab] = row.get(lab, R0) + rat(c)
+        add_relation(row)
+
+    def combo(lab) -> dict:
+        if lab not in pivot_rows:
+            return {lab: R1}
+        return {k: -v for k, v in pivot_rows[lab].items() if k != lab}
+
+    while True:
+        new_rows = []
+        for l1, l2 in problem.zero_pairs:
+            u, w = combo(l1), combo(l2)
+            if not u or not w:
+                continue
+            if _reference_proportionality(u, w) is not None:
+                new_rows.append((dict(w), ("zero-norm", str(l1), str(l2))))
+        grew = [note for row, note in new_rows if add_relation(row)]
+        if not grew:
+            break
+        steps += grew
+
+    for group in problem.unit_groups:
+        if all(not combo(lab) for lab in group):
+            steps.append(("unit-group-empty", ", ".join(str(lab) for lab in group)))
+            return Inconsistent(steps, "a unit-norm group collapsed to the zero vector")
+
+    reps_set: set = set()
+    combos = {lab: combo(lab) for lab in problem.labels}
+    for c in combos.values():
+        reps_set.update(c)
+    reps = tuple(sorted(reps_set, key=lambda lab: label_order[lab]))
+    rep_index = {lab: i for i, lab in enumerate(reps)}
+
+    def bilinear(u: dict, w: dict) -> dict:
+        out: dict = {}
+        for s, cs in u.items():
+            for t, ct in w.items():
+                si, ti = rep_index[s], rep_index[t]
+                key = (si, ti) if si <= ti else (ti, si)
+                out[key] = out.get(key, R0) + cs * ct
+        return {k: v for k, v in out.items() if v != 0}
+
+    constraints: list = []
+    gram_pivots: dict = {}
+
+    def push(coeffs: dict, rhs):
+        reduced = _reference_reduce_row({**coeffs, (): rat(rhs)}, gram_pivots)
+        if list(reduced) == [()]:
+            steps.append(("affine-contradiction", f"0 = {rat_to_str(reduced[()])}"))
+            return Inconsistent(steps, "the Gram constraints are affinely contradictory")
+        if reduced:
+            _reference_insert_pivot(reduced, gram_pivots, None)
+            constraints.append((coeffs, rat(rhs)))
+        return None
+
+    for l1, l2 in problem.zero_pairs:
+        bad = push(bilinear(combos[l1], combos[l2]), 0)
+        if bad:
+            return bad
+    for group in problem.unit_groups:
+        acc: dict = {}
+        for lab in group:
+            for k, v in bilinear(combos[lab], combos[lab]).items():
+                acc[k] = acc.get(k, R0) + v
+        bad = push(acc, 1)
+        if bad:
+            return bad
+
+    return ReducedGramProblem(problem.labels, reps, combos, constraints)
 
 
 # -- exact solvers ------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """The two Gram phases: the exact affine reduction and the float projections."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,15 @@ from minionlab.psd import (
     ReducedGramProblem,
     SoSWitness,
     _AffineProjector,
+    _proportionality,
     affine_reduce,
     psd_feasibility,
 )
 from minionlab.structures import k_enhance
 
-from conftest import clique, cycle
+from conftest import clique, cycle, digraph_from_mask, digraphs_up_to_renaming, not_all_equal, \
+    one_in_three
+from references import reference_affine_reduce
 
 
 def sos_problem(X, A, k: int) -> GramProblem:
@@ -103,3 +108,94 @@ def test_an_affine_reject_traces_derived_steps_only():
     steps = verdict.certificate.steps
     assert {step[0] for step in steps[:-1]} == {"zero-norm"}
     assert steps[-1][0] == "unit-group-empty"
+
+
+# -- the exact reduction against its all-Fraction reference ------------------------------
+
+
+def exact(value) -> Fraction:
+    assert type(value) in (int, Fraction), f"{value!r} is not an exact rational"
+    return Fraction(value)
+
+
+def outcome_by_value(outcome):
+    """An affine-phase outcome with every coefficient read as an exact rational."""
+    if isinstance(outcome, Inconsistent):
+        return outcome.to_doc()
+    combos = {lab: {rep: exact(c) for rep, c in combo.items()}
+              for lab, combo in outcome.combos.items()}
+    constraints = [({key: exact(v) for key, v in row.items()}, exact(rhs))
+                   for row, rhs in outcome.constraints]
+    return outcome.reps, combos, constraints
+
+
+def assert_reduces_like_reference(problem: GramProblem) -> None:
+    assert outcome_by_value(affine_reduce(problem)) == \
+        outcome_by_value(reference_affine_reduce(problem))
+
+
+def named(name: str):
+    """A structure by the names the gram benchmark uses: Kn, Cn, D<mask>, DT, 1in3, NAE."""
+    if name == "1in3":
+        return one_in_three()
+    if name == "NAE":
+        return not_all_equal()
+    if name == "DT":
+        return digraph_from_mask(3, 0b001100010)
+    kind, n = name[0], int(name[1:])
+    return {"K": clique, "C": cycle, "D": lambda mask: digraph_from_mask(3, mask)}[kind](n)
+
+
+def gram_problem(driver: str, k, X, A) -> GramProblem:
+    return _sdp_problem(X, A) if driver == "sdp" else sos_problem(X, A, k)
+
+
+# the queries of the gram benchmark workload
+GRAM_QUERIES = [
+    *(("sdp", None, x, a) for x, a in (
+        ("K2", "K3"), ("K2", "C4"), ("D6", "K3"), ("D12", "K3"), ("D10", "C4"), ("1in3", "NAE"),
+        ("K3", "C4"), ("K4", "C4"), ("C5", "C4"), ("C7", "C4"), ("DT", "C4"), ("K3", "K2"),
+        ("C5", "K2"))),
+    *(("sos", 1, x, a) for x, a in (
+        ("K2", "C4"), ("DT", "K3"), ("C4", "K2"), ("C6", "K2"), ("1in3", "NAE"), ("DT", "C4"),
+        ("K3", "K2"))),
+    *(("sos", 2, x, a) for x, a in (
+        ("K2", "K3"), ("K2", "C4"), ("C4", "K2"), ("1in3", "NAE"), ("K3", "C4"), ("DT", "C4"),
+        ("C6", "DT"), ("C5", "K2"), ("K3", "K2"), ("K4", "K2"), ("K4", "K3"))),
+]
+
+
+@pytest.mark.slow
+def test_the_gram_workload_reduces_like_the_reference():
+    for driver, k, x, a in GRAM_QUERIES:
+        assert_reduces_like_reference(gram_problem(driver, k, named(x), named(a)))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("driver, k", [("sdp", None), ("sos", 1), ("sos", 2)],
+                         ids=["sdp", "sos1", "sos2"])
+@pytest.mark.parametrize("target", [2, 3], ids=["K2", "K3"])
+def test_the_three_vertex_sweep_reduces_like_the_reference(driver, k, target):
+    for X in digraphs_up_to_renaming(3):
+        assert_reduces_like_reference(gram_problem(driver, k, X, clique(target)))
+
+
+def non_unit_problem(*extra_groups) -> GramProblem:
+    """2a + 3b - c/2 = 0 and 3d - 2a = 0: pivots c and d are not units, so d = 2a/3."""
+    idents = ((("a", 2), ("b", 3), ("c", Fraction(-1, 2))), (("d", 3), ("a", -2)))
+    groups = (("a", "d"), ("b", "c")) + extra_groups
+    return GramProblem(("a", "b", "c", "d"), groups, (("a", "b"),), idents)
+
+
+def test_a_non_unit_pivot_reduces_like_the_reference():
+    assert_reduces_like_reference(non_unit_problem())
+    assert affine_reduce(non_unit_problem()).combos["d"] == {"a": Fraction(2, 3)}
+    # ||a||^2 = 1 against (1 + 4/9) ||a||^2 = 1
+    assert_reduces_like_reference(non_unit_problem(("a",)))
+    assert affine_reduce(non_unit_problem(("a",))).steps == [("affine-contradiction", "0 = 4/13")]
+
+
+def test_proportionality_stays_exact_on_large_ints():
+    # float division reads both ratios as 1e17
+    assert _proportionality({"c": 10**17 + 1, "d": 10**17}, {"c": 1, "d": 1}) is None
+    assert _proportionality({"c": 6, "d": -4}, {"c": 3, "d": -2}) == 2
