@@ -1,4 +1,4 @@
-"""The free structure of the Horn family and the Horn minion test.
+"""The Horn minion test, and the one arc-consistency loop, shared with ``bw``.
 
 For the Horn family the free structure F_Horn(A) generated by a base
 structure A is finite: its domain is the nonempty subsets of A's domain, and
@@ -22,6 +22,11 @@ Level k of the test is the same fixpoint on the k-th tensor powers of the
 k-enhanced pair.  Level 1 is the test on (X, A) itself: the enhancement adds
 only the full unary relation, which arc consistency never narrows, and the
 first tensor power of a structure is the structure.
+
+Both fixpoint drivers run the one loop, :func:`arc_consistency`: the Horn
+test on the tensorised scopes and the free structure's tuples, and ``bw`` on
+a binary constraint network of partial maps (the existential k-pebble game
+of Kolaitis and Vardi 2000).
 """
 
 from __future__ import annotations
@@ -90,26 +95,27 @@ class HornWitness:
         return {json.dumps(a): self.bitstring(a) for a in self.atoms}
 
 
-# -- the minion test and its levels ---------------------------------------------
+# -- the shared fixpoint and the minion test's levels --------------------------
 
 
-def _greatest_free_hom(X: Structure, free: HornFreeStructure, budget: Budget) -> Optional[dict]:
-    """Generalised arc consistency on (X, free.base), from full domains.
+def arc_consistency(domains: dict, constraints: list) -> Optional[dict]:
+    """The greatest arc-consistent narrowing of ``domains``.
 
-    Support is positional: a variable repeated in a scope is narrowed by each
-    of its positions separately.  Returns the fixpoint domains, or None when
-    one empties.
+    ``domains`` maps each variable to a bitmask of value ids, and each
+    constraint is a pair (scope, allowed value-id tuples).  Support is
+    positional: a variable repeated in a scope is narrowed by each of its
+    positions separately.  Returns the fixpoint domains, or None when one
+    empties.
     """
-    domains = {x: free.full_mask for x in X.domain}
-    constraints = [(free._tuples[sym], scope) for sym in X.signature.names() for scope in X.tuples(sym)]
-    budget.check_tuples(sum(len(tuples) for tuples, _ in constraints), "arc consistency")
+    domains = dict(domains)
     changed = True
     while changed:
         changed = False
-        for tuples, scope in constraints:
+        for scope, tuples in constraints:
+            masks = [domains[x] for x in scope]
             support = [0] * len(scope)
             for t in tuples:
-                if all(domains[x] >> a & 1 for x, a in zip(scope, t)):
+                if all(m >> a & 1 for m, a in zip(masks, t)):
                     for pos, a in enumerate(t):
                         support[pos] |= 1 << a
             for x, mask in zip(scope, support):
@@ -136,8 +142,11 @@ def minion_test_horn_level(
     """
     Xk = tensor_power(k_enhance(X, k, budget), k, budget)
     Ak = tensor_power(k_enhance(A, k, budget), k, budget)
-    found = _greatest_free_hom(Xk, HornFreeStructure(Ak), budget)
-    stats = {"vars": len(Xk.domain), "constraints": sum(len(Xk.tuples(s)) for s in Xk.signature.names())}
+    free = HornFreeStructure(Ak)
+    constraints = [(scope, free._tuples[sym]) for sym in Xk.signature.names() for scope in Xk.tuples(sym)]
+    budget.check_tuples(sum(len(tuples) for _, tuples in constraints), "arc consistency")
+    found = arc_consistency({x: free.full_mask for x in Xk.domain}, constraints)
+    stats = {"vars": len(Xk.domain), "constraints": len(constraints)}
     if found is None:
         return Verdict("minion-h", k, Status.REJECT, stats=stats)
     witness = HornWitness(tuple(Xk.domain), tuple(Ak.domain), found)

@@ -28,6 +28,7 @@ from .exact_solvers import (
     lp_feasible,
     maximal_support,
 )
+from .free_structures import arc_consistency
 from .psd import (
     GramProblem,
     Inconsistent,
@@ -111,48 +112,38 @@ class RejectionEvidence:
 
 @driver
 def bw(X: Structure, A: Structure, k: int, budget: Budget = DEFAULT_BUDGET) -> Verdict:
-    """Level-k local consistency via the greatest fixpoint of deletion.
+    """Level-k local consistency, run by the shared ``arc_consistency``.
 
-    Starting from all partial homomorphisms on at most k variables, a map is
-    deleted when a one-variable restriction is missing or some at-most-k
-    superset of its domain admits no surviving extension.  Any valid family
-    survives every deletion pass, so the fixpoint is nonempty exactly when
-    some family exists.
+    Each subset V of at most k atoms is a variable whose values are the
+    partial homomorphisms on V, and each pair (V - y, V) is a binary
+    constraint allowing (g restricted to V - y, g).  The greatest fixpoint is
+    the greatest family that is closed under restriction and in which every
+    map extends to every superset one atom larger.  Chaining those
+    extensions, a map extends to every superset of at most k atoms, so this
+    is k-consistency: the fixpoint is nonempty exactly when some family
+    exists, and it holds every family.
     """
     if k < 1:
         raise ArityMismatch(f"local consistency level {k} must be >= 1")
     maps = enumerate_partial_homomorphisms(X, A, k, budget)
-    fam = {frozenset(m.mapping) for m in maps}
     doms = [frozenset(c)
             for j in range(0, min(k, len(X.domain)) + 1)
             for c in itertools.combinations(X.domain, j)]
-    while True:
-        by_dom: dict = {}
-        for f in fam:
-            by_dom.setdefault(frozenset(a for a, _ in f), []).append(f)
-        kill = set()
-        for f in fam:
-            dom = frozenset(a for a, _ in f)
-            ok = True
-            for drop in dom:
-                if frozenset(p for p in f if p[0] != drop) not in fam:
-                    ok = False
-                    break
-            if ok:
-                for V in doms:
-                    if dom <= V and not any(f <= g for g in by_dom.get(V, ())):
-                        ok = False
-                        break
-            if not ok:
-                kill.add(f)
-        if not kill:
-            break
-        fam -= kill
+    values: dict = {V: [] for V in doms}
+    value_id: dict = {}
+    for m in maps:
+        same = values[m.domain_set()]
+        value_id[frozenset(m.mapping)] = len(same)
+        same.append(m)
+    constraints = [((V - {y}, V), [(value_id[frozenset(p for p in m.mapping if p[0] != y)], i)
+                                   for i, m in enumerate(values[V])])
+                   for V in doms for y in V]
+    found = arc_consistency({V: (1 << len(values[V])) - 1 for V in doms}, constraints)
     stats = {"vars": len(maps), "constraints": len(doms)}
-    if not fam:
+    if found is None:
         return Verdict("bw", k, Status.REJECT, stats=stats)
-    family = BWFamily(tuple(sorted((Assignment(tuple(sorted(f, key=repr))) for f in fam),
-                                   key=lambda a: (len(a.mapping), repr(a.mapping)))))
+    alive = [m for V in doms for i, m in enumerate(values[V]) if found[V] >> i & 1]
+    family = BWFamily(tuple(sorted(alive, key=lambda a: (len(a.mapping), repr(a.mapping)))))
     return Verdict("bw", k, Status.ACCEPT, witness=family, stats=stats)
 
 

@@ -27,7 +27,6 @@ reported as an explicitly non-rigorous outcome.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Hashable, Optional, Sequence
 
 import numpy as np
@@ -200,9 +199,8 @@ def affine_reduce(problem: GramProblem):
             u, w = combo(l1), combo(l2)
             if not u or not w:
                 continue
-            ratio = _proportionality(u, w)
-            if ratio is not None:
-                # <u, w> = ratio * ||w||^2 = 0 with ratio != 0 forces w = 0
+            if _proportional(u, w):
+                # u = r*w with r != 0, so <u, w> = r * ||w||^2 = 0 forces w = 0
                 new_rows.append((dict(w), ("zero-norm", str(l1), str(l2))))
         grew = [note for row, note in new_rows if add_relation(row)]
         if not grew:
@@ -270,18 +268,16 @@ def affine_reduce(problem: GramProblem):
     return ReducedGramProblem(problem.labels, reps, combos, constraints)
 
 
-def _proportionality(u: dict, w: dict):
-    """The scalar r with u = r*w, or None if the combos are not proportional.
+def _proportional(u: dict, w: dict) -> bool:
+    """Are the nonempty combos u and w proportional?
 
     The ratios are compared by cross-multiplication, so int combos stay exact.
     """
     if set(u) != set(w):
-        return None
+        return False
     k0 = next(iter(u))
     u0, w0 = u[k0], w[k0]
-    if any(uv * w0 != u0 * w[k] for k, uv in u.items()):
-        return None
-    return Fraction(u0, w0)
+    return all(uv * w0 == u0 * w[k] for k, uv in u.items())
 
 
 def _fmt_labels(group) -> str:

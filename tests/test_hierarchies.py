@@ -18,6 +18,7 @@ from minionlab import (
     bw,
     is_valid_bw_family,
     lp_feasible,
+    minion_test_horn_level,
     oracle,
     sa,
     sdp,
@@ -277,7 +278,7 @@ def sweep():
     """(X, A, verdicts) for the 104 three-vertex digraph classes into K2 and DT.
 
     Verdicts are keyed by (driver, level), the level being None for the
-    level-free drivers.
+    level-free drivers.  ``minion-h`` is the Horn minion test.
     """
     out = []
     for X in digraphs_up_to_renaming(3):
@@ -285,7 +286,8 @@ def sweep():
             verdicts = {("oracle", None): oracle(X, A), ("sdp", None): sdp(X, A),
                         ("sos", 1): sos(X, A, 1), ("sos", 2): sos(X, A, 2)}
             for k in LEVELS:
-                for name, driver in (("bw", bw), ("sa", sa), ("aip", aip), ("ba", ba)):
+                for name, driver in (("bw", bw), ("sa", sa), ("aip", aip), ("ba", ba),
+                                     ("minion-h", minion_test_horn_level)):
                     verdicts[(name, k)] = driver(X, A, k)
             out.append((X, A, verdicts))
     return out
@@ -345,6 +347,22 @@ def test_completeness_and_containments_into_k3_and_c4():
             assert_contained(X, A, verdicts, CONTAINMENTS)
 
 
+def test_bw_agrees_with_the_horn_minion_test_from_the_arity_on(sweep):
+    # both are arc consistency; they differ only below the arity 2, where bw
+    # finds no map of a loop into a loopless target and the Horn test sends
+    # the loop onto the edges through positional support
+    looped_into_k2 = 0
+    for X, A, verdicts in sweep:
+        assert verdicts[("bw", 2)].accepted == verdicts[("minion-h", 2)].accepted, \
+            (X.relations, A.name)
+        if any(a == b for a, b in X.tuples("R")):
+            assert not verdicts[("bw", 1)].accepted and verdicts[("minion-h", 1)].accepted
+            looped_into_k2 += A.name == "K2"
+        else:
+            assert verdicts[("bw", 1)].accepted == verdicts[("minion-h", 1)].accepted
+    assert looped_into_k2 == 88
+
+
 def test_rejection_evidence_verifies(sweep):
     phases = set()
     for _, _, verdicts in sweep:
@@ -365,10 +383,16 @@ def test_accept_witnesses_revalidate(sweep):
     for X, A, verdicts in sweep:
         for k in LEVELS:
             Xk, Ak = k_enhance(X, k), k_enhance(A, k)
+            if verdicts[("bw", k)].accepted:
+                assert is_valid_bw_family(verdicts[("bw", k)].witness.maps, X, A, k)
             if verdicts[("sa", k)].accepted:
                 witness = verdicts[("sa", k)].witness
                 validate_marginal_witness(witness.values, Xk, Ak, k)
-                support_family(witness, X, A, k)
+                # the greatest fixpoint holds every valid family; a support map
+                # can repeat a pair, so maps are compared as sets of pairs
+                support = support_family(witness, X, A, k)
+                greatest = {frozenset(f.mapping) for f in verdicts[("bw", k)].witness.maps}
+                assert {frozenset(f.mapping) for f in support.maps} <= greatest
             if verdicts[("aip", k)].accepted:
                 validate_marginal_witness(verdicts[("aip", k)].witness.values, Xk, Ak, k,
                                           integral=True)

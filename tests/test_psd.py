@@ -15,7 +15,7 @@ from minionlab.psd import (
     ReducedGramProblem,
     SoSWitness,
     _AffineProjector,
-    _proportionality,
+    _proportional,
     affine_reduce,
     psd_feasibility,
 )
@@ -197,5 +197,5 @@ def test_a_non_unit_pivot_reduces_like_the_reference():
 
 def test_proportionality_stays_exact_on_large_ints():
     # float division reads both ratios as 1e17
-    assert _proportionality({"c": 10**17 + 1, "d": 10**17}, {"c": 1, "d": 1}) is None
-    assert _proportionality({"c": 6, "d": -4}, {"c": 3, "d": -2}) == 2
+    assert not _proportional({"c": 10**17 + 1, "d": 10**17}, {"c": 1, "d": 1})
+    assert _proportional({"c": 6, "d": -4}, {"c": 3, "d": -2})
