@@ -52,7 +52,6 @@ from .structures import (
     Structure,
     enumerate_partial_homomorphisms,
     find_homomorphism,
-    induced_substructure,
     is_homomorphism,
     k_enhance,
     parse_structure,

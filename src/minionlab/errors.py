@@ -29,10 +29,6 @@ class BudgetExceeded(MinionLabError):
     """A construction would exceed the configured size budget."""
 
 
-class EmptySubset(MinionLabError):
-    """An induced substructure needs a nonempty atom subset."""
-
-
 class IndexOutOfRange(MinionLabError):
     """A 1-based tuple position lies outside the tuple."""
 

@@ -49,7 +49,6 @@ class HornFreeStructure:
     """
 
     def __init__(self, base: Structure):
-        self.base = base
         self.full_mask = (1 << len(base.domain)) - 1
         # per symbol: list of base tuples as atom-id tuples
         self._tuples = {

@@ -19,7 +19,6 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 from .budgets import DEFAULT_BUDGET, Budget
 from .errors import (
     ArityMismatch,
-    EmptySubset,
     IndexOutOfRange,
     LengthMismatch,
     MalformedInput,
@@ -266,19 +265,8 @@ def structure_to_json(A: Structure) -> str:
 
 
 def is_homomorphism(f: Assignment, X: Structure, A: Structure) -> bool:
-    """True iff ``f`` is total on X and maps every relation tuple into A."""
-    X.require_same_signature(A)
-    fmap = f.as_dict()
-    if set(fmap) != set(X.domain):
-        return False
-    for b in fmap.values():
-        if b not in A._atom_id:
-            return False
-    for sym in X.signature.names():
-        for t in X.tuples(sym):
-            if not A.has_tuple(sym, tuple(fmap[a] for a in t)):
-                return False
-    return True
+    """True iff ``f`` is a partial homomorphism X -> A that is total on X."""
+    return is_partial_homomorphism(f, X, A) and f.domain_set() == frozenset(X.domain)
 
 
 def _search_order(X: Structure) -> list[int]:
@@ -399,28 +387,20 @@ def tensor_power(A: Structure, k: int, budget: Budget = DEFAULT_BUDGET) -> Struc
     return Structure(Signature(tuple(sig_items)), domain, rels, name=A.name)
 
 
-def induced_substructure(A: Structure, atoms: Iterable[Atom]) -> Structure:
-    """Substructure induced by a nonempty subset of the domain."""
-    keep = set(atoms)
-    if not keep:
-        raise EmptySubset("induced substructure needs a nonempty subset")
-    for a in keep:
-        A.atom_id(a)
-    domain = [a for a in A.domain if a in keep]
-    rels = {
-        sym: [t for t in A.tuples(sym) if all(a in keep for a in t)]
-        for sym in A.signature.names()
-    }
-    return Structure(A.signature, domain, rels)
-
-
 # -- partial homomorphisms ----------------------------------------------------
+
+
+def _tuples_inside(X: Structure, atoms) -> list[tuple[str, tuple]]:
+    """The ``(symbol, tuple)`` pairs of X whose atoms all lie in ``atoms``."""
+    return [(sym, t) for sym in X.signature.names() for t in X.tuples(sym)
+            if all(a in atoms for a in t)]
 
 
 def enumerate_partial_homomorphisms(
     X: Structure, A: Structure, k: int, budget: Budget = DEFAULT_BUDGET
 ) -> list[Assignment]:
-    """All partial homomorphisms with at most k-element domain, empty map included."""
+    """All partial homomorphisms with at most k-element domain, empty map included;
+    each image is checked against the tuples of X inside its subset, listed once."""
     X.require_same_signature(A)
     nX, nA = len(X.domain), len(A.domain)
     total = sum(
@@ -430,29 +410,22 @@ def enumerate_partial_homomorphisms(
     out = [Assignment((), total=False)]
     for j in range(1, min(k, nX) + 1):
         for subset in itertools.combinations(X.domain, j):
-            sub = induced_substructure(X, subset)
+            inside = _tuples_inside(X, subset)
             for image in itertools.product(A.domain, repeat=j):
                 f = dict(zip(subset, image))
-                if _maps_relations(sub, A, f):
+                if all(A.has_tuple(sym, tuple(f[a] for a in t)) for sym, t in inside):
                     out.append(Assignment.of(f, total=(j == nX)))
     return out
 
 
-def _maps_relations(sub: Structure, A: Structure, fmap: dict) -> bool:
-    for sym in sub.signature.names():
-        for t in sub.tuples(sym):
-            if not A.has_tuple(sym, tuple(fmap[a] for a in t)):
-                return False
-    return True
-
-
 def is_partial_homomorphism(f: Assignment, X: Structure, A: Structure) -> bool:
-    dom = f.domain_set()
-    if not dom:
-        return True
+    """True iff ``f`` is a function from atoms of X to atoms of A that maps
+    into A every tuple of X lying inside its domain."""
+    X.require_same_signature(A)
     fmap = f.as_dict()
-    if any(a not in X._atom_id for a in dom):
+    if len(fmap) != len(f.mapping) or not fmap.keys() <= X._atom_id.keys():
         return False
-    if any(b not in A._atom_id for b in fmap.values()):
+    if not set(fmap.values()) <= A._atom_id.keys():
         return False
-    return _maps_relations(induced_substructure(X, dom), A, fmap)
+    return all(A.has_tuple(sym, tuple(fmap[a] for a in t))
+               for sym, t in _tuples_inside(X, fmap))

@@ -51,7 +51,7 @@ def support_family(witness: MarginalWitness, X: Structure, A: Structure, k: int)
             raise InvalidWitness(f"negative weight at {(sym, xt, at)}")
         if not precedes(xt, at):
             raise InvalidWitness(f"positive weight on a scope violation at {(xt, at)}")
-        maps.add(Assignment(tuple(sorted(zip(xt, at), key=repr))))
+        maps.add(Assignment(tuple(sorted(set(zip(xt, at)), key=repr))))
     family = sorted(maps, key=lambda a: (len(a.mapping), repr(a.mapping)))
     for f in family:
         if not is_partial_homomorphism(f, X, A):
@@ -365,14 +365,13 @@ def materialize(free: HornFreeStructure, symbol: str) -> set[tuple[int, ...]]:
     """All relation tuples (as mask tuples), by direct witness enumeration."""
     tuples = free._tuples[symbol]
     m = len(tuples)
-    arity = free.base.signature.arity(symbol)
     out = set()
     for q in range(1, 1 << m):
-        masks = [0] * arity
+        masks = [0] * len(tuples[0])
         for ti in range(m):
             if q >> ti & 1:
-                for pos in range(arity):
-                    masks[pos] |= 1 << tuples[ti][pos]
+                for pos, a in enumerate(tuples[ti]):
+                    masks[pos] |= 1 << a
         out.add(tuple(masks))
     return out
 

@@ -70,7 +70,7 @@ def test_block_vanishing_on_tensor_square():
         for masks in materialize(free, sym):
             for pos, cell in enumerate(cells):
                 for ti, t in enumerate(atom_pairs):
-                    if masks[pos] >> free.base.atom_id(t) & 1:
+                    if masks[pos] >> T.atom_id(t) & 1:
                         # cell index pattern must precede the atom tuple
                         assert not (cell[0] == cell[1] and t[0] != t[1])
                 del ti

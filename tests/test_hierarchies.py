@@ -228,6 +228,14 @@ def test_an_invalid_bw_family_is_refused(maps, k, k2):
     assert not is_valid_bw_family(family(*maps), k2, k2, k)
 
 
+def test_a_bw_family_with_a_non_functional_map_is_refused(k2):
+    k3 = clique(3)
+    maps = list(bw(k3, k2, 1).witness.maps)
+    assert is_valid_bw_family(maps, k3, k2, 1)
+    # as a dict this is {0: 1}, already a member
+    assert not is_valid_bw_family(maps + [Assignment((("0", "0"), ("0", "1")))], k3, k2, 1)
+
+
 def marginals(homs: list[dict], Xk: Structure, Ak: Structure) -> dict:
     """The marginal weights of the uniform distribution on ``homs``."""
     return {(sym, xt, at): rat(sum(tuple(h[x] for x in xt) == at for h in homs), len(homs))

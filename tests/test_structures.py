@@ -10,7 +10,6 @@ from minionlab import Assignment, Signature, Structure, precedes, project
 from minionlab.errors import (
     ArityMismatch,
     BudgetExceeded,
-    EmptySubset,
     IndexOutOfRange,
     LengthMismatch,
     MalformedInput,
@@ -20,8 +19,8 @@ from minionlab.errors import (
 from minionlab.structures import (
     enumerate_partial_homomorphisms,
     find_homomorphism,
-    induced_substructure,
     is_homomorphism,
+    is_partial_homomorphism,
     k_enhance,
     parse_structure,
     structure_to_json,
@@ -29,7 +28,15 @@ from minionlab.structures import (
 )
 from minionlab.budgets import Budget
 
-from conftest import all_digraphs, clique, cycle, digraphs_up_to_renaming, single_vertex
+from conftest import (
+    all_digraphs,
+    clique,
+    cycle,
+    digraphs_up_to_renaming,
+    not_all_equal,
+    one_in_three,
+    single_vertex,
+)
 from references import count_homomorphisms, tensor_cell_index
 
 
@@ -176,6 +183,13 @@ def test_no_homomorphism_k3_to_k2_matches_exhaustion(k3, k2):
     assert find_homomorphism(k3, k2) is None
 
 
+def test_a_map_sending_an_atom_to_two_values_is_refused(k2):
+    # as a dict this is the swap {0: 1, 1: 0}, a homomorphism
+    f = Assignment((("0", "1"), ("1", "1"), ("1", "0")))
+    assert not is_homomorphism(f, k2, k2)
+    assert not is_partial_homomorphism(f, k2, k2)
+
+
 def test_isolated_vertex_maps_anywhere(k3):
     assert find_homomorphism(single_vertex(), k3) is not None
 
@@ -302,45 +316,23 @@ def test_unenhanced_tensorisation_inflates_hom_count():
     assert count_homomorphisms(T, T) == 64
 
 
-# -- induced substructures ------------------------------------------------------------
-
-
-def test_induced_k3_gives_k2(k3):
-    sub = induced_substructure(k3, ["1", "2"])
-    assert len(sub.domain) == 2
-    assert len(sub.tuples("R")) == 2
-
-
-def test_induced_identity(k3):
-    assert induced_substructure(k3, k3.domain) == k3
-
-
-def test_induced_adjacent_pair_of_c5(c5):
-    sub = induced_substructure(c5, ["0", "1"])
-    assert set(sub.tuples("R")) == {("0", "1"), ("1", "0")}
-
-
-def test_induced_empty_subset_rejected(k3):
-    with pytest.raises(EmptySubset):
-        induced_substructure(k3, [])
-
-
 # -- partial homomorphisms --------------------------------------------------------------
 
 
 def brute_partial_homs(X, A, k):
+    """Every map on at most k atoms that is a homomorphism of the substructure
+    of X it induces, built here as a ``Structure`` of its own."""
     out = [Assignment(())]
-    atoms = list(X.domain)
-    for j in range(1, min(k, len(atoms)) + 1):
-        for subset in itertools.combinations(atoms, j):
-            sub = induced_substructure(X, subset)
+    for j in range(1, min(k, len(X.domain)) + 1):
+        for subset in itertools.combinations(X.domain, j):
+            sub = Structure(X.signature, subset, {
+                sym: [t for t in X.tuples(sym) if set(t) <= set(subset)]
+                for sym in X.signature.names()})
             for image in itertools.product(A.domain, repeat=j):
-                f = Assignment.of(dict(zip(subset, image)))
-                if is_homomorphism(
-                    Assignment.of(dict(zip(subset, image)), total=True), sub,
-                    A,
-                ):
-                    out.append(f)
+                f = dict(zip(subset, image))
+                if all(tuple(f[a] for a in t) in A.tuples(sym)
+                       for sym in sub.signature.names() for t in sub.tuples(sym)):
+                    out.append(Assignment.of(f))
     return out
 
 
@@ -355,9 +347,26 @@ def test_partial_homs_k3_k2_level_2(k3, k2):
 
 
 def test_partial_homs_match_brute_force(c5, k3):
-    ours = enumerate_partial_homomorphisms(c5, k3, 2)
-    brute = brute_partial_homs(c5, k3, 2)
-    assert {f.mapping for f in ours} == {f.mapping for f in brute}
+    # loops and one-way edges of 2-vertex digraphs lie inside some domains
+    # but not others, and each 1in3 tuple repeats an atom
+    cases = [(c5, k3, 2), (one_in_three(), not_all_equal(), 1),
+             (one_in_three(), not_all_equal(), 2)]
+    cases += [(X, A, k) for X in all_digraphs(2) for A in all_digraphs(2) for k in (1, 2)]
+    for X, A, k in cases:
+        ours = enumerate_partial_homomorphisms(X, A, k)
+        brute = brute_partial_homs(X, A, k)
+        assert sorted(f.mapping for f in ours) == sorted(f.mapping for f in brute)
+        assert all(is_partial_homomorphism(f, X, A) for f in ours)
+
+
+def test_a_partial_homomorphism_ignores_tuples_leaving_its_domain():
+    # the 1in3 tuple (1, 0, 0) leaves {0}, so {0: v} is kept although its
+    # only extension to 1 sends that tuple to the missing (v, v, v)
+    X = one_in_three()
+    A = Structure(X.signature, ["v"], {"R": []})
+    assert is_partial_homomorphism(Assignment.of({"0": "v"}), X, A)
+    assert not is_partial_homomorphism(Assignment.of({"0": "v", "1": "v"}), X, A)
+    assert not is_homomorphism(Assignment.of({"0": "v", "1": "v"}, total=True), X, A)
 
 
 def test_total_hom_appears_in_partial_enumeration(k2, k3):
