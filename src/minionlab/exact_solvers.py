@@ -25,7 +25,7 @@ from typing import Hashable, Optional, Sequence
 
 from .budgets import DEFAULT_BUDGET, Budget
 from .errors import InvalidWitness, IterationBudget, MalformedInput, WrongKind
-from .rationals import R0, R1, as_int, is_integral, rat, rat_to_str
+from .rationals import R0, R1, is_integral, rat, rat_to_str
 
 
 class DomainTag(str, Enum):
@@ -42,8 +42,8 @@ class CertificateKind(str, Enum):
 class LinearSystem:
     """An exact equality system A x = b with a variable-domain tag.
 
-    Rows are stored sparsely as maps from column index to rational
-    coefficient; ``var_names`` fixes the column order.
+    Rows are stored sparsely as maps from column index to an exact int or
+    Fraction coefficient; ``var_names`` fixes the column order.
     """
 
     var_names: tuple[Hashable, ...]
@@ -510,12 +510,14 @@ def diophantine_solve(sys: LinearSystem, budget: Budget = DEFAULT_BUDGET) -> Sol
     substitution fails, y^T A = y^T H U^{-1} is integral and y^T b is not;
     such a y exists exactly when no integer solution does (Schrijver 1986,
     Cor. 4.1a).  Hermite-form column operations count against ``max_pivots``.
+    Entries must be integral (``MalformedInput`` otherwise) and are read as
+    ints; an accepted point maps each column to an int.
     """
     if sys.domain_tag is not DomainTag.INT:
         raise WrongKind("diophantine_solve needs an integer system")
     n, m = sys.num_vars, sys.num_rows
     if not m:
-        return SolveOutcome(True, point={j: R0 for j in range(n)})
+        return SolveOutcome(True, point={j: 0 for j in range(n)})
     cols: list[dict] = [{} for _ in range(n)]
     b = []
     for i, (row, rhs) in enumerate(zip(sys.rows, sys.rhs)):
@@ -523,8 +525,8 @@ def diophantine_solve(sys: LinearSystem, budget: Budget = DEFAULT_BUDGET) -> Sol
             raise MalformedInput("integer systems need integer entries")
         for j, c in row.items():
             if c:
-                cols[j][i] = as_int(c)
-        b.append(as_int(rhs))
+                cols[j][i] = int(c)
+        b.append(int(rhs))
     pivots = _hnf(cols, m, budget)
     z, r, residual = _substitute(cols, m, b, pivots)
     if r < 0:
@@ -533,7 +535,7 @@ def diophantine_solve(sys: LinearSystem, budget: Budget = DEFAULT_BUDGET) -> Sol
             for row, u in cols[t].items():
                 if row >= m:
                     x[row - m] += u * zt
-        return SolveOutcome(True, point={j: rat(v) for j, v in enumerate(x)})
+        return SolveOutcome(True, point=dict(enumerate(x)))
     y = _integer_farkas(cols, m, pivots, r, residual)
     return SolveOutcome(False, certificate=Certificate(CertificateKind.PARITY, farkas=y))
 

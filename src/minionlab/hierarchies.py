@@ -36,7 +36,7 @@ from .psd import (
     affine_reduce,
     psd_feasibility,
 )
-from .rationals import R0, is_integral, rat_to_str
+from .rationals import is_integral, rat_to_str
 from .structures import (
     Assignment,
     Structure,
@@ -55,7 +55,7 @@ from .verdicts import Status, Verdict, driver
 
 @dataclass
 class MarginalWitness:
-    """Exact values for every (symbol, scope tuple, image tuple) variable."""
+    """Exact values of the (symbol, scope tuple, image tuple) variables; an absent one is zero."""
 
     values: dict
 
@@ -237,19 +237,10 @@ def _gram_problem(scopes: list, identities: list) -> GramProblem:
     )
 
 
-def _full_values(presolved: PresolvedSystem, point: dict, Xk: Structure, Ak: Structure) -> dict:
-    values = presolved.expand(point)
-    for sym in Xk.signature.names():
-        for xt in Xk.tuples(sym):
-            for at in Ak.tuples(sym):
-                values.setdefault((sym, xt, at), R0)
-    return values
-
-
 def validate_marginal_witness(
     values: dict, Xk: Structure, Ak: Structure, k: int, integral: bool = False
 ) -> None:
-    """Check the witness against the defining equations, exactly."""
+    """Check the witness against the defining equations, exactly; an absent weight is zero."""
     enh = f"R_{k}"
     for (sym, xt, at), v in values.items():
         if integral and not is_integral(v):
@@ -260,7 +251,7 @@ def validate_marginal_witness(
             raise InvalidWitness(f"scope-violating weight at {(sym, xt, at)}")
     for sym, arity in Xk.signature.symbols:
         for xt in Xk.tuples(sym):
-            total = sum((values[(sym, xt, at)] for at in Ak.tuples(sym)), R0)
+            total = sum(values.get((sym, xt, at), 0) for at in Ak.tuples(sym))
             if total != 1:
                 raise InvalidWitness(f"unit mass violated at {(sym, xt)}: {total}")
             for i in itertools.product(range(1, arity + 1), repeat=k):
@@ -268,10 +259,10 @@ def validate_marginal_witness(
                 sums: dict = {}
                 for at in Ak.tuples(sym):
                     b = project(at, i)
-                    sums[b] = sums.get(b, R0) + values[(sym, xt, at)]
+                    sums[b] = sums.get(b, 0) + values.get((sym, xt, at), 0)
                 for b in itertools.product(Ak.domain, repeat=k):
-                    lhs = sums.get(b, R0)
-                    rhs = values[(enh, xi, b)]
+                    lhs = sums.get(b, 0)
+                    rhs = values.get((enh, xi, b), 0)
                     if lhs != rhs:
                         raise InvalidWitness(
                             f"marginal violated at {(sym, xt, i, b)}: {lhs} != {rhs}"
@@ -290,7 +281,7 @@ def sa(X: Structure, A: Structure, k: int, budget: Budget = DEFAULT_BUDGET) -> V
     outcome = lp_feasible(presolved.system, budget)
     stats = _stats(presolved.system, pivots=outcome.pivots)
     if outcome.feasible:
-        values = _full_values(presolved, outcome.point, Xk, Ak)
+        values = presolved.expand(outcome.point)
         validate_marginal_witness(values, Xk, Ak, k)
         return Verdict("sa", k, Status.ACCEPT, witness=MarginalWitness(values), stats=stats)
     evidence = RejectionEvidence(outcome.certificate, presolved.system)
@@ -305,7 +296,7 @@ def aip(X: Structure, A: Structure, k: int, budget: Budget = DEFAULT_BUDGET) -> 
     outcome = diophantine_solve(presolved.system, budget)
     stats = _stats(presolved.system)
     if outcome.feasible:
-        values = _full_values(presolved, outcome.point, Xk, Ak)
+        values = presolved.expand(outcome.point)
         validate_marginal_witness(values, Xk, Ak, k, integral=True)
         return Verdict("aip", k, Status.ACCEPT, witness=MarginalWitness(values), stats=stats)
     evidence = RejectionEvidence(outcome.certificate, presolved.system)
@@ -355,7 +346,7 @@ def ba(X: Structure, A: Structure, k: int, budget: Budget = DEFAULT_BUDGET) -> V
         stats = _stats(presolved.system, pivots=pivots)
         evidence = RejectionEvidence(cert, presolved.system, note="lp-phase")
         return Verdict("ba", k, Status.REJECT, certificate=evidence, stats=stats)
-    lp_values = _full_values(presolved, point, Xk, Ak)
+    lp_values = presolved.expand(point)
     validate_marginal_witness(lp_values, Xk, Ak, k)
     support_keys = {key for key, v in lp_values.items() if v > 0}
     ip_system, cols = _support_system(presolved.system, support_cols)
@@ -365,7 +356,7 @@ def ba(X: Structure, A: Structure, k: int, budget: Budget = DEFAULT_BUDGET) -> V
         evidence = RejectionEvidence(outcome.certificate, ip_system, note="ip-phase")
         return Verdict("ba", k, Status.REJECT, certificate=evidence, stats=stats)
     ip_point = {cols[j]: v for j, v in outcome.point.items()}
-    ip_values = _full_values(presolved, ip_point, Xk, Ak)
+    ip_values = presolved.expand(ip_point)
     validate_marginal_witness(ip_values, Xk, Ak, k, integral=True)
     for key, v in ip_values.items():
         if v != 0 and key not in support_keys:

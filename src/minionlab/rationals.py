@@ -1,9 +1,10 @@
 """Exact rational arithmetic used throughout the solvers.
 
-Every rational value is a ``fractions.Fraction`` created through :func:`rat`.
-Python ints mix safely with it: the system builder holds the ints its
-callers pass, and converts them with :func:`rat` when a row leaves it, and
-the exact Gram reduction keeps its values as ints while they are integral.
+A rational value is a Python int or a ``fractions.Fraction`` created
+through :func:`rat`, and the two mix safely.  The linear systems carry the
+ints their callers pass, and the exact Gram reduction keeps its values as
+ints while they are integral; a Fraction appears where a division needs
+one, as in the simplex tableau and the certificate vectors.
 """
 
 from __future__ import annotations
@@ -29,8 +30,3 @@ def rat_to_str(x) -> str:
 def is_integral(x) -> bool:
     return x.denominator == 1
 
-
-def as_int(x) -> int:
-    if x.denominator != 1:
-        raise ValueError(f"{x} is not an integer")
-    return int(x.numerator)

@@ -288,7 +288,6 @@ def _iter_homomorphisms(X: Structure, A: Structure) -> Iterator[dict]:
     X.require_same_signature(A)
     n = len(X.domain)
     order = _search_order(X)
-    rank = {v: i for i, v in enumerate(order)}
 
     # constraints[v] lists (symbol, scope var ids) with v in scope
     scopes: list[tuple[str, tuple[int, ...]]] = []
@@ -302,6 +301,7 @@ def _iter_homomorphisms(X: Structure, A: Structure) -> Iterator[dict]:
 
     target_tuples = {sym: [tuple(A.atom_id(a) for a in t) for t in A.tuples(sym)]
                      for sym in A.signature.names()}
+    _target_sets = {sym: set(ts) for sym, ts in target_tuples.items()}
     assign: list[Optional[int]] = [None] * n
 
     def consistent(ci: int) -> bool:
@@ -313,8 +313,6 @@ def _iter_homomorphisms(X: Structure, A: Structure) -> Iterator[dict]:
             if all(p is None or p == c for p, c in zip(pattern, cand)):
                 return True
         return False
-
-    _target_sets = {sym: set(ts) for sym, ts in target_tuples.items()}
 
     def extend(pos: int) -> Iterator[dict]:
         if pos == n:

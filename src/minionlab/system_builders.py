@@ -15,9 +15,9 @@ solvers run:
 Inconsistent rows such as ``0 = 1`` are kept so that the downstream solver
 rejects and its certificate verifies against the emitted system.
 
-Coefficients stay as the caller passed them (the marginal rows pass Python
-ints) while the presolve runs; ``rat`` converts them only where a row
-leaves the builder as a ``LinearSystem`` row and right-hand side.
+``build`` is the one place a row is summed over roots and cleared of zeros.
+The emitted ``LinearSystem`` holds the numbers the caller passed (the
+marginal rows pass ints); only the duplicate-row key divides into Fractions.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Hashable
 
 from .exact_solvers import DomainTag, LinearSystem
-from .rationals import R0, rat
+from .rationals import rat
 
 
 @dataclass
@@ -46,7 +46,7 @@ class PresolvedSystem:
         out = {}
         for key in self.key_order:
             col = self.column_of.get(self.root_of[key])
-            out[key] = R0 if col is None else point.get(col, R0)
+            out[key] = 0 if col is None else point.get(col, 0)
         return out
 
 
@@ -62,13 +62,13 @@ class EqualitySystemBuilder:
         self._parent.setdefault(key, key)
 
     def add_row(self, coeffs: dict, rhs) -> None:
-        """Record a row as given; ints and exact rationals both work as coefficients."""
-        row = {}
-        for key, c in coeffs.items():
-            self.ensure_var(key)
-            if c != 0:
-                row[key] = row.get(key, 0) + c
-        self._rows.append(({k: c for k, c in row.items() if c != 0}, rhs))
+        """Register every key, a zero coefficient's too, and store the caller's row unchanged.
+
+        Coefficients may be ints or exact rationals; ``build`` reads the row.
+        """
+        for key in coeffs:
+            self._parent.setdefault(key, key)
+        self._rows.append((coeffs, rhs))
 
     def build(self) -> PresolvedSystem:
         keys = tuple(self._parent)
@@ -91,14 +91,12 @@ class EqualitySystemBuilder:
                 canon: dict = {}
                 for key, c in coeffs.items():
                     root = find(key)
-                    if root in pinned:
-                        continue
-                    canon[root] = canon.get(root, 0) + c
+                    if root not in pinned:
+                        canon[root] = canon.get(root, 0) + c
                 canon = {k: c for k, c in canon.items() if c != 0}
                 if not canon:
-                    if rhs == 0:
-                        continue  # tautology
-                    survivors.append((canon, rhs))  # inconsistent, keep for the solver
+                    if rhs != 0:  # inconsistent, keep for the solver; drop a tautology
+                        survivors.append((canon, rhs))
                     continue
                 if rhs == 0:
                     if len(canon) == 1:
@@ -124,38 +122,20 @@ class EqualitySystemBuilder:
             if not changed:
                 break
 
-        # dedup rows equal up to a nonzero factor (same hyperplane)
-        seen: dict = {}
-        final_rows: list[tuple[dict, object]] = []
+        # one row per hyperplane: rows equal up to a nonzero factor collapse, and so
+        # do the inconsistent empty rows, each scaled by its own right-hand side
+        distinct: dict = {}
         for canon, rhs in pending:
-            if canon:
-                items = sorted(canon.items(), key=lambda t: order[t[0]])
-                scale = items[0][1]
-                key = (
-                    tuple((order[k], rat(c) / scale) for k, c in items),
-                    rat(rhs) / scale,
-                )
-            else:
-                key = ((), rat(1))  # all inconsistent empty rows are equivalent
-            if key in seen:
-                continue
-            seen[key] = True
-            final_rows.append((canon, rhs))
-
-        roots_in_rows: list = []
-        root_seen: set = set()
-        for canon, _rhs in final_rows:
-            for root in sorted(canon, key=lambda k: order[k]):
-                if root not in root_seen:
-                    root_seen.add(root)
-                    roots_in_rows.append(root)
-        roots_in_rows.sort(key=lambda k: order[k])
+            items = sorted(canon.items(), key=lambda t: order[t[0]])
+            scale = items[0][1] if items else rhs
+            key = (tuple((order[k], rat(c, scale)) for k, c in items), rat(rhs, scale))
+            distinct.setdefault(key, (canon, rhs))
+        final_rows = distinct.values()
+        roots_in_rows = sorted({root for canon, _ in final_rows for root in canon},
+                               key=order.__getitem__)
         column_of = {root: i for i, root in enumerate(roots_in_rows)}
-
-        rows = tuple(
-            {column_of[root]: rat(c) for root, c in canon.items()} for canon, _ in final_rows
-        )
-        rhs = tuple(rat(b) for _, b in final_rows)
+        rows = tuple({column_of[root]: c for root, c in canon.items()} for canon, _ in final_rows)
+        rhs = tuple(b for _, b in final_rows)
         system = LinearSystem(tuple(roots_in_rows), rows, rhs, self.domain)
         root_of = {k: find(k) for k in keys}
         return PresolvedSystem(system, keys, root_of, column_of)

@@ -16,7 +16,7 @@ from minionlab import (
     verify_parity_certificate,
 )
 from minionlab.budgets import Budget
-from minionlab.errors import InvalidWitness, IterationBudget, WrongKind
+from minionlab.errors import InvalidWitness, IterationBudget, MalformedInput, WrongKind
 from minionlab.exact_solvers import maximal_support, validate_nonneg_point
 from minionlab.hierarchies import _support_system
 from minionlab.rationals import rat
@@ -282,6 +282,23 @@ def test_simple_integer_feasible():
     sys = system([{0: 1, 1: 1}], [1], 2, DomainTag.INT)
     out = diophantine_solve(sys)
     assert out.feasible
+    validate_integer_point(sys, out.point)
+
+
+@pytest.mark.parametrize("row, rhs", [({0: rat(1, 2), 1: 1}, 1), ({0: 1, 1: 1}, rat(1, 2))],
+                         ids=["coefficient", "rhs"])
+def test_integer_systems_refuse_a_fractional_entry(row, rhs):
+    # the solver reads entries with int(), which would truncate 1/2 to 0
+    sys = LinearSystem(("x0", "x1"), (row,), (rhs,), DomainTag.INT)
+    with pytest.raises(MalformedInput):
+        diophantine_solve(sys)
+
+
+def test_an_int_system_has_an_int_point():
+    sys = LinearSystem(("x0", "x1", "x2"), ({0: 2, 1: -3}, {1: 1, 2: 1}), (1, 4), DomainTag.INT)
+    out = diophantine_solve(sys)
+    assert out.feasible
+    assert all(type(v) is int for v in out.point.values())
     validate_integer_point(sys, out.point)
 
 

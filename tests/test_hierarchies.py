@@ -278,6 +278,18 @@ def test_moved_mass_breaks_a_marginal(k2_marginals):
         validate_marginal_witness(values, Xk, Xk, 2)
 
 
+def test_a_marginal_witness_may_leave_out_its_zero_weights():
+    C4, K2 = cycle(4), clique(2)
+    Xk, Ak = k_enhance(C4, 2), k_enhance(K2, 2)
+    values = sa(C4, K2, 2).witness.values
+    sparse = {key: v for key, v in values.items() if v != 0}
+    assert len(sparse) < len(values)
+    validate_marginal_witness(sparse, Xk, Ak, 2)
+    del sparse[next(iter(sparse))]
+    with pytest.raises(InvalidWitness):
+        validate_marginal_witness(sparse, Xk, Ak, 2)
+
+
 # -- every driver on the three-vertex digraphs ------------------------------------------
 
 

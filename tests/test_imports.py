@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports, every private
-function reads each of its parameters, every module is imported, directly
-or through others, by a driver module, and every public definition is used
-by the package or the benchmark, not only by the tests."""
+function reads each of its parameters, every function reads each local it
+assigns, every module is imported, directly or through others, by a driver
+module, and every public definition is used by the package or the
+benchmark, not only by the tests."""
 
 import ast
 import re
@@ -83,6 +84,61 @@ def test_no_private_function_ignores_a_parameter():
         path.name: unread
         for path in sorted(PACKAGE.glob("*.py"))
         if (unread := unread_parameters(path.read_text()))
+    }
+    assert found == {}
+
+
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def unread_locals(source: str) -> list[str]:
+    """Names a function binds by a plain assignment and never reads.
+
+    A read inside a nested function counts, since a closure reads the
+    enclosing function's locals; a name declared ``nonlocal`` or ``global``
+    is not a local.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        own, todo = [], list(ast.iter_child_nodes(node))
+        while todo:  # the function's own scope, without nested scopes
+            child = todo.pop()
+            own.append(child)
+            if not isinstance(child, SCOPES):
+                todo.extend(ast.iter_child_nodes(child))
+        shared = {name for n in own if isinstance(n, (ast.Nonlocal, ast.Global))
+                  for name in n.names}
+        read = {n.id for n in ast.walk(node)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        bound = {(t.lineno, t.id) for n in own if isinstance(n, ast.Assign)
+                 for t in n.targets if isinstance(t, ast.Name)}
+        found += [f"{node.name}.{name} (line {line})" for line, name in sorted(bound)
+                  if name not in read and name not in shared]
+    return found
+
+
+def test_guard_sees_an_unread_local():
+    source = ("def f(a):\n"
+              "    unused = 1\n"
+              "    seen = set()\n"
+              "    total = 0\n"
+              "    x, y = a\n"
+              "    def g():\n"
+              "        nonlocal total\n"
+              "        total = len(seen)\n"
+              "        inner = 2\n"
+              "    g()\n"
+              "    return total\n")
+    assert unread_locals(source) == ["f.unused (line 2)", "g.inner (line 9)"]
+
+
+def test_no_function_assigns_a_local_it_never_reads():
+    found = {
+        path.name: unread
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (unread := unread_locals(path.read_text()))
     }
     assert found == {}
 

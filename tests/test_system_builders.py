@@ -45,3 +45,25 @@ def test_scaled_copy_of_a_row_collapses():
     system = presolved.system
     assert system.rows == ({0: 1, 1: 1},) and system.rhs == (1,)
     assert system.var_names == ("x", "z")
+
+
+def test_a_zero_coefficient_still_registers_its_key():
+    presolved = build(DomainTag.NONNEG_RAT, ({"x": 1, "y": 0, "z": 1}, 1))
+    assert presolved.key_order == ("x", "y", "z")
+    assert presolved.system.var_names == ("x", "z")
+    assert presolved.expand({0: rat(1, 2), 1: rat(1, 2)})["y"] == 0
+
+
+def test_build_leaves_the_callers_rows_unchanged():
+    rows = [({"x": 1, "y": -1}, 0), ({"x": 1, "y": 1, "z": 0}, 2), ({"y": 2, "z": 2}, 4)]
+    copies = [(dict(coeffs), rhs) for coeffs, rhs in rows]
+    build(DomainTag.NONNEG_RAT, *rows)
+    assert rows == copies
+
+
+def test_int_rows_leave_the_builder_as_ints():
+    # 1 == Fraction(1), so only the types tell the emitted numbers apart
+    system = build(DomainTag.INT, ({"x": 1, "y": 1}, 1), ({"y": 2, "z": -1}, 3)).system
+    assert system.rows == ({0: 1, 1: 1}, {1: 2, 2: -1}) and system.rhs == (1, 3)
+    assert all(type(c) is int for row in system.rows for c in row.values())
+    assert all(type(b) is int for b in system.rhs)
