@@ -25,7 +25,7 @@ from typing import Hashable, Optional, Sequence
 
 from .budgets import DEFAULT_BUDGET, Budget
 from .errors import InvalidWitness, IterationBudget, MalformedInput, WrongKind
-from .rationals import R0, R1, is_integral, rat, rat_to_str
+from .rationals import R0, R1, RATIONAL_TYPES, is_integral, rat, rat_to_str
 
 
 class DomainTag(str, Enum):
@@ -43,7 +43,8 @@ class LinearSystem:
     """An exact equality system A x = b with a variable-domain tag.
 
     Rows are stored sparsely as maps from column index to an exact int or
-    Fraction coefficient; ``var_names`` fixes the column order.
+    Fraction coefficient; ``var_names`` fixes the column order.  Any other
+    entry or right-hand side, a float say, is refused with ``MalformedInput``.
     """
 
     var_names: tuple[Hashable, ...]
@@ -55,10 +56,14 @@ class LinearSystem:
         if len(self.rows) != len(self.rhs):
             raise MalformedInput("row/rhs length mismatch")
         n = len(self.var_names)
-        for row in self.rows:
-            for j in row:
+        for row, b in zip(self.rows, self.rhs):
+            if not isinstance(b, RATIONAL_TYPES):
+                raise MalformedInput(f"right-hand side {b!r} is not an exact rational")
+            for j, c in row.items():
                 if not 0 <= j < n:
                     raise MalformedInput(f"column {j} outside 0..{n - 1}")
+                if not isinstance(c, RATIONAL_TYPES):
+                    raise MalformedInput(f"entry {c!r} in column {j} is not an exact rational")
 
     @property
     def num_vars(self) -> int:

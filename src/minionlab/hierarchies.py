@@ -9,13 +9,19 @@ Level k of ``sa``, ``aip``, ``ba`` and ``sos`` is one minion test: one
 marginal system over the k-enhanced pair, enumerated once by
 ``_marginal_rows`` and read over the nonnegative rationals (``sa``), the
 integers (``aip``), the integers inside the rationals' maximal support
-(``ba``), or as Gram vectors (``sos``).
+(``ba``), or as Gram vectors (``sos``).  Both ``_marginal_rows`` and
+``validate_marginal_witness`` build the projection onto each k-tuple of
+positions once per symbol, not once per tuple projected.  The rows also
+list the cells each projected scope precedes once per projected scope, and
+the validator sums the witness as ints over one common denominator.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .budgets import DEFAULT_BUDGET, Budget
@@ -36,7 +42,7 @@ from .psd import (
     affine_reduce,
     psd_feasibility,
 )
-from .rationals import is_integral, rat_to_str
+from .rationals import is_integral, rat, rat_to_str
 from .structures import (
     Assignment,
     Structure,
@@ -45,7 +51,6 @@ from .structures import (
     is_partial_homomorphism,
     k_enhance,
     precedes,
-    project,
 )
 from .system_builders import EqualitySystemBuilder, PresolvedSystem
 from .verdicts import Status, Verdict, driver
@@ -180,6 +185,19 @@ def is_valid_bw_family(
 # -- the marginal system -------------------------------------------------------------
 
 
+def _projections(arity: int, k: int) -> list:
+    """Each k-tuple i of 1-based positions up to ``arity``, with a getter projecting onto i.
+
+    ``itemgetter`` of one index returns the item itself, so the one-position
+    getter takes a slice, which also returns a tuple.
+    """
+    out = []
+    for i in itertools.product(range(arity), repeat=k):
+        get = itemgetter(*i) if k > 1 else itemgetter(slice(i[0], i[0] + 1))
+        out.append((tuple(p + 1 for p in i), get))
+    return out
+
+
 def _marginal_rows(Xk: Structure, Ak: Structure, k: int, budget: Budget) -> tuple[list, list]:
     """The level-k marginal system of the k-enhanced pair, as scopes and identities.
 
@@ -194,19 +212,27 @@ def _marginal_rows(Xk: Structure, Ak: Structure, k: int, budget: Budget) -> tupl
     scopes = [(sym, xt, tuple(at for at in Ak.tuples(sym) if precedes(xt, at)))
               for sym in Xk.signature.names() for xt in Xk.tuples(sym)]
     budget.check_tuples(sum(len(images) for _, _, images in scopes), "marginal system variables")
+    cells = list(itertools.product(Ak.domain, repeat=k))
+    projections = {arity: _projections(arity, k) for _, arity in Xk.signature.symbols}
+    preceded: dict = {}  # xi -> the cells b that xi precedes, the keys (enh, xi, b)
     identities = []
     for sym, xt, images in scopes:
-        for i in itertools.product(range(1, len(xt) + 1), repeat=k):
-            xi = project(xt, i)
+        for _, get in projections[len(xt)]:
+            xi = get(xt)
+            if xi not in preceded:
+                preceded[xi] = {b for b in cells if precedes(xi, b)}
+            targets = preceded[xi]
             groups: dict = {}
             for at in images:
-                groups.setdefault(project(at, i), []).append(at)
-            for b in itertools.product(Ak.domain, repeat=k):
-                row = {(sym, xt, at): 1 for at in groups.get(b, ())}  # the projected mass
-                if precedes(xi, b):
+                groups.setdefault(get(at), []).append((sym, xt, at))
+            for b in cells:
+                row = dict.fromkeys(groups.get(b, ()), 1)  # the projected mass
+                if b in targets:
                     key = (enh, xi, b)
-                    row[key] = row.get(key, 0) - 1
-                row = {key: c for key, c in row.items() if c != 0}
+                    if key in row:  # xt is xi itself: its weight cancels
+                        del row[key]
+                    else:
+                        row[key] = -1
                 if row:
                     identities.append(row)
     return scopes, identities
@@ -240,7 +266,13 @@ def _gram_problem(scopes: list, identities: list) -> GramProblem:
 def validate_marginal_witness(
     values: dict, Xk: Structure, Ak: Structure, k: int, integral: bool = False
 ) -> None:
-    """Check the witness against the defining equations, exactly; an absent weight is zero."""
+    """Check the witness against the defining equations, exactly; an absent weight is zero.
+
+    Sign, integrality and scope are checked on each exact value.  The
+    nonzero weights are then scaled to ints by the lcm of their
+    denominators, so unit mass is a sum equal to that lcm and each marginal
+    an int sum equal to the scaled ``R_k`` weight.
+    """
     enh = f"R_{k}"
     for (sym, xt, at), v in values.items():
         if integral and not is_integral(v):
@@ -249,24 +281,31 @@ def validate_marginal_witness(
             raise InvalidWitness(f"negative weight at {(sym, xt, at)}")
         if not precedes(xt, at) and v != 0:
             raise InvalidWitness(f"scope-violating weight at {(sym, xt, at)}")
+    scale = math.lcm(*(v.denominator for v in values.values() if v))
+    scaled = {key: v.numerator * (scale // v.denominator) for key, v in values.items() if v}
+    cells = list(itertools.product(Ak.domain, repeat=k))
     for sym, arity in Xk.signature.symbols:
+        images = Ak.tuples(sym)
+        projections = _projections(arity, k)
         for xt in Xk.tuples(sym):
-            total = sum(values.get((sym, xt, at), 0) for at in Ak.tuples(sym))
-            if total != 1:
-                raise InvalidWitness(f"unit mass violated at {(sym, xt)}: {total}")
-            for i in itertools.product(range(1, arity + 1), repeat=k):
-                xi = project(xt, i)
+            weights = [scaled.get((sym, xt, at), 0) for at in images]
+            total = sum(weights)
+            if total != scale:
+                raise InvalidWitness(
+                    f"unit mass violated at {(sym, xt)}: {rat(total, scale)}")
+            for i, get in projections:
+                xi = get(xt)
                 sums: dict = {}
-                for at in Ak.tuples(sym):
-                    b = project(at, i)
-                    sums[b] = sums.get(b, 0) + values.get((sym, xt, at), 0)
-                for b in itertools.product(Ak.domain, repeat=k):
+                for at, w in zip(images, weights):
+                    if w:
+                        b = get(at)
+                        sums[b] = sums.get(b, 0) + w
+                for b in cells:
                     lhs = sums.get(b, 0)
-                    rhs = values.get((enh, xi, b), 0)
+                    rhs = scaled.get((enh, xi, b), 0)
                     if lhs != rhs:
-                        raise InvalidWitness(
-                            f"marginal violated at {(sym, xt, i, b)}: {lhs} != {rhs}"
-                        )
+                        raise InvalidWitness(f"marginal violated at {(sym, xt, i, b)}: "
+                                             f"{rat(lhs, scale)} != {rat(rhs, scale)}")
 
 
 def _stats(system: LinearSystem, **counters) -> dict:

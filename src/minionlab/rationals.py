@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 RATIONAL_BACKEND = "fractions"
+RATIONAL_TYPES = (int, Fraction)
 
 
 def rat(p=0, q=1):

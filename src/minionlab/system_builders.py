@@ -17,7 +17,9 @@ rejects and its certificate verifies against the emitted system.
 
 ``build`` is the one place a row is summed over roots and cleared of zeros.
 The emitted ``LinearSystem`` holds the numbers the caller passed (the
-marginal rows pass ints); only the duplicate-row key divides into Fractions.
+marginal rows pass ints).  Only the duplicate-row key divides into
+Fractions, and only for a row whose leading coefficient is not +-1: a
+row led by +-1 is keyed as itself times that sign.
 """
 
 from __future__ import annotations
@@ -105,9 +107,11 @@ class EqualitySystemBuilder:
                         changed = True
                         continue
                     if len(canon) == 2:
-                        (k1, c1), (k2, c2) = sorted(canon.items(), key=lambda t: order[t[0]])
+                        (k1, c1), (k2, c2) = canon.items()
                         if c1 == -c2:
-                            # both are current roots, k1 registered first
+                            # both are current roots; the one registered first stays
+                            if order[k2] < order[k1]:
+                                k1, k2 = k2, k1
                             self._parent[k2] = k1
                             changed = True
                             continue
@@ -123,12 +127,16 @@ class EqualitySystemBuilder:
                 break
 
         # one row per hyperplane: rows equal up to a nonzero factor collapse, and so
-        # do the inconsistent empty rows, each scaled by its own right-hand side
+        # do the inconsistent empty rows, each scaled by its own right-hand side; an
+        # int and an equal Fraction hash alike, so both kinds of key meet
         distinct: dict = {}
         for canon, rhs in pending:
             items = sorted(canon.items(), key=lambda t: order[t[0]])
             scale = items[0][1] if items else rhs
-            key = (tuple((order[k], rat(c, scale)) for k, c in items), rat(rhs, scale))
+            if scale == 1 or scale == -1:
+                key = (tuple((order[k], c * scale) for k, c in items), rhs * scale)
+            else:
+                key = (tuple((order[k], rat(c, scale)) for k, c in items), rat(rhs, scale))
             distinct.setdefault(key, (canon, rhs))
         final_rows = distinct.values()
         roots_in_rows = sorted({root for canon, _ in final_rows for root in canon},

@@ -2,7 +2,10 @@
 
 Each one re-derives or re-checks something a driver or solver produces:
 the local-consistency family inside an LP witness, the consequences every
-basic-SDP solution obeys, the exact Gram reduction in Fractions alone, integer points, homomorphism counts, tensor-power
+basic-SDP solution obeys, the exact Gram reduction in Fractions alone, the
+marginal rows, witness check and presolve with one projection per tuple
+and every sum and row key on the original values, integer points,
+homomorphism counts, tensor-power
 cell positions, certificates read back from JSON, the Hermite form, the
 Horn free structure enumerated in full, and the vanishing conditions on a
 level-k Horn witness.
@@ -18,7 +21,7 @@ import numpy as np
 
 from minionlab.budgets import DEFAULT_BUDGET
 from minionlab.errors import ArityMismatch, InvalidWitness
-from minionlab.exact_solvers import Certificate, CertificateKind, LinearSystem, _hnf
+from minionlab.exact_solvers import Certificate, CertificateKind, DomainTag, LinearSystem, _hnf
 from minionlab.free_structures import HornFreeStructure
 from minionlab.hierarchies import BWFamily, MarginalWitness, is_valid_bw_family
 from minionlab.psd import GramProblem, Inconsistent, ReducedGramProblem
@@ -29,7 +32,9 @@ from minionlab.structures import (
     _iter_homomorphisms,
     is_partial_homomorphism,
     precedes,
+    project,
 )
+from minionlab.system_builders import EqualitySystemBuilder, PresolvedSystem
 
 # -- local consistency inside an LP witness -------------------------------------------
 
@@ -267,6 +272,140 @@ def reference_affine_reduce(problem: GramProblem):
             return bad
 
     return ReducedGramProblem(problem.labels, reps, combos, constraints)
+
+
+# -- the marginal front end, every projection and sum on the original values --------------
+
+
+def reference_marginal_rows(Xk: Structure, Ak: Structure, k: int) -> tuple[list, list]:
+    """``hierarchies._marginal_rows`` as it was with one ``project`` and ``precedes`` per cell.
+
+    The fast version must list equal scopes and equal identity dicts, in the
+    same order: ``sos`` reads the identities as Gram identifications.
+    """
+    enh = f"R_{k}"
+    scopes = [(sym, xt, tuple(at for at in Ak.tuples(sym) if precedes(xt, at)))
+              for sym in Xk.signature.names() for xt in Xk.tuples(sym)]
+    identities = []
+    for sym, xt, images in scopes:
+        for i in itertools.product(range(1, len(xt) + 1), repeat=k):
+            xi = project(xt, i)
+            groups: dict = {}
+            for at in images:
+                groups.setdefault(project(at, i), []).append(at)
+            for b in itertools.product(Ak.domain, repeat=k):
+                row = {(sym, xt, at): 1 for at in groups.get(b, ())}
+                if precedes(xi, b):
+                    key = (enh, xi, b)
+                    row[key] = row.get(key, 0) - 1
+                row = {key: c for key, c in row.items() if c != 0}
+                if row:
+                    identities.append(row)
+    return scopes, identities
+
+
+def reference_validate_marginal_witness(
+    values: dict, Xk: Structure, Ak: Structure, k: int, integral: bool = False
+) -> None:
+    """``hierarchies.validate_marginal_witness`` as it was, summing the exact values."""
+    enh = f"R_{k}"
+    for (sym, xt, at), v in values.items():
+        if integral and not is_integral(v):
+            raise InvalidWitness(f"non-integer weight at {(sym, xt, at)}")
+        if not integral and v < 0:
+            raise InvalidWitness(f"negative weight at {(sym, xt, at)}")
+        if not precedes(xt, at) and v != 0:
+            raise InvalidWitness(f"scope-violating weight at {(sym, xt, at)}")
+    for sym, arity in Xk.signature.symbols:
+        for xt in Xk.tuples(sym):
+            total = sum(values.get((sym, xt, at), 0) for at in Ak.tuples(sym))
+            if total != 1:
+                raise InvalidWitness(f"unit mass violated at {(sym, xt)}: {total}")
+            for i in itertools.product(range(1, arity + 1), repeat=k):
+                xi = project(xt, i)
+                sums: dict = {}
+                for at in Ak.tuples(sym):
+                    b = project(at, i)
+                    sums[b] = sums.get(b, 0) + values.get((sym, xt, at), 0)
+                for b in itertools.product(Ak.domain, repeat=k):
+                    lhs = sums.get(b, 0)
+                    rhs = values.get((enh, xi, b), 0)
+                    if lhs != rhs:
+                        raise InvalidWitness(
+                            f"marginal violated at {(sym, xt, i, b)}: {lhs} != {rhs}"
+                        )
+
+
+class ReferenceSystemBuilder(EqualitySystemBuilder):
+    """``EqualitySystemBuilder`` whose ``build`` sorts each merged pair and keys
+    every duplicate row through ``rat``."""
+
+    def build(self) -> PresolvedSystem:
+        keys = tuple(self._parent)
+        order = {k: i for i, k in enumerate(keys)}
+
+        def find(key):
+            root = key
+            while self._parent[root] != root:
+                root = self._parent[root]
+            while self._parent[key] != root:
+                self._parent[key], key = root, self._parent[key]
+            return root
+
+        pinned: set = set()
+        pending = list(self._rows)
+        while True:
+            changed = False
+            survivors = []
+            for coeffs, rhs in pending:
+                canon: dict = {}
+                for key, c in coeffs.items():
+                    root = find(key)
+                    if root not in pinned:
+                        canon[root] = canon.get(root, 0) + c
+                canon = {k: c for k, c in canon.items() if c != 0}
+                if not canon:
+                    if rhs != 0:
+                        survivors.append((canon, rhs))
+                    continue
+                if rhs == 0:
+                    if len(canon) == 1:
+                        (root,) = canon
+                        pinned.add(root)
+                        changed = True
+                        continue
+                    if len(canon) == 2:
+                        (k1, c1), (k2, c2) = sorted(canon.items(), key=lambda t: order[t[0]])
+                        if c1 == -c2:
+                            self._parent[k2] = k1
+                            changed = True
+                            continue
+                    if self.domain is DomainTag.NONNEG_RAT:
+                        signs = {c > 0 for c in canon.values()}
+                        if len(signs) == 1:
+                            pinned.update(canon)
+                            changed = True
+                            continue
+                survivors.append((canon, rhs))
+            pending = survivors
+            if not changed:
+                break
+
+        distinct: dict = {}
+        for canon, rhs in pending:
+            items = sorted(canon.items(), key=lambda t: order[t[0]])
+            scale = items[0][1] if items else rhs
+            key = (tuple((order[k], rat(c, scale)) for k, c in items), rat(rhs, scale))
+            distinct.setdefault(key, (canon, rhs))
+        final_rows = distinct.values()
+        roots_in_rows = sorted({root for canon, _ in final_rows for root in canon},
+                               key=order.__getitem__)
+        column_of = {root: i for i, root in enumerate(roots_in_rows)}
+        rows = tuple({column_of[root]: c for root, c in canon.items()} for canon, _ in final_rows)
+        rhs = tuple(b for _, b in final_rows)
+        system = LinearSystem(tuple(roots_in_rows), rows, rhs, self.domain)
+        root_of = {k: find(k) for k in keys}
+        return PresolvedSystem(system, keys, root_of, column_of)
 
 
 # -- exact solvers ------------------------------------------------------------------

@@ -294,6 +294,18 @@ def test_integer_systems_refuse_a_fractional_entry(row, rhs):
         diophantine_solve(sys)
 
 
+@pytest.mark.parametrize("solve, domain, row, rhs", [
+    (lp_feasible, DomainTag.NONNEG_RAT, {0: 0.1}, 0.3),
+    (lp_feasible, DomainTag.NONNEG_RAT, {0: 1}, 0.5),
+    (diophantine_solve, DomainTag.INT, {0: 0.5, 1: 1}, 1),
+], ids=["lp-coefficient", "lp-rhs", "integer-coefficient"])
+def test_a_float_entry_is_refused(solve, domain, row, rhs):
+    # in floats 0.1 * 3 != 0.3, so the simplex would refute a system that x0 = 3
+    # solves, with a Farkas vector that verify_farkas refuses
+    with pytest.raises(MalformedInput, match="not an exact rational"):
+        solve(LinearSystem(("x0", "x1"), (row,), (rhs,), domain))
+
+
 def test_an_int_system_has_an_int_point():
     sys = LinearSystem(("x0", "x1", "x2"), ({0: 2, 1: -3}, {1: 1, 2: 1}), (1, 4), DomainTag.INT)
     out = diophantine_solve(sys)

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import re
 
 import pytest
 
@@ -26,15 +27,26 @@ from minionlab import (
     verify_farkas,
     verify_parity_certificate,
 )
-from minionlab.budgets import Budget
+from minionlab.budgets import DEFAULT_BUDGET, Budget
 from minionlab.errors import BudgetExceeded, InvalidWitness
-from minionlab.hierarchies import RejectionEvidence, validate_marginal_witness
+from minionlab.hierarchies import (
+    RejectionEvidence,
+    _linear_system,
+    _marginal_rows,
+    validate_marginal_witness,
+)
 from minionlab.rationals import rat
 from minionlab.structures import k_enhance
 from minionlab.system_builders import EqualitySystemBuilder
 
 from conftest import clique, cycle, digraphs_up_to_renaming, not_all_equal, one_in_three
-from references import check_sdp_facts, support_family
+from references import (
+    ReferenceSystemBuilder,
+    check_sdp_facts,
+    reference_marginal_rows,
+    reference_validate_marginal_witness,
+    support_family,
+)
 
 LEVELS = (1, 2)
 
@@ -278,6 +290,40 @@ def test_moved_mass_breaks_a_marginal(k2_marginals):
         validate_marginal_witness(values, Xk, Xk, 2)
 
 
+def test_a_negative_weight_is_refused(k2_marginals):
+    values, Xk = k2_marginals
+    values[("R", ("0", "1"), ("0", "1"))] = rat(-1, 2)
+    with pytest.raises(InvalidWitness, match="negative weight"):
+        validate_marginal_witness(values, Xk, Xk, 2)
+
+
+@pytest.fixture
+def sixths(k3):
+    """Level-1 marginals of K2 -> K3 in thirds and sixths, over the common denominator 6."""
+    X = clique(2)
+    a, b, c, d = ({"0": "1", "1": "2"}, {"0": "2", "1": "1"},
+                  {"0": "1", "1": "3"}, {"0": "3", "1": "2"})
+    Xk, Ak = k_enhance(X, 1), k_enhance(k3, 1)
+    values = marginals([a, a, b, c, c, d], Xk, Ak)
+    assert {values[("R", ("0", "1"), at)] for at in (("1", "2"), ("2", "1"))} == \
+        {rat(1, 3), rat(1, 6)}
+    return values, Xk, Ak
+
+
+def test_weights_over_a_common_denominator_validate(sixths):
+    validate_marginal_witness(*sixths, 1)
+
+
+def test_a_moved_sixth_is_reported_in_exact_rationals(sixths):
+    values, Xk, Ak = sixths
+    # unit mass still holds on the edge 0 -> 1, but 0 now goes to 1 with mass 1/2
+    values[("R", ("0", "1"), ("1", "2"))] = rat(1, 6)
+    values[("R", ("0", "1"), ("2", "1"))] = rat(1, 3)
+    message = "marginal violated at ('R', ('0', '1'), (1,), ('1',)): 1/2 != 2/3"
+    with pytest.raises(InvalidWitness, match=re.escape(message)):
+        validate_marginal_witness(values, Xk, Ak, 1)
+
+
 def test_a_marginal_witness_may_leave_out_its_zero_weights():
     C4, K2 = cycle(4), clique(2)
     Xk, Ak = k_enhance(C4, 2), k_enhance(K2, 2)
@@ -365,6 +411,73 @@ def test_completeness_and_containments_into_k3_and_c4():
                     verdicts[(name, k)] = driver(X, A, k)
             assert_complete(X, A, verdicts)
             assert_contained(X, A, verdicts, CONTAINMENTS)
+
+
+def _refusal(validate, values, Xk, Ak, k, integral):
+    """The message of the InvalidWitness that ``validate`` raises, or None when it accepts."""
+    try:
+        validate(values, Xk, Ak, k, integral)
+    except InvalidWitness as exc:
+        return str(exc)
+    return None
+
+
+def _moved_mass(values: dict) -> dict:
+    """The witness with the first nonzero weight moved whole onto another image of its scope."""
+    tampered = dict(values)
+    for (sym, xt, at), v in values.items():
+        others = [key for key in values if key[:2] == (sym, xt) and key[2] != at]
+        if v != 0 and others:
+            tampered[(sym, xt, at)] = 0
+            tampered[others[0]] = values[others[0]] + v
+            return tampered
+    raise AssertionError("no weight to move")
+
+
+def _presolved_by_value(presolved) -> tuple:
+    system = presolved.system
+    return (system.var_names,
+            [[(j, c, type(c)) for j, c in row.items()] for row in system.rows],
+            [(b, type(b)) for b in system.rhs],
+            presolved.key_order, presolved.root_of, presolved.column_of)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("A", [clique(2), clique(3), cycle(4), directed_triangle()],
+                         ids=["K2", "K3", "C4", "DT"])
+def test_the_marginal_front_end_matches_its_reference(A):
+    # the rows, the presolve and the witness check on ints against the routines
+    # in references.py that project per tuple and key and sum on the original
+    # values, over the three-vertex classes at k = 1, 2
+    for X in digraphs_up_to_renaming(3):
+        for k in LEVELS:
+            Xk, Ak = k_enhance(X, k), k_enhance(A, k)
+            scopes, identities = _marginal_rows(Xk, Ak, k, DEFAULT_BUDGET)
+            ref_scopes, ref_identities = reference_marginal_rows(Xk, Ak, k)
+            assert scopes == ref_scopes
+            assert [list(row.items()) for row in identities] == \
+                [list(row.items()) for row in ref_identities]
+            for tag in DomainTag:
+                reference = ReferenceSystemBuilder(tag)
+                for sym, xt, images in scopes:
+                    reference.add_row({(sym, xt, at): 1 for at in images}, 1)
+                for row in identities:
+                    reference.add_row(row, 0)
+                assert _presolved_by_value(_linear_system(tag, scopes, identities)) == \
+                    _presolved_by_value(reference.build())
+            witnesses = []
+            for driver, integral in ((sa, False), (aip, True)):
+                verdict = driver(X, A, k)
+                if verdict.accepted:
+                    witnesses.append((verdict.witness.values, integral))
+            verdict = ba(X, A, k)
+            if verdict.accepted:
+                witnesses += [(verdict.witness.lp.values, False), (verdict.witness.ip.values, True)]
+            for values, integral in witnesses:
+                for candidate in (values, _moved_mass(values)):
+                    assert _refusal(validate_marginal_witness, candidate, Xk, Ak, k, integral) == \
+                        _refusal(reference_validate_marginal_witness, candidate, Xk, Ak, k,
+                                 integral)
 
 
 def test_bw_agrees_with_the_horn_minion_test_from_the_arity_on(sweep):

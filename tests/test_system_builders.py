@@ -1,5 +1,7 @@
 """The presolve of the equality-system builder: duplicate rows, pins and merges."""
 
+import pytest
+
 from minionlab.exact_solvers import DomainTag, lp_feasible, verify_farkas
 from minionlab.rationals import rat
 from minionlab.system_builders import EqualitySystemBuilder
@@ -40,6 +42,14 @@ def test_difference_row_merges_and_expand_repeats_the_value():
     assert values == {"x": rat(1, 3), "y": rat(1, 3), "z": rat(2, 3)}
 
 
+@pytest.mark.parametrize("difference", [{"x": 1, "y": -1}, {"y": -1, "x": 1}],
+                         ids=["later-key-first", "earlier-key-first"])
+def test_a_merge_keeps_the_key_registered_first(difference):
+    presolved = build(DomainTag.NONNEG_RAT, ({"y": 1, "z": 1}, 1), (difference, 0))
+    assert presolved.root_of["x"] == "y"
+    assert presolved.system.var_names == ("y", "z")
+
+
 def test_scaled_copy_of_a_row_collapses():
     presolved = build(DomainTag.NONNEG_RAT, ({"x": 1, "z": 1}, 1), ({"x": 2, "z": 2}, 2))
     system = presolved.system
@@ -67,3 +77,18 @@ def test_int_rows_leave_the_builder_as_ints():
     assert system.rows == ({0: 1, 1: 1}, {1: 2, 2: -1}) and system.rhs == (1, 3)
     assert all(type(c) is int for row in system.rows for c in row.values())
     assert all(type(b) is int for b in system.rhs)
+
+
+@pytest.mark.parametrize("lead", [-1, 2, rat(2, 3)], ids=["minus-one", "two", "fraction"])
+@pytest.mark.parametrize("unit_first", [True, False], ids=["unit-first", "scaled-first"])
+def test_a_scaled_copy_collapses_into_the_row_seen_first(lead, unit_first):
+    # a row led by +-1 is keyed as itself times that sign, any other through
+    # rat(c, lead); both keys must meet, and the first row seen is kept
+    unit = ({"x": 1, "y": 2}, 3)
+    scaled = ({"x": lead, "y": 2 * lead}, 3 * lead)
+    first = unit if unit_first else scaled
+    rows = (unit, scaled) if unit_first else (scaled, unit)
+    system = build(DomainTag.NONNEG_RAT, *rows).system
+    assert system.var_names == ("x", "y")
+    assert system.rows == ({0: first[0]["x"], 1: first[0]["y"]},) and system.rhs == (first[1],)
+    assert [type(c) for c in system.rows[0].values()] == [type(c) for c in first[0].values()]
