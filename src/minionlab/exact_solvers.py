@@ -1,13 +1,15 @@
 """Exact rational LP feasibility and integer linear feasibility.
 
-Everything here is exact: the simplex runs on arbitrary-precision rationals
-with Bland's anti-cycling rule, and integer systems go through a column
-Hermite normal form.  The systems the hierarchies pose are tall, sparse and
-mostly +-1, so both solvers touch nonzero entries only: a simplex pivot
-updates the pivot row's nonzero columns, and a Hermite-form column
-operation walks the source column's nonzeros.  Every rejection carries one
-rational vector y, with one multiplier per row, that a single sparse
-product checks:
+Everything here is exact.  The simplex, with Bland's anti-cycling rule,
+keeps each tableau row as arbitrary-precision ints over one positive
+denominator and pivots fraction-free (Edmonds 1967); it builds a Fraction
+only for the points and multipliers it returns.  Integer systems go
+through a column Hermite normal form.  The systems the hierarchies pose are
+tall, sparse and mostly +-1, so both solvers skip zero entries: a simplex
+pivot leaves every row with a zero in the pivot column alone and subtracts
+the pivot row's nonzero columns only, and a Hermite-form column operation
+walks the source column's nonzeros.  Every rejection carries one rational
+vector y, with one multiplier per row, that a single sparse product checks:
 
 - ``FARKAS``: y^T A <= 0 and y^T b > 0, so A x = b has no solution x >= 0
   (Farkas' lemma); a solution would give 0 < y^T b = (y^T A) x <= 0.
@@ -21,6 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from math import gcd, lcm
 from typing import Hashable, Optional, Sequence
 
 from .budgets import DEFAULT_BUDGET, Budget
@@ -114,10 +117,19 @@ class ExactSimplex:
     """Phase-1/phase-2 tableau simplex over exact rationals, Bland's rule.
 
     The tableau keeps the artificial columns; after a successful phase 1 they
-    also provide the basis-inverse data needed for Farkas extraction.  Rows
-    are dense lists, but a pivot scales the pivot row once, collects its
-    nonzero columns, and updates only those entries, in place, in each row
-    (and the objective) with a nonzero entry in the pivot column.
+    also provide the basis-inverse data needed for Farkas extraction.  Each
+    row, and the objective, is a dense list of ints over its own positive
+    denominator.  A row is loaded over the lcm of its
+    entries' denominators, so the rationals it stands for, and with them
+    every pivot, are those of a Fraction tableau.  A pivot on (p, c) leaves
+    row p's ints as they are and makes its entry in column c its
+    denominator; a row with a nonzero f in column c becomes
+    ``r * T_pc - f * T_p`` over ``d * T_pc`` (Edmonds 1967), touching only
+    the pivot row's nonzero columns in the subtraction, and is then divided
+    by the gcd of its ints and its denominator.  Sign tests read the ints
+    alone, and Bland's ratios are compared by cross-multiplying, in which a
+    row's denominator cancels.  Fractions appear only in the points and
+    multipliers the solver returns.
     """
 
     def __init__(self, sys: LinearSystem, budget: Budget = DEFAULT_BUDGET):
@@ -126,19 +138,23 @@ class ExactSimplex:
         self.budget = budget
         self.pivots = 0
         self.row_sign = []
-        self.table: list[list] = []
+        self.table: list[list[int]] = []
+        self.den: list[int] = []
         width = self.n + self.m + 1
         for i, (row, b) in enumerate(zip(sys.rows, sys.rhs)):
-            sign = R1 if b >= 0 else -R1
+            sign = 1 if b >= 0 else -1
             self.row_sign.append(sign)
-            dense = [R0] * width
+            d = lcm(b.denominator, *(c.denominator for c in row.values()))
+            dense = [0] * width
             for j, c in row.items():
-                dense[j] = sign * c
-            dense[self.n + i] = R1
-            dense[-1] = sign * b
+                dense[j] = sign * c.numerator * (d // c.denominator)
+            dense[self.n + i] = d
+            dense[-1] = sign * b.numerator * (d // b.denominator)
             self.table.append(dense)
+            self.den.append(d)
         self.basis = [self.n + i for i in range(self.m)]
-        self.obj: list = []
+        self.obj: list[int] = []
+        self.obj_den = 1
         self.feasible: Optional[bool] = None
         self.live_rows = list(range(self.m))
 
@@ -148,28 +164,23 @@ class ExactSimplex:
         self.pivots += 1
         if self.pivots > self.budget.max_pivots:
             raise IterationBudget(f"simplex exceeded {self.budget.max_pivots} pivots")
-        tab = self.table
+        tab, den = self.table, self.den
         prow = tab[row]
-        inv = R1 / prow[col]
-        nonzeros = []
-        for j, v in enumerate(prow):
-            if v:
-                v *= inv
-                prow[j] = v
-                nonzeros.append((j, v))
+        p = prow[col]
+        if p < 0:
+            prow = tab[row] = [-v for v in prow]
+            p = -p
+        den[row] = p
+        nonzeros = [(j, v) for j, v in enumerate(prow) if v]
         for i in self.live_rows:
             if i == row:
                 continue
-            r = tab[i]
-            f = r[col]
+            f = tab[i][col]
             if f:
-                for j, p in nonzeros:
-                    r[j] -= f * p
-        obj = self.obj
-        f = obj[col]
+                tab[i], den[i] = _eliminate(tab[i], den[i], f, p, nonzeros)
+        f = self.obj[col]
         if f:
-            for j, p in nonzeros:
-                obj[j] -= f * p
+            self.obj, self.obj_den = _eliminate(self.obj, self.obj_den, f, p, nonzeros)
         self.basis[row] = col
 
     def _run(self) -> bool:
@@ -182,18 +193,17 @@ class ExactSimplex:
                     break
             if enter < 0:
                 return True
-            best_ratio = None
             best_row = -1
-            best_var = None
             for i in self.live_rows:
-                a = self.table[i][enter]
+                r = self.table[i]
+                a = r[enter]
                 if a > 0:
-                    ratio = self.table[i][-1] / a
-                    key = self.basis[i]
-                    if best_ratio is None or ratio < best_ratio or (
-                        ratio == best_ratio and key < best_var
-                    ):
-                        best_ratio, best_row, best_var = ratio, i, key
+                    if best_row >= 0:
+                        # the ratio r[-1] / a against best_b / best_a, both a positive
+                        diff = r[-1] * best_a - best_b * a
+                        if diff > 0 or (diff == 0 and self.basis[i] > best_var):
+                            continue
+                    best_row, best_a, best_b, best_var = i, a, r[-1], self.basis[i]
             if best_row < 0:
                 return False
             self._pivot(best_row, enter)
@@ -202,19 +212,21 @@ class ExactSimplex:
 
     def solve_phase1(self) -> bool:
         width = self.n + self.m + 1
-        obj = [R0] * width
         # minimize the sum of artificials: reduced costs under the artificial basis,
         # which are zero on the artificial columns themselves
+        d = lcm(*self.den)
+        obj = [0] * width
         for i in self.live_rows:
-            row = self.table[i]
-            for j, v in enumerate(row):
+            scale = d // self.den[i]
+            for j, v in enumerate(self.table[i]):
                 if v and (j < self.n or j == width - 1):
-                    obj[j] -= v
-        self.obj = obj
+                    obj[j] -= scale * v
+        g = gcd(d, *obj)
+        self.obj = [v // g for v in obj]
+        self.obj_den = d // g
         bounded = self._run()
         assert bounded, "phase 1 objective is bounded below by zero"
-        value = -self.obj[-1]
-        self.feasible = value == 0
+        self.feasible = self.obj[-1] == 0
         if self.feasible:
             self._evict_artificials()
         return self.feasible
@@ -225,7 +237,7 @@ class ExactSimplex:
             if self.basis[i] >= self.n:
                 target = -1
                 for j in range(self.n):
-                    if self.table[i][j] != R0:
+                    if self.table[i][j] != 0:
                         target = j
                         break
                 if target >= 0:
@@ -241,17 +253,15 @@ class ExactSimplex:
         makes it a certificate for the original row orientation.
         """
         assert self.feasible is False
-        y = []
-        for i in range(self.m):
-            pi = R1 - self.obj[self.n + i]
-            y.append(self.row_sign[i] * pi)
-        return tuple(y)
+        d = self.obj_den
+        return tuple(sign * rat(d - self.obj[self.n + i], d)
+                     for i, sign in enumerate(self.row_sign))
 
     def solution(self) -> dict:
         x = {}
         for i in self.live_rows:
             if self.basis[i] < self.n:
-                x[self.basis[i]] = self.table[i][-1]
+                x[self.basis[i]] = rat(self.table[i][-1], self.den[i])
         return x
 
     # - phase 2 -
@@ -264,16 +274,15 @@ class ExactSimplex:
         """
         assert self.feasible
         width = self.n + self.m + 1
-        obj = [R0] * width
-        obj[col] = -R1  # maximize x_col == minimize -x_col
+        # maximize x_col == minimize -x_col
+        self.obj, self.obj_den = [0] * width, 1
+        self.obj[col] = -1
         for i in self.live_rows:
             if self.basis[i] == col:
                 # restore zero reduced cost on the basic column
-                for j, p in enumerate(self.table[i]):
-                    if p:
-                        obj[j] += p
+                self.obj, self.obj_den = list(self.table[i]), self.den[i]
+                self.obj[col] = 0
                 break
-        self.obj = obj
         bounded = self._run()
         if bounded:
             return self.solution()
@@ -282,12 +291,30 @@ class ExactSimplex:
         point = self.solution()
         ray = {enter: R1}
         for i in self.live_rows:
-            if self.basis[i] < self.n and self.table[i][enter] != R0:
-                ray[self.basis[i]] = -self.table[i][enter]
+            if self.basis[i] < self.n and self.table[i][enter] != 0:
+                ray[self.basis[i]] = rat(-self.table[i][enter], self.den[i])
         moved = dict(point)
         for j, d in ray.items():
             moved[j] = moved.get(j, R0) + d
         return moved
+
+
+def _eliminate(r: list, d: int, f: int, p: int, nonzeros: list) -> tuple[list, int]:
+    """The row r/d minus f/d times the pivot row, whose ints ``nonzeros`` lie over p.
+
+    Returns the result's ints and denominator, in lowest terms.
+    """
+    if p != 1:
+        r = [v * p for v in r]
+        d *= p
+    for j, v in nonzeros:
+        r[j] -= f * v
+    if d != 1:
+        g = gcd(d, *r)
+        if g != 1:
+            r = [v // g for v in r]
+            d //= g
+    return r, d
 
 
 def lp_feasible(sys: LinearSystem, budget: Budget = DEFAULT_BUDGET) -> SolveOutcome:

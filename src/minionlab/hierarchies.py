@@ -65,10 +65,10 @@ class MarginalWitness:
     values: dict
 
     def to_doc(self) -> dict:
+        nonzero = [(key, v) for key, v in self.values.items() if v != 0]
         return {
             f"{sym}|{xt}|{at}": rat_to_str(v)
-            for (sym, xt, at), v in sorted(self.values.items(), key=lambda kv: str(kv[0]))
-            if v != 0
+            for (sym, xt, at), v in sorted(nonzero, key=lambda kv: str(kv[0]))
         }
 
 

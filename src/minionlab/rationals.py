@@ -2,9 +2,11 @@
 
 A rational value is a Python int or a ``fractions.Fraction`` created
 through :func:`rat`, and the two mix safely.  The linear systems carry the
-ints their callers pass, and the exact Gram reduction keeps its values as
-ints while they are integral; a Fraction appears where a division needs
-one, as in the simplex tableau and the certificate vectors.
+ints their callers pass, the exact Gram reduction keeps its values as ints
+while they are integral, and the simplex tableau holds ints over per-row
+denominators.  A Fraction appears where a division needs one: in the
+solvers' points and certificate vectors, and in the Gram reduction once a
+value is no longer integral.
 """
 
 from __future__ import annotations

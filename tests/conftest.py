@@ -25,6 +25,14 @@ def cycle(n: int) -> Structure:
     return Structure(Signature.of({"R": 2}), atoms, {"R": edges}, name=f"C{n}")
 
 
+def wheel(n: int) -> Structure:
+    """The cycle C_n plus a hub adjacent to every rim vertex."""
+    rim = cycle(n)
+    spokes = [e for a in rim.domain for e in ((a, "hub"), ("hub", a))]
+    return Structure(Signature.of({"R": 2}), list(rim.domain) + ["hub"],
+                     {"R": list(rim.tuples("R")) + spokes}, name=f"W{n}")
+
+
 def one_in_three() -> Structure:
     atoms = ["0", "1"]
     tuples = [("1", "0", "0"), ("0", "1", "0"), ("0", "0", "1")]

@@ -4,7 +4,8 @@ Each one re-derives or re-checks something a driver or solver produces:
 the local-consistency family inside an LP witness, the consequences every
 basic-SDP solution obeys, the exact Gram reduction in Fractions alone, the
 marginal rows, witness check and presolve with one projection per tuple
-and every sum and row key on the original values, integer points,
+and every sum and row key on the original values, the simplex on a
+Fraction tableau, integer points,
 homomorphism counts, tensor-power
 cell positions, certificates read back from JSON, the Hermite form, the
 Horn free structure enumerated in full, and the vanishing conditions on a
@@ -15,13 +16,24 @@ from __future__ import annotations
 
 import itertools
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Optional
+from unittest import mock
 
 import numpy as np
 
-from minionlab.budgets import DEFAULT_BUDGET
-from minionlab.errors import ArityMismatch, InvalidWitness
-from minionlab.exact_solvers import Certificate, CertificateKind, DomainTag, LinearSystem, _hnf
+from minionlab import exact_solvers
+from minionlab.budgets import DEFAULT_BUDGET, Budget
+from minionlab.errors import ArityMismatch, InvalidWitness, IterationBudget
+from minionlab.exact_solvers import (
+    Certificate,
+    CertificateKind,
+    DomainTag,
+    LinearSystem,
+    SolveOutcome,
+    _hnf,
+)
 from minionlab.free_structures import HornFreeStructure
 from minionlab.hierarchies import BWFamily, MarginalWitness, is_valid_bw_family
 from minionlab.psd import GramProblem, Inconsistent, ReducedGramProblem
@@ -409,6 +421,222 @@ class ReferenceSystemBuilder(EqualitySystemBuilder):
 
 
 # -- exact solvers ------------------------------------------------------------------
+
+
+class ReferenceSimplex:
+    """The Fraction tableau that ``ExactSimplex`` replaced, kept to compare pivots.
+
+    Phase-1/phase-2 tableau simplex over exact rationals, Bland's rule.
+
+    The tableau keeps the artificial columns; after a successful phase 1 they
+    also provide the basis-inverse data needed for Farkas extraction.  Rows
+    are dense lists, but a pivot scales the pivot row once, collects its
+    nonzero columns, and updates only those entries, in place, in each row
+    (and the objective) with a nonzero entry in the pivot column.
+    """
+
+    def __init__(self, sys: LinearSystem, budget: Budget = DEFAULT_BUDGET):
+        self.n = sys.num_vars
+        self.m = sys.num_rows
+        self.budget = budget
+        self.pivots = 0
+        self.row_sign = []
+        self.table: list[list] = []
+        width = self.n + self.m + 1
+        for i, (row, b) in enumerate(zip(sys.rows, sys.rhs)):
+            sign = R1 if b >= 0 else -R1
+            self.row_sign.append(sign)
+            dense = [R0] * width
+            for j, c in row.items():
+                dense[j] = sign * c
+            dense[self.n + i] = R1
+            dense[-1] = sign * b
+            self.table.append(dense)
+        self.basis = [self.n + i for i in range(self.m)]
+        self.obj: list = []
+        self.feasible: Optional[bool] = None
+        self.live_rows = list(range(self.m))
+
+    # - low-level pivoting -
+
+    def _pivot(self, row: int, col: int) -> None:
+        self.pivots += 1
+        if self.pivots > self.budget.max_pivots:
+            raise IterationBudget(f"simplex exceeded {self.budget.max_pivots} pivots")
+        tab = self.table
+        prow = tab[row]
+        inv = R1 / prow[col]
+        nonzeros = []
+        for j, v in enumerate(prow):
+            if v:
+                v *= inv
+                prow[j] = v
+                nonzeros.append((j, v))
+        for i in self.live_rows:
+            if i == row:
+                continue
+            r = tab[i]
+            f = r[col]
+            if f:
+                for j, p in nonzeros:
+                    r[j] -= f * p
+        obj = self.obj
+        f = obj[col]
+        if f:
+            for j, p in nonzeros:
+                obj[j] -= f * p
+        self.basis[row] = col
+
+    def _run(self) -> bool:
+        """Bland iterations over the structural columns; False if unbounded."""
+        while True:
+            enter = -1
+            for j in range(self.n):
+                if self.obj[j] < 0:
+                    enter = j
+                    break
+            if enter < 0:
+                return True
+            best_ratio = None
+            best_row = -1
+            best_var = None
+            for i in self.live_rows:
+                a = self.table[i][enter]
+                if a > 0:
+                    ratio = self.table[i][-1] / a
+                    key = self.basis[i]
+                    if best_ratio is None or ratio < best_ratio or (
+                        ratio == best_ratio and key < best_var
+                    ):
+                        best_ratio, best_row, best_var = ratio, i, key
+            if best_row < 0:
+                return False
+            self._pivot(best_row, enter)
+
+    # - phase 1 -
+
+    def solve_phase1(self) -> bool:
+        width = self.n + self.m + 1
+        obj = [R0] * width
+        # minimize the sum of artificials: reduced costs under the artificial basis,
+        # which are zero on the artificial columns themselves
+        for i in self.live_rows:
+            row = self.table[i]
+            for j, v in enumerate(row):
+                if v and (j < self.n or j == width - 1):
+                    obj[j] -= v
+        self.obj = obj
+        bounded = self._run()
+        assert bounded, "phase 1 objective is bounded below by zero"
+        value = -self.obj[-1]
+        self.feasible = value == 0
+        if self.feasible:
+            self._evict_artificials()
+        return self.feasible
+
+    def _evict_artificials(self) -> None:
+        """Pivot artificials out of the basis; drop rows that are redundant."""
+        for i in list(self.live_rows):
+            if self.basis[i] >= self.n:
+                target = -1
+                for j in range(self.n):
+                    if self.table[i][j] != R0:
+                        target = j
+                        break
+                if target >= 0:
+                    self._pivot(i, target)
+                else:
+                    self.live_rows.remove(i)
+
+    def farkas_vector(self) -> tuple:
+        """A vector y with y^T A <= 0 and y^T b > 0, valid for the input system.
+
+        At phase-1 optimality the multiplier of row i is 1 minus the reduced
+        cost of its artificial column; undoing the rhs sign normalization
+        makes it a certificate for the original row orientation.
+        """
+        assert self.feasible is False
+        y = []
+        for i in range(self.m):
+            pi = R1 - self.obj[self.n + i]
+            y.append(self.row_sign[i] * pi)
+        return tuple(y)
+
+    def solution(self) -> dict:
+        x = {}
+        for i in self.live_rows:
+            if self.basis[i] < self.n:
+                x[self.basis[i]] = self.table[i][-1]
+        return x
+
+    # - phase 2 -
+
+    def maximize(self, col: int) -> dict:
+        """Maximize x_col over the feasible region; phase 1 must have succeeded.
+
+        Returns an optimal point or, when x_col is unbounded, a feasible point
+        moved one unit along an improving ray.
+        """
+        assert self.feasible
+        width = self.n + self.m + 1
+        obj = [R0] * width
+        obj[col] = -R1  # maximize x_col == minimize -x_col
+        for i in self.live_rows:
+            if self.basis[i] == col:
+                # restore zero reduced cost on the basic column
+                for j, p in enumerate(self.table[i]):
+                    if p:
+                        obj[j] += p
+                break
+        self.obj = obj
+        bounded = self._run()
+        if bounded:
+            return self.solution()
+        # ray step: find the entering column with improving reduced cost
+        enter = next(j for j in range(self.n) if self.obj[j] < 0)
+        point = self.solution()
+        ray = {enter: R1}
+        for i in self.live_rows:
+            if self.basis[i] < self.n and self.table[i][enter] != R0:
+                ray[self.basis[i]] = -self.table[i][enter]
+        moved = dict(point)
+        for j, d in ray.items():
+            moved[j] = moved.get(j, R0) + d
+        return moved
+
+
+@contextmanager
+def logged_simplex(simplex_class, log: list):
+    """Run the exact solvers on ``simplex_class``, appending each pivot's (row, col) to ``log``.
+
+    A pivot is logged before it runs, so the one that exceeds the budget is logged too.
+    """
+
+    class Logged(simplex_class):
+        def _pivot(self, row: int, col: int) -> None:
+            log.append((row, col))
+            super()._pivot(row, col)
+
+    with mock.patch.object(exact_solvers, "ExactSimplex", Logged):
+        yield
+
+
+def simplex_outputs(simplex_class, solve, sys: LinearSystem) -> tuple:
+    """What ``solve(sys)`` returns on ``simplex_class``, the types of the values in
+    its point and certificate, and its pivots.
+
+    ``solve`` is ``lp_feasible`` or ``maximal_support``.
+    """
+    log: list = []
+    with logged_simplex(simplex_class, log):
+        out = solve(sys)
+    if isinstance(out, SolveOutcome):
+        point, cert = out.point, out.certificate
+    else:
+        _support, point, cert, _pivots = out
+    types = ([type(v) for v in point.values()] if point else [],
+             [type(v) for v in cert.farkas] if cert else [])
+    return out, types, log
 
 
 def validate_integer_point(sys: LinearSystem, point: dict) -> None:

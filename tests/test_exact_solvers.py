@@ -17,15 +17,18 @@ from minionlab import (
 )
 from minionlab.budgets import Budget
 from minionlab.errors import InvalidWitness, IterationBudget, MalformedInput, WrongKind
-from minionlab.exact_solvers import maximal_support, validate_nonneg_point
+from minionlab.exact_solvers import ExactSimplex, maximal_support, validate_nonneg_point
 from minionlab.hierarchies import _support_system
 from minionlab.rationals import rat
 
 from references import (
+    ReferenceSimplex,
     certificate_from_json,
     hnf,
     is_column_hermite,
+    logged_simplex,
     matmul,
+    simplex_outputs,
     validate_integer_point,
 )
 
@@ -129,6 +132,66 @@ def test_lp_exactness_under_fractional_data():
     out = lp_feasible(sys)
     assert out.feasible
     validate_nonneg_point(sys, out.point)
+
+
+@pytest.mark.slow
+def test_the_int_tableau_pivots_like_the_fraction_tableau_on_random_systems():
+    # the systems of test_lp_duality_completeness_random: the same pivots, points,
+    # Farkas vectors and maximal supports, with the same value types
+    rng = random.Random(2024)
+    for _ in range(200):
+        sys = random_system(rng)
+        for solve in (lp_feasible, maximal_support):
+            assert simplex_outputs(ExactSimplex, solve, sys) == \
+                simplex_outputs(ReferenceSimplex, solve, sys)
+
+
+def test_an_artificial_evicted_on_a_negative_entry_leaves_a_valid_point():
+    # phase 1 ends after one pivot with the second row's artificial basic at
+    # zero; evicting it pivots on the -2 in column 2, which negates that row
+    sys = system([{0: 1, 1: 1}, {2: -2, 3: -3}], [1, 0], 4)
+    entries = []
+
+    class Watched(ExactSimplex):
+        def _pivot(self, row, col):
+            entries.append(self.table[row][col])
+            super()._pivot(row, col)
+
+    with logged_simplex(Watched, []):
+        out = lp_feasible(sys)
+    assert entries == [1, -2]
+    validate_nonneg_point(sys, out.point)
+    assert simplex_outputs(ExactSimplex, lp_feasible, sys) == \
+        simplex_outputs(ReferenceSimplex, lp_feasible, sys)
+
+
+def test_a_farkas_vector_of_fraction_rows_refutes_the_rows_as_given():
+    # the rows lie over the denominators 42, 70 and 105, and the third is
+    # flipped to a positive right-hand side; 3/2 times the first row has the
+    # second's left-hand side, but the right-hand side 3/4, not 3/5
+    rows = [{0: rat(1, 3), 1: rat(2, 7)}, {0: rat(1, 2), 1: rat(3, 7)}, {1: rat(-1, 5)}]
+    sys = LinearSystem(("x0", "x1"), tuple(rows), (rat(1, 2), rat(3, 5), rat(-1, 105)),
+                       DomainTag.NONNEG_RAT)
+    out = lp_feasible(sys)
+    assert not out.feasible
+    assert verify_farkas(out.certificate, sys)
+    assert simplex_outputs(ExactSimplex, lp_feasible, sys) == \
+        simplex_outputs(ReferenceSimplex, lp_feasible, sys)
+
+
+def test_the_pivot_budget_runs_out_at_the_same_pivot():
+    sys = sparse_system(random.Random(5), DomainTag.NONNEG_RAT)
+    needed = lp_feasible(sys).pivots
+    assert needed > 10
+    assert lp_feasible(sys, Budget(max_pivots=needed)).pivots == needed
+    logs = {}
+    for simplex_class in (ExactSimplex, ReferenceSimplex):
+        logs[simplex_class] = log = []
+        with logged_simplex(simplex_class, log), pytest.raises(IterationBudget):
+            lp_feasible(sys, Budget(max_pivots=needed - 1))
+    # the last pivot is logged, then refused
+    assert logs[ExactSimplex] == logs[ReferenceSimplex]
+    assert len(logs[ExactSimplex]) == needed
 
 
 def test_farkas_certificate_json_round_trip():

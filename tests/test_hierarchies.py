@@ -27,8 +27,10 @@ from minionlab import (
     verify_farkas,
     verify_parity_certificate,
 )
+from minionlab import exact_solvers, hierarchies
 from minionlab.budgets import DEFAULT_BUDGET, Budget
 from minionlab.errors import BudgetExceeded, InvalidWitness
+from minionlab.exact_solvers import ExactSimplex
 from minionlab.hierarchies import (
     RejectionEvidence,
     _linear_system,
@@ -38,13 +40,16 @@ from minionlab.hierarchies import (
 from minionlab.rationals import rat
 from minionlab.structures import k_enhance
 from minionlab.system_builders import EqualitySystemBuilder
+from minionlab.verdicts import Verdict
 
-from conftest import clique, cycle, digraphs_up_to_renaming, not_all_equal, one_in_three
+from conftest import clique, cycle, digraphs_up_to_renaming, not_all_equal, one_in_three, wheel
 from references import (
+    ReferenceSimplex,
     ReferenceSystemBuilder,
     check_sdp_facts,
     reference_marginal_rows,
     reference_validate_marginal_witness,
+    simplex_outputs,
     support_family,
 )
 
@@ -164,6 +169,20 @@ def test_exact_outputs_are_pinned(driver, k, X, A, status, pivots, lp_support, y
     if digest is not None:
         doc = json.dumps(verdict.to_doc()["witness"], sort_keys=True)
         assert hashlib.sha256(doc.encode()).hexdigest() == digest
+
+
+def test_sa_and_ba_accept_w5_into_k3_which_has_no_homomorphism():
+    # the wheel W5 is not 3-colourable, yet level 1 of sa and ba accepts it
+    X, A = wheel(5), clique(3)
+    assert oracle(X, A).status is Status.REJECT
+    Xk, Ak = k_enhance(X, 1), k_enhance(A, 1)
+    verdict = sa(X, A, 1)
+    assert verdict.accepted and verdict.stats["pivots"] == 207
+    validate_marginal_witness(verdict.witness.values, Xk, Ak, 1)
+    verdict = ba(X, A, 1)
+    assert verdict.accepted and verdict.stats["pivots"] == 360
+    validate_marginal_witness(verdict.witness.lp.values, Xk, Ak, 1)
+    validate_marginal_witness(verdict.witness.ip.values, Xk, Ak, 1, integral=True)
 
 
 def test_ba_is_stronger_than_sa_and_aip_together():
@@ -478,6 +497,43 @@ def test_the_marginal_front_end_matches_its_reference(A):
                     assert _refusal(validate_marginal_witness, candidate, Xk, Ak, k, integral) == \
                         _refusal(reference_validate_marginal_witness, candidate, Xk, Ak, k,
                                  integral)
+
+
+@pytest.mark.slow
+def test_the_int_simplex_matches_its_fraction_reference(monkeypatch):
+    # every LP that sa and sos pose, and every maximal-support system that ba
+    # poses, at k = 1, 2 over the three-vertex classes into K2, K3, C4 and DT:
+    # the same pivots, points, Farkas vectors and supports as the Fraction tableau
+    posed = {"lp_feasible": {}, "maximal_support": {}}
+
+    def recorder(name):
+        solve = getattr(hierarchies, name)
+
+        def record(system, budget):
+            key = (system.var_names, tuple(tuple(row.items()) for row in system.rows), system.rhs)
+            posed[name][key] = system
+            return solve(system, budget)
+
+        return record
+
+    for name in posed:
+        monkeypatch.setattr(hierarchies, name, recorder(name))
+    # the Gram phase of sos poses no LP
+    monkeypatch.setattr(hierarchies, "_finish_gram",
+                        lambda algorithm, level, problem: Verdict(algorithm, level, Status.ACCEPT))
+    for X in digraphs_up_to_renaming(3):
+        for A in (clique(2), clique(3), cycle(4), directed_triangle()):
+            for k in LEVELS:
+                for drive in (sa, ba, sos):
+                    drive(X, A, k)
+    # ba decides the same presolved systems as sa and sos
+    assert posed["lp_feasible"].keys() == posed["maximal_support"].keys()
+    assert len(posed["lp_feasible"]) > 50
+    for name, systems in posed.items():
+        solve = getattr(exact_solvers, name)
+        for system in systems.values():
+            assert simplex_outputs(ExactSimplex, solve, system) == \
+                simplex_outputs(ReferenceSimplex, solve, system)
 
 
 def test_bw_agrees_with_the_horn_minion_test_from_the_arity_on(sweep):
