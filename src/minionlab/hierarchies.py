@@ -9,11 +9,16 @@ Level k of ``sa``, ``aip``, ``ba`` and ``sos`` is one minion test: one
 marginal system over the k-enhanced pair, enumerated once by
 ``_marginal_rows`` and read over the nonnegative rationals (``sa``), the
 integers (``aip``), the integers inside the rationals' maximal support
-(``ba``), or as Gram vectors (``sos``).  Both ``_marginal_rows`` and
+(``ba``), or as Gram vectors (``sos``).  ``_marginal_rows`` numbers the
+variables once, 0..n-1 in scope order, and states every row over those
+ids: the presolve runs on ints, ``sos`` maps ids to its Gram labels, and a
+variable's ``(symbol, scope, image)`` key is read back only in the
+presolved system and the witness.  Both ``_marginal_rows`` and
 ``validate_marginal_witness`` build the projection onto each k-tuple of
-positions once per symbol, not once per tuple projected.  The rows also
-list the cells each projected scope precedes once per projected scope, and
-the validator sums the witness as ints over one common denominator.
+positions once per symbol, not once per tuple projected.  The validator
+re-derives every identity from the structures on its own, so it does not
+trust the numbering, and it sums the witness as ints over one common
+denominator.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from operator import itemgetter
 from typing import Iterable, Optional
 
 from .budgets import DEFAULT_BUDGET, Budget
-from .errors import ArityMismatch, InvalidWitness
+from .errors import ArityMismatch, InvalidWitness, LengthMismatch
 from .exact_solvers import (
     Certificate,
     DomainTag,
@@ -198,67 +203,88 @@ def _projections(arity: int, k: int) -> list:
     return out
 
 
-def _marginal_rows(Xk: Structure, Ak: Structure, k: int, budget: Budget) -> tuple[list, list]:
-    """The level-k marginal system of the k-enhanced pair, as scopes and identities.
+def _marginal_rows(Xk: Structure, Ak: Structure, k: int, budget: Budget) -> tuple:
+    """The level-k marginal system of the k-enhanced pair, its variables numbered once.
 
-    Each scope ``(sym, xt, images)`` lists the scope-respecting images of
-    ``xt``; its variables are the keys ``(sym, xt, at)``, one per image (a
-    repeated variable never maps onto two values, so those weights are
-    identically zero and never enumerated).  Each identity is a row, with
-    right-hand side 0, saying that projecting a scope onto a k-tuple of its
-    positions reproduces the weight of the projected scope on ``R_k``.
+    Each scope ``(sym, xt)`` has one variable ``(sym, xt, at)`` per
+    scope-respecting image ``at`` (a repeated variable never maps onto two
+    values, so those weights are identically zero and never enumerated).
+    The variables are numbered 0..n-1 in scope order, so each scope holds
+    one range of ids.  Each identity is a row over ids, with right-hand side
+    0, saying that projecting a scope onto a k-tuple of its positions
+    reproduces the weight of the projected scope on ``R_k``.
+
+    Returns the key tuple, each scope's id range (its unit-mass row), and
+    the identities.  ``Ak`` holds the full ``R_k``, as ``k_enhance`` makes
+    it, so the ``R_k`` scope of a projected tuple xi lists every cell xi
+    precedes, and its ids are looked up once per projected scope.  When
+    ``Xk`` has no ``R_k`` scope xi (a hand-built ``Xk``), the variables
+    ``(R_k, xi, b)`` are numbered after the scopes, in the order the
+    identities first name them.
     """
     enh = f"R_{k}"
-    scopes = [(sym, xt, tuple(at for at in Ak.tuples(sym) if precedes(xt, at)))
-              for sym in Xk.signature.names() for xt in Xk.tuples(sym)]
-    budget.check_tuples(sum(len(images) for _, _, images in scopes), "marginal system variables")
+    keys: list = []
+    scopes = []  # (xt, images, ids) in scope order
+    enh_ids: dict = {}  # xi -> {b: the id of (enh, xi, b)} over the cells b that xi precedes
+    for sym in Xk.signature.names():
+        tuples = Ak.tuples(sym)
+        for xt in Xk.tuples(sym):
+            images = [at for at in tuples if precedes(xt, at)]
+            ids = range(len(keys), len(keys) + len(images))
+            keys.extend((sym, xt, at) for at in images)
+            if sym == enh:
+                enh_ids[xt] = dict(zip(images, ids))
+            scopes.append((xt, images, ids))
+    budget.check_tuples(len(keys), "marginal system variables")
     cells = list(itertools.product(Ak.domain, repeat=k))
     projections = {arity: _projections(arity, k) for _, arity in Xk.signature.symbols}
-    preceded: dict = {}  # xi -> the cells b that xi precedes, the keys (enh, xi, b)
     identities = []
-    for sym, xt, images in scopes:
+    for xt, images, ids in scopes:
         for _, get in projections[len(xt)]:
             xi = get(xt)
-            if xi not in preceded:
-                preceded[xi] = {b for b in cells if precedes(xi, b)}
-            targets = preceded[xi]
+            targets = enh_ids.get(xi)
+            if targets is None:  # no R_k scope of Xk: number its variables past the scopes
+                targets = enh_ids[xi] = {}
+                for b in cells:
+                    if precedes(xi, b):
+                        targets[b] = len(keys)
+                        keys.append((enh, xi, b))
             groups: dict = {}
-            for at in images:
-                groups.setdefault(get(at), []).append((sym, xt, at))
+            for at, v in zip(images, ids):
+                groups.setdefault(get(at), []).append(v)
             for b in cells:
                 row = dict.fromkeys(groups.get(b, ()), 1)  # the projected mass
-                if b in targets:
-                    key = (enh, xi, b)
-                    if key in row:  # xt is xi itself: its weight cancels
-                        del row[key]
+                v = targets.get(b)
+                if v is not None:
+                    if v in row:  # xt is xi itself: its weight cancels
+                        del row[v]
                     else:
-                        row[key] = -1
+                        row[v] = -1
                 if row:
                     identities.append(row)
-    return scopes, identities
+    return tuple(keys), [ids for _, _, ids in scopes], identities
 
 
-def _linear_system(domain_tag: DomainTag, scopes: list, identities: list) -> PresolvedSystem:
-    """Unit mass on each scope's weights, then the identities, presolved.
-
-    The unit-mass rows register every variable, in scope order.
-    """
-    builder = EqualitySystemBuilder(domain_tag)
-    for sym, xt, images in scopes:
-        builder.add_row({(sym, xt, at): 1 for at in images}, 1)
+def _linear_system(domain_tag: DomainTag, keys: tuple, scopes: list,
+                   identities: list) -> PresolvedSystem:
+    """Unit mass on each scope's weights, then the identities, presolved."""
+    builder = EqualitySystemBuilder(domain_tag, keys)
+    for ids in scopes:
+        builder.add_row(dict.fromkeys(ids, 1), 1)
     for row in identities:
         builder.add_row(row, 0)
     return builder.build()
 
 
-def _gram_problem(scopes: list, identities: list) -> GramProblem:
+def _gram_problem(keys: tuple, scopes: list, identities: list) -> GramProblem:
     """One vector per variable; a scope's vectors are orthogonal with unit total norm."""
-    groups = tuple(tuple(("c", sym, xt, at) for at in images) for sym, xt, images in scopes)
+    labels = tuple(("c",) + key for key in keys)
+    groups = tuple(labels[ids.start:ids.stop] for ids in scopes)
     return GramProblem(
-        labels=tuple(label for group in groups for label in group),
+        labels=labels,
         unit_groups=groups,
         zero_pairs=tuple(pair for group in groups for pair in itertools.combinations(group, 2)),
-        identifications=tuple(tuple((("c",) + key, c) for key, c in row.items())
+        identifications=tuple(tuple((labels[v], c) for v, c in row.items())
                               for row in identities),
     )
 
@@ -268,7 +294,9 @@ def validate_marginal_witness(
 ) -> None:
     """Check the witness against the defining equations, exactly; an absent weight is zero.
 
-    Sign, integrality and scope are checked on each exact value.  The
+    Sign and integrality are checked on each exact value, and every key's
+    image must have its scope's length; the scope itself is checked on the
+    nonzero weights only, since a zero weight respects any scope.  The
     nonzero weights are then scaled to ints by the lcm of their
     denominators, so unit mass is a sum equal to that lcm and each marginal
     an int sum equal to the scaled ``R_k`` weight.
@@ -279,7 +307,9 @@ def validate_marginal_witness(
             raise InvalidWitness(f"non-integer weight at {(sym, xt, at)}")
         if not integral and v < 0:
             raise InvalidWitness(f"negative weight at {(sym, xt, at)}")
-        if not precedes(xt, at) and v != 0:
+        if len(xt) != len(at):
+            raise LengthMismatch(f"tuples of lengths {len(xt)} and {len(at)}")
+        if v and not precedes(xt, at):
             raise InvalidWitness(f"scope-violating weight at {(sym, xt, at)}")
     scale = math.lcm(*(v.denominator for v in values.values() if v))
     scaled = {key: v.numerator * (scale // v.denominator) for key, v in values.items() if v}
@@ -460,8 +490,8 @@ def sos(X: Structure, A: Structure, k: int, budget: Budget = DEFAULT_BUDGET) -> 
     Otherwise the same scopes and identities become the Gram problem.
     """
     Xk, Ak = k_enhance(X, k, budget), k_enhance(A, k, budget)
-    scopes, identities = _marginal_rows(Xk, Ak, k, budget)
-    presolved = _linear_system(DomainTag.NONNEG_RAT, scopes, identities)
+    marginal = _marginal_rows(Xk, Ak, k, budget)
+    presolved = _linear_system(DomainTag.NONNEG_RAT, *marginal)
     outcome = lp_feasible(presolved.system, budget)
     if not outcome.feasible:
         evidence = RejectionEvidence(
@@ -470,7 +500,7 @@ def sos(X: Structure, A: Structure, k: int, budget: Budget = DEFAULT_BUDGET) -> 
         )
         stats = _stats(presolved.system, pivots=outcome.pivots)
         return Verdict("sos", k, Status.REJECT, certificate=evidence, stats=stats)
-    return _finish_gram("sos", k, _gram_problem(scopes, identities))
+    return _finish_gram("sos", k, _gram_problem(*marginal))
 
 
 def _finish_gram(algorithm: str, level: Optional[int], problem: GramProblem) -> Verdict:

@@ -10,7 +10,10 @@ forced-zero vectors are propagated to a fixpoint, and the Gram constraints on
 the remaining representatives are filtered down to an independent set.  Its
 values are Python ints while they are integral: a row whose pivot is ±1 is
 normalised by multiplying it by the pivot, and only a non-unit pivot brings
-in a Fraction, so the elimination of ±1 identifications runs on ints.  Every
+in a Fraction, so the elimination of ±1 identifications runs on ints.  Both
+echelon forms, of the identifications and of the Gram constraints, index
+each free key to the rows that hold it, so a new pivot rewrites only those
+rows, and a row is reduced by substituting each of its pivots once.  Every
 contradiction (a unit group whose members all collapse to the zero vector, or
 a Gram constraint that reduces to 0 = nonzero) is returned as an exact
 rejection whose trace holds only derived steps: the vectors forced to zero,
@@ -126,38 +129,56 @@ MAX_ITER = 100_000
 # -- phase one: exact affine reduction -------------------------------------------
 
 
-def _reduce_row(row: dict, pivot_rows: dict) -> dict:
-    row = dict(row)
-    while True:
-        hit = None
-        for lab in row:
-            if lab in pivot_rows:
-                hit = lab
-                break
-        if hit is None:
-            return {k: v for k, v in row.items() if v != 0}
-        c = row.pop(hit)
-        for k, v in pivot_rows[hit].items():
-            if k != hit:
-                row[k] = row.get(k, 0) - c * v
-        row = {k: v for k, v in row.items() if v != 0}
+class _Echelon:
+    """Rows in reduced echelon form, with an index from each free key to the rows holding it.
 
+    Each pivot's row is scaled to 1 at the pivot and holds no other pivot.
+    The pivot is a row's greatest key by ``rank`` (natural order if None).
+    """
 
-def _insert_pivot(row: dict, pivot_rows: dict, rank) -> None:
-    # the pivot is the row's greatest key, ordered by rank (natural order if None)
-    pivot = max(row, key=rank)
-    # a unit pivot is its own inverse, so an integral row stays integral
-    p = row[pivot]
-    scale = p if p in (1, -1) else R1 / p
-    norm = {k: v * scale for k, v in row.items()}
-    for other, prow in list(pivot_rows.items()):
-        if pivot in prow:
+    def __init__(self, rank):
+        self.rank = rank
+        self.rows: dict = {}  # pivot -> its row
+        self.holders: dict = {}  # free key -> {pivot: None} for each row that holds it
+
+    def reduce(self, row: dict) -> dict:
+        """The row with every pivot eliminated, zeros dropped.
+
+        A pivot row holds no other pivot, so each pivot of ``row`` is
+        substituted once.
+        """
+        out = dict(row)
+        for hit in [lab for lab in row if lab in self.rows]:
+            c = out.pop(hit)
+            for k, v in self.rows[hit].items():
+                if k != hit:
+                    out[k] = out.get(k, 0) - c * v
+        return {k: v for k, v in out.items() if v != 0}
+
+    def insert(self, row: dict) -> None:
+        """Add a reduced nonzero row, eliminating its pivot from the rows that hold it."""
+        pivot = max(row, key=self.rank)
+        # a unit pivot is its own inverse, so an integral row stays integral
+        p = row[pivot]
+        scale = p if p in (1, -1) else R1 / p
+        norm = {k: v * scale for k, v in row.items()}
+        holders = self.holders
+        for other in holders.pop(pivot, ()):
+            prow = self.rows[other]
             c = prow.pop(pivot)
             for k, v in norm.items():
                 if k != pivot:
-                    prow[k] = prow.get(k, 0) - c * v
-            pivot_rows[other] = {k: v for k, v in prow.items() if v != 0 or k == other}
-    pivot_rows[pivot] = norm
+                    value = prow.get(k, 0) - c * v
+                    if value != 0:
+                        prow[k] = value
+                        holders.setdefault(k, {})[other] = None
+                    else:
+                        del prow[k]
+                        del holders[k][other]
+        self.rows[pivot] = norm
+        for k in norm:
+            if k != pivot:
+                holders.setdefault(k, {})[pivot] = None
 
 
 def affine_reduce(problem: GramProblem):
@@ -171,14 +192,14 @@ def affine_reduce(problem: GramProblem):
     a Gram constraint reduces to 0 = nonzero.
     """
     label_order = {lab: i for i, lab in enumerate(problem.labels)}
-    pivot_rows: dict = {}
+    # eliminate the latest-registered label so early labels stay representatives
+    vectors = _Echelon(label_order.__getitem__)
     steps: list = []
 
     def add_relation(row: dict) -> bool:
-        reduced = _reduce_row(row, pivot_rows)
+        reduced = vectors.reduce(row)
         if reduced:
-            # eliminate the latest-registered label so early labels stay representatives
-            _insert_pivot(reduced, pivot_rows, label_order.__getitem__)
+            vectors.insert(reduced)
         return bool(reduced)
 
     for ident in problem.identifications:
@@ -188,9 +209,9 @@ def affine_reduce(problem: GramProblem):
         add_relation(row)
 
     def combo(lab: Label) -> dict:
-        if lab not in pivot_rows:
+        if lab not in vectors.rows:
             return {lab: 1}
-        return {k: -v for k, v in pivot_rows[lab].items() if k != lab}
+        return {k: -v for k, v in vectors.rows[lab].items() if k != lab}
 
     # propagate forced-zero vectors to a fixpoint
     while True:
@@ -233,15 +254,15 @@ def affine_reduce(problem: GramProblem):
     # every (si, ti) and so is never a pivot: a row that reduces to () alone
     # reads 0 = nonzero
     constraints: list = []
-    gram_pivots: dict = {}
+    gram = _Echelon(None)
 
     def push(coeffs: dict, rhs) -> Optional[Inconsistent]:
-        reduced = _reduce_row({**coeffs, (): rhs}, gram_pivots)
+        reduced = gram.reduce({**coeffs, (): rhs})
         if list(reduced) == [()]:
             steps.append(("affine-contradiction", f"0 = {rat_to_str(reduced[()])}"))
             return Inconsistent(steps, "the Gram constraints are affinely contradictory")
         if reduced:
-            _insert_pivot(reduced, gram_pivots, None)
+            gram.insert(reduced)
             constraints.append((coeffs, rhs))
         return None
 

@@ -15,6 +15,13 @@ solvers run:
 Inconsistent rows such as ``0 = 1`` are kept so that the downstream solver
 rejects and its certificate verifies against the emitted system.
 
+The caller numbers the variables once: the builder takes the key tuple, and
+each row is a dict from a variable's index in that tuple to its
+coefficient.  The presolve runs on those ints alone (a list union-find, a
+bytearray of pins, duplicate-row keys and columns sorted by index, and the
+lower index kept as a merge's root), and turns indices back into keys only
+when it emits the :class:`PresolvedSystem`.
+
 ``build`` is the one place a row is summed over roots and cleared of zeros.
 The emitted ``LinearSystem`` holds the numbers the caller passed (the
 marginal rows pass ints).  Only the duplicate-row key divides into
@@ -53,49 +60,45 @@ class PresolvedSystem:
 
 
 class EqualitySystemBuilder:
-    """Collects sparse equality rows over hashable variable keys."""
+    """Collects sparse equality rows over the variables numbered by ``keys``."""
 
-    def __init__(self, domain: DomainTag):
+    def __init__(self, domain: DomainTag, keys: tuple[Hashable, ...]):
         self.domain = domain
-        self._parent: dict = {}  # union-find links, keyed in registration order
+        self.keys = keys
         self._rows: list[tuple[dict, object]] = []
 
-    def ensure_var(self, key: Hashable) -> None:
-        self._parent.setdefault(key, key)
-
     def add_row(self, coeffs: dict, rhs) -> None:
-        """Register every key, a zero coefficient's too, and store the caller's row unchanged.
+        """Store the caller's row, a dict from variable index to coefficient, unchanged.
 
         Coefficients may be ints or exact rationals; ``build`` reads the row.
         """
-        for key in coeffs:
-            self._parent.setdefault(key, key)
         self._rows.append((coeffs, rhs))
 
     def build(self) -> PresolvedSystem:
-        keys = tuple(self._parent)
-        order = {k: i for i, k in enumerate(keys)}
+        keys = self.keys
+        parent = list(range(len(keys)))  # union-find links; a root has the lowest index
+        pinned = bytearray(len(keys))
 
-        def find(key):
-            root = key
-            while self._parent[root] != root:
-                root = self._parent[root]
-            while self._parent[key] != root:
-                self._parent[key], key = root, self._parent[key]
+        def find(v: int) -> int:
+            root = v
+            while parent[root] != root:
+                root = parent[root]
+            while parent[v] != root:
+                parent[v], v = root, parent[v]
             return root
 
-        pinned: set = set()
-        pending = list(self._rows)
+        pending = self._rows
         while True:
             changed = False
             survivors = []
             for coeffs, rhs in pending:
                 canon: dict = {}
-                for key, c in coeffs.items():
-                    root = find(key)
-                    if root not in pinned:
+                for v, c in coeffs.items():
+                    root = find(v)
+                    if not pinned[root]:
                         canon[root] = canon.get(root, 0) + c
-                canon = {k: c for k, c in canon.items() if c != 0}
+                if 0 in canon.values():
+                    canon = {v: c for v, c in canon.items() if c != 0}
                 if not canon:
                     if rhs != 0:  # inconsistent, keep for the solver; drop a tautology
                         survivors.append((canon, rhs))
@@ -103,22 +106,23 @@ class EqualitySystemBuilder:
                 if rhs == 0:
                     if len(canon) == 1:
                         (root,) = canon
-                        pinned.add(root)
+                        pinned[root] = 1
                         changed = True
                         continue
                     if len(canon) == 2:
-                        (k1, c1), (k2, c2) = canon.items()
+                        (v1, c1), (v2, c2) = canon.items()
                         if c1 == -c2:
-                            # both are current roots; the one registered first stays
-                            if order[k2] < order[k1]:
-                                k1, k2 = k2, k1
-                            self._parent[k2] = k1
+                            # both are current roots; the lower index stays
+                            if v2 < v1:
+                                v1, v2 = v2, v1
+                            parent[v2] = v1
                             changed = True
                             continue
                     if self.domain is DomainTag.NONNEG_RAT:
                         signs = {c > 0 for c in canon.values()}
                         if len(signs) == 1:
-                            pinned.update(canon)
+                            for v in canon:
+                                pinned[v] = 1
                             changed = True
                             continue
                 survivors.append((canon, rhs))
@@ -131,19 +135,19 @@ class EqualitySystemBuilder:
         # int and an equal Fraction hash alike, so both kinds of key meet
         distinct: dict = {}
         for canon, rhs in pending:
-            items = sorted(canon.items(), key=lambda t: order[t[0]])
+            items = sorted(canon.items())
             scale = items[0][1] if items else rhs
             if scale == 1 or scale == -1:
-                key = (tuple((order[k], c * scale) for k, c in items), rhs * scale)
+                key = (tuple((v, c * scale) for v, c in items), rhs * scale)
             else:
-                key = (tuple((order[k], rat(c, scale)) for k, c in items), rat(rhs, scale))
+                key = (tuple((v, rat(c, scale)) for v, c in items), rat(rhs, scale))
             distinct.setdefault(key, (canon, rhs))
         final_rows = distinct.values()
-        roots_in_rows = sorted({root for canon, _ in final_rows for root in canon},
-                               key=order.__getitem__)
-        column_of = {root: i for i, root in enumerate(roots_in_rows)}
-        rows = tuple({column_of[root]: c for root, c in canon.items()} for canon, _ in final_rows)
+        roots = sorted({root for canon, _ in final_rows for root in canon})
+        column = {root: j for j, root in enumerate(roots)}
+        rows = tuple({column[root]: c for root, c in canon.items()} for canon, _ in final_rows)
         rhs = tuple(b for _, b in final_rows)
-        system = LinearSystem(tuple(roots_in_rows), rows, rhs, self.domain)
-        root_of = {k: find(k) for k in keys}
+        system = LinearSystem(tuple(keys[root] for root in roots), rows, rhs, self.domain)
+        root_of = {key: keys[find(v)] for v, key in enumerate(keys)}
+        column_of = {keys[root]: j for j, root in enumerate(roots)}
         return PresolvedSystem(system, keys, root_of, column_of)

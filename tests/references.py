@@ -3,8 +3,9 @@
 Each one re-derives or re-checks something a driver or solver produces:
 the local-consistency family inside an LP witness, the consequences every
 basic-SDP solution obeys, the exact Gram reduction in Fractions alone, the
-marginal rows, witness check and presolve with one projection per tuple
-and every sum and row key on the original values, the simplex on a
+marginal rows, witness check and presolve with one projection per tuple,
+every variable keyed by its tuple and every sum and row key on the
+original values, the simplex on a
 Fraction tableau, integer points,
 homomorphism counts, tensor-power
 cell positions, certificates read back from JSON, the Hermite form, the
@@ -46,7 +47,7 @@ from minionlab.structures import (
     precedes,
     project,
 )
-from minionlab.system_builders import EqualitySystemBuilder, PresolvedSystem
+from minionlab.system_builders import PresolvedSystem
 
 # -- local consistency inside an LP witness -------------------------------------------
 
@@ -348,9 +349,20 @@ def reference_validate_marginal_witness(
                         )
 
 
-class ReferenceSystemBuilder(EqualitySystemBuilder):
-    """``EqualitySystemBuilder`` whose ``build`` sorts each merged pair and keys
-    every duplicate row through ``rat``."""
+class ReferenceSystemBuilder:
+    """``EqualitySystemBuilder`` over hashable keys, registered as its rows name
+    them, whose ``build`` sorts each merged pair and keys every duplicate row
+    through ``rat``."""
+
+    def __init__(self, domain: DomainTag):
+        self.domain = domain
+        self._parent: dict = {}  # union-find links, keyed in registration order
+        self._rows: list[tuple[dict, object]] = []
+
+    def add_row(self, coeffs: dict, rhs) -> None:
+        for key in coeffs:
+            self._parent.setdefault(key, key)
+        self._rows.append((coeffs, rhs))
 
     def build(self) -> PresolvedSystem:
         keys = tuple(self._parent)

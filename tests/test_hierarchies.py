@@ -29,7 +29,7 @@ from minionlab import (
 )
 from minionlab import exact_solvers, hierarchies
 from minionlab.budgets import DEFAULT_BUDGET, Budget
-from minionlab.errors import BudgetExceeded, InvalidWitness
+from minionlab.errors import BudgetExceeded, InvalidWitness, LengthMismatch
 from minionlab.exact_solvers import ExactSimplex
 from minionlab.hierarchies import (
     RejectionEvidence,
@@ -38,7 +38,7 @@ from minionlab.hierarchies import (
     validate_marginal_witness,
 )
 from minionlab.rationals import rat
-from minionlab.structures import k_enhance
+from minionlab.structures import k_enhance, precedes
 from minionlab.system_builders import EqualitySystemBuilder
 from minionlab.verdicts import Verdict
 
@@ -80,7 +80,6 @@ def sa_reference(X: Structure, A: Structure, k: int) -> bool:
     subsets quantify over the domain directly).
     """
     X.require_same_signature(A)
-    builder = EqualitySystemBuilder(DomainTag.NONNEG_RAT)
 
     def fn_key(f: dict) -> tuple:
         return tuple(sorted(f.items(), key=lambda ab: X.atom_id(ab[0])))
@@ -88,9 +87,7 @@ def sa_reference(X: Structure, A: Structure, k: int) -> bool:
     subsets: list[tuple] = []
     for j in range(1, min(k, len(X.domain)) + 1):
         subsets.extend(itertools.combinations(X.domain, j))
-    for V in subsets:
-        for f in _functions(V, A.domain):
-            builder.ensure_var(("mu", V, fn_key(f)))
+    keys = [("mu", V, fn_key(f)) for V in subsets for f in _functions(V, A.domain)]
     scope_fns: dict = {}
     for sym in X.signature.names():
         for xt in X.tuples(sym):
@@ -101,11 +98,16 @@ def sa_reference(X: Structure, A: Structure, k: int) -> bool:
                 if A.has_tuple(sym, tuple(f[x] for x in xt))
             ]
             scope_fns[(sym, xt)] = (atoms, fns)
-            for f in fns:
-                builder.ensure_var(("muR", sym, xt, fn_key(f)))
+            keys += [("muR", sym, xt, fn_key(f)) for f in fns]
+    index = {key: i for i, key in enumerate(keys)}
+    builder = EqualitySystemBuilder(DomainTag.NONNEG_RAT, tuple(keys))
+
+    def add(row: dict, rhs) -> None:
+        builder.add_row({index[key]: c for key, c in row.items()}, rhs)
+
     # unit mass on every subset distribution
     for V in subsets:
-        builder.add_row({("mu", V, fn_key(f)): 1 for f in _functions(V, A.domain)}, 1)
+        add({("mu", V, fn_key(f)): 1 for f in _functions(V, A.domain)}, 1)
     # marginalisation between nested subsets
     for V in subsets:
         fsV = _functions(V, A.domain)
@@ -116,10 +118,10 @@ def sa_reference(X: Structure, A: Structure, k: int) -> bool:
                            for g in fsV
                            if all(g[u] == fU[u] for u in U)}
                     row[("mu", U, fn_key(fU))] = -1
-                    builder.add_row(row, 0)
+                    add(row, 0)
     # unit mass and marginalisation for the scope distributions
     for (sym, xt), (atoms, fns) in scope_fns.items():
-        builder.add_row({("muR", sym, xt, fn_key(f)): 1 for f in fns}, 1)
+        add({("muR", sym, xt, fn_key(f)): 1 for f in fns}, 1)
         for U in subsets:
             if set(U) <= set(atoms):
                 for fU in _functions(U, A.domain):
@@ -127,7 +129,7 @@ def sa_reference(X: Structure, A: Structure, k: int) -> bool:
                            for g in fns
                            if all(g[u] == fU[u] for u in U)}
                     row[("mu", U, fn_key(fU))] = -1
-                    builder.add_row(row, 0)
+                    add(row, 0)
     return lp_feasible(builder.build().system).feasible
 
 
@@ -169,6 +171,43 @@ def test_exact_outputs_are_pinned(driver, k, X, A, status, pivots, lp_support, y
     if digest is not None:
         doc = json.dumps(verdict.to_doc()["witness"], sort_keys=True)
         assert hashlib.sha256(doc.encode()).hexdigest() == digest
+
+
+def verdict_digest(verdicts) -> str:
+    """SHA-256 over the verdict documents, one JSON line each, ``stats.millis`` left out."""
+    digest = hashlib.sha256()
+    for verdict in verdicts:
+        doc = verdict.to_doc()
+        del doc["stats"]["millis"]
+        digest.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
+    return digest.hexdigest()
+
+
+# whole verdict documents, witnesses and certificates included, of each driver
+# and level on C5, W5, C7 and K4 into K2, K3 and K4, and of sa^3 K3 -> K2; a
+# change meant to leave every verdict as it is must reproduce them byte for byte
+PINNED_DOCUMENTS = [
+    (sa, 1, "273b7109ca5de9b67ea56b0553f0548aa487b13acd654ab6485dfc214f2544f8"),
+    (sa, 2, "0ce5be7c18e14ffac7b2c2fb83f3865a802c20eb4e1a22094dacaf0cff695caf"),
+    (aip, 1, "2d8ce1031c3701c40973963a284c9e60bf94a7be5baedf8753f559aae7907056"),
+    (aip, 2, "c3bbe6a21e713e549de8bf79c4911369ed456ee4774ecf74288c52800a763019"),
+    (ba, 1, "a7fdb45c9e67108d638c22b30c2d37dba7e656127a4455cd4d071b9e5bccf375"),
+    (ba, 2, "c03114be6d89668cd7933637430fa15e6c2fa570776b263fc9b02556e678a122"),
+]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("driver, k, digest", PINNED_DOCUMENTS,
+                         ids=["sa1", "sa2", "aip1", "aip2", "ba1", "ba2"])
+def test_verdict_documents_are_pinned(driver, k, digest):
+    verdicts = [driver(X, A, k) for X in (cycle(5), wheel(5), cycle(7), clique(4))
+                for A in (clique(2), clique(3), clique(4))]
+    assert verdict_digest(verdicts) == digest
+
+
+def test_the_sa3_anchor_document_is_pinned():
+    assert verdict_digest([sa(clique(3), clique(2), 3)]) == \
+        "270235c90f82f4fbfe6cfdebec4dcfd20ed0ec0899c6319de8d6a12bd81549b2"
 
 
 def test_sa_and_ba_accept_w5_into_k3_which_has_no_homomorphism():
@@ -297,6 +336,23 @@ def test_a_weight_on_a_scope_violating_image_is_refused(k2_marginals):
     values[("R_2", ("0", "0"), ("0", "1"))] = rat(1, 2)
     with pytest.raises(InvalidWitness, match="scope-violating"):
         validate_marginal_witness(values, Xk, Xk, 2)
+
+
+@pytest.mark.parametrize("key, weight, refusal", [
+    # a zero weight respects any scope, but its image must have the scope's length
+    (("R_2", ("0", "0"), ("0", "1")), rat(0), None),
+    (("R_2", ("0", "0"), ("0",)), rat(0), LengthMismatch),
+    (("R_2", ("0", "0"), ("0", "1")), rat(1, 3), InvalidWitness),
+], ids=["zero-scope-violating", "zero-wrong-length", "nonzero-scope-violating"])
+def test_the_scope_is_checked_on_nonzero_weights_and_the_length_on_all(
+        k2_marginals, key, weight, refusal):
+    values, Xk = k2_marginals
+    values[key] = weight
+    if refusal is None:
+        validate_marginal_witness(values, Xk, Xk, 2)
+    else:
+        with pytest.raises(refusal):
+            validate_marginal_witness(values, Xk, Xk, 2)
 
 
 def test_moved_mass_breaks_a_marginal(k2_marginals):
@@ -461,42 +517,85 @@ def _presolved_by_value(presolved) -> tuple:
             presolved.key_order, presolved.root_of, presolved.column_of)
 
 
+def assert_front_end_matches_reference(X: Structure, A: Structure, k: int) -> None:
+    """The rows, the presolve and the witness check on ints against the routines
+    in references.py that project per tuple, key every variable by its tuple
+    and sum on the original values."""
+    Xk, Ak = k_enhance(X, k), k_enhance(A, k)
+    keys, scopes, identities = _marginal_rows(Xk, Ak, k, DEFAULT_BUDGET)
+    ref_scopes, ref_identities = reference_marginal_rows(Xk, Ak, k)
+    ref_units = [{(sym, xt, at): 1 for at in images} for sym, xt, images in ref_scopes]
+    assert [[keys[v] for v in ids] for ids in scopes] == [list(unit) for unit in ref_units]
+    assert [[(keys[v], c) for v, c in row.items()] for row in identities] == \
+        [list(row.items()) for row in ref_identities]
+    for tag in DomainTag:
+        reference = ReferenceSystemBuilder(tag)
+        for unit in ref_units:
+            reference.add_row(unit, 1)
+        for row in ref_identities:
+            reference.add_row(row, 0)
+        assert _presolved_by_value(_linear_system(tag, keys, scopes, identities)) == \
+            _presolved_by_value(reference.build())
+    witnesses = []
+    for driver, integral in ((sa, False), (aip, True)):
+        verdict = driver(X, A, k)
+        if verdict.accepted:
+            witnesses.append((verdict.witness.values, integral))
+    verdict = ba(X, A, k)
+    if verdict.accepted:
+        witnesses += [(verdict.witness.lp.values, False), (verdict.witness.ip.values, True)]
+    for values, integral in witnesses:
+        for candidate in (values, _moved_mass(values)):
+            assert _refusal(validate_marginal_witness, candidate, Xk, Ak, k, integral) == \
+                _refusal(reference_validate_marginal_witness, candidate, Xk, Ak, k, integral)
+
+
+FRONT_END_CASES = {
+    # the three-vertex classes at k = 1, 2 into each small target
+    **{A.name: [(X, A, k) for X in digraphs_up_to_renaming(3) for k in LEVELS]
+       for A in (clique(2), clique(3), cycle(4), directed_triangle())},
+    # larger pairs: a wheel, odd cycles into larger cliques, and level 3
+    "W5-K3-2": [(wheel(5), clique(3), 2)],
+    "C5-K4-2": [(cycle(5), clique(4), 2)],
+    "C7-K3-2": [(cycle(7), clique(3), 2)],
+    "K3-K2-3": [(clique(3), clique(2), 3)],
+}
+
+
 @pytest.mark.slow
-@pytest.mark.parametrize("A", [clique(2), clique(3), cycle(4), directed_triangle()],
-                         ids=["K2", "K3", "C4", "DT"])
-def test_the_marginal_front_end_matches_its_reference(A):
-    # the rows, the presolve and the witness check on ints against the routines
-    # in references.py that project per tuple and key and sum on the original
-    # values, over the three-vertex classes at k = 1, 2
-    for X in digraphs_up_to_renaming(3):
-        for k in LEVELS:
-            Xk, Ak = k_enhance(X, k), k_enhance(A, k)
-            scopes, identities = _marginal_rows(Xk, Ak, k, DEFAULT_BUDGET)
-            ref_scopes, ref_identities = reference_marginal_rows(Xk, Ak, k)
-            assert scopes == ref_scopes
-            assert [list(row.items()) for row in identities] == \
-                [list(row.items()) for row in ref_identities]
-            for tag in DomainTag:
-                reference = ReferenceSystemBuilder(tag)
-                for sym, xt, images in scopes:
-                    reference.add_row({(sym, xt, at): 1 for at in images}, 1)
-                for row in identities:
-                    reference.add_row(row, 0)
-                assert _presolved_by_value(_linear_system(tag, scopes, identities)) == \
-                    _presolved_by_value(reference.build())
-            witnesses = []
-            for driver, integral in ((sa, False), (aip, True)):
-                verdict = driver(X, A, k)
-                if verdict.accepted:
-                    witnesses.append((verdict.witness.values, integral))
-            verdict = ba(X, A, k)
-            if verdict.accepted:
-                witnesses += [(verdict.witness.lp.values, False), (verdict.witness.ip.values, True)]
-            for values, integral in witnesses:
-                for candidate in (values, _moved_mass(values)):
-                    assert _refusal(validate_marginal_witness, candidate, Xk, Ak, k, integral) == \
-                        _refusal(reference_validate_marginal_witness, candidate, Xk, Ak, k,
-                                 integral)
+@pytest.mark.parametrize("case", FRONT_END_CASES)
+def test_the_marginal_front_end_matches_its_reference(case):
+    for X, A, k in FRONT_END_CASES[case]:
+        assert_front_end_matches_reference(X, A, k)
+
+
+def test_the_marginal_variables_are_numbered_densely_in_unit_mass_order():
+    # each scope's range follows the last, and the ids name the keys in the
+    # order the unit-mass rows list them
+    for X, A, k in ((cycle(5), clique(3), 1), (clique(3), directed_triangle(), 2)):
+        Xk, Ak = k_enhance(X, k), k_enhance(A, k)
+        keys, scopes, identities = _marginal_rows(Xk, Ak, k, DEFAULT_BUDGET)
+        assert [v for ids in scopes for v in ids] == list(range(len(keys)))
+        assert [[keys[v] for v in ids] for ids in scopes] == \
+            [[(sym, xt, at) for at in Ak.tuples(sym) if precedes(xt, at)]
+             for sym in Xk.signature.names() for xt in Xk.tuples(sym)]
+        assert {v for row in identities for v in row} <= set(range(len(keys)))
+
+
+def test_an_input_that_already_holds_r_k_is_numbered_as_given():
+    # R_2 declared ahead of R: k_enhance returns both structures unchanged, so
+    # the R_2 scopes come first and their variables take the lowest ids
+    sig = Signature.of({"R_2": 2, "R": 2})
+    X, A = cycle(4), clique(3)
+    X2 = Structure(sig, X.domain, {"R_2": itertools.product(X.domain, repeat=2),
+                                   "R": X.tuples("R")})
+    A2 = Structure(sig, A.domain, {"R_2": itertools.product(A.domain, repeat=2),
+                                   "R": A.tuples("R")})
+    assert k_enhance(X2, 2) is X2 and k_enhance(A2, 2) is A2
+    keys, _, _ = _marginal_rows(X2, A2, 2, DEFAULT_BUDGET)
+    assert keys[0][0] == "R_2" and keys[-1][0] == "R"
+    assert_front_end_matches_reference(X2, A2, 2)
+    assert sa(X2, A2, 2).status is sa(X, A, 2).status is Status.ACCEPT
 
 
 @pytest.mark.slow

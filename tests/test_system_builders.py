@@ -8,9 +8,14 @@ from minionlab.system_builders import EqualitySystemBuilder
 
 
 def build(domain, *rows):
-    builder = EqualitySystemBuilder(domain)
+    """Presolve rows over named keys, numbered in the order the rows first name them."""
+    index: dict = {}
+    for coeffs, _ in rows:
+        for key in coeffs:
+            index.setdefault(key, len(index))
+    builder = EqualitySystemBuilder(domain, tuple(index))
     for coeffs, rhs in rows:
-        builder.add_row(coeffs, rhs)
+        builder.add_row({index[key]: c for key, c in coeffs.items()}, rhs)
     return builder.build()
 
 

@@ -51,7 +51,8 @@ def rows_by_marginal(Xk: Structure, Ak: Structure, k: int) -> dict:
     With one scope of distinct atoms, index tuples with distinct projections
     give distinct enhancement variables, so the keys do not collide.
     """
-    _, identities = _marginal_rows(Xk, Ak, k, DEFAULT_BUDGET)
+    keys, _, id_rows = _marginal_rows(Xk, Ak, k, DEFAULT_BUDGET)
+    identities = [{keys[v]: c for v, c in row.items()} for row in id_rows]
     out = {}
     for row in identities:
         (enh,) = [key for key, c in row.items() if c == -1]
@@ -70,8 +71,9 @@ def test_relation_projection_tensor_k2_first_coordinate(k2):
 def test_relation_projection_empty_relation():
     A = Structure(Signature.of({"R": 2}), ["0"], {"R": []})
     X = Structure(Signature.of({"R": 2}), list(XY), {"R": [XY]})
-    scopes, _ = _marginal_rows(k_enhance(X, 1), k_enhance(A, 1), 1, DEFAULT_BUDGET)
-    assert ("R", XY, ()) in scopes
+    keys, scopes, _ = _marginal_rows(k_enhance(X, 1), k_enhance(A, 1), 1, DEFAULT_BUDGET)
+    # the scope (R, XY) comes first and has no image, so no variable and an empty range
+    assert len(scopes[0]) == 0 and not [key for key in keys if key[:2] == ("R", XY)]
     verdict = sa(X, A, 1)
     assert verdict.status is Status.REJECT
     assert verify_farkas(verdict.certificate.certificate, verdict.certificate.system)
