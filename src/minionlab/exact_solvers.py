@@ -4,12 +4,15 @@ Everything here is exact.  The simplex, with Bland's anti-cycling rule,
 keeps each tableau row as arbitrary-precision ints over one positive
 denominator and pivots fraction-free (Edmonds 1967); it builds a Fraction
 only for the points and multipliers it returns.  Integer systems go
-through a column Hermite normal form.  The systems the hierarchies pose are
-tall, sparse and mostly +-1, so both solvers skip zero entries: a simplex
-pivot leaves every row with a zero in the pivot column alone and subtracts
-the pivot row's nonzero columns only, and a Hermite-form column operation
-walks the source column's nonzeros.  Every rejection carries one rational
-vector y, with one multiplier per row, that a single sparse product checks:
+through a column Hermite normal form H = A U, which keeps only H and logs
+each column operation; the point x = U z replays that log on z.  The
+systems the hierarchies pose are tall, sparse and mostly +-1, so both
+solvers skip zero entries: a simplex pivot leaves every row with a zero in
+the pivot column alone and subtracts the pivot row's nonzero columns only,
+a Hermite-form column operation walks the source column's nonzeros, and
+the Hermite form's search in a row visits only the columns that an index
+of that row lists.  Every rejection carries one rational vector y, with
+one multiplier per row, that a single sparse product checks:
 
 - ``FARKAS``: y^T A <= 0 and y^T b > 0, so A x = b has no solution x >= 0
   (Farkas' lemma); a solution would give 0 < y^T b = (y^T A) x <= 0.
@@ -413,14 +416,20 @@ def maximal_support(
 # -- integer systems via column Hermite normal form ---------------------------------
 
 
-def _hnf(cols: list[dict], m: int, budget: Budget) -> list[tuple[int, int]]:
-    """Column Hermite normal form H = A U, U unimodular, in place; returns the pivots (row, col).
+def _hnf(cols: list[dict], m: int, budget: Budget) -> tuple[list[tuple[int, int]], list[tuple]]:
+    """Column Hermite normal form H = A U, U unimodular, in place; returns the pivots
+    (row, col) and the log of column operations.
 
     ``cols[j]`` holds the nonzero entries of column j of A, keyed by row
-    0..m-1.  Each column gains the entries of U at keys m..m+n-1, so one
-    sparse map holds a column of [H; U] and a column operation acts on
-    both: a swap exchanges two maps and an added multiple walks only the
-    source column's nonzeros.
+    0..m-1, and ends as column j of H.  U is never formed.  Each column
+    operation is appended to the log instead: a swap of columns a and b as
+    ``(a, b)``, a negation of column a as ``(a,)``, and adding q times column
+    src to column dst as ``(dst, src, q)``.  U is the product of those
+    operations in log order, and ``_times_u`` applies it to a vector.  A
+    per-row index holds the columns with a nonzero entry in each row, so the
+    pivot search in a row and the reduction to the left of its pivot visit
+    only those columns.  An added multiple walks the source column's
+    nonzeros, and updates the index where an entry appears or vanishes.
 
     Pivot entries are positive, entries above a pivot vanish, and entries to
     the left of a pivot in its row are reduced modulo the pivot, which keeps
@@ -428,43 +437,62 @@ def _hnf(cols: list[dict], m: int, budget: Budget) -> list[tuple[int, int]]:
     budget.
     """
     n = len(cols)
+    in_row: list[set] = [set() for _ in range(m)]
     for j, col in enumerate(cols):
-        col[m + j] = 1
-    ops = 0
+        for t in col:
+            in_row[t].add(j)
+    log: list[tuple] = []
 
-    def count() -> None:
-        nonlocal ops
-        ops += 1
-        if ops > budget.max_pivots:
+    def record(op: tuple) -> None:
+        if len(log) >= budget.max_pivots:
             raise IterationBudget(f"Hermite form exceeded {budget.max_pivots} column operations")
+        log.append(op)
 
     def col_swap(a: int, b: int) -> None:
-        count()
-        cols[a], cols[b] = cols[b], cols[a]
+        record((a, b))
+        ca, cb = cols[a], cols[b]
+        for t in ca:
+            if t not in cb:
+                in_row[t].remove(a)
+                in_row[t].add(b)
+        for t in cb:
+            if t not in ca:
+                in_row[t].remove(b)
+                in_row[t].add(a)
+        cols[a], cols[b] = cb, ca
 
     def col_negate(a: int) -> None:
-        count()
-        cols[a] = {t: -v for t, v in cols[a].items()}
+        record((a,))
+        col = cols[a]
+        for t in col:
+            col[t] = -col[t]
 
     def col_addmul(dst: int, src: int, q: int) -> None:
         if q == 0:
             return
-        count()
+        record((dst, src, q))
         d = cols[dst]
         for t, v in cols[src].items():
-            w = d.get(t, 0) + q * v
-            if w:
-                d[t] = w
+            w = d.get(t)
+            if w is None:
+                d[t] = q * v
+                in_row[t].add(dst)
             else:
-                del d[t]
+                w += q * v
+                if w:
+                    d[t] = w
+                else:
+                    del d[t]
+                    in_row[t].remove(dst)
 
     pivots: list[tuple[int, int]] = []
     c = 0
     for i in range(m):
         if c >= n:
             break
+        row = in_row[i]
         while True:
-            nz = [j for j in range(c, n) if i in cols[j]]
+            nz = sorted(j for j in row if j >= c)
             if not nz:
                 break
             if len(nz) == 1:
@@ -482,11 +510,33 @@ def _hnf(cols: list[dict], m: int, budget: Budget) -> list[tuple[int, int]]:
             if cols[c][i] < 0:
                 col_negate(c)
             h = cols[c][i]
-            for j in range(c):
-                col_addmul(j, c, -(cols[j].get(i, 0) // h))
+            for j in sorted(j for j in row if j < c):
+                col_addmul(j, c, -(cols[j][i] // h))
             pivots.append((i, c))
             c += 1
-    return pivots
+    return pivots, log
+
+
+def _times_u(log: list[tuple], z: list[int]) -> list[int]:
+    """U z for the U that ``_hnf`` logged, by replaying the log backwards on z.
+
+    U is the product E_1 ... E_r of the logged column operations, so U z
+    applies E_r first.  Each E acts on z as its operation acts on the
+    columns, except that adding q times column src to column dst adds q
+    times entry dst to entry src.
+    """
+    x = list(z)
+    for op in reversed(log):
+        if len(op) == 3:
+            dst, src, q = op
+            x[src] += q * x[dst]
+        elif len(op) == 2:
+            a, b = op
+            x[a], x[b] = x[b], x[a]
+        else:
+            (a,) = op
+            x[a] = -x[a]
+    return x
 
 
 def _substitute(cols: list[dict], m: int, b: Sequence[int], pivots) -> tuple[dict, int, int]:
@@ -513,8 +563,7 @@ def _substitute(cols: list[dict], m: int, b: Sequence[int], pivots) -> tuple[dic
         if q:
             z[j] = q
             for t, h in cols[j].items():
-                if t < m:
-                    residual[t] -= h * q
+                residual[t] -= h * q
     return z, -1, 0
 
 
@@ -538,11 +587,13 @@ def _integer_farkas(cols: list[dict], m: int, pivots, r: int, residual: int) -> 
 def diophantine_solve(sys: LinearSystem, budget: Budget = DEFAULT_BUDGET) -> SolveOutcome:
     """Integer feasibility of A x = b, with an integer Farkas vector on reject.
 
-    With H = A U (U unimodular), x = U z turns A x = b into H z = b.  When
-    substitution fails, y^T A = y^T H U^{-1} is integral and y^T b is not;
-    such a y exists exactly when no integer solution does (Schrijver 1986,
-    Cor. 4.1a).  Hermite-form column operations count against ``max_pivots``.
-    Entries must be integral (``MalformedInput`` otherwise) and are read as
+    With H = A U (U unimodular), x = U z turns A x = b into H z = b; x is
+    found by replaying the Hermite form's log of column operations on z.
+    When substitution fails, y^T A = y^T H U^{-1} is integral and y^T b is
+    not; such a y exists exactly when no integer solution does (Schrijver
+    1986, Cor. 4.1a).  Hermite-form column operations count against
+    ``max_pivots``, and the outcome's ``pivots`` is their number.  Entries
+    must be integral (``MalformedInput`` otherwise) and are read as
     ints; an accepted point maps each column to an int.
     """
     if sys.domain_tag is not DomainTag.INT:
@@ -559,17 +610,14 @@ def diophantine_solve(sys: LinearSystem, budget: Budget = DEFAULT_BUDGET) -> Sol
             if c:
                 cols[j][i] = int(c)
         b.append(int(rhs))
-    pivots = _hnf(cols, m, budget)
+    pivots, log = _hnf(cols, m, budget)
     z, r, residual = _substitute(cols, m, b, pivots)
     if r < 0:
-        x = [0] * n
-        for t, zt in z.items():
-            for row, u in cols[t].items():
-                if row >= m:
-                    x[row - m] += u * zt
-        return SolveOutcome(True, point=dict(enumerate(x)))
+        x = _times_u(log, [z.get(j, 0) for j in range(n)])
+        return SolveOutcome(True, point=dict(enumerate(x)), pivots=len(log))
     y = _integer_farkas(cols, m, pivots, r, residual)
-    return SolveOutcome(False, certificate=Certificate(CertificateKind.PARITY, farkas=y))
+    cert = Certificate(CertificateKind.PARITY, farkas=y)
+    return SolveOutcome(False, certificate=cert, pivots=len(log))
 
 
 def verify_parity_certificate(cert: Certificate, sys: LinearSystem) -> bool:

@@ -13,12 +13,15 @@ integers (``aip``), the integers inside the rationals' maximal support
 variables once, 0..n-1 in scope order, and states every row over those
 ids: the presolve runs on ints, ``sos`` maps ids to its Gram labels, and a
 variable's ``(symbol, scope, image)`` key is read back only in the
-presolved system and the witness.  Both ``_marginal_rows`` and
-``validate_marginal_witness`` build the projection onto each k-tuple of
-positions once per symbol, not once per tuple projected.  The validator
+presolved system and the witness.  The images a scope admits, and how
+they project, depend only on the target and on the scope's symbol and
+equality pattern, so ``_marginal_rows`` works them out once per (symbol,
+pattern) as a template, and each scope of the tensorised X stamps its rows
+from that template at its own id offset.  ``validate_marginal_witness``
+builds the projection onto each k-tuple of positions once per symbol.  It
 re-derives every identity from the structures on its own, so it does not
-trust the numbering, and it sums the witness as ints over one common
-denominator.
+trust the numbering or the templates, and it sums the witness as ints over
+one common denominator.
 """
 
 from __future__ import annotations
@@ -203,6 +206,33 @@ def _projections(arity: int, k: int) -> list:
     return out
 
 
+def _template(xt: tuple, tuples: tuple, projections: list, cells: list,
+              targets_of: dict) -> tuple:
+    """The images and projected groups shared by every scope with xt's equality pattern.
+
+    The images are the tuples of the symbol that xt precedes, in order.  For
+    each projection the template holds its getter, the cells b that the
+    projected scope xi precedes (in cell order, kept in ``targets_of`` by
+    the equality pattern of xi), and for each such b the local indices of
+    the images projecting onto b.  No image projects outside those cells:
+    equal positions of xi are equal positions of xt, which every image
+    repeats.
+    """
+    images = [at for at in tuples if precedes(xt, at)]
+    stamps = []
+    for _, get in projections:
+        xi = get(xt)
+        xi_pattern = tuple(map(xi.index, xi))
+        targets = targets_of.get(xi_pattern)
+        if targets is None:
+            targets = targets_of[xi_pattern] = [b for b in cells if precedes(xi, b)]
+        local: dict = {}
+        for i, at in enumerate(images):
+            local.setdefault(get(at), []).append(i)
+        stamps.append((get, targets, [local.get(b, ()) for b in targets]))
+    return images, stamps
+
+
 def _marginal_rows(Xk: Structure, Ak: Structure, k: int, budget: Budget) -> tuple:
     """The level-k marginal system of the k-enhanced pair, its variables numbered once.
 
@@ -214,53 +244,65 @@ def _marginal_rows(Xk: Structure, Ak: Structure, k: int, budget: Budget) -> tupl
     0, saying that projecting a scope onto a k-tuple of its positions
     reproduces the weight of the projected scope on ``R_k``.
 
+    What a scope admits and how its images project depend only on its
+    symbol and the equality pattern of xt, so ``_template`` works them out
+    once per (symbol, pattern), and each scope stamps its rows from that
+    template at its own id offset.  ``Ak`` holds the full ``R_k`` in cell
+    order, as ``k_enhance`` makes it, so the ``R_k`` scope of a projected
+    tuple xi holds one id per cell xi precedes, in cell order, and row t of
+    a projection names the t-th of them.  When ``Xk`` has no ``R_k`` scope
+    xi (a hand-built ``Xk``), the variables ``(R_k, xi, b)`` are numbered
+    after the scopes, in the order the identities first name them.
+
     Returns the key tuple, each scope's id range (its unit-mass row), and
-    the identities.  ``Ak`` holds the full ``R_k``, as ``k_enhance`` makes
-    it, so the ``R_k`` scope of a projected tuple xi lists every cell xi
-    precedes, and its ids are looked up once per projected scope.  When
-    ``Xk`` has no ``R_k`` scope xi (a hand-built ``Xk``), the variables
-    ``(R_k, xi, b)`` are numbered after the scopes, in the order the
-    identities first name them.
+    the identities.
     """
     enh = f"R_{k}"
+    cells = list(itertools.product(Ak.domain, repeat=k))
+    projections = {arity: _projections(arity, k) for _, arity in Xk.signature.symbols}
+    templates: dict = {}  # (sym, equality pattern) -> _template
+    targets_of: dict = {}  # the equality pattern of xi -> the cells that xi precedes
     keys: list = []
-    scopes = []  # (xt, images, ids) in scope order
-    enh_ids: dict = {}  # xi -> {b: the id of (enh, xi, b)} over the cells b that xi precedes
+    scopes = []  # (xt, template stamps, ids) in scope order
+    enh_start: dict = {}  # xi -> the id of (enh, xi, b) for the first cell b that xi precedes
     for sym in Xk.signature.names():
         tuples = Ak.tuples(sym)
         for xt in Xk.tuples(sym):
-            images = [at for at in tuples if precedes(xt, at)]
+            pattern = (sym, tuple(map(xt.index, xt)))
+            template = templates.get(pattern)
+            if template is None:
+                template = templates[pattern] = _template(
+                    xt, tuples, projections[len(xt)], cells, targets_of)
+            images, stamps = template
             ids = range(len(keys), len(keys) + len(images))
             keys.extend((sym, xt, at) for at in images)
             if sym == enh:
-                enh_ids[xt] = dict(zip(images, ids))
-            scopes.append((xt, images, ids))
+                enh_start[xt] = ids.start
+            scopes.append((xt, stamps, ids))
     budget.check_tuples(len(keys), "marginal system variables")
-    cells = list(itertools.product(Ak.domain, repeat=k))
-    projections = {arity: _projections(arity, k) for _, arity in Xk.signature.symbols}
     identities = []
-    for xt, images, ids in scopes:
-        for _, get in projections[len(xt)]:
+    for xt, stamps, ids in scopes:
+        base = ids.start
+        for get, targets, groups in stamps:
             xi = get(xt)
-            targets = enh_ids.get(xi)
-            if targets is None:  # no R_k scope of Xk: number its variables past the scopes
-                targets = enh_ids[xi] = {}
-                for b in cells:
-                    if precedes(xi, b):
-                        targets[b] = len(keys)
-                        keys.append((enh, xi, b))
-            groups: dict = {}
-            for at, v in zip(images, ids):
-                groups.setdefault(get(at), []).append(v)
-            for b in cells:
-                row = dict.fromkeys(groups.get(b, ()), 1)  # the projected mass
-                v = targets.get(b)
-                if v is not None:
-                    if v in row:  # xt is xi itself: its weight cancels
+            t = enh_start.get(xi)
+            if t is None:  # no R_k scope of Xk: number its variables past the scopes
+                t = enh_start[xi] = len(keys)
+                keys.extend((enh, xi, b) for b in targets)
+            for v, group in enumerate(groups, t):
+                # the projected mass onto the cell of (enh, xi, b) minus its weight
+                if not group:
+                    identities.append({v: -1})
+                elif len(group) == 1:
+                    u = base + group[0]
+                    if u != v:  # else xt is xi itself, and its weight cancels
+                        identities.append({u: 1, v: -1})
+                else:
+                    row = dict.fromkeys([base + i for i in group], 1)
+                    if v in row:
                         del row[v]
                     else:
                         row[v] = -1
-                if row:
                     identities.append(row)
     return tuple(keys), [ids for _, _, ids in scopes], identities
 

@@ -18,15 +18,18 @@ rejects and its certificate verifies against the emitted system.
 The caller numbers the variables once: the builder takes the key tuple, and
 each row is a dict from a variable's index in that tuple to its
 coefficient.  The presolve runs on those ints alone (a list union-find, a
-bytearray of pins, duplicate-row keys and columns sorted by index, and the
-lower index kept as a merge's root), and turns indices back into keys only
-when it emits the :class:`PresolvedSystem`.
+bytearray of pins, columns sorted by index, and the lower index kept as a
+merge's root), and turns indices back into keys only when it emits the
+:class:`PresolvedSystem`.
 
 ``build`` is the one place a row is summed over roots and cleared of zeros.
-The emitted ``LinearSystem`` holds the numbers the caller passed (the
-marginal rows pass ints).  Only the duplicate-row key divides into
-Fractions, and only for a row whose leading coefficient is not +-1: a
-row led by +-1 is keyed as itself times that sign.
+A row with right-hand side 0 that the caller wrote as one term, or as two
+terms with opposite coefficients, goes straight to its pin or merge, under
+the same tests on its roots that a canonical row meets.  The emitted
+``LinearSystem`` holds the numbers the caller passed (the marginal rows
+pass ints).  A duplicate row is found by a key: the frozenset of the row's
+items, scaled by the coefficient of its lowest index.  Only that key
+divides into Fractions, and only for a row whose scale is not +-1.
 """
 
 from __future__ import annotations
@@ -92,6 +95,26 @@ class EqualitySystemBuilder:
             changed = False
             survivors = []
             for coeffs, rhs in pending:
+                if rhs == 0 and len(coeffs) == 1:
+                    # a pin as the caller wrote it: the one-term test below, on its root
+                    ((v, c),) = coeffs.items()
+                    root = find(v)
+                    if c and not pinned[root]:
+                        pinned[root] = 1
+                        changed = True
+                    continue
+                if rhs == 0 and len(coeffs) == 2:
+                    (v1, c1), (v2, c2) = coeffs.items()
+                    if c1 and c1 == -c2:
+                        # a merge as the caller wrote it: the tests below, on its roots
+                        r1, r2 = find(v1), find(v2)
+                        if r1 != r2 and not (pinned[r1] and pinned[r2]):
+                            if pinned[r1] or pinned[r2]:  # one term is left: pin it
+                                pinned[r1] = pinned[r2] = 1
+                            else:
+                                parent[max(r1, r2)] = min(r1, r2)
+                            changed = True
+                        continue
                 canon: dict = {}
                 for v, c in coeffs.items():
                     root = find(v)
@@ -135,12 +158,13 @@ class EqualitySystemBuilder:
         # int and an equal Fraction hash alike, so both kinds of key meet
         distinct: dict = {}
         for canon, rhs in pending:
-            items = sorted(canon.items())
-            scale = items[0][1] if items else rhs
-            if scale == 1 or scale == -1:
-                key = (tuple((v, c * scale) for v, c in items), rhs * scale)
+            scale = canon[min(canon)] if canon else rhs
+            if scale == 1:
+                key = (frozenset(canon.items()), rhs)
+            elif scale == -1:
+                key = (frozenset((v, -c) for v, c in canon.items()), -rhs)
             else:
-                key = (tuple((v, rat(c, scale)) for v, c in items), rat(rhs, scale))
+                key = (frozenset((v, rat(c, scale)) for v, c in canon.items()), rat(rhs, scale))
             distinct.setdefault(key, (canon, rhs))
         final_rows = distinct.values()
         roots = sorted({root for canon, _ in final_rows for root in canon})

@@ -8,8 +8,9 @@ every variable keyed by its tuple and every sum and row key on the
 original values, the simplex on a
 Fraction tableau, integer points,
 homomorphism counts, tensor-power
-cell positions, certificates read back from JSON, the Hermite form, the
-Horn free structure enumerated in full, and the vanishing conditions on a
+cell positions, certificates read back from JSON, the Hermite form with
+U rebuilt from its log, the Hermite form that carried U in its column maps,
+the Horn free structure enumerated in full, and the vanishing conditions on a
 level-k Horn witness.
 """
 
@@ -34,6 +35,7 @@ from minionlab.exact_solvers import (
     LinearSystem,
     SolveOutcome,
     _hnf,
+    _times_u,
 )
 from minionlab.free_structures import HornFreeStructure
 from minionlab.hierarchies import BWFamily, MarginalWitness, is_valid_bw_family
@@ -677,14 +679,150 @@ def certificate_from_json(text: str) -> Certificate:
     return Certificate(CertificateKind(doc["kind"]), farkas=y)
 
 
+def _sparse_columns(matrix) -> tuple[int, int, list[dict]]:
+    m, n = len(matrix), len(matrix[0]) if matrix else 0
+    return m, n, [{i: int(matrix[i][j]) for i in range(m) if matrix[i][j]} for j in range(n)]
+
+
+def hnf_outputs(matrix) -> tuple:
+    """H and U as dense rows, the pivots and the number of column operations of ``_hnf``
+    (default budget).
+
+    U is rebuilt by replaying the logged operations on each column of the identity.
+    """
+    m, n, cols = _sparse_columns(matrix)
+    pivots, log = _hnf(cols, m, DEFAULT_BUDGET)
+    H = [[cols[j].get(i, 0) for j in range(n)] for i in range(m)]
+    U_cols = [_times_u(log, [int(i == j) for i in range(n)]) for j in range(n)]
+    U = [[U_cols[j][i] for j in range(n)] for i in range(n)]
+    return H, U, pivots, len(log)
+
+
 def hnf(matrix) -> tuple[list[list[int]], list[list[int]]]:
     """Column Hermite normal form H = A U with U unimodular, as dense rows (default budget)."""
-    m, n = len(matrix), len(matrix[0]) if matrix else 0
-    cols = [{i: int(matrix[i][j]) for i in range(m) if matrix[i][j]} for j in range(n)]
-    _hnf(cols, m, DEFAULT_BUDGET)
+    H, U, _pivots, _ops = hnf_outputs(matrix)
+    return H, U
+
+
+def reference_hnf(cols: list[dict], m: int, budget: Budget) -> tuple[list[tuple[int, int]], int]:
+    """``exact_solvers._hnf`` as it was, with U in the column maps; returns the pivots
+    (row, col) and the number of column operations.
+
+    ``cols[j]`` holds the nonzero entries of column j of A, keyed by row
+    0..m-1.  Each column gains the entries of U at keys m..m+n-1, so one
+    sparse map holds a column of [H; U] and a column operation acts on
+    both: a swap exchanges two maps and an added multiple walks only the
+    source column's nonzeros.  The pivot search in a row, and the reduction
+    to the left of its pivot, look up the row in every column.
+    """
+    n = len(cols)
+    for j, col in enumerate(cols):
+        col[m + j] = 1
+    ops = 0
+
+    def count() -> None:
+        nonlocal ops
+        ops += 1
+        if ops > budget.max_pivots:
+            raise IterationBudget(f"Hermite form exceeded {budget.max_pivots} column operations")
+
+    def col_swap(a: int, b: int) -> None:
+        count()
+        cols[a], cols[b] = cols[b], cols[a]
+
+    def col_negate(a: int) -> None:
+        count()
+        cols[a] = {t: -v for t, v in cols[a].items()}
+
+    def col_addmul(dst: int, src: int, q: int) -> None:
+        if q == 0:
+            return
+        count()
+        d = cols[dst]
+        for t, v in cols[src].items():
+            w = d.get(t, 0) + q * v
+            if w:
+                d[t] = w
+            else:
+                del d[t]
+
+    pivots: list[tuple[int, int]] = []
+    c = 0
+    for i in range(m):
+        if c >= n:
+            break
+        while True:
+            nz = [j for j in range(c, n) if i in cols[j]]
+            if not nz:
+                break
+            if len(nz) == 1:
+                if nz[0] != c:
+                    col_swap(c, nz[0])
+                break
+            j0 = min(nz, key=lambda j: abs(cols[j][i]))
+            if cols[j0][i] < 0:
+                col_negate(j0)
+            h0 = cols[j0][i]
+            for j in nz:
+                if j != j0:
+                    col_addmul(j, j0, -(cols[j][i] // h0))
+        if c < n and i in cols[c]:
+            if cols[c][i] < 0:
+                col_negate(c)
+            h = cols[c][i]
+            for j in range(c):
+                col_addmul(j, c, -(cols[j].get(i, 0) // h))
+            pivots.append((i, c))
+            c += 1
+    return pivots, ops
+
+
+def reference_hnf_outputs(matrix) -> tuple:
+    """``hnf_outputs`` of ``reference_hnf``, U read from the keys m..m+n-1 of the maps."""
+    m, n, cols = _sparse_columns(matrix)
+    pivots, ops = reference_hnf(cols, m, DEFAULT_BUDGET)
     H = [[cols[j].get(i, 0) for j in range(n)] for i in range(m)]
     U = [[cols[j].get(m + i, 0) for j in range(n)] for i in range(n)]
-    return H, U
+    return H, U, pivots, ops
+
+
+def reference_diophantine_solve(sys: LinearSystem) -> SolveOutcome:
+    """``diophantine_solve`` on ``reference_hnf`` (default budget): x = U z summed from the
+    U entries of the maps."""
+    n, m = sys.num_vars, sys.num_rows
+    if not m:
+        return SolveOutcome(True, point={j: 0 for j in range(n)})
+    cols: list[dict] = [{} for _ in range(n)]
+    for i, row in enumerate(sys.rows):
+        for j, c in row.items():
+            if c:
+                cols[j][i] = int(c)
+    b = [int(rhs) for rhs in sys.rhs]
+    pivots, ops = reference_hnf(cols, m, DEFAULT_BUDGET)
+    H = [{t: v for t, v in col.items() if t < m} for col in cols]
+    z, r, residual = exact_solvers._substitute(H, m, b, pivots)
+    if r < 0:
+        x = [0] * n
+        for t, zt in z.items():
+            for row, u in cols[t].items():
+                if row >= m:
+                    x[row - m] += u * zt
+        return SolveOutcome(True, point=dict(enumerate(x)), pivots=ops)
+    y = exact_solvers._integer_farkas(H, m, pivots, r, residual)
+    return SolveOutcome(False, certificate=Certificate(CertificateKind.PARITY, farkas=y),
+                        pivots=ops)
+
+
+def integer_outputs(solve, sys: LinearSystem) -> tuple:
+    """What ``solve(sys)`` returns, with the types of the values in its point and certificate.
+
+    ``solve`` is ``diophantine_solve`` or ``reference_diophantine_solve``.
+    """
+    out = solve(sys)
+    point = out.point or {}
+    y = out.certificate.farkas if out.certificate else ()
+    return (out.feasible, point, y, out.pivots,
+            [type(v) for v in point.values()], [type(v) for v in y])
 
 
 def matmul(A, B) -> list[list[int]]:

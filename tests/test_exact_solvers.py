@@ -25,9 +25,13 @@ from references import (
     ReferenceSimplex,
     certificate_from_json,
     hnf,
+    hnf_outputs,
+    integer_outputs,
     is_column_hermite,
     logged_simplex,
     matmul,
+    reference_diophantine_solve,
+    reference_hnf_outputs,
     simplex_outputs,
     validate_integer_point,
 )
@@ -328,6 +332,33 @@ def test_hnf_idempotence():
         H, _ = hnf(A)
         H2, _ = hnf(H)
         assert H2 == H
+
+
+@pytest.mark.slow
+def test_the_hermite_form_matches_its_reference_on_random_matrices():
+    # H, U, the pivots and the operation count, then the point or parity vector
+    # and the operation count of the integer system each matrix poses
+    rng = random.Random(1986)
+    feasible = 0
+    for _ in range(200):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        A = [[rng.choice((0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(n)] for _ in range(m)]
+        assert hnf_outputs(A) == reference_hnf_outputs(A)
+        rows = [{j: rat(c) for j, c in enumerate(row) if c} for row in A]
+        sys = system(rows, [rng.randint(-4, 4) for _ in range(m)], n, DomainTag.INT)
+        out = integer_outputs(diophantine_solve, sys)
+        assert out == integer_outputs(reference_diophantine_solve, sys)
+        feasible += out[0]
+    assert 40 < feasible < 160
+
+
+def test_the_hermite_budget_runs_out_at_the_reference_count():
+    sys = sparse_system(random.Random(5), DomainTag.INT)
+    needed = reference_diophantine_solve(sys).pivots
+    assert needed > 10
+    assert diophantine_solve(sys, Budget(max_pivots=needed)).pivots == needed
+    with pytest.raises(IterationBudget):
+        diophantine_solve(sys, Budget(max_pivots=needed - 1))
 
 
 # -- integer systems ------------------------------------------------------------------------

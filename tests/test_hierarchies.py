@@ -47,6 +47,10 @@ from references import (
     ReferenceSimplex,
     ReferenceSystemBuilder,
     check_sdp_facts,
+    hnf_outputs,
+    integer_outputs,
+    reference_diophantine_solve,
+    reference_hnf_outputs,
     reference_marginal_rows,
     reference_validate_marginal_witness,
     simplex_outputs,
@@ -522,20 +526,7 @@ def assert_front_end_matches_reference(X: Structure, A: Structure, k: int) -> No
     in references.py that project per tuple, key every variable by its tuple
     and sum on the original values."""
     Xk, Ak = k_enhance(X, k), k_enhance(A, k)
-    keys, scopes, identities = _marginal_rows(Xk, Ak, k, DEFAULT_BUDGET)
-    ref_scopes, ref_identities = reference_marginal_rows(Xk, Ak, k)
-    ref_units = [{(sym, xt, at): 1 for at in images} for sym, xt, images in ref_scopes]
-    assert [[keys[v] for v in ids] for ids in scopes] == [list(unit) for unit in ref_units]
-    assert [[(keys[v], c) for v, c in row.items()] for row in identities] == \
-        [list(row.items()) for row in ref_identities]
-    for tag in DomainTag:
-        reference = ReferenceSystemBuilder(tag)
-        for unit in ref_units:
-            reference.add_row(unit, 1)
-        for row in ref_identities:
-            reference.add_row(row, 0)
-        assert _presolved_by_value(_linear_system(tag, keys, scopes, identities)) == \
-            _presolved_by_value(reference.build())
+    assert_rows_match_reference(Xk, Ak, k)
     witnesses = []
     for driver, integral in ((sa, False), (aip, True)):
         verdict = driver(X, A, k)
@@ -550,6 +541,36 @@ def assert_front_end_matches_reference(X: Structure, A: Structure, k: int) -> No
                 _refusal(reference_validate_marginal_witness, candidate, Xk, Ak, k, integral)
 
 
+def assert_rows_match_reference(Xk: Structure, Ak: Structure, k: int) -> tuple:
+    """The rows and the presolve of the pair as given; returns the rows."""
+    keys, scopes, identities = _marginal_rows(Xk, Ak, k, DEFAULT_BUDGET)
+    ref_scopes, ref_identities = reference_marginal_rows(Xk, Ak, k)
+    ref_units = [{(sym, xt, at): 1 for at in images} for sym, xt, images in ref_scopes]
+    assert [[keys[v] for v in ids] for ids in scopes] == [list(unit) for unit in ref_units]
+    assert [[(keys[v], c) for v, c in row.items()] for row in identities] == \
+        [list(row.items()) for row in ref_identities]
+    for tag in DomainTag:
+        reference = ReferenceSystemBuilder(tag)
+        for unit in ref_units:
+            reference.add_row(unit, 1)
+        for row in ref_identities:
+            reference.add_row(row, 0)
+        assert _presolved_by_value(_linear_system(tag, keys, scopes, identities)) == \
+            _presolved_by_value(reference.build())
+    return keys, scopes, identities
+
+
+def repeated_atoms() -> tuple[Structure, Structure]:
+    """A ternary symbol whose scopes repeat atoms, beside a unary one, into three atoms."""
+    sig = Signature.of({"R": 3, "U": 1})
+    X = Structure(sig, ["a", "b", "c"], {"R": [("a", "a", "b"), ("b", "a", "b"), ("c", "c", "c")],
+                                         "U": [("a",), ("c",)]})
+    atoms = ["0", "1", "2"]
+    A = Structure(sig, atoms, {"R": [t for t in itertools.product(atoms, repeat=3) if t[0] <= t[1]],
+                               "U": [("0",), ("2",)]})
+    return X, A
+
+
 FRONT_END_CASES = {
     # the three-vertex classes at k = 1, 2 into each small target
     **{A.name: [(X, A, k) for X in digraphs_up_to_renaming(3) for k in LEVELS]
@@ -559,6 +580,9 @@ FRONT_END_CASES = {
     "C5-K4-2": [(cycle(5), clique(4), 2)],
     "C7-K3-2": [(cycle(7), clique(3), 2)],
     "K3-K2-3": [(clique(3), clique(2), 3)],
+    # ternary scopes, and unary ones, at every level up to the arity
+    "1in3-NAE": [(one_in_three(), not_all_equal(), k) for k in (1, 2, 3)],
+    "repeated-atoms": [(*repeated_atoms(), k) for k in (1, 2, 3)],
 }
 
 
@@ -596,6 +620,56 @@ def test_an_input_that_already_holds_r_k_is_numbered_as_given():
     assert keys[0][0] == "R_2" and keys[-1][0] == "R"
     assert_front_end_matches_reference(X2, A2, 2)
     assert sa(X2, A2, 2).status is sa(X, A, 2).status is Status.ACCEPT
+
+
+@pytest.mark.parametrize("k", (1, 2))
+def test_a_hand_built_xk_numbers_its_r_k_variables_past_the_scopes(k):
+    # X without R_k, and X with a partial R_k that k_enhance would refuse: a
+    # projected scope with no R_k scope of its own numbers its variables after
+    # every scope, in the order the identities first name them
+    X, A = repeated_atoms()
+    Ak = k_enhance(A, k)
+    enh = f"R_{k}"
+    partial = Structure(Ak.signature, X.domain,
+                        {**X.relations, enh: [xi for xi in k_enhance(X, k).tuples(enh)
+                                              if xi[0] != "b"]})
+    for Xk in (X, partial):
+        keys, scopes, identities = assert_rows_match_reference(Xk, Ak, k)
+        past = keys[scopes[-1].stop:]
+        assert past and all(key[0] == enh for key in past)
+        named = dict.fromkeys(keys[v] for row in identities for v in row
+                              if v >= scopes[-1].stop)
+        assert list(named) == list(past)
+        assert all(xi[0] == "b" for _, xi, _ in past) == (Xk is partial)
+
+
+@pytest.mark.slow
+def test_the_hermite_form_matches_its_reference(monkeypatch):
+    # every integer system that aip and ba pose at k = 1, 2 over the three-vertex
+    # classes into K2, K3, C4 and DT: the same H, U, pivots and operation count,
+    # and the same point or parity vector, as the form that carried U
+    posed = {}
+    solve = hierarchies.diophantine_solve
+
+    def record(system, budget):
+        key = (system.var_names, tuple(tuple(row.items()) for row in system.rows), system.rhs)
+        posed[key] = system
+        return solve(system, budget)
+
+    monkeypatch.setattr(hierarchies, "diophantine_solve", record)
+    for X in digraphs_up_to_renaming(3):
+        for A in (clique(2), clique(3), cycle(4), directed_triangle()):
+            for k in LEVELS:
+                aip(X, A, k)
+                ba(X, A, k)
+    outcomes = set()
+    for system in posed.values():
+        out = integer_outputs(exact_solvers.diophantine_solve, system)
+        assert out == integer_outputs(reference_diophantine_solve, system)
+        outcomes.add(out[0])
+        A = [[int(row.get(j, 0)) for j in range(system.num_vars)] for row in system.rows]
+        assert hnf_outputs(A) == reference_hnf_outputs(A)
+    assert len(posed) > 50 and outcomes == {True, False}
 
 
 @pytest.mark.slow

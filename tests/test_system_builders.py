@@ -6,6 +6,8 @@ from minionlab.exact_solvers import DomainTag, lp_feasible, verify_farkas
 from minionlab.rationals import rat
 from minionlab.system_builders import EqualitySystemBuilder
 
+from references import ReferenceSystemBuilder
+
 
 def build(domain, *rows):
     """Presolve rows over named keys, numbered in the order the rows first name them."""
@@ -97,3 +99,41 @@ def test_a_scaled_copy_collapses_into_the_row_seen_first(lead, unit_first):
     assert system.var_names == ("x", "y")
     assert system.rows == ({0: first[0]["x"], 1: first[0]["y"]},) and system.rhs == (first[1],)
     assert [type(c) for c in system.rows[0].values()] == [type(c) for c in first[0].values()]
+
+
+@pytest.mark.parametrize("lead", [-1, 2, rat(2, 3)], ids=["minus-one", "two", "fraction"])
+def test_a_copy_written_in_another_order_collapses(lead):
+    # the key scales a row by the coefficient of its lowest index, x, though
+    # the copy writes its y term first
+    unit = ({"x": 1, "y": 2}, 3)
+    scaled = ({"y": 2 * lead, "x": lead}, 3 * lead)
+    system = build(DomainTag.NONNEG_RAT, unit, scaled).system
+    assert system.var_names == ("x", "y")
+    assert system.rows == ({0: 1, 1: 2},) and system.rhs == (3,)
+
+
+@pytest.mark.parametrize("domain", list(DomainTag), ids=[tag.value for tag in DomainTag])
+def test_pins_and_merges_as_written_presolve_like_the_reference(domain):
+    # one- and two-term rows with right-hand side 0 on free, pinned and merged
+    # roots, and the longer rows they leave behind
+    rows = [
+        ({"u": 0}, 0),  # a zero coefficient: a tautology
+        ({"x": 3}, 0),  # pins x
+        ({"x": 1, "y": -1}, 0),  # x is pinned, so y is
+        ({"y": 2, "x": -2}, 0),  # both pinned: a tautology
+        ({"w": 1, "z": -1}, 0),  # merges z into w
+        ({"z": 5, "w": -5}, 0),  # one root: a tautology
+        ({"a": 1, "b": -1}, 0), ({"b": -1}, 0), ({"a": 1, "c": -1}, 0),  # merge, pin, pin
+        ({"v": 1, "w": 1, "y": 1}, 1), ({"t": 1, "z": 1, "c": 1}, 1), ({"t": 1, "v": 1}, 0),
+        ({"s": 1, "t": 1}, 0), ({"s": 2, "u": 1}, 0),
+    ]
+    reference = ReferenceSystemBuilder(domain)
+    for coeffs, rhs in rows:
+        reference.add_row(coeffs, rhs)
+    expected = reference.build()
+    presolved = build(domain, *rows)
+    assert presolved.system == expected.system
+    assert [type(c) for row in presolved.system.rows for c in row.values()] == \
+        [type(c) for row in expected.system.rows for c in row.values()]
+    assert (presolved.key_order, presolved.root_of, presolved.column_of) == \
+        (expected.key_order, expected.root_of, expected.column_of)
