@@ -15,13 +15,8 @@ from .errors import BudgetExceeded
 
 @dataclass(frozen=True)
 class Budget:
-    max_atoms: int = 10_000
     max_tuples: int = 100_000
     max_pivots: int = 1_000_000
-
-    def check_atoms(self, n: int, what: str = "domain") -> None:
-        if n > self.max_atoms:
-            raise BudgetExceeded(f"{what} needs {n} atoms, budget is {self.max_atoms}")
 
     def check_tuples(self, n: int, what: str = "relation") -> None:
         if n > self.max_tuples:

@@ -599,8 +599,6 @@ def diophantine_solve(sys: LinearSystem, budget: Budget = DEFAULT_BUDGET) -> Sol
     if sys.domain_tag is not DomainTag.INT:
         raise WrongKind("diophantine_solve needs an integer system")
     n, m = sys.num_vars, sys.num_rows
-    if not m:
-        return SolveOutcome(True, point={j: 0 for j in range(n)})
     cols: list[dict] = [{} for _ in range(n)]
     b = []
     for i, (row, rhs) in enumerate(zip(sys.rows, sys.rhs)):

@@ -18,10 +18,11 @@ they project, depend only on the target and on the scope's symbol and
 equality pattern, so ``_marginal_rows`` works them out once per (symbol,
 pattern) as a template, and each scope of the tensorised X stamps its rows
 from that template at its own id offset.  ``validate_marginal_witness``
-builds the projection onto each k-tuple of positions once per symbol.  It
-re-derives every identity from the structures on its own, so it does not
-trust the numbering or the templates, and it sums the witness as ints over
-one common denominator.
+files each nonzero weight under its scope, refusing one that names no
+variable, and compares each scope's projections with the ``R_k`` weights.
+It re-derives every identity from the structures on its own, so it does
+not trust the numbering or the templates, and it sums the witness as ints
+over one common denominator.
 """
 
 from __future__ import annotations
@@ -163,31 +164,26 @@ def bw(X: Structure, A: Structure, k: int, budget: Budget = DEFAULT_BUDGET) -> V
 def is_valid_bw_family(
     maps: Iterable[Assignment], X: Structure, A: Structure, k: int
 ) -> bool:
-    """Full validity check: partial homomorphisms, restriction-closed, extendable."""
+    """Full validity check: partial homomorphisms, restriction-closed, extendable.
+
+    Each member is checked against its one-atom neighbours only, which,
+    chained, reach every restriction and every superset of at most k atoms:
+    dropping any one atom gives a member, and a member on fewer than k atoms
+    extends by every other atom of X, as the members one atom larger show.
+    """
     fam = {frozenset(f.mapping) for f in maps}
     if not fam:
         return False
-    by_dom: dict = {}
-    for f in fam:
-        dom = frozenset(a for a, _ in f)
-        if len(dom) > k:
+    extensions: dict = {}  # f -> each atom y such that f plus some (y, b) is a member
+    for g in fam:
+        if len(g) > k or not is_partial_homomorphism(Assignment(tuple(g)), X, A):
             return False
-        if not is_partial_homomorphism(Assignment(tuple(f)), X, A):
-            return False
-        by_dom.setdefault(dom, []).append(f)
-    doms = [frozenset(c)
-            for j in range(0, min(k, len(X.domain)) + 1)
-            for c in itertools.combinations(X.domain, j)]
-    for f in fam:
-        dom = frozenset(a for a, _ in f)
-        for V in doms:
-            if V <= dom:
-                if frozenset(p for p in f if p[0] in V) not in fam:
-                    return False
-            if dom <= V:
-                if not any(f <= g for g in by_dom.get(V, ())):
-                    return False
-    return True
+        for p in g:
+            f = g - {p}
+            if f not in fam:
+                return False
+            extensions.setdefault(f, set()).add(p[0])
+    return all(len(extensions.get(f, ())) == len(X.domain) - len(f) for f in fam if len(f) < k)
 
 
 # -- the marginal system -------------------------------------------------------------
@@ -299,10 +295,7 @@ def _marginal_rows(Xk: Structure, Ak: Structure, k: int, budget: Budget) -> tupl
                         identities.append({u: 1, v: -1})
                 else:
                     row = dict.fromkeys([base + i for i in group], 1)
-                    if v in row:
-                        del row[v]
-                    else:
-                        row[v] = -1
+                    row[v] = -1
                     identities.append(row)
     return tuple(keys), [ids for _, _, ids in scopes], identities
 
@@ -336,14 +329,17 @@ def validate_marginal_witness(
 ) -> None:
     """Check the witness against the defining equations, exactly; an absent weight is zero.
 
-    Sign and integrality are checked on each exact value, and every key's
-    image must have its scope's length; the scope itself is checked on the
-    nonzero weights only, since a zero weight respects any scope.  The
-    nonzero weights are then scaled to ints by the lcm of their
-    denominators, so unit mass is a sum equal to that lcm and each marginal
-    an int sum equal to the scaled ``R_k`` weight.
+    One pass checks sign, integrality and the image's length on every key.
+    A nonzero weight must also respect its scope and name a variable: a
+    scope ``(sym, xt)`` of ``Xk`` and a tuple ``at`` of ``Ak``; a zero weight
+    may sit on any key.  Each scope's nonzero weights are filed under it and
+    scaled to ints by the lcm of all denominators, so unit mass is a sum
+    equal to that lcm, and each projection of a scope's weights must equal
+    the projected scope's weights on ``R_k``.  Cells of A^k are walked only
+    to name the first mismatch.
     """
     enh = f"R_{k}"
+    weights: dict = {}  # (sym, xt) -> {at: the nonzero weight}
     for (sym, xt, at), v in values.items():
         if integral and not is_integral(v):
             raise InvalidWitness(f"non-integer weight at {(sym, xt, at)}")
@@ -351,30 +347,34 @@ def validate_marginal_witness(
             raise InvalidWitness(f"negative weight at {(sym, xt, at)}")
         if len(xt) != len(at):
             raise LengthMismatch(f"tuples of lengths {len(xt)} and {len(at)}")
-        if v and not precedes(xt, at):
-            raise InvalidWitness(f"scope-violating weight at {(sym, xt, at)}")
-    scale = math.lcm(*(v.denominator for v in values.values() if v))
-    scaled = {key: v.numerator * (scale // v.denominator) for key, v in values.items() if v}
-    cells = list(itertools.product(Ak.domain, repeat=k))
+        if v:
+            if not precedes(xt, at):
+                raise InvalidWitness(f"scope-violating weight at {(sym, xt, at)}")
+            if not (sym in Xk.signature and Xk.has_tuple(sym, xt) and Ak.has_tuple(sym, at)):
+                raise InvalidWitness(f"weight on no variable of the system at {(sym, xt, at)}")
+            weights.setdefault((sym, xt), {})[at] = v
+    scale = math.lcm(*(v.denominator for own in weights.values() for v in own.values()))
+    for own in weights.values():
+        for at, v in own.items():
+            own[at] = v.numerator * (scale // v.denominator)
     for sym, arity in Xk.signature.symbols:
-        images = Ak.tuples(sym)
         projections = _projections(arity, k)
         for xt in Xk.tuples(sym):
-            weights = [scaled.get((sym, xt, at), 0) for at in images]
-            total = sum(weights)
+            own = weights.get((sym, xt), {})
+            total = sum(own.values())
             if total != scale:
                 raise InvalidWitness(
                     f"unit mass violated at {(sym, xt)}: {rat(total, scale)}")
             for i, get in projections:
-                xi = get(xt)
                 sums: dict = {}
-                for at, w in zip(images, weights):
-                    if w:
-                        b = get(at)
-                        sums[b] = sums.get(b, 0) + w
-                for b in cells:
-                    lhs = sums.get(b, 0)
-                    rhs = scaled.get((enh, xi, b), 0)
+                for at, w in own.items():
+                    b = get(at)
+                    sums[b] = sums.get(b, 0) + w
+                projected = weights.get((enh, get(xt)), {})
+                if sums == projected:
+                    continue
+                for b in itertools.product(Ak.domain, repeat=k):
+                    lhs, rhs = sums.get(b, 0), projected.get(b, 0)
                     if lhs != rhs:
                         raise InvalidWitness(f"marginal violated at {(sym, xt, i, b)}: "
                                              f"{rat(lhs, scale)} != {rat(rhs, scale)}")

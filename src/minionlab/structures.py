@@ -370,7 +370,7 @@ def tensor_power(A: Structure, k: int, budget: Budget = DEFAULT_BUDGET) -> Struc
     if k == 1:
         return A
     n = len(A.domain)
-    budget.check_atoms(n**k, "tensor power domain")
+    budget.check_tuples(n**k, "tensor power domain")
     domain = [t for t in itertools.product(A.domain, repeat=k)]
     sig_items = []
     rels: dict[str, list[tuple]] = {}

@@ -1,7 +1,8 @@
 """Reference checks and helpers that only the tests use.
 
 Each one re-derives or re-checks something a driver or solver produces:
-the local-consistency family inside an LP witness, the consequences every
+the local-consistency family inside an LP witness, the family check against
+every subset of at most k atoms, the consequences every
 basic-SDP solution obeys, the exact Gram reduction in Fractions alone, the
 marginal rows, witness check and presolve with one projection per tuple,
 every variable keyed by its tuple and every sum and row key on the
@@ -79,6 +80,34 @@ def support_family(witness: MarginalWitness, X: Structure, A: Structure, k: int)
     if not is_valid_bw_family(family, X, A, k):
         raise InvalidWitness("support does not form a valid local-consistency family")
     return BWFamily(tuple(family))
+
+
+def reference_is_valid_bw_family(maps, X: Structure, A: Structure, k: int) -> bool:
+    """``hierarchies.is_valid_bw_family`` as it was, against every subset of at most k atoms."""
+    fam = {frozenset(f.mapping) for f in maps}
+    if not fam:
+        return False
+    by_dom: dict = {}
+    for f in fam:
+        dom = frozenset(a for a, _ in f)
+        if len(dom) > k:
+            return False
+        if not is_partial_homomorphism(Assignment(tuple(f)), X, A):
+            return False
+        by_dom.setdefault(dom, []).append(f)
+    doms = [frozenset(c)
+            for j in range(0, min(k, len(X.domain)) + 1)
+            for c in itertools.combinations(X.domain, j)]
+    for f in fam:
+        dom = frozenset(a for a, _ in f)
+        for V in doms:
+            if V <= dom:
+                if frozenset(p for p in f if p[0] in V) not in fam:
+                    return False
+            if dom <= V:
+                if not any(f <= g for g in by_dom.get(V, ())):
+                    return False
+    return True
 
 
 # -- structural fact checks on extracted vectors -----------------------------------

@@ -408,6 +408,16 @@ def test_an_int_system_has_an_int_point():
     validate_integer_point(sys, out.point)
 
 
+def test_an_int_system_with_no_rows_has_the_zero_point():
+    # ba's support system drops a row left with no column; with every row
+    # dropped, the Hermite form logs nothing and the point is all int zeros
+    restricted, cols = _support_system(system([{0: 1}], [0], 3), {1, 2})
+    assert (cols, restricted.num_vars, restricted.num_rows) == ([1, 2], 2, 0)
+    out = diophantine_solve(restricted)
+    assert out.feasible and out.pivots == 0
+    assert out.point == {0: 0, 1: 0} and all(type(v) is int for v in out.point.values())
+
+
 def test_odd_cycle_sum_parity():
     # a+b = 1, b+c = 1, a+c = 1 forces 2(a+b+c) = 3
     sys = system([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}], [1, 1, 1], 3, DomainTag.INT)

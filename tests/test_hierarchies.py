@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import random
 import re
 
 import pytest
@@ -38,7 +39,7 @@ from minionlab.hierarchies import (
     validate_marginal_witness,
 )
 from minionlab.rationals import rat
-from minionlab.structures import k_enhance, precedes
+from minionlab.structures import enumerate_partial_homomorphisms, k_enhance, precedes
 from minionlab.system_builders import EqualitySystemBuilder
 from minionlab.verdicts import Verdict
 
@@ -51,6 +52,7 @@ from references import (
     integer_outputs,
     reference_diophantine_solve,
     reference_hnf_outputs,
+    reference_is_valid_bw_family,
     reference_marginal_rows,
     reference_validate_marginal_witness,
     simplex_outputs,
@@ -310,6 +312,35 @@ def test_a_bw_family_with_a_non_functional_map_is_refused(k2):
     assert not is_valid_bw_family(maps + [Assignment((("0", "0"), ("0", "1")))], k3, k2, 1)
 
 
+@pytest.mark.slow
+def test_the_bw_family_check_matches_its_reference():
+    # the one-atom check against the check over every subset of at most k atoms,
+    # on the three-vertex classes into K2, K3, C4 and DT at k = 1, 2, 3: the
+    # enumeration of partial maps, a random subset of it, and each bw witness
+    # as it is, with one map dropped and with one enumerated map added
+    rng = random.Random(19)
+    answers = []
+    for X in digraphs_up_to_renaming(3):
+        for A in (clique(2), clique(3), cycle(4), directed_triangle()):
+            for k in (1, 2, 3):
+                every = enumerate_partial_homomorphisms(X, A, k)
+                families = [every, rng.sample(every, rng.randrange(len(every) + 1))]
+                verdict = bw(X, A, k)
+                if verdict.accepted:
+                    maps = list(verdict.witness.maps)
+                    dropped = rng.randrange(len(maps))
+                    families += [maps, maps[:dropped] + maps[dropped + 1:]]
+                    outside = [f for f in every if f not in maps]
+                    if outside:
+                        families.append(maps + [rng.choice(outside)])
+                for maps in families:
+                    answer = is_valid_bw_family(maps, X, A, k)
+                    assert answer == reference_is_valid_bw_family(maps, X, A, k), \
+                        (X.relations, A.name, k, len(maps))
+                    answers.append(answer)
+    assert len(answers) == 2829 and answers.count(True) == 417
+
+
 def marginals(homs: list[dict], Xk: Structure, Ak: Structure) -> dict:
     """The marginal weights of the uniform distribution on ``homs``."""
     return {(sym, xt, at): rat(sum(tuple(h[x] for x in xt) == at for h in homs), len(homs))
@@ -357,6 +388,30 @@ def test_the_scope_is_checked_on_nonzero_weights_and_the_length_on_all(
     else:
         with pytest.raises(refusal):
             validate_marginal_witness(values, Xk, Xk, 2)
+
+
+@pytest.fixture
+def k2_into_k3():
+    """The level-1 witness of sa on K2 -> K3, with the enhanced pair."""
+    X, A = clique(2), clique(3)
+    return sa(X, A, 1).witness.values, k_enhance(X, 1), k_enhance(A, 1)
+
+
+@pytest.mark.parametrize("key", [
+    ("R", ("0", "1"), ("1", "1")),
+    ("R_1", ("0",), ("3",)),
+    ("R", ("0", "0"), ("1", "1")),
+    ("S", ("0", "1"), ("1", "2")),
+], ids=["image-off-the-edges", "atom-outside-k3", "non-edge-scope", "symbol-outside"])
+def test_a_weight_on_no_variable_of_the_system_is_refused(k2_into_k3, key):
+    # each key respects its scope but names no scope of X or no tuple of A, so
+    # no sum reads it; a zero weight may still sit there
+    values, Xk, Ak = k2_into_k3
+    values[key] = rat(0)
+    validate_marginal_witness(values, Xk, Ak, 1)
+    values[key] = rat(1, 2)
+    with pytest.raises(InvalidWitness, match="no variable of the system"):
+        validate_marginal_witness(values, Xk, Ak, 1)
 
 
 def test_moved_mass_breaks_a_marginal(k2_marginals):
@@ -464,6 +519,27 @@ def assert_contained(X, A, verdicts, implied):
     for stronger, weaker in implied:
         if verdicts[stronger].accepted:
             assert verdicts[weaker].accepted, (stronger, weaker, X.relations, A.name)
+
+
+def test_an_accept_is_monotone_in_x(sweep):
+    # X' -> X and an ACCEPT of (X, A) imply an ACCEPT of (X', A) under every
+    # driver and level; a reject-numeric of (X', A) is no refusal
+    verdicts_into: dict = {}
+    for X, A, verdicts in sweep:
+        verdicts_into.setdefault(A.name, []).append(verdicts)
+    classes = [X for X, A, _ in sweep if A.name == "K2"]
+    homs = [(i, j) for i, Xi in enumerate(classes) for j, Xj in enumerate(classes)
+            if oracle(Xi, Xj).accepted]
+    assert len(homs) == 9283
+    beyond_oracle = 0
+    for name, into in verdicts_into.items():
+        for i, j in homs:
+            for key, verdict in into[j].items():
+                implied = into[i][key]
+                if verdict.accepted and implied.status is not Status.REJECT_NUMERIC:
+                    assert implied.accepted, (key, classes[i].relations, classes[j].relations, name)
+                    beyond_oracle += not into[i][("oracle", None)].accepted
+    assert beyond_oracle == 17281
 
 
 def test_completeness(sweep):

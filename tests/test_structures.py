@@ -227,7 +227,7 @@ def test_k_enhance_symbol_clash():
 
 def test_k_enhance_budget():
     with pytest.raises(BudgetExceeded):
-        k_enhance(clique(4), 3, Budget(max_atoms=10, max_tuples=10))
+        k_enhance(clique(4), 3, Budget(max_tuples=10))
 
 
 # -- tensor powers ------------------------------------------------------------------
@@ -258,10 +258,13 @@ def test_tensor_power_cells_of_paper_edge(k3):
     )
 
 
-def test_tensor_power_keeps_its_atom_budget(k3):
-    assert len(tensor_power(k3, 2, Budget(max_atoms=9)).domain) == 9
-    with pytest.raises(BudgetExceeded):
-        tensor_power(k3, 2, Budget(max_atoms=8))
+def test_tensor_power_keeps_its_atom_budget():
+    # the n^k atoms of the domain count against the tuple budget; the one
+    # edge's tensor square, 4 cells, fits under it either way
+    A = Structure(Signature.of({"R": 2}), ["0", "1", "2"], {"R": [("0", "1")]})
+    assert len(tensor_power(A, 2, Budget(max_tuples=9)).domain) == 9
+    with pytest.raises(BudgetExceeded, match="tensor power domain"):
+        tensor_power(A, 2, Budget(max_tuples=8))
 
 
 def test_tensor_power_level_one_is_identity():
