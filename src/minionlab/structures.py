@@ -4,8 +4,10 @@ Atoms are strings at the base level; a tensor power is an ordinary
 structure whose atoms are length-k tuples of atoms.
 Tuples are projected onto 1-based position tuples (``project``), and
 ``precedes`` compares the equality patterns of two tuples.
-All internal indexing goes through dense integer ids in domain order, which
-keeps every search and every emitted witness deterministic.
+Every homomorphism, total or partial, comes from one search; each tuple of
+X is checked once, when its last atom is mapped.  The search tries A's atoms
+in domain order, which keeps every search and every emitted witness
+deterministic.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -85,8 +88,16 @@ class Structure:
 
         rels: dict[str, tuple[tuple, ...]] = {}
         for sym, arity in signature.symbols:
-            tuples = [tuple(t) for t in relations.get(sym, ())]
-            for t in tuples:
+            given = relations.get(sym, ())
+            if isinstance(given, str):
+                raise MalformedInput(f"relation {sym!r} is a string, not a collection of tuples")
+            tuples = []
+            for t in given:
+                # a string is a sequence of characters, not a tuple of atoms
+                if isinstance(t, str):
+                    raise MalformedInput(f"a tuple of {sym!r} is the string {t!r}")
+                t = tuple(t)
+                tuples.append(t)
                 if len(t) != arity:
                     raise ArityMismatch(
                         f"tuple {t!r} has length {len(t)}, symbol {sym!r} has arity {arity}"
@@ -269,67 +280,46 @@ def is_homomorphism(f: Assignment, X: Structure, A: Structure) -> bool:
     return is_partial_homomorphism(f, X, A) and f.domain_set() == frozenset(X.domain)
 
 
-def _search_order(X: Structure) -> list[int]:
-    """Variables by descending constraint degree, ties in domain order."""
-    degree = [0] * len(X.domain)
+def _homomorphisms(X: Structure, A: Structure, atoms: Sequence[Atom]) -> Iterator[dict]:
+    """Every map of ``atoms`` into A that sends each tuple of X inside ``atoms``
+    into A, in lexicographic order of the images taken in the order of ``atoms``.
+
+    The atoms are mapped one at a time, each to A's domain in order, and each
+    tuple is checked once, when the last of its atoms is mapped.  The one
+    dict is yielded each time, updated in place.
+    """
+    position = {a: i for i, a in enumerate(atoms)}
+    due: list[list[tuple[str, tuple]]] = [[] for _ in atoms]
     for sym in X.signature.names():
         for t in X.tuples(sym):
-            for a in t:
-                degree[X.atom_id(a)] += 1
-    return sorted(range(len(X.domain)), key=lambda i: (-degree[i], i))
+            if all(a in position for a in t):
+                due[max(position[a] for a in t)].append((sym, t))
+    image: dict = {}
+
+    def extend(i: int) -> Iterator[dict]:
+        if i == len(atoms):
+            yield image
+            return
+        for b in A.domain:
+            image[atoms[i]] = b
+            if all(A.has_tuple(sym, tuple(image[a] for a in t)) for sym, t in due[i]):
+                yield from extend(i + 1)
+
+    return extend(0)
 
 
 def _iter_homomorphisms(X: Structure, A: Structure) -> Iterator[dict]:
-    """Backtracking enumeration of all homomorphisms X -> A.
-
-    Constraints are checked as soon as any scope variable is assigned, by
-    scanning the target relation for a tuple matching the assigned positions.
-    """
+    """All homomorphisms X -> A, each a dict in domain order, searching the
+    atoms by descending degree, ties in domain order."""
     X.require_same_signature(A)
-    n = len(X.domain)
-    order = _search_order(X)
-
-    # constraints[v] lists (symbol, scope var ids) with v in scope
-    scopes: list[tuple[str, tuple[int, ...]]] = []
-    for sym in X.signature.names():
-        for t in X.tuples(sym):
-            scopes.append((sym, tuple(X.atom_id(a) for a in t)))
-    by_var: list[list[int]] = [[] for _ in range(n)]
-    for ci, (_, scope) in enumerate(scopes):
-        for v in set(scope):
-            by_var[v].append(ci)
-
-    target_tuples = {sym: [tuple(A.atom_id(a) for a in t) for t in A.tuples(sym)]
-                     for sym in A.signature.names()}
-    _target_sets = {sym: set(ts) for sym, ts in target_tuples.items()}
-    assign: list[Optional[int]] = [None] * n
-
-    def consistent(ci: int) -> bool:
-        sym, scope = scopes[ci]
-        pattern = [assign[v] for v in scope]
-        if None not in pattern:
-            return tuple(pattern) in _target_sets[sym]
-        for cand in target_tuples[sym]:
-            if all(p is None or p == c for p, c in zip(pattern, cand)):
-                return True
-        return False
-
-    def extend(pos: int) -> Iterator[dict]:
-        if pos == n:
-            yield {X.domain[v]: A.domain[assign[v]] for v in range(n)}
-            return
-        v = order[pos]
-        for val in range(len(A.domain)):
-            assign[v] = val
-            if all(consistent(ci) for ci in by_var[v]):
-                yield from extend(pos + 1)
-        assign[v] = None
-
-    yield from extend(0)
+    degree = Counter(a for sym in X.signature.names() for t in X.tuples(sym) for a in t)
+    for image in _homomorphisms(X, A, sorted(X.domain, key=lambda a: -degree[a])):
+        yield {a: image[a] for a in X.domain}
 
 
 def find_homomorphism(X: Structure, A: Structure) -> Optional[Assignment]:
-    """First homomorphism X -> A in deterministic search order, if any."""
+    """First homomorphism X -> A in deterministic search order, if any: one
+    search, each tuple of X checked once, when its last atom is mapped."""
     for fmap in _iter_homomorphisms(X, A):
         return Assignment.of(fmap, total=True)
     return None
@@ -397,23 +387,19 @@ def _tuples_inside(X: Structure, atoms) -> list[tuple[str, tuple]]:
 def enumerate_partial_homomorphisms(
     X: Structure, A: Structure, k: int, budget: Budget = DEFAULT_BUDGET
 ) -> list[Assignment]:
-    """All partial homomorphisms with at most k-element domain, empty map included;
-    each image is checked against the tuples of X inside its subset, listed once."""
+    """All partial homomorphisms with at most k-element domain, empty map first,
+    from one search per subset of atoms: each tuple of X inside the subset is
+    checked once, when its last atom is mapped."""
     X.require_same_signature(A)
     nX, nA = len(X.domain), len(A.domain)
     total = sum(
         math.comb(nX, j) * nA**j for j in range(0, min(k, nX) + 1)
     )
     budget.check_tuples(total, "partial homomorphism enumeration")
-    out = [Assignment((), total=False)]
-    for j in range(1, min(k, nX) + 1):
-        for subset in itertools.combinations(X.domain, j):
-            inside = _tuples_inside(X, subset)
-            for image in itertools.product(A.domain, repeat=j):
-                f = dict(zip(subset, image))
-                if all(A.has_tuple(sym, tuple(f[a] for a in t)) for sym, t in inside):
-                    out.append(Assignment.of(f, total=(j == nX)))
-    return out
+    return [Assignment.of(image, total=(j == nX))
+            for j in range(min(k, nX) + 1)
+            for subset in itertools.combinations(X.domain, j)
+            for image in _homomorphisms(X, A, subset)]
 
 
 def is_partial_homomorphism(f: Assignment, X: Structure, A: Structure) -> bool:

@@ -33,6 +33,24 @@ def wheel(n: int) -> Structure:
                      {"R": list(rim.tuples("R")) + spokes}, name=f"W{n}")
 
 
+def mycielski(G: Structure) -> Structure:
+    """The Mycielski graph of a symmetric graph G: a shadow a' of each vertex a,
+    adjacent to the neighbours of a, and a hub w adjacent to every shadow.
+    ``mycielski(cycle(5))`` is the Grötzsch graph, with 11 vertices and 20
+    edges; it has no triangle and is not 3-colourable."""
+    shadows = {a: f"{a}'" for a in G.domain}
+    edges = list(G.tuples("R"))
+    edges += [e for a, b in G.tuples("R") for e in ((shadows[a], b), (b, shadows[a]))]
+    edges += [e for s in shadows.values() for e in ((s, "w"), ("w", s))]
+    return Structure(Signature.of({"R": 2}), list(G.domain) + list(shadows.values()) + ["w"],
+                     {"R": edges}, name=f"M({G.name})")
+
+
+def directed_triangle() -> Structure:
+    return Structure(Signature.of({"R": 2}), ["0", "1", "2"],
+                     {"R": [("0", "1"), ("1", "2"), ("2", "0")]}, name="DT")
+
+
 def one_in_three() -> Structure:
     atoms = ["0", "1"]
     tuples = [("1", "0", "0"), ("0", "1", "0"), ("0", "0", "1")]

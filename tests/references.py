@@ -8,7 +8,9 @@ marginal rows, witness check and presolve with one projection per tuple,
 every variable keyed by its tuple and every sum and row key on the
 original values, the simplex on a
 Fraction tableau, integer points,
-homomorphism counts, tensor-power
+homomorphism counts, the homomorphism search that rescanned A's relation
+for each partly mapped tuple, the partial maps as a product over images,
+tensor-power
 cell positions, certificates read back from JSON, the Hermite form with
 U rebuilt from its log, the Hermite form that carried U in its column maps,
 the Horn free structure enumerated in full, and the vanishing conditions on a
@@ -21,7 +23,7 @@ import itertools
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 from unittest import mock
 
 import numpy as np
@@ -887,6 +889,81 @@ def is_column_hermite(H) -> bool:
 
 def count_homomorphisms(X: Structure, A: Structure) -> int:
     return sum(1 for _ in _iter_homomorphisms(X, A))
+
+
+def _reference_search_order(X: Structure) -> list[int]:
+    """Variables by descending constraint degree, ties in domain order."""
+    degree = [0] * len(X.domain)
+    for sym in X.signature.names():
+        for t in X.tuples(sym):
+            for a in t:
+                degree[X.atom_id(a)] += 1
+    return sorted(range(len(X.domain)), key=lambda i: (-degree[i], i))
+
+
+def reference_iter_homomorphisms(X: Structure, A: Structure) -> Iterator[dict]:
+    """Backtracking enumeration of all homomorphisms X -> A.
+
+    Constraints are checked as soon as any scope variable is assigned, by
+    scanning the target relation for a tuple matching the assigned positions.
+    """
+    X.require_same_signature(A)
+    n = len(X.domain)
+    order = _reference_search_order(X)
+
+    scopes: list[tuple[str, tuple[int, ...]]] = []
+    for sym in X.signature.names():
+        for t in X.tuples(sym):
+            scopes.append((sym, tuple(X.atom_id(a) for a in t)))
+    by_var: list[list[int]] = [[] for _ in range(n)]
+    for ci, (_, scope) in enumerate(scopes):
+        for v in set(scope):
+            by_var[v].append(ci)
+
+    target_tuples = {sym: [tuple(A.atom_id(a) for a in t) for t in A.tuples(sym)]
+                     for sym in A.signature.names()}
+    target_sets = {sym: set(ts) for sym, ts in target_tuples.items()}
+    assign: list[Optional[int]] = [None] * n
+
+    def consistent(ci: int) -> bool:
+        sym, scope = scopes[ci]
+        pattern = [assign[v] for v in scope]
+        if None not in pattern:
+            return tuple(pattern) in target_sets[sym]
+        for cand in target_tuples[sym]:
+            if all(p is None or p == c for p, c in zip(pattern, cand)):
+                return True
+        return False
+
+    def extend(pos: int) -> Iterator[dict]:
+        if pos == n:
+            yield {X.domain[v]: A.domain[assign[v]] for v in range(n)}
+            return
+        v = order[pos]
+        for val in range(len(A.domain)):
+            assign[v] = val
+            if all(consistent(ci) for ci in by_var[v]):
+                yield from extend(pos + 1)
+        assign[v] = None
+
+    yield from extend(0)
+
+
+def reference_enumerate_partial_homomorphisms(X: Structure, A: Structure, k: int) -> list[Assignment]:
+    """Every image of every subset of at most k atoms, checked against the
+    tuples of X inside the subset."""
+    X.require_same_signature(A)
+    nX = len(X.domain)
+    out = [Assignment((), total=False)]
+    for j in range(1, min(k, nX) + 1):
+        for subset in itertools.combinations(X.domain, j):
+            inside = [(sym, t) for sym in X.signature.names() for t in X.tuples(sym)
+                      if all(a in subset for a in t)]
+            for image in itertools.product(A.domain, repeat=j):
+                f = dict(zip(subset, image))
+                if all(A.has_tuple(sym, tuple(f[a] for a in t)) for sym, t in inside):
+                    out.append(Assignment.of(f, total=(j == nX)))
+    return out
 
 
 def tensor_cell_index(arity: int, k: int, idx: tuple[int, ...]) -> int:

@@ -43,7 +43,16 @@ from minionlab.structures import enumerate_partial_homomorphisms, k_enhance, pre
 from minionlab.system_builders import EqualitySystemBuilder
 from minionlab.verdicts import Verdict
 
-from conftest import clique, cycle, digraphs_up_to_renaming, not_all_equal, one_in_three, wheel
+from conftest import (
+    clique,
+    cycle,
+    digraphs_up_to_renaming,
+    directed_triangle,
+    mycielski,
+    not_all_equal,
+    one_in_three,
+    wheel,
+)
 from references import (
     ReferenceSimplex,
     ReferenceSystemBuilder,
@@ -60,11 +69,6 @@ from references import (
 )
 
 LEVELS = (1, 2)
-
-
-def directed_triangle() -> Structure:
-    return Structure(Signature.of({"R": 2}), ["0", "1", "2"],
-                     {"R": [("0", "1"), ("1", "2"), ("2", "0")]}, name="DT")
 
 
 # -- the subset formulation of the marginal LP, kept as a reference ------------------
@@ -228,6 +232,32 @@ def test_sa_and_ba_accept_w5_into_k3_which_has_no_homomorphism():
     assert verdict.accepted and verdict.stats["pivots"] == 360
     validate_marginal_witness(verdict.witness.lp.values, Xk, Ak, 1)
     validate_marginal_witness(verdict.witness.ip.values, Xk, Ak, 1, integral=True)
+
+
+@pytest.mark.slow
+def test_the_relaxations_accept_groetzsch_into_k3_which_has_no_homomorphism():
+    # the Grötzsch graph has no triangle and is not 3-colourable, yet the
+    # vector relaxations, sa^1, aip^1 and bw^2 accept it; so does a graph
+    # that maps onto it, Grötzsch with a twin of vertex 0
+    G, K3 = mycielski(cycle(5)), clique(3)
+    assert oracle(G, K3).status is Status.REJECT
+    verdicts = {("sdp", None): sdp(G, K3), ("sos", 1): sos(G, K3, 1), ("sa", 1): sa(G, K3, 1),
+                ("aip", 1): aip(G, K3, 1), ("bw", 2): bw(G, K3, 2)}
+    assert all(verdict.accepted for verdict in verdicts.values())
+    assert verdicts[("sdp", None)].stats["iterations"] == 110
+    assert verdicts[("sos", 1)].stats["iterations"] == 210
+    assert verdicts[("sa", 1)].stats["pivots"] == 458
+    # here sos^1 => sa^1 is not already implied by completeness
+    assert_contained(G, K3, verdicts, [(("sos", 1), ("sa", 1))])
+    validate_marginal_witness(verdicts[("sa", 1)].witness.values,
+                              k_enhance(G, 1), k_enhance(K3, 1), 1)
+    assert is_valid_bw_family(verdicts[("bw", 2)].witness.maps, G, K3, 2)
+    assert check_sdp_facts(verdicts[("sdp", None)].witness.vectors, G, K3).ok
+    twin = Structure(G.signature, G.domain + ("0+",),
+                     {"R": G.tuples("R") + tuple(e for a, b in G.tuples("R") if a == "0"
+                                                 for e in (("0+", b), (b, "0+")))})
+    assert oracle(twin, G).accepted and oracle(twin, K3).status is Status.REJECT
+    assert sdp(twin, K3).accepted
 
 
 def test_ba_is_stronger_than_sa_and_aip_together():
@@ -540,6 +570,48 @@ def test_an_accept_is_monotone_in_x(sweep):
                     assert implied.accepted, (key, classes[i].relations, classes[j].relations, name)
                     beyond_oracle += not into[i][("oracle", None)].accepted
     assert beyond_oracle == 17281
+
+
+@pytest.fixture(scope="module")
+def sweep_into_k3_and_c4():
+    """(X, A, verdicts) for the 104 three-vertex digraph classes into K3 and
+    C4, under the drivers and levels of ``sweep``."""
+    out = []
+    for X in digraphs_up_to_renaming(3):
+        for A in (clique(3), cycle(4)):
+            verdicts = {("oracle", None): oracle(X, A), ("sdp", None): sdp(X, A),
+                        ("sos", 1): sos(X, A, 1), ("sos", 2): sos(X, A, 2)}
+            for k in LEVELS:
+                for name, driver in (("bw", bw), ("sa", sa), ("aip", aip), ("ba", ba),
+                                     ("minion-h", minion_test_horn_level)):
+                    verdicts[(name, k)] = driver(X, A, k)
+            out.append((X, A, verdicts))
+    return out
+
+
+# target homomorphisms A -> A' among the four targets of the two sweeps
+TARGET_HOMS = [("K2", "K3"), ("K2", "C4"), ("C4", "K2"), ("C4", "K3"), ("DT", "K3")]
+
+
+def test_an_accept_is_monotone_in_a(sweep, sweep_into_k3_and_c4):
+    # A -> A' and an ACCEPT of (X, A) imply an ACCEPT of (X, A') under every
+    # driver and level; a reject-numeric of (X, A') is no refusal
+    verdicts_into: dict = {}
+    targets = {}
+    for X, A, verdicts in sweep + sweep_into_k3_and_c4:
+        verdicts_into.setdefault(A.name, []).append((X, verdicts))
+        targets[A.name] = A
+    checks = beyond_oracle = 0
+    for a, b in TARGET_HOMS:
+        assert oracle(targets[a], targets[b]).accepted
+        for (X, verdicts), (_, into_b) in zip(verdicts_into[a], verdicts_into[b]):
+            for key, verdict in verdicts.items():
+                implied = into_b[key]
+                if verdict.accepted and implied.status is not Status.REJECT_NUMERIC:
+                    assert implied.accepted, (key, X.relations, a, b)
+                    checks += 1
+                    beyond_oracle += not into_b[("oracle", None)].accepted
+    assert (checks, beyond_oracle) == (1229, 524)
 
 
 def test_completeness(sweep):

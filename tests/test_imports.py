@@ -1,8 +1,8 @@
 """Every module of the package uses each name it imports, every private
 function reads each of its parameters, every function reads each local it
 assigns, every module is imported, directly or through others, by a driver
-module, and every public definition is used by the package or the
-benchmark, not only by the tests."""
+module, every private function is called by the package, and every public
+definition is used by the package or the benchmark, not only by the tests."""
 
 import ast
 import re
@@ -211,3 +211,41 @@ def test_no_public_definition_is_used_only_by_tests():
                for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
     others = [path.read_text() for path in sorted(BENCHMARK.glob("*.py"))]
     assert unnamed_definitions(sources, others) == []
+
+
+def uncalled_private_functions(sources: dict[str, str]) -> list[str]:
+    """Private functions and methods (one leading underscore) that no code
+    outside their own body calls, by plain name or as an attribute."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    callees = [(getattr(node.func, "id", None) or getattr(node.func, "attr", None), node)
+               for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if not node.name.startswith("_") or node.name.startswith("__"):
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            if not any(name == node.name and id(call) not in inside for name, call in callees):
+                found.append(f"{module}.{node.name}")
+    return found
+
+
+def test_guard_sees_an_uncalled_private_function():
+    sources = {"solve": "def _used():\n    return 1\n\n\n"
+                        "def _unused():\n    return _used()\n\n\n"
+                        "def _recurse(n):\n    return _recurse(n - 1)\n\n\n"
+                        "def public():\n    return 0\n\n\n"
+                        "class C:\n    def __init__(self):\n        self._step()\n\n"
+                        "    def _step(self):\n        return 2\n\n"
+                        "    def _orphan(self):\n        return 3\n",
+               "run": "from solve import _helper\n_helper()\n",
+               "util": "def _helper():\n    return 4\n"}
+    assert uncalled_private_functions(sources) == \
+        ["solve._unused", "solve._recurse", "solve._orphan"]
+
+
+def test_every_private_function_is_called_by_the_package():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert uncalled_private_functions(sources) == []

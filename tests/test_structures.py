@@ -3,6 +3,7 @@ partial homomorphisms."""
 
 import itertools
 import json
+import random
 
 import pytest
 
@@ -17,6 +18,7 @@ from minionlab.errors import (
     UnknownAtom,
 )
 from minionlab.structures import (
+    _iter_homomorphisms,
     enumerate_partial_homomorphisms,
     find_homomorphism,
     is_homomorphism,
@@ -33,11 +35,19 @@ from conftest import (
     clique,
     cycle,
     digraphs_up_to_renaming,
+    directed_triangle,
     not_all_equal,
     one_in_three,
+    random_structure,
     single_vertex,
+    wheel,
 )
-from references import count_homomorphisms, tensor_cell_index
+from references import (
+    count_homomorphisms,
+    reference_enumerate_partial_homomorphisms,
+    reference_iter_homomorphisms,
+    tensor_cell_index,
+)
 
 
 # -- parsing ------------------------------------------------------------------
@@ -104,6 +114,15 @@ def test_parse_arity_below_one():
     text = json.dumps({"domain": ["0"], "relations": {"R": {"arity": 0, "tuples": []}}})
     with pytest.raises(ArityMismatch):
         parse_structure(text)
+
+
+@pytest.mark.parametrize("relations", [{"R": ["ab"]}, {"U": "a"}, {"U": ""}],
+                         ids=["string-tuple", "string-relation", "empty-string-relation"])
+def test_a_string_is_no_tuple_of_atoms(relations):
+    # read as sequences, "ab" would be the tuple ("a", "b") and "a" the relation {("a",)}
+    signature = Signature.of({"R": 2, "U": 1})
+    with pytest.raises(MalformedInput, match="string"):
+        Structure(signature, ["a", "b"], relations)
 
 
 def test_json_round_trip(k3):
@@ -376,3 +395,27 @@ def test_total_hom_appears_in_partial_enumeration(k2, k3):
     h = find_homomorphism(k2, k3)
     fams = enumerate_partial_homomorphisms(k2, k3, len(k2.domain))
     assert h.mapping in {f.mapping for f in fams}
+
+
+@pytest.mark.slow
+def test_the_homomorphism_search_matches_its_reference():
+    # the same first homomorphism on every ordered pair of three-vertex
+    # classes, and the same homomorphisms and partial maps, in the same
+    # order, into four targets, on random pairs and on three larger pairs
+    classes = digraphs_up_to_renaming(3)
+    for X in classes:
+        for A in classes:
+            first = next(reference_iter_homomorphisms(X, A), None)
+            expected = first and Assignment.of(first, total=True)
+            assert find_homomorphism(X, A) == expected, (X.relations, A.relations)
+    rng = random.Random(5)
+    pairs = [(X, A) for X in classes for A in (clique(2), clique(3), cycle(4), directed_triangle())]
+    pairs += [(random_structure(rng, rng.randint(1, 5), rng.randint(0, 8)),
+               random_structure(rng, rng.randint(1, 4), rng.randint(0, 8))) for _ in range(400)]
+    pairs += [(one_in_three(), not_all_equal()), (wheel(5), clique(3)), (wheel(7), clique(4))]
+    for X, A in pairs:
+        assert [list(h.items()) for h in _iter_homomorphisms(X, A)] == \
+            [list(h.items()) for h in reference_iter_homomorphisms(X, A)]
+        for k in (1, 2, 3):
+            assert enumerate_partial_homomorphisms(X, A, k) == \
+                reference_enumerate_partial_homomorphisms(X, A, k), (X.relations, A.relations, k)
