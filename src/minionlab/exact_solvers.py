@@ -345,12 +345,13 @@ def verify_farkas(cert: Certificate, sys: LinearSystem) -> bool:
 def _combine(cert: Certificate, sys: LinearSystem, kind: CertificateKind):
     """The nonzero-column entries of y^T A and the value y^T b, in one sparse pass.
 
-    None when y does not have one entry per row.
+    None unless y has one exact rational entry per row: a float's rounding
+    can make a feasible system look refuted.
     """
     if cert.kind is not kind:
         raise WrongKind(f"expected a {kind.value} certificate, got {cert.kind.value}")
     y = cert.farkas
-    if len(y) != sys.num_rows:
+    if len(y) != sys.num_rows or not all(isinstance(yi, RATIONAL_TYPES) for yi in y):
         return None
     cols: dict[int, object] = {}
     for yi, row in zip(y, sys.rows):

@@ -30,7 +30,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterable, Optional
 
 from .budgets import DEFAULT_BUDGET, Budget
@@ -51,10 +50,11 @@ from .psd import (
     affine_reduce,
     psd_feasibility,
 )
-from .rationals import is_integral, rat, rat_to_str
+from .rationals import RATIONAL_TYPES, is_integral, rat, rat_to_str
 from .structures import (
     Assignment,
     Structure,
+    _projections,
     enumerate_partial_homomorphisms,
     find_homomorphism,
     is_partial_homomorphism,
@@ -189,30 +189,16 @@ def is_valid_bw_family(
 # -- the marginal system -------------------------------------------------------------
 
 
-def _projections(arity: int, k: int) -> list:
-    """Each k-tuple i of 1-based positions up to ``arity``, with a getter projecting onto i.
-
-    ``itemgetter`` of one index returns the item itself, so the one-position
-    getter takes a slice, which also returns a tuple.
-    """
-    out = []
-    for i in itertools.product(range(arity), repeat=k):
-        get = itemgetter(*i) if k > 1 else itemgetter(slice(i[0], i[0] + 1))
-        out.append((tuple(p + 1 for p in i), get))
-    return out
-
-
 def _template(xt: tuple, tuples: tuple, projections: list, cells: list,
               targets_of: dict) -> tuple:
     """The images and projected groups shared by every scope with xt's equality pattern.
 
     The images are the tuples of the symbol that xt precedes, in order.  For
-    each projection the template holds its getter, the cells b that the
-    projected scope xi precedes (in cell order, kept in ``targets_of`` by
-    the equality pattern of xi), and for each such b the local indices of
-    the images projecting onto b.  No image projects outside those cells:
-    equal positions of xi are equal positions of xt, which every image
-    repeats.
+    each projection the template holds its getter and, for each cell b that
+    the projected scope xi precedes (in cell order, kept in ``targets_of``
+    by the equality pattern of xi), the local indices of the images
+    projecting onto b.  No image projects outside those cells: equal
+    positions of xi are equal positions of xt, which every image repeats.
     """
     images = [at for at in tuples if precedes(xt, at)]
     stamps = []
@@ -225,7 +211,7 @@ def _template(xt: tuple, tuples: tuple, projections: list, cells: list,
         local: dict = {}
         for i, at in enumerate(images):
             local.setdefault(get(at), []).append(i)
-        stamps.append((get, targets, [local.get(b, ()) for b in targets]))
+        stamps.append((get, [local.get(b, ()) for b in targets]))
     return images, stamps
 
 
@@ -246,9 +232,8 @@ def _marginal_rows(Xk: Structure, Ak: Structure, k: int, budget: Budget) -> tupl
     template at its own id offset.  ``Ak`` holds the full ``R_k`` in cell
     order, as ``k_enhance`` makes it, so the ``R_k`` scope of a projected
     tuple xi holds one id per cell xi precedes, in cell order, and row t of
-    a projection names the t-th of them.  When ``Xk`` has no ``R_k`` scope
-    xi (a hand-built ``Xk``), the variables ``(R_k, xi, b)`` are numbered
-    after the scopes, in the order the identities first name them.
+    a projection names the t-th of them.  ``Xk`` holds the full ``R_k`` as
+    well, so every projected tuple xi has its own ``R_k`` scope.
 
     Returns the key tuple, each scope's id range (its unit-mass row), and
     the identities.
@@ -279,13 +264,8 @@ def _marginal_rows(Xk: Structure, Ak: Structure, k: int, budget: Budget) -> tupl
     identities = []
     for xt, stamps, ids in scopes:
         base = ids.start
-        for get, targets, groups in stamps:
-            xi = get(xt)
-            t = enh_start.get(xi)
-            if t is None:  # no R_k scope of Xk: number its variables past the scopes
-                t = enh_start[xi] = len(keys)
-                keys.extend((enh, xi, b) for b in targets)
-            for v, group in enumerate(groups, t):
+        for get, groups in stamps:
+            for v, group in enumerate(groups, enh_start[get(xt)]):
                 # the projected mass onto the cell of (enh, xi, b) minus its weight
                 if not group:
                     identities.append({v: -1})
@@ -329,7 +309,8 @@ def validate_marginal_witness(
 ) -> None:
     """Check the witness against the defining equations, exactly; an absent weight is zero.
 
-    One pass checks sign, integrality and the image's length on every key.
+    One pass checks that every weight is an int or a Fraction, and its sign,
+    integrality and the image's length.
     A nonzero weight must also respect its scope and name a variable: a
     scope ``(sym, xt)`` of ``Xk`` and a tuple ``at`` of ``Ak``; a zero weight
     may sit on any key.  Each scope's nonzero weights are filed under it and
@@ -341,6 +322,8 @@ def validate_marginal_witness(
     enh = f"R_{k}"
     weights: dict = {}  # (sym, xt) -> {at: the nonzero weight}
     for (sym, xt, at), v in values.items():
+        if not isinstance(v, RATIONAL_TYPES):
+            raise InvalidWitness(f"weight {v!r} at {(sym, xt, at)} is not an exact rational")
         if integral and not is_integral(v):
             raise InvalidWitness(f"non-integer weight at {(sym, xt, at)}")
         if not integral and v < 0:

@@ -1,9 +1,11 @@
 """Relational signatures and structures, homomorphisms, enhancement and tensor powers.
 
 Atoms are strings at the base level; a tensor power is an ordinary
-structure whose atoms are length-k tuples of atoms.
-Tuples are projected onto 1-based position tuples (``project``), and
-``precedes`` compares the equality patterns of two tuples.
+structure whose atoms are length-k tuples of atoms.  ``_projections`` is
+the one tensor map, each k-tuple of positions in cell order with its getter:
+``tensor_power`` and the marginal system project through it.  ``project``
+checks one projection's bounds, and ``precedes`` compares the equality
+patterns of two tuples.
 Every homomorphism, total or partial, comes from one search; each tuple of
 X is checked once, when its last atom is mapped.  The search tries A's atoms
 in domain order, which keeps every search and every emitted witness
@@ -17,6 +19,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .budgets import DEFAULT_BUDGET, Budget
@@ -185,6 +188,19 @@ def project(s: Sequence, i: Sequence[int]) -> tuple:
             raise IndexOutOfRange(f"position {pos} outside 1..{len(s)}")
         out.append(s[pos - 1])
     return tuple(out)
+
+
+def _projections(arity: int, k: int) -> list:
+    """Each k-tuple i of 1-based positions up to ``arity``, with a getter projecting onto i.
+
+    ``itemgetter`` of one index returns the item itself, so the one-position
+    getter takes a slice, which also returns a tuple.
+    """
+    out = []
+    for i in itertools.product(range(arity), repeat=k):
+        get = itemgetter(*i) if k > 1 else itemgetter(slice(i[0], i[0] + 1))
+        out.append((tuple(p + 1 for p in i), get))
+    return out
 
 
 def precedes(s: Sequence, t: Sequence) -> bool:
@@ -367,11 +383,8 @@ def tensor_power(A: Structure, k: int, budget: Budget = DEFAULT_BUDGET) -> Struc
     for sym, arity in A.signature.symbols:
         budget.check_tuples(arity**k * max(1, len(A.tuples(sym))), f"tensor power {sym}")
         sig_items.append((sym, arity**k))
-        cells = list(itertools.product(range(arity), repeat=k))
-        out = []
-        for a in A.tuples(sym):
-            out.append(tuple(tuple(a[i] for i in cell) for cell in cells))
-        rels[sym] = out
+        getters = [get for _, get in _projections(arity, k)]
+        rels[sym] = [tuple(get(a) for get in getters) for a in A.tuples(sym)]
     return Structure(Signature(tuple(sig_items)), domain, rels, name=A.name)
 
 

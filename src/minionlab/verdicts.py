@@ -24,6 +24,12 @@ class Verdict:
     solve); it is never to be treated as ground truth or conflated with a
     certified rejection.
 
+    A ``reject`` carries a ``RejectionEvidence`` (a Farkas or parity vector
+    and the exact system it refutes) from ``sa``, ``aip``, ``ba`` and the
+    ``sos`` LP; an ``Inconsistent`` trace or a ``NumericReject`` from ``sdp``
+    and ``sos``; and nothing from ``bw``, ``minion-h`` or ``oracle``, which
+    is exempt: an exhaustive search has no short certificate.
+
     ``stats`` has one schema for every driver:
 
     - ``vars`` and ``constraints``: the size of the last system the driver
@@ -87,12 +93,5 @@ def driver(decide):
 
 
 def _jsonable(obj):
-    if hasattr(obj, "to_doc"):
-        return obj.to_doc()
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (int, float, str, bool)) or obj is None:
-        return obj
-    return str(obj)
+    """A witness or certificate's document; ``oracle``'s str-to-str map is one already."""
+    return obj.to_doc() if hasattr(obj, "to_doc") else obj

@@ -108,6 +108,47 @@ def digraphs_up_to_renaming(n: int):
     return out
 
 
+def _canonical_edges(edges: frozenset, n: int) -> tuple:
+    """The least sorted edge list over the renamings that list the vertices by
+    descending degree; the degrees fix the blocks, so only orders within a
+    block of equal degree are tried."""
+    degree = [sum(v in e for e in edges) for v in range(n)]
+    blocks = [[v for v in range(n) if degree[v] == d] for d in sorted(set(degree), reverse=True)]
+
+    def relabelled(orders) -> tuple:
+        place = {v: i for i, v in enumerate(v for order in orders for v in order)}
+        return tuple(sorted(tuple(sorted((place[u], place[v]))) for u, v in edges))
+
+    return min(map(relabelled, itertools.product(*map(itertools.permutations, blocks))))
+
+
+def _graph_classes(n: int) -> list[frozenset]:
+    """One edge set {(u, v): u < v} per isomorphism class of simple graphs on
+    vertices 0..n-1: each class on n - 1 vertices gains vertex n - 1 with
+    every neighbourhood, and the first graph of each canonical form is kept."""
+    if n == 1:
+        return [frozenset()]
+    seen, out = set(), []
+    for edges in _graph_classes(n - 1):
+        for mask in range(1 << (n - 1)):
+            graph = edges | {(u, n - 1) for u in range(n - 1) if mask >> u & 1}
+            canon = _canonical_edges(graph, n)
+            if canon not in seen:
+                seen.add(canon)
+                out.append(graph)
+    return out
+
+
+def graphs_up_to_isomorphism(n: int) -> list[Structure]:
+    """One symmetric graph per isomorphism class of simple graphs on n vertices."""
+    atoms = [str(i) for i in range(n)]
+    return [Structure(Signature.of({"R": 2}), atoms,
+                      {"R": [(atoms[a], atoms[b]) for u, v in sorted(edges)
+                             for a, b in ((u, v), (v, u))]},
+                      name=f"G{n}.{i}")
+            for i, edges in enumerate(_graph_classes(n))]
+
+
 def random_structure(rng: random.Random, n_atoms: int, n_tuples: int) -> Structure:
     atoms = [str(i) for i in range(n_atoms)]
     tuples = set()

@@ -462,6 +462,17 @@ def test_verify_parity_wrong_kind():
         verify_parity_certificate(Certificate(CertificateKind.FARKAS, farkas=(rat(1, 2),)), sys)
 
 
+def test_a_float_multiplier_refutes_nothing():
+    # the system is feasible at (2, 1); in floats this y gives y^T A = 0 and
+    # y^T b = 1, but exactly column 0 of y^T A is 1
+    sys = system([{0: -1, 1: -1}, {0: 1, 1: 1}, {0: 1, 1: 1}], [-3, 3, 3], 2)
+    assert lp_feasible(sys).feasible
+    y = (1.0, 1.0000000000000002e16, -1e16)
+    assert not verify_farkas(Certificate(CertificateKind.FARKAS, farkas=y), sys)
+    parity = system([{0: 2}], [2], 1, DomainTag.INT)
+    assert not verify_parity_certificate(Certificate(CertificateKind.PARITY, farkas=(0.25,)), parity)
+
+
 def test_integer_negative_solutions_allowed():
     sys = system([{0: 1, 1: 3}], [1], 2, DomainTag.INT)
     out = diophantine_solve(sys)

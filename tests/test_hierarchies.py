@@ -18,6 +18,7 @@ from minionlab import (
     aip,
     ba,
     bw,
+    check_vanishing,
     is_valid_bw_family,
     lp_feasible,
     minion_test_horn_level,
@@ -48,6 +49,7 @@ from conftest import (
     cycle,
     digraphs_up_to_renaming,
     directed_triangle,
+    graphs_up_to_isomorphism,
     mycielski,
     not_all_equal,
     one_in_three,
@@ -260,6 +262,44 @@ def test_the_relaxations_accept_groetzsch_into_k3_which_has_no_homomorphism():
     assert sdp(twin, K3).accepted
 
 
+# (driver, level) -> how many of the 201 graphs on 4-6 vertices it accepts, per target
+GRAPH_NET_ACCEPTS = {
+    "K2": {("oracle", None): 55, ("aip", 1): 55, ("bw", 3): 55, ("sa", 1): 201, ("sa", 2): 201,
+           ("bw", 2): 201, ("minion-h", 2): 201},
+    "K3": {("oracle", None): 158, ("sa", 1): 201, ("aip", 1): 201, ("bw", 2): 201,
+           ("minion-h", 2): 201},
+}
+GRAPH_NET_DRIVERS = {"oracle": lambda X, A, k: oracle(X, A), "sa": sa, "aip": aip, "bw": bw,
+                     "minion-h": minion_test_horn_level}
+
+
+@pytest.mark.slow
+def test_the_graphs_on_four_to_six_vertices_into_k2_and_k3():
+    # every simple graph on 4-6 vertices up to isomorphism: complete, sa^k => bw^k
+    # and bw^3 => bw^2, each bw family and Horn witness rechecked, counts pinned
+    graphs = [G for n in (4, 5, 6) for G in graphs_up_to_isomorphism(n)]
+    assert [len(G.domain) for G in graphs] == [4] * 11 + [5] * 34 + [6] * 156
+    for A in (clique(2), clique(3)):
+        runs = GRAPH_NET_ACCEPTS[A.name]
+        implied = [(("sa", k), ("bw", k)) for k in (1, 2, 3)
+                   if ("sa", k) in runs and ("bw", k) in runs]
+        implied += [(("bw", 3), ("bw", 2))] if ("bw", 3) in runs else []
+        accepts = dict.fromkeys(runs, 0)
+        for X in graphs:
+            verdicts = {(name, k): GRAPH_NET_DRIVERS[name](X, A, k) for name, k in runs}
+            assert_complete(X, A, verdicts)
+            assert_contained(X, A, verdicts, implied)
+            for (name, k), verdict in verdicts.items():
+                if not verdict.accepted:
+                    continue
+                accepts[(name, k)] += 1
+                if name == "bw":
+                    assert is_valid_bw_family(verdict.witness.maps, X, A, k)
+                elif name == "minion-h":
+                    assert check_vanishing(verdict.witness, X, A, k)
+        assert accepts == runs, A.name
+
+
 def test_ba_is_stronger_than_sa_and_aip_together():
     # the target is K2 on {0, 1} plus a sink 2: no LP solution puts mass on
     # the sink, so inside the LP support only the odd cycle into K2 is left,
@@ -459,6 +499,14 @@ def test_a_negative_weight_is_refused(k2_marginals):
     values[("R", ("0", "1"), ("0", "1"))] = rat(-1, 2)
     with pytest.raises(InvalidWitness, match="negative weight"):
         validate_marginal_witness(values, Xk, Xk, 2)
+
+
+@pytest.mark.parametrize("weight", [1.0, "1"], ids=["float", "str"])
+def test_a_weight_that_is_no_exact_rational_is_refused(k2_into_k3, weight):
+    values, Xk, Ak = k2_into_k3
+    values[next(key for key, v in values.items() if v)] = weight
+    with pytest.raises(InvalidWitness, match="not an exact rational"):
+        validate_marginal_witness(values, Xk, Ak, 1)
 
 
 @pytest.fixture
@@ -768,27 +816,6 @@ def test_an_input_that_already_holds_r_k_is_numbered_as_given():
     assert keys[0][0] == "R_2" and keys[-1][0] == "R"
     assert_front_end_matches_reference(X2, A2, 2)
     assert sa(X2, A2, 2).status is sa(X, A, 2).status is Status.ACCEPT
-
-
-@pytest.mark.parametrize("k", (1, 2))
-def test_a_hand_built_xk_numbers_its_r_k_variables_past_the_scopes(k):
-    # X without R_k, and X with a partial R_k that k_enhance would refuse: a
-    # projected scope with no R_k scope of its own numbers its variables after
-    # every scope, in the order the identities first name them
-    X, A = repeated_atoms()
-    Ak = k_enhance(A, k)
-    enh = f"R_{k}"
-    partial = Structure(Ak.signature, X.domain,
-                        {**X.relations, enh: [xi for xi in k_enhance(X, k).tuples(enh)
-                                              if xi[0] != "b"]})
-    for Xk in (X, partial):
-        keys, scopes, identities = assert_rows_match_reference(Xk, Ak, k)
-        past = keys[scopes[-1].stop:]
-        assert past and all(key[0] == enh for key in past)
-        named = dict.fromkeys(keys[v] for row in identities for v in row
-                              if v >= scopes[-1].stop)
-        assert list(named) == list(past)
-        assert all(xi[0] == "b" for _, xi, _ in past) == (Xk is partial)
 
 
 @pytest.mark.slow

@@ -5,6 +5,7 @@ module, every private function is called by the package, and every public
 definition is used by the package or the benchmark, not only by the tests."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -249,3 +250,19 @@ def test_guard_sees_an_uncalled_private_function():
 def test_every_private_function_is_called_by_the_package():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert uncalled_private_functions(sources) == []
+
+
+def test_the_benchmark_loads_and_patches_names_the_package_has(monkeypatch):
+    # measure, verify and spans import names of the package, and spans replaces
+    # some of them while it traces: a renamed name fails here, not first when the
+    # benchmark runs, and every replaced name is the original again afterwards
+    monkeypatch.syspath_prepend(str(BENCHMARK))
+    for name in ("measure", "verify"):
+        importlib.import_module(name)
+    spans = importlib.import_module("spans")
+    originals = {(owner, attr): owner.__dict__[attr]
+                 for owner, attr, *_ in spans.PATCHES + spans.COUNTED}
+    with spans.patched(spans.SpanRecorder()):
+        assert all(owner.__dict__[attr] is not original
+                   for (owner, attr), original in originals.items())
+    assert all(owner.__dict__[attr] is original for (owner, attr), original in originals.items())

@@ -39,20 +39,30 @@ XY = ("x", "y")
 
 
 def one_scope(sym: str, k: int) -> Structure:
-    """A k-enhanced source holding the single scope ("x", "y") under ``sym``."""
-    relations = {"R": [], f"R_{k}": []}
-    relations[sym] = [XY]
-    return Structure(Signature.of({"R": 2, f"R_{k}": k}), list(XY), relations)
+    """The k-enhanced source on ("x", "y"), whose R holds that pair when ``sym`` is R.
+
+    Either way ("x", "y") is a scope of ``sym``: ``R_k`` holds every k-tuple.
+    """
+    source = Structure(Signature.of({"R": 2}), list(XY), {"R": [XY] if sym == "R" else []})
+    return k_enhance(source, k)
 
 
 def rows_by_marginal(Xk: Structure, Ak: Structure, k: int) -> dict:
-    """Each identity keyed by its enhancement variable, mapped to the variables it sums.
+    """Each identity of the scope under test keyed by its enhancement variable,
+    mapped to the variables it sums.
 
-    With one scope of distinct atoms, index tuples with distinct projections
-    give distinct enhancement variables, so the keys do not collide.
+    The scope under test is ("x", "y") under the first symbol holding it:
+    ``one_scope`` leaves R empty unless R is the symbol tested.  An identity
+    is kept when every variable it sums lies in that scope, which keeps the
+    one-entry rows of cells no image projects onto.  With one scope of
+    distinct atoms, index tuples with distinct projections give distinct
+    enhancement variables, so the keys do not collide.
     """
+    sym = next(s for s in Xk.signature.names() if Xk.has_tuple(s, XY))
     keys, _, id_rows = _marginal_rows(Xk, Ak, k, DEFAULT_BUDGET)
     identities = [{keys[v]: c for v, c in row.items()} for row in id_rows]
+    identities = [row for row in identities
+                  if all(key[:2] == (sym, XY) for key, c in row.items() if c == 1)]
     out = {}
     for row in identities:
         (enh,) = [key for key, c in row.items() if c == -1]
