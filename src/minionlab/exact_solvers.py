@@ -364,7 +364,14 @@ def _combine(cert: Certificate, sys: LinearSystem, kind: CertificateKind):
 
 
 def validate_nonneg_point(sys: LinearSystem, point: dict) -> None:
-    """Raise InvalidWitness unless the point solves Ax = b with x >= 0, exactly."""
+    """Raise InvalidWitness unless the point solves Ax = b with x >= 0, exactly.
+
+    Every entry must be an exact rational: a float's rounding can make a
+    non-solution look like one.
+    """
+    for j, v in point.items():
+        if not isinstance(v, RATIONAL_TYPES):
+            raise InvalidWitness(f"entry {j} is {v!r}, not an exact rational")
     for j in range(sys.num_vars):
         if point.get(j, R0) < 0:
             raise InvalidWitness(f"variable {sys.var_names[j]} is negative")

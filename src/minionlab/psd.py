@@ -13,15 +13,19 @@ normalised by multiplying it by the pivot, and only a non-unit pivot brings
 in a Fraction, so the elimination of ±1 identifications runs on ints.  Both
 echelon forms, of the identifications and of the Gram constraints, index
 each free key to the rows that hold it, so a new pivot rewrites only those
-rows, and a row is reduced by substituting each of its pivots once.  Every
+rows, and a row is reduced by substituting each of its pivots once.  Each
+round of the fixpoint rereads only the orthogonal pairs holding a label whose
+row the round before rewrote, and each distinct pair of combinations is
+formed into a Gram constraint once.  Every
 contradiction (a unit group whose members all collapse to the zero vector, or
 a Gram constraint that reduces to 0 = nonzero) is returned as an exact
 rejection whose trace holds only derived steps: the vectors forced to zero,
 then the contradiction itself.  Phase two, :func:`psd_feasibility`, works in
 float only: Douglas-Rachford iterations, started at I/n, between the affine
-subspace of admissible Gram matrices (an orthogonal projection through one
-pseudo-inverse) and the cone of positive semidefinite matrices (eigenvalue
-clamping).  An accepted Gram matrix is built from the clamped
+subspace of admissible Gram matrices (an orthogonal projection through the
+constraints' nonzeros and the pseudo-inverse of the m x m matrix C C^T, where
+C has one row per constraint) and the cone of positive semidefinite matrices
+(eigenvalue clamping).  An accepted Gram matrix is built from the clamped
 eigendecomposition of the last iterate, so that same decomposition gives its
 vectors: the witness arrives with one vector per label.  Numeric stalls are
 reported as an explicitly non-rigorous outcome.
@@ -155,15 +159,20 @@ class _Echelon:
                     out[k] = out.get(k, 0) - c * v
         return {k: v for k, v in out.items() if v != 0}
 
-    def insert(self, row: dict) -> None:
-        """Add a reduced nonzero row, eliminating its pivot from the rows that hold it."""
+    def insert(self, row: dict) -> list:
+        """Add a reduced nonzero row, eliminating its pivot from the rows that hold it.
+
+        Returns the pivots whose rows this wrote: the new pivot, then each
+        row that held it.
+        """
         pivot = max(row, key=self.rank)
         # a unit pivot is its own inverse, so an integral row stays integral
         p = row[pivot]
         scale = p if p in (1, -1) else R1 / p
         norm = {k: v * scale for k, v in row.items()}
         holders = self.holders
-        for other in holders.pop(pivot, ()):
+        rewritten = list(holders.pop(pivot, ()))
+        for other in rewritten:
             prow = self.rows[other]
             c = prow.pop(pivot)
             for k, v in norm.items():
@@ -179,6 +188,7 @@ class _Echelon:
         for k in norm:
             if k != pivot:
                 holders.setdefault(k, {})[pivot] = None
+        return [pivot, *rewritten]
 
 
 def affine_reduce(problem: GramProblem):
@@ -196,11 +206,10 @@ def affine_reduce(problem: GramProblem):
     vectors = _Echelon(label_order.__getitem__)
     steps: list = []
 
-    def add_relation(row: dict) -> bool:
+    def add_relation(row: dict) -> list:
+        """Insert the row's reduction; return the labels whose combo changed."""
         reduced = vectors.reduce(row)
-        if reduced:
-            vectors.insert(reduced)
-        return bool(reduced)
+        return vectors.insert(reduced) if reduced else []
 
     for ident in problem.identifications:
         row: dict = {}
@@ -213,38 +222,57 @@ def affine_reduce(problem: GramProblem):
             return {lab: 1}
         return {k: -v for k, v in vectors.rows[lab].items() if k != lab}
 
-    # propagate forced-zero vectors to a fixpoint
-    while True:
+    # propagate forced-zero vectors to a fixpoint.  Each round reads the combos
+    # as they were at its start; a pair whose combos are unchanged since it was
+    # last read would only repeat a row that is already in the span, so a round
+    # rereads only the pairs holding a label whose combo the last round changed
+    combos = {lab: combo(lab) for lab in problem.labels}
+    pairs_of: dict = {}
+    for i, pair in enumerate(problem.zero_pairs):
+        for lab in set(pair):
+            pairs_of.setdefault(lab, []).append(i)
+    recheck = range(len(problem.zero_pairs))
+    while recheck:
         new_rows = []
-        for l1, l2 in problem.zero_pairs:
-            u, w = combo(l1), combo(l2)
-            if not u or not w:
-                continue
-            if _proportional(u, w):
+        for i in recheck:
+            l1, l2 = problem.zero_pairs[i]
+            u, w = combos[l1], combos[l2]
+            if u and w and _proportional(u, w):
                 # u = r*w with r != 0, so <u, w> = r * ||w||^2 = 0 forces w = 0
-                new_rows.append((dict(w), ("zero-norm", str(l1), str(l2))))
-        grew = [note for row, note in new_rows if add_relation(row)]
-        if not grew:
-            break
-        steps += grew
+                new_rows.append((w, ("zero-norm", str(l1), str(l2))))
+        changed: set = set()
+        for row, note in new_rows:
+            labs = add_relation(row)
+            if labs:
+                steps.append(note)
+                changed.update(labs)
+        for lab in changed:
+            combos[lab] = combo(lab)
+        recheck = sorted({i for lab in changed for i in pairs_of.get(lab, ())})
 
     for group in problem.unit_groups:
-        if all(not combo(lab) for lab in group):
+        if all(not combos[lab] for lab in group):
             steps.append(("unit-group-empty", _fmt_labels(group)))
             return Inconsistent(steps, "a unit-norm group collapsed to the zero vector")
 
     reps_set: set = set()
-    combos = {lab: combo(lab) for lab in problem.labels}
     for c in combos.values():
         reps_set.update(c)
     reps = tuple(sorted(reps_set, key=lambda lab: label_order[lab]))
     rep_index = {lab: i for i, lab in enumerate(reps)}
 
-    def bilinear(u: dict, w: dict) -> dict:
+    # each distinct combo once, as (rep index, coefficient) pairs
+    combo_id: dict = {}
+    indexed: dict = {}
+    for lab, c in combos.items():
+        key = tuple((rep_index[r], v) for r, v in c.items())
+        combo_id[lab] = indexed.setdefault(key, len(indexed))
+    indexed_combos = list(indexed)
+
+    def bilinear(i: int, j: int) -> dict:
         out: dict = {}
-        for s, cs in u.items():
-            for t, ct in w.items():
-                si, ti = rep_index[s], rep_index[t]
+        for si, cs in indexed_combos[i]:
+            for ti, ct in indexed_combos[j]:
                 key = (si, ti) if si <= ti else (ti, si)
                 out[key] = out.get(key, 0) + cs * ct
         return {k: v for k, v in out.items() if v != 0}
@@ -266,10 +294,16 @@ def affine_reduce(problem: GramProblem):
             constraints.append((coeffs, rhs))
         return None
 
-    # an empty form, or one pushed before, would reduce to nothing
+    # a pair of combos formed before, an empty form, or one pushed before would
+    # reduce to nothing
+    formed: set = set()
     pushed: set = set()
     for l1, l2 in problem.zero_pairs:
-        form = bilinear(combos[l1], combos[l2])
+        i, j = combo_id[l1], combo_id[l2]
+        if (i, j) in formed:
+            continue
+        formed.update(((i, j), (j, i)))
+        form = bilinear(i, j)
         key = frozenset(form.items())
         if not form or key in pushed:
             continue
@@ -280,7 +314,7 @@ def affine_reduce(problem: GramProblem):
     for group in problem.unit_groups:
         acc: dict = {}
         for lab in group:
-            for k, v in bilinear(combos[lab], combos[lab]).items():
+            for k, v in bilinear(combo_id[lab], combo_id[lab]).items():
                 acc[k] = acc.get(k, 0) + v
         bad = push(acc, 1)
         if bad:
@@ -294,7 +328,7 @@ def _proportional(u: dict, w: dict) -> bool:
 
     The ratios are compared by cross-multiplication, so int combos stay exact.
     """
-    if set(u) != set(w):
+    if u.keys() != w.keys():
         return False
     k0 = next(iter(u))
     u0, w0 = u[k0], w[k0]
@@ -313,29 +347,59 @@ class _AffineProjector:
 
     Each constraint sum v * G[s, t] = b becomes the symmetric matrix with v/2
     at (s, t) and at (t, s), flattened into one row of C, so that C vec G = b
-    on symmetric G.  The pseudo-inverse of C is computed once, and
-    ``project(G)`` is G - C^+ (C vec G - b), the nearest point in the
-    Frobenius norm.
+    on symmetric G.  C is kept as its nonzeros: a row, a flat index into
+    vec G and a value per entry.  The m x m matrix C C^T is formed once from
+    the entries that share a flat index, and ``project(G)`` is
+    G - C^T (C C^T)^+ (C vec G - b), the nearest point in the Frobenius norm:
+    C^T (C C^T)^+ is the pseudo-inverse of C, so dependent rows project too.
     """
 
     def __init__(self, n: int, constraints: Sequence[tuple[dict, object]]):
-        c = np.zeros((len(constraints), n, n))
+        # one entry per cell of each constraint's matrix, in row order
+        rows, flat, vals, starts = [], [], [], []
         for i, (row, _) in enumerate(constraints):
+            if not row:
+                raise ValueError("every Gram constraint needs a nonzero coefficient")
+            starts.append(len(flat))
             for (s, t), v in row.items():
-                c[i, s, t] += float(v) / 2.0
-                c[i, t, s] += float(v) / 2.0
-        self.c = c.reshape(len(constraints), n * n)
-        self.c_pinv = np.linalg.pinv(self.c)
+                cells = (s * n + t,) if s == t else (s * n + t, t * n + s)
+                for f in cells:
+                    rows.append(i)
+                    flat.append(f)
+                    vals.append(float(v) / len(cells))
+        self.rows = np.array(rows, dtype=np.intp)
+        self.flat = np.array(flat, dtype=np.intp)
+        self.vals = np.array(vals)
+        self.starts = np.array(starts, dtype=np.intp)
         self.rhs = np.array([float(r) for _, r in constraints])
+        # (C C^T)[i, j] sums C[i, f] C[j, f] over the flat indices f: in flat
+        # order, entry order[k] meets the size[k] entries from first[k] on
+        m = len(constraints)
+        order = np.argsort(self.flat, kind="stable")
+        by_flat = self.flat[order]
+        first = np.searchsorted(by_flat, by_flat)
+        size = np.searchsorted(by_flat, by_flat, side="right") - first
+        left = np.repeat(order, size)
+        right = order[np.repeat(first + size - np.cumsum(size), size) + np.arange(len(left))]
+        cct = np.bincount(self.rows[left] * m + self.rows[right],
+                          weights=self.vals[left] * self.vals[right], minlength=m * m)
+        self.cct_pinv = np.linalg.pinv(cct.reshape(m, m), hermitian=True)
 
     def _misfit(self, G: np.ndarray) -> np.ndarray:
-        return self.c @ G.reshape(-1) - self.rhs
+        products = G.take(self.flat)
+        products *= self.vals
+        misfit = np.add.reduceat(products, self.starts)
+        misfit -= self.rhs
+        return misfit
 
     def violation(self, G: np.ndarray) -> float:
-        return float(np.max(np.abs(self._misfit(G)), initial=0.0))
+        return float(np.abs(self._misfit(G)).max(initial=0.0))
 
     def project(self, G: np.ndarray) -> np.ndarray:
-        return G - (self.c_pinv @ self._misfit(G)).reshape(G.shape)
+        weights = (self.cct_pinv @ self._misfit(G)).take(self.rows)
+        weights *= self.vals
+        step = np.bincount(self.flat, weights, G.size)
+        return G - step.reshape(G.shape)
 
 
 def psd_feasibility(reduced: ReducedGramProblem):
@@ -371,7 +435,7 @@ def psd_feasibility(reduced: ReducedGramProblem):
         xa = projector.project(z)
         lam, vec = np.linalg.eigh((xa + xa.T) / 2.0)
         neg = max(0.0, float(-lam[0]))
-        clamped = np.clip(lam, 0.0, None)
+        clamped = np.maximum(lam, 0.0)
         P = (vec * clamped) @ vec.T
         aff = projector.violation(P)
         residual = max(neg, aff)
@@ -388,7 +452,7 @@ def psd_feasibility(reduced: ReducedGramProblem):
         # reflect through the affine point, project back onto the cone
         reflected = 2.0 * xa - z
         lam_r, vec_r = np.linalg.eigh((reflected + reflected.T) / 2.0)
-        xb = (vec_r * np.clip(lam_r, 0.0, None)) @ vec_r.T
+        xb = (vec_r * np.maximum(lam_r, 0.0)) @ vec_r.T
         z = z + (xb - xa)
     trace.append((it, residual))
     return NumericReject(residual, it, trace)

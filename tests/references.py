@@ -4,6 +4,7 @@ Each one re-derives or re-checks something a driver or solver produces:
 the local-consistency family inside an LP witness, the family check against
 every subset of at most k atoms, the consequences every
 basic-SDP solution obeys, the exact Gram reduction in Fractions alone, the
+Gram projector through the pseudo-inverse of the dense constraint matrix, the
 marginal rows, witness check and presolve with one projection per tuple,
 every variable keyed by its tuple and every sum and row key on the
 original values, the simplex on a
@@ -318,6 +319,37 @@ def reference_affine_reduce(problem: GramProblem):
             return bad
 
     return ReducedGramProblem(problem.labels, reps, combos, constraints)
+
+
+# -- the Gram projector, through the pseudo-inverse of the dense constraint matrix ---------
+
+
+class ReferenceAffineProjector:
+    """``psd._AffineProjector`` as it was, with C a dense m x n^2 matrix.
+
+    Each constraint sum v * G[s, t] = b becomes the symmetric matrix with v/2
+    at (s, t) and at (t, s), flattened into one row of C.  The pseudo-inverse
+    of C is computed once, and ``project(G)`` is G - C^+ (C vec G - b).
+    """
+
+    def __init__(self, n: int, constraints):
+        c = np.zeros((len(constraints), n, n))
+        for i, (row, _) in enumerate(constraints):
+            for (s, t), v in row.items():
+                c[i, s, t] += float(v) / 2.0
+                c[i, t, s] += float(v) / 2.0
+        self.c = c.reshape(len(constraints), n * n)
+        self.c_pinv = np.linalg.pinv(self.c)
+        self.rhs = np.array([float(r) for _, r in constraints])
+
+    def _misfit(self, G: np.ndarray) -> np.ndarray:
+        return self.c @ G.reshape(-1) - self.rhs
+
+    def violation(self, G: np.ndarray) -> float:
+        return float(np.max(np.abs(self._misfit(G)), initial=0.0))
+
+    def project(self, G: np.ndarray) -> np.ndarray:
+        return G - (self.c_pinv @ self._misfit(G)).reshape(G.shape)
 
 
 # -- the marginal front end, every projection and sum on the original values --------------

@@ -79,13 +79,15 @@ def test_simplex_keeps_its_pivot_budget():
         lp_feasible(sys, Budget(max_pivots=1))
 
 
-@pytest.mark.parametrize("point, message", [
-    ({0: rat(2), 1: rat(-1)}, "negative"),
-    ({0: rat(1, 2), 1: rat(1, 4)}, "violated"),
-], ids=["negative-entry", "violated-row"])
-def test_validate_nonneg_point_refuses_a_non_solution(point, message):
-    sys = system([{0: 1, 1: 1}], [1], 2)
-    validate_nonneg_point(sys, {0: rat(1, 2), 1: rat(1, 2)})
+@pytest.mark.parametrize("row, rhs, solution, point, message", [
+    ({0: 1, 1: 1}, 1, {0: rat(1, 2), 1: rat(1, 2)}, {0: rat(2), 1: rat(-1)}, "negative"),
+    ({0: 1, 1: 1}, 1, {0: rat(1, 2), 1: rat(1, 2)}, {0: rat(1, 2), 1: rat(1, 4)}, "violated"),
+    # 1e16 + 1.0 rounds to 1e16, so in float the row would read 0 = 0
+    ({0: 1, 1: 1, 2: -1}, 0, {0: 1, 1: 1, 2: 2}, {0: 1e16, 1: 1.0, 2: 1e16}, "exact rational"),
+], ids=["negative-entry", "violated-row", "float-entry"])
+def test_validate_nonneg_point_refuses_a_non_solution(row, rhs, solution, point, message):
+    sys = system([row], [rhs], len(row))
+    validate_nonneg_point(sys, solution)
     with pytest.raises(InvalidWitness, match=message):
         validate_nonneg_point(sys, point)
 

@@ -239,18 +239,21 @@ def test_sa_and_ba_accept_w5_into_k3_which_has_no_homomorphism():
 @pytest.mark.slow
 def test_the_relaxations_accept_groetzsch_into_k3_which_has_no_homomorphism():
     # the Grötzsch graph has no triangle and is not 3-colourable, yet the
-    # vector relaxations, sa^1, aip^1 and bw^2 accept it; so does a graph
+    # vector relaxations, sa^1, sa^2, aip^1 and bw^2 accept it; so does a graph
     # that maps onto it, Grötzsch with a twin of vertex 0
     G, K3 = mycielski(cycle(5)), clique(3)
     assert oracle(G, K3).status is Status.REJECT
-    verdicts = {("sdp", None): sdp(G, K3), ("sos", 1): sos(G, K3, 1), ("sa", 1): sa(G, K3, 1),
-                ("aip", 1): aip(G, K3, 1), ("bw", 2): bw(G, K3, 2)}
+    verdicts = {("sdp", None): sdp(G, K3), ("sos", 1): sos(G, K3, 1), ("sos", 2): sos(G, K3, 2),
+                ("sa", 1): sa(G, K3, 1), ("sa", 2): sa(G, K3, 2), ("aip", 1): aip(G, K3, 1),
+                ("bw", 2): bw(G, K3, 2)}
     assert all(verdict.accepted for verdict in verdicts.values())
     assert verdicts[("sdp", None)].stats["iterations"] == 110
     assert verdicts[("sos", 1)].stats["iterations"] == 210
+    assert verdicts[("sos", 2)].stats["iterations"] == 291
+    assert verdicts[("sos", 2)].stats["reduced_dim"] == 183
     assert verdicts[("sa", 1)].stats["pivots"] == 458
-    # here sos^1 => sa^1 is not already implied by completeness
-    assert_contained(G, K3, verdicts, [(("sos", 1), ("sa", 1))])
+    # here sos^k => sa^k is not already implied by completeness
+    assert_contained(G, K3, verdicts, [(("sos", 1), ("sa", 1)), (("sos", 2), ("sa", 2))])
     validate_marginal_witness(verdicts[("sa", 1)].witness.values,
                               k_enhance(G, 1), k_enhance(K3, 1), 1)
     assert is_valid_bw_family(verdicts[("bw", 2)].witness.maps, G, K3, 2)

@@ -23,7 +23,7 @@ from minionlab.structures import k_enhance
 
 from conftest import clique, cycle, digraph_from_mask, digraphs_up_to_renaming, not_all_equal, \
     one_in_three
-from references import reference_affine_reduce
+from references import ReferenceAffineProjector, reference_affine_reduce
 
 
 def sos_problem(X, A, k: int) -> GramProblem:
@@ -172,6 +172,23 @@ def test_the_gram_workload_reduces_like_the_reference():
 
 
 @pytest.mark.slow
+def test_the_projector_matches_the_dense_pseudo_inverse():
+    reduced = [affine_reduce(gram_problem(driver, k, named(x), named(a)))
+               for driver, k, x, a in GRAM_QUERIES]
+    reduced = [r for r in reduced if not isinstance(r, Inconsistent)] + [contradictory()]
+    assert len(reduced) == 17
+    rng = np.random.default_rng(0)
+    for r in reduced:
+        n = len(r.reps)
+        projector, reference = _AffineProjector(n, r.constraints), \
+            ReferenceAffineProjector(n, r.constraints)
+        for m in rng.uniform(-1.0, 1.0, (3, n, n)):
+            G = (m + m.T) / 2.0
+            assert np.max(np.abs(projector.project(G) - reference.project(G))) <= 1e-12
+            assert abs(projector.violation(G) - reference.violation(G)) <= 1e-12
+
+
+@pytest.mark.slow
 @pytest.mark.parametrize("driver, k", [("sdp", None), ("sos", 1), ("sos", 2)],
                          ids=["sdp", "sos1", "sos2"])
 @pytest.mark.parametrize("target", [2, 3], ids=["K2", "K3"])
@@ -199,3 +216,30 @@ def test_proportionality_stays_exact_on_large_ints():
     # float division reads both ratios as 1e17
     assert not _proportional({"c": 10**17 + 1, "d": 10**17}, {"c": 1, "d": 1})
     assert _proportional({"c": 6, "d": -4}, {"c": 3, "d": -2})
+
+
+def growing_problem(group: tuple) -> GramProblem:
+    """Forced zeros that grow over three rounds: b, then a, then c.
+
+    g = b makes <g, b> = 0 force b = 0.  That rewrites the row of d = a + b
+    to d = a, so <d, a> = 0 forces a = 0 in the next round, which rewrites
+    f = a + c to f = c, so <f, c> = 0 forces c = 0 in the round after.
+    """
+    idents = ((("d", 1), ("a", -1), ("b", -1)), (("f", 1), ("a", -1), ("c", -1)),
+              (("g", 1), ("b", -1)))
+    pairs = (("d", "a"), ("f", "c"), ("g", "b"))
+    return GramProblem(("a", "b", "c", "d", "f", "g", "h"), (group,), pairs, idents)
+
+
+def test_forced_zeros_that_grow_over_three_rounds_reduce_like_the_reference():
+    collapsed = growing_problem(("a", "b", "c"))
+    assert affine_reduce(collapsed).steps == [
+        ("zero-norm", "g", "b"), ("zero-norm", "d", "a"), ("zero-norm", "f", "c"),
+        ("unit-group-empty", "a, b, c")]
+    assert_reduces_like_reference(collapsed)
+    # with h in the group, every other vector is zero and ||h||^2 = 1 is left
+    feasible = growing_problem(("a", "b", "c", "h"))
+    reduced = affine_reduce(feasible)
+    assert reduced.combos == {lab: {"h": 1} if lab == "h" else {} for lab in feasible.labels}
+    assert reduced.constraints == [({(0, 0): 1}, 1)]
+    assert_reduces_like_reference(feasible)
