@@ -10,14 +10,17 @@ marginal system over the k-enhanced pair, enumerated once by
 ``_marginal_rows`` and read over the nonnegative rationals (``sa``), the
 integers (``aip``), the integers inside the rationals' maximal support
 (``ba``), or as Gram vectors (``sos``).  ``_marginal_rows`` numbers the
-variables once, 0..n-1 in scope order, and states every row over those
-ids: the presolve runs on ints, ``sos`` maps ids to its Gram labels, and a
+variables once, 0..n-1 in scope order, and states every identity over
+those ids as the tuple ``(*images, cell)``, read as sum(images) - cell = 0.
+``_linear_system`` hands a one-id identity to the presolve as a pin and a
+two-id one as a merge, and only the longer ones become rows; ``sos`` reads
+the same tuples, in the same order, as Gram identifications.  A
 variable's ``(symbol, scope, image)`` key is read back only in the
 presolved system and the witness.  The images a scope admits, and how
 they project, depend only on the target and on the scope's symbol and
 equality pattern, so ``_marginal_rows`` works them out once per (symbol,
-pattern) as a template, and each scope of the tensorised X stamps its rows
-from that template at its own id offset.  ``validate_marginal_witness``
+pattern) as a template, and each scope of the tensorised X stamps its
+identities from that template at its own id offset.  ``validate_marginal_witness``
 files each nonzero weight under its scope, refusing one that names no
 variable, and compares each scope's projections with the ``R_k`` weights.
 It re-derives every identity from the structures on its own, so it does
@@ -222,9 +225,11 @@ def _marginal_rows(Xk: Structure, Ak: Structure, k: int, budget: Budget) -> tupl
     scope-respecting image ``at`` (a repeated variable never maps onto two
     values, so those weights are identically zero and never enumerated).
     The variables are numbered 0..n-1 in scope order, so each scope holds
-    one range of ids.  Each identity is a row over ids, with right-hand side
-    0, saying that projecting a scope onto a k-tuple of its positions
-    reproduces the weight of the projected scope on ``R_k``.
+    one range of ids.  Each identity is the id tuple ``(*images, cell)``,
+    read as sum(images) - cell = 0: projecting a scope onto a k-tuple of its
+    positions reproduces the weight of the projected scope on ``R_k`` at
+    that cell.  A cell that no image reaches gives the one-id tuple
+    ``(cell,)``, a zero weight.
 
     What a scope admits and how its images project depend only on its
     symbol and the equality pattern of xt, so ``_template`` works them out
@@ -267,27 +272,31 @@ def _marginal_rows(Xk: Structure, Ak: Structure, k: int, budget: Budget) -> tupl
         for get, groups in stamps:
             for v, group in enumerate(groups, enh_start[get(xt)]):
                 # the projected mass onto the cell of (enh, xi, b) minus its weight
-                if not group:
-                    identities.append({v: -1})
-                elif len(group) == 1:
-                    u = base + group[0]
-                    if u != v:  # else xt is xi itself, and its weight cancels
-                        identities.append({u: 1, v: -1})
-                else:
-                    row = dict.fromkeys([base + i for i in group], 1)
-                    row[v] = -1
-                    identities.append(row)
+                if len(group) == 1 and base + group[0] == v:
+                    continue  # xt is xi itself, and its weight cancels
+                identities.append((*[base + i for i in group], v))
     return tuple(keys), [ids for _, _, ids in scopes], identities
 
 
 def _linear_system(domain_tag: DomainTag, keys: tuple, scopes: list,
                    identities: list) -> PresolvedSystem:
-    """Unit mass on each scope's weights, then the identities, presolved."""
+    """Unit mass on each scope's weights, then the identities, presolved.
+
+    An identity of one id is a pin and one of two ids a merge; a longer one
+    becomes a row.
+    """
     builder = EqualitySystemBuilder(domain_tag, keys)
     for ids in scopes:
         builder.add_row(dict.fromkeys(ids, 1), 1)
-    for row in identities:
-        builder.add_row(row, 0)
+    for ident in identities:
+        if len(ident) == 1:
+            builder.pin(ident[0])
+        elif len(ident) == 2:
+            builder.merge(*ident)
+        else:
+            row = dict.fromkeys(ident, 1)
+            row[ident[-1]] = -1
+            builder.add_row(row, 0)
     return builder.build()
 
 
@@ -299,8 +308,9 @@ def _gram_problem(keys: tuple, scopes: list, identities: list) -> GramProblem:
         labels=labels,
         unit_groups=groups,
         zero_pairs=tuple(pair for group in groups for pair in itertools.combinations(group, 2)),
-        identifications=tuple(tuple((labels[v], c) for v, c in row.items())
-                              for row in identities),
+        identifications=tuple(
+            tuple((labels[v], 1) for v in ident[:-1]) + ((labels[ident[-1]], -1),)
+            for ident in identities),
     )
 
 

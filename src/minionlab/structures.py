@@ -2,10 +2,15 @@
 
 Atoms are strings at the base level; a tensor power is an ordinary
 structure whose atoms are length-k tuples of atoms.  ``_projections`` is
-the one tensor map, each k-tuple of positions in cell order with its getter:
-``tensor_power`` and the marginal system project through it.  ``project``
-checks one projection's bounds, and ``precedes`` compares the equality
-patterns of two tuples.
+the one tensor map, each k-tuple of positions in cell order with its getter,
+made once per (arity, k): ``tensor_power`` and the marginal system project
+through it.  ``project`` checks one projection's bounds, and ``precedes``
+compares the equality patterns of two tuples.
+The ``Structure`` constructor checks every tuple of its input and sorts
+each relation into canonical order.  ``k_enhance`` and ``tensor_power``
+build from a structure that has passed those checks, and their tuples come
+out in canonical order by construction, so they assemble their result
+through ``Structure._assembled``, which checks and sorts nothing.
 Every homomorphism, total or partial, comes from one search; each tuple of
 X is checked once, when its last atom is mapped.  The search tries A's atoms
 in domain order, which keeps every search and every emitted witness
@@ -14,6 +19,7 @@ deterministic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -118,6 +124,24 @@ class Structure:
         self.relations = rels
         self._rel_sets = {sym: frozenset(ts) for sym, ts in rels.items()}
 
+    @classmethod
+    def _assembled(cls, signature: Signature, domain: tuple, atom_id: dict,
+                   relations: dict, rel_sets: dict, name: str) -> "Structure":
+        """A structure built from a checked one, taken as given: no tuple is checked or sorted.
+
+        The caller passes the domain with its atom ids, and each relation as
+        a tuple of distinct tuples of those atoms, in canonical order, with
+        its frozenset.
+        """
+        self = object.__new__(cls)
+        self.signature = signature
+        self.domain = domain
+        self._atom_id = atom_id
+        self.name = name
+        self.relations = relations
+        self._rel_sets = rel_sets
+        return self
+
     # -- basic queries ------------------------------------------------------
 
     def atom_id(self, atom: Atom) -> int:
@@ -190,17 +214,19 @@ def project(s: Sequence, i: Sequence[int]) -> tuple:
     return tuple(out)
 
 
-def _projections(arity: int, k: int) -> list:
+@functools.lru_cache(maxsize=None)
+def _projections(arity: int, k: int) -> tuple:
     """Each k-tuple i of 1-based positions up to ``arity``, with a getter projecting onto i.
 
     ``itemgetter`` of one index returns the item itself, so the one-position
-    getter takes a slice, which also returns a tuple.
+    getter takes a slice, which also returns a tuple.  The result depends on
+    ``(arity, k)`` alone, so it is made once per pair and shared.
     """
     out = []
     for i in itertools.product(range(arity), repeat=k):
         get = itemgetter(*i) if k > 1 else itemgetter(slice(i[0], i[0] + 1))
         out.append((tuple(p + 1 for p in i), get))
-    return out
+    return tuple(out)
 
 
 def precedes(s: Sequence, t: Sequence) -> bool:
@@ -353,15 +379,14 @@ def k_enhance(A: Structure, k: int, budget: Budget = DEFAULT_BUDGET) -> Structur
     sym = f"R_{k}"
     n = len(A.domain)
     budget.check_tuples(n**k, f"enhancement {sym}")
-    full = [t for t in itertools.product(A.domain, repeat=k)]
+    full = tuple(itertools.product(A.domain, repeat=k))  # in canonical order
     if sym in A.signature:
         if set(A.tuples(sym)) == set(full):
             return A
         raise SymbolClash(f"{sym} already exists and is not the full {k}-th power")
-    sig = Signature(A.signature.symbols + ((sym, k),))
-    rels = dict(A.relations)
-    rels[sym] = full
-    return Structure(sig, A.domain, rels, name=A.name)
+    return Structure._assembled(
+        Signature(A.signature.symbols + ((sym, k),)), A.domain, A._atom_id,
+        {**A.relations, sym: full}, {**A._rel_sets, sym: frozenset(full)}, A.name)
 
 
 def tensor_power(A: Structure, k: int, budget: Budget = DEFAULT_BUDGET) -> Structure:
@@ -369,7 +394,11 @@ def tensor_power(A: Structure, k: int, budget: Budget = DEFAULT_BUDGET) -> Struc
 
     The domain is A^k.  Each tuple a of a relation with arity r contributes a
     single tuple of arity r^k whose cell at position (i_1, ..., i_k), in
-    lexicographic cell order, is the atom (a_{i_1}, ..., a_{i_k}).
+    lexicographic cell order, is the atom (a_{i_1}, ..., a_{i_k}).  This map
+    keeps A's canonical order, so the tensor tuples need no sort: if two
+    tuples first differ at position p, their images first differ at the cell
+    (1, ..., 1, p), whose atoms compare in A^k's lexicographic order as the
+    atoms at p do.
     """
     if k < 1:
         raise ArityMismatch("tensor power level must be >= 1")
@@ -377,15 +406,17 @@ def tensor_power(A: Structure, k: int, budget: Budget = DEFAULT_BUDGET) -> Struc
         return A
     n = len(A.domain)
     budget.check_tuples(n**k, "tensor power domain")
-    domain = [t for t in itertools.product(A.domain, repeat=k)]
+    domain = tuple(itertools.product(A.domain, repeat=k))
     sig_items = []
-    rels: dict[str, list[tuple]] = {}
+    rels: dict[str, tuple] = {}
     for sym, arity in A.signature.symbols:
         budget.check_tuples(arity**k * max(1, len(A.tuples(sym))), f"tensor power {sym}")
         sig_items.append((sym, arity**k))
         getters = [get for _, get in _projections(arity, k)]
-        rels[sym] = [tuple(get(a) for get in getters) for a in A.tuples(sym)]
-    return Structure(Signature(tuple(sig_items)), domain, rels, name=A.name)
+        rels[sym] = tuple(tuple(get(a) for get in getters) for a in A.tuples(sym))
+    return Structure._assembled(
+        Signature(tuple(sig_items)), domain, {a: i for i, a in enumerate(domain)}, rels,
+        {sym: frozenset(ts) for sym, ts in rels.items()}, A.name)
 
 
 # -- partial homomorphisms ----------------------------------------------------

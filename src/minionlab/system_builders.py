@@ -22,10 +22,14 @@ bytearray of pins, columns sorted by index, and the lower index kept as a
 merge's root), and turns indices back into keys only when it emits the
 :class:`PresolvedSystem`.
 
-``build`` is the one place a row is summed over roots and cleared of zeros.
-A row with right-hand side 0 that the caller wrote as one term, or as two
-terms with opposite coefficients, goes straight to its pin or merge, under
-the same tests on its roots that a canonical row meets.  The emitted
+A caller that already knows a row to be ``x_v = 0`` or ``x_u - x_v = 0``
+hands it over as ``pin(v)`` or ``merge(u, v)`` rather than as a row.
+``build`` applies every merge, then every pin, to its union-find before its
+fixpoint over the rows.  The presolve's state is its set of zero variables
+plus the merge classes of the others, the least fixpoint of monotone rules,
+so the order in which pins, merges and rows are applied cannot change which
+variables are zero or which are merged.  The fixpoint is the one place a
+row is summed over roots and cleared of zeros.  The emitted
 ``LinearSystem`` holds the numbers the caller passed (the marginal rows
 pass ints).  A duplicate row is found by a key: the frozenset of the row's
 items, scaled by the coefficient of its lowest index.  Only that key
@@ -69,6 +73,8 @@ class EqualitySystemBuilder:
         self.domain = domain
         self.keys = keys
         self._rows: list[tuple[dict, object]] = []
+        self._pins: list[int] = []
+        self._merges: list[tuple[int, int]] = []
 
     def add_row(self, coeffs: dict, rhs) -> None:
         """Store the caller's row, a dict from variable index to coefficient, unchanged.
@@ -76,6 +82,14 @@ class EqualitySystemBuilder:
         Coefficients may be ints or exact rationals; ``build`` reads the row.
         """
         self._rows.append((coeffs, rhs))
+
+    def pin(self, v: int) -> None:
+        """State ``x_v = 0``."""
+        self._pins.append(v)
+
+    def merge(self, u: int, v: int) -> None:
+        """State ``x_u = x_v``."""
+        self._merges.append((u, v))
 
     def build(self) -> PresolvedSystem:
         keys = self.keys
@@ -90,31 +104,19 @@ class EqualitySystemBuilder:
                 parent[v], v = root, parent[v]
             return root
 
+        for u, v in self._merges:
+            ru, rv = find(u), find(v)
+            if ru < rv:
+                parent[rv] = ru
+            elif rv < ru:
+                parent[ru] = rv
+        for v in self._pins:
+            pinned[find(v)] = 1
         pending = self._rows
         while True:
             changed = False
             survivors = []
             for coeffs, rhs in pending:
-                if rhs == 0 and len(coeffs) == 1:
-                    # a pin as the caller wrote it: the one-term test below, on its root
-                    ((v, c),) = coeffs.items()
-                    root = find(v)
-                    if c and not pinned[root]:
-                        pinned[root] = 1
-                        changed = True
-                    continue
-                if rhs == 0 and len(coeffs) == 2:
-                    (v1, c1), (v2, c2) = coeffs.items()
-                    if c1 and c1 == -c2:
-                        # a merge as the caller wrote it: the tests below, on its roots
-                        r1, r2 = find(v1), find(v2)
-                        if r1 != r2 and not (pinned[r1] and pinned[r2]):
-                            if pinned[r1] or pinned[r2]:  # one term is left: pin it
-                                pinned[r1] = pinned[r2] = 1
-                            else:
-                                parent[max(r1, r2)] = min(r1, r2)
-                            changed = True
-                        continue
                 canon: dict = {}
                 for v, c in coeffs.items():
                     root = find(v)

@@ -149,6 +149,26 @@ def graphs_up_to_isomorphism(n: int) -> list[Structure]:
             for i, edges in enumerate(_graph_classes(n))]
 
 
+def named(name: str) -> Structure:
+    """A structure by the names the benchmark's workloads use: K<n>, C<n>, W<n>, the
+    three-vertex digraph D<mask>, DT, 1in3 and NAE."""
+    fixed = {"DT": directed_triangle, "1in3": one_in_three, "NAE": not_all_equal}
+    if name in fixed:
+        return fixed[name]()
+    build = {"K": clique, "C": cycle, "W": wheel, "D": lambda mask: digraph_from_mask(3, mask)}
+    return build[name[0]](int(name[1:]))
+
+
+# the (X, A, k) of the lp-colouring workload's queries
+LP_COLOURING_PAIRS = [
+    *((x, "K2", 2) for x in ("K3", "K4", "C4", "C5", "W5", "C7")),
+    *((x, a, 2) for x, a in (("K3", "K4"), ("C4", "K3"), ("W5", "K3"), ("C5", "K4"),
+                             ("C7", "K3"), ("C4", "K4"), ("C6", "K3"))),
+    *((x, a, 1) for x, a in (("C4", "K2"), ("C6", "K2"), ("W5", "K3"), ("C7", "K4"),
+                             ("W5", "K4"))),
+]
+
+
 def random_structure(rng: random.Random, n_atoms: int, n_tuples: int) -> Structure:
     atoms = [str(i) for i in range(n_atoms)]
     tuples = set()

@@ -42,12 +42,13 @@ from minionlab.exact_solvers import (
     _times_u,
 )
 from minionlab.free_structures import HornFreeStructure
-from minionlab.hierarchies import BWFamily, MarginalWitness, is_valid_bw_family
+from minionlab.hierarchies import BWFamily, MarginalWitness, _template, is_valid_bw_family
 from minionlab.psd import GramProblem, Inconsistent, ReducedGramProblem
 from minionlab.rationals import R0, R1, is_integral, rat, rat_to_str
 from minionlab.structures import (
     Assignment,
     Structure,
+    _projections,
     _iter_homomorphisms,
     is_partial_homomorphism,
     precedes,
@@ -495,6 +496,202 @@ class ReferenceSystemBuilder:
         system = LinearSystem(tuple(roots_in_rows), rows, rhs, self.domain)
         root_of = {k: find(k) for k in keys}
         return PresolvedSystem(system, keys, root_of, column_of)
+
+
+
+# -- the marginal front end with one dict per identity ------------------------------------
+
+
+def identity_row(ident: tuple) -> dict:
+    """The identity ``(*images, cell)`` as the row sum(images) - cell = 0: id -> coefficient."""
+    row = dict.fromkeys(ident, 1)
+    row[ident[-1]] = -1
+    return row
+
+
+def dict_row_marginal_rows(Xk: Structure, Ak: Structure, k: int) -> tuple:
+    """``hierarchies._marginal_rows`` as it was with each identity stamped as its own dict.
+
+    Returns the key tuple, each scope's id range, and one dict from id to
+    coefficient per identity, in the same order as the id tuples.
+    """
+    enh = f"R_{k}"
+    cells = list(itertools.product(Ak.domain, repeat=k))
+    projections = {arity: _projections(arity, k) for _, arity in Xk.signature.symbols}
+    templates: dict = {}
+    targets_of: dict = {}
+    keys: list = []
+    scopes = []
+    enh_start: dict = {}
+    for sym in Xk.signature.names():
+        tuples = Ak.tuples(sym)
+        for xt in Xk.tuples(sym):
+            pattern = (sym, tuple(map(xt.index, xt)))
+            template = templates.get(pattern)
+            if template is None:
+                template = templates[pattern] = _template(
+                    xt, tuples, projections[len(xt)], cells, targets_of)
+            images, stamps = template
+            ids = range(len(keys), len(keys) + len(images))
+            keys.extend((sym, xt, at) for at in images)
+            if sym == enh:
+                enh_start[xt] = ids.start
+            scopes.append((xt, stamps, ids))
+    identities = []
+    for xt, stamps, ids in scopes:
+        base = ids.start
+        for get, groups in stamps:
+            for v, group in enumerate(groups, enh_start[get(xt)]):
+                if not group:
+                    identities.append({v: -1})
+                elif len(group) == 1:
+                    u = base + group[0]
+                    if u != v:
+                        identities.append({u: 1, v: -1})
+                else:
+                    row = dict.fromkeys([base + i for i in group], 1)
+                    row[v] = -1
+                    identities.append(row)
+    return tuple(keys), [ids for _, _, ids in scopes], identities
+
+
+class DictRowSystemBuilder:
+    """``EqualitySystemBuilder`` as it was, reading every identity back as a row.
+
+    Its ``build`` sends a one-term row, or a two-term row with opposite
+    coefficients, with right-hand side 0 straight to its pin or merge as the
+    fixpoint meets it, among the other rows.
+    """
+
+    def __init__(self, domain: DomainTag, keys: tuple):
+        self.domain = domain
+        self.keys = keys
+        self._rows: list[tuple[dict, object]] = []
+
+    def add_row(self, coeffs: dict, rhs) -> None:
+        self._rows.append((coeffs, rhs))
+
+    def build(self) -> PresolvedSystem:
+        keys = self.keys
+        parent = list(range(len(keys)))  # union-find links; a root has the lowest index
+        pinned = bytearray(len(keys))
+
+        def find(v: int) -> int:
+            root = v
+            while parent[root] != root:
+                root = parent[root]
+            while parent[v] != root:
+                parent[v], v = root, parent[v]
+            return root
+
+        pending = self._rows
+        while True:
+            changed = False
+            survivors = []
+            for coeffs, rhs in pending:
+                if rhs == 0 and len(coeffs) == 1:
+                    # a pin as the caller wrote it: the one-term test below, on its root
+                    ((v, c),) = coeffs.items()
+                    root = find(v)
+                    if c and not pinned[root]:
+                        pinned[root] = 1
+                        changed = True
+                    continue
+                if rhs == 0 and len(coeffs) == 2:
+                    (v1, c1), (v2, c2) = coeffs.items()
+                    if c1 and c1 == -c2:
+                        # a merge as the caller wrote it: the tests below, on its roots
+                        r1, r2 = find(v1), find(v2)
+                        if r1 != r2 and not (pinned[r1] and pinned[r2]):
+                            if pinned[r1] or pinned[r2]:  # one term is left: pin it
+                                pinned[r1] = pinned[r2] = 1
+                            else:
+                                parent[max(r1, r2)] = min(r1, r2)
+                            changed = True
+                        continue
+                canon: dict = {}
+                for v, c in coeffs.items():
+                    root = find(v)
+                    if not pinned[root]:
+                        canon[root] = canon.get(root, 0) + c
+                if 0 in canon.values():
+                    canon = {v: c for v, c in canon.items() if c != 0}
+                if not canon:
+                    if rhs != 0:  # inconsistent, keep for the solver; drop a tautology
+                        survivors.append((canon, rhs))
+                    continue
+                if rhs == 0:
+                    if len(canon) == 1:
+                        (root,) = canon
+                        pinned[root] = 1
+                        changed = True
+                        continue
+                    if len(canon) == 2:
+                        (v1, c1), (v2, c2) = canon.items()
+                        if c1 == -c2:
+                            # both are current roots; the lower index stays
+                            if v2 < v1:
+                                v1, v2 = v2, v1
+                            parent[v2] = v1
+                            changed = True
+                            continue
+                    if self.domain is DomainTag.NONNEG_RAT:
+                        signs = {c > 0 for c in canon.values()}
+                        if len(signs) == 1:
+                            for v in canon:
+                                pinned[v] = 1
+                            changed = True
+                            continue
+                survivors.append((canon, rhs))
+            pending = survivors
+            if not changed:
+                break
+
+        # one row per hyperplane: rows equal up to a nonzero factor collapse, and so
+        # do the inconsistent empty rows, each scaled by its own right-hand side; an
+        # int and an equal Fraction hash alike, so both kinds of key meet
+        distinct: dict = {}
+        for canon, rhs in pending:
+            scale = canon[min(canon)] if canon else rhs
+            if scale == 1:
+                key = (frozenset(canon.items()), rhs)
+            elif scale == -1:
+                key = (frozenset((v, -c) for v, c in canon.items()), -rhs)
+            else:
+                key = (frozenset((v, rat(c, scale)) for v, c in canon.items()), rat(rhs, scale))
+            distinct.setdefault(key, (canon, rhs))
+        final_rows = distinct.values()
+        roots = sorted({root for canon, _ in final_rows for root in canon})
+        column = {root: j for j, root in enumerate(roots)}
+        rows = tuple({column[root]: c for root, c in canon.items()} for canon, _ in final_rows)
+        rhs = tuple(b for _, b in final_rows)
+        system = LinearSystem(tuple(keys[root] for root in roots), rows, rhs, self.domain)
+        root_of = {key: keys[find(v)] for v, key in enumerate(keys)}
+        column_of = {keys[root]: j for j, root in enumerate(roots)}
+        return PresolvedSystem(system, keys, root_of, column_of)
+
+def dict_row_linear_system(domain_tag: DomainTag, keys: tuple, scopes: list,
+                           identities: list) -> PresolvedSystem:
+    """``hierarchies._linear_system`` as it was: unit mass, then every identity as a row."""
+    builder = DictRowSystemBuilder(domain_tag, keys)
+    for ids in scopes:
+        builder.add_row(dict.fromkeys(ids, 1), 1)
+    for row in identities:
+        builder.add_row(row, 0)
+    return builder.build()
+
+
+def dict_row_gram_problem(keys: tuple, scopes: list, identities: list) -> GramProblem:
+    """``hierarchies._gram_problem`` as it was, reading each identity's dict in order."""
+    labels = tuple(("c",) + key for key in keys)
+    groups = tuple(labels[ids.start:ids.stop] for ids in scopes)
+    return GramProblem(
+        labels=labels,
+        unit_groups=groups,
+        zero_pairs=tuple(pair for group in groups for pair in itertools.combinations(group, 2)),
+        identifications=tuple(tuple((labels[v], c) for v, c in row.items())
+                              for row in identities),
+    )
 
 
 # -- exact solvers ------------------------------------------------------------------

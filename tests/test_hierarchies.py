@@ -45,12 +45,14 @@ from minionlab.system_builders import EqualitySystemBuilder
 from minionlab.verdicts import Verdict
 
 from conftest import (
+    LP_COLOURING_PAIRS,
     clique,
     cycle,
     digraphs_up_to_renaming,
     directed_triangle,
     graphs_up_to_isomorphism,
     mycielski,
+    named,
     not_all_equal,
     one_in_three,
     wheel,
@@ -59,7 +61,10 @@ from references import (
     ReferenceSimplex,
     ReferenceSystemBuilder,
     check_sdp_facts,
+    dict_row_linear_system,
+    dict_row_marginal_rows,
     hnf_outputs,
+    identity_row,
     integer_outputs,
     reference_diophantine_solve,
     reference_hnf_outputs,
@@ -713,11 +718,17 @@ def _moved_mass(values: dict) -> dict:
 
 
 def _presolved_by_value(presolved) -> tuple:
+    """The emitted system, items in order, and the map ``expand`` lifts its columns by.
+
+    The union-find's roots of pinned keys are left out: a pinned key expands
+    to zero whichever root it was filed under.
+    """
     system = presolved.system
     return (system.var_names,
             [[(j, c, type(c)) for j, c in row.items()] for row in system.rows],
             [(b, type(b)) for b in system.rhs],
-            presolved.key_order, presolved.root_of, presolved.column_of)
+            presolved.key_order,
+            presolved.expand({j: j + 1 for j in range(system.num_vars)}))
 
 
 def assert_front_end_matches_reference(X: Structure, A: Structure, k: int) -> None:
@@ -741,12 +752,18 @@ def assert_front_end_matches_reference(X: Structure, A: Structure, k: int) -> No
 
 
 def assert_rows_match_reference(Xk: Structure, Ak: Structure, k: int) -> tuple:
-    """The rows and the presolve of the pair as given; returns the rows."""
+    """The rows and the presolve of the pair as given; returns the rows.
+
+    The presolve is compared twice: with the per-tuple reference, and with
+    the identities stamped one dict each and read back as rows.
+    """
     keys, scopes, identities = _marginal_rows(Xk, Ak, k, DEFAULT_BUDGET)
+    dict_rows = dict_row_marginal_rows(Xk, Ak, k)
+    assert (keys, scopes, [identity_row(ident) for ident in identities]) == dict_rows
     ref_scopes, ref_identities = reference_marginal_rows(Xk, Ak, k)
     ref_units = [{(sym, xt, at): 1 for at in images} for sym, xt, images in ref_scopes]
     assert [[keys[v] for v in ids] for ids in scopes] == [list(unit) for unit in ref_units]
-    assert [[(keys[v], c) for v, c in row.items()] for row in identities] == \
+    assert [[(keys[v], c) for v, c in identity_row(ident).items()] for ident in identities] == \
         [list(row.items()) for row in ref_identities]
     for tag in DomainTag:
         reference = ReferenceSystemBuilder(tag)
@@ -754,8 +771,9 @@ def assert_rows_match_reference(Xk: Structure, Ak: Structure, k: int) -> tuple:
             reference.add_row(unit, 1)
         for row in ref_identities:
             reference.add_row(row, 0)
-        assert _presolved_by_value(_linear_system(tag, keys, scopes, identities)) == \
-            _presolved_by_value(reference.build())
+        presolved = _presolved_by_value(_linear_system(tag, keys, scopes, identities))
+        assert presolved == _presolved_by_value(reference.build())
+        assert presolved == _presolved_by_value(dict_row_linear_system(tag, *dict_rows))
     return keys, scopes, identities
 
 
@@ -790,6 +808,12 @@ FRONT_END_CASES = {
 def test_the_marginal_front_end_matches_its_reference(case):
     for X, A, k in FRONT_END_CASES[case]:
         assert_front_end_matches_reference(X, A, k)
+
+
+@pytest.mark.slow
+def test_the_lp_colouring_pairs_are_stamped_and_presolved_like_the_references():
+    for x, a, k in LP_COLOURING_PAIRS:
+        assert_rows_match_reference(k_enhance(named(x), k), k_enhance(named(a), k), k)
 
 
 def test_the_marginal_variables_are_numbered_densely_in_unit_mass_order():

@@ -21,9 +21,13 @@ from minionlab.psd import (
 )
 from minionlab.structures import k_enhance
 
-from conftest import clique, cycle, digraph_from_mask, digraphs_up_to_renaming, not_all_equal, \
-    one_in_three
-from references import ReferenceAffineProjector, reference_affine_reduce
+from conftest import clique, cycle, digraphs_up_to_renaming, named
+from references import (
+    ReferenceAffineProjector,
+    dict_row_gram_problem,
+    dict_row_marginal_rows,
+    reference_affine_reduce,
+)
 
 
 def sos_problem(X, A, k: int) -> GramProblem:
@@ -134,18 +138,6 @@ def assert_reduces_like_reference(problem: GramProblem) -> None:
         outcome_by_value(reference_affine_reduce(problem))
 
 
-def named(name: str):
-    """A structure by the names the gram benchmark uses: Kn, Cn, D<mask>, DT, 1in3, NAE."""
-    if name == "1in3":
-        return one_in_three()
-    if name == "NAE":
-        return not_all_equal()
-    if name == "DT":
-        return digraph_from_mask(3, 0b001100010)
-    kind, n = name[0], int(name[1:])
-    return {"K": clique, "C": cycle, "D": lambda mask: digraph_from_mask(3, mask)}[kind](n)
-
-
 def gram_problem(driver: str, k, X, A) -> GramProblem:
     return _sdp_problem(X, A) if driver == "sdp" else sos_problem(X, A, k)
 
@@ -169,6 +161,20 @@ GRAM_QUERIES = [
 def test_the_gram_workload_reduces_like_the_reference():
     for driver, k, x, a in GRAM_QUERIES:
         assert_reduces_like_reference(gram_problem(driver, k, named(x), named(a)))
+
+
+@pytest.mark.slow
+def test_sos_poses_the_gram_problems_of_the_identity_dicts():
+    # the identity tuples, read as Gram identifications, give the problem that
+    # one dict per identity gave, and so the same reduction
+    for driver, k, x, a in GRAM_QUERIES:
+        if driver == "sos":
+            Xk, Ak = k_enhance(named(x), k), k_enhance(named(a), k)
+            problem = sos_problem(named(x), named(a), k)
+            expected = dict_row_gram_problem(*dict_row_marginal_rows(Xk, Ak, k))
+            assert problem == expected
+            assert outcome_by_value(affine_reduce(problem)) == \
+                outcome_by_value(affine_reduce(expected))
 
 
 @pytest.mark.slow

@@ -31,11 +31,13 @@ from minionlab.structures import (
 from minionlab.budgets import Budget
 
 from conftest import (
+    LP_COLOURING_PAIRS,
     all_digraphs,
     clique,
     cycle,
     digraphs_up_to_renaming,
     directed_triangle,
+    named,
     not_all_equal,
     one_in_three,
     random_structure,
@@ -305,6 +307,22 @@ def test_tensor_power_cell_law():
     for a, t in zip(A.tuples("R"), T.tuples("R")):
         for idx in cells:
             assert t[tensor_cell_index(2, 2, idx)] == tuple(a[i - 1] for i in idx)
+
+
+def test_enhanced_and_tensorised_structures_are_those_the_checking_constructor_builds():
+    # k_enhance and tensor_power assemble their result unchecked and unsorted:
+    # rebuilt through the checking constructor, it is the same, in the same order
+    sources = [*digraphs_up_to_renaming(3), directed_triangle(), one_in_three(), not_all_equal(),
+               *(named(n) for n in dict.fromkeys(n for x, a, _ in LP_COLOURING_PAIRS
+                                                for n in (x, a, "C4")))]
+    for S in sources:
+        for k in (1, 2):
+            for built in (k_enhance(S, k), tensor_power(S, k), tensor_power(k_enhance(S, k), k)):
+                checked = Structure(built.signature, built.domain, built.relations, built.name)
+                assert (built.signature, built.domain, built.name) == \
+                    (checked.signature, checked.domain, checked.name)
+                assert list(built.relations.items()) == list(checked.relations.items())
+                assert (built._atom_id, built._rel_sets) == (checked._atom_id, checked._rel_sets)
 
 
 def test_hom_transfer_exhaustive_two_vertices():

@@ -112,28 +112,60 @@ def test_a_copy_written_in_another_order_collapses(lead):
     assert system.rows == ({0: 1, 1: 2},) and system.rhs == (3,)
 
 
+# one- and two-term rows with right-hand side 0 on free, pinned and merged
+# roots, and the longer rows they leave behind
+PINS_AND_MERGES = [
+    ({"u": 0}, 0),  # a zero coefficient: a tautology
+    ({"x": 3}, 0),  # pins x
+    ({"x": 1, "y": -1}, 0),  # x is pinned, so y is
+    ({"y": 2, "x": -2}, 0),  # both pinned: a tautology
+    ({"w": 1, "z": -1}, 0),  # merges z into w
+    ({"z": 5, "w": -5}, 0),  # one root: a tautology
+    ({"a": 1, "b": -1}, 0), ({"b": -1}, 0), ({"a": 1, "c": -1}, 0),  # merge, pin, pin
+    ({"v": 1, "w": 1, "y": 1}, 1), ({"t": 1, "z": 1, "c": 1}, 1), ({"t": 1, "v": 1}, 0),
+    ({"s": 1, "t": 1}, 0), ({"s": 2, "u": 1}, 0),
+]
+
+
 @pytest.mark.parametrize("domain", list(DomainTag), ids=[tag.value for tag in DomainTag])
-def test_pins_and_merges_as_written_presolve_like_the_reference(domain):
-    # one- and two-term rows with right-hand side 0 on free, pinned and merged
-    # roots, and the longer rows they leave behind
-    rows = [
-        ({"u": 0}, 0),  # a zero coefficient: a tautology
-        ({"x": 3}, 0),  # pins x
-        ({"x": 1, "y": -1}, 0),  # x is pinned, so y is
-        ({"y": 2, "x": -2}, 0),  # both pinned: a tautology
-        ({"w": 1, "z": -1}, 0),  # merges z into w
-        ({"z": 5, "w": -5}, 0),  # one root: a tautology
-        ({"a": 1, "b": -1}, 0), ({"b": -1}, 0), ({"a": 1, "c": -1}, 0),  # merge, pin, pin
-        ({"v": 1, "w": 1, "y": 1}, 1), ({"t": 1, "z": 1, "c": 1}, 1), ({"t": 1, "v": 1}, 0),
-        ({"s": 1, "t": 1}, 0), ({"s": 2, "u": 1}, 0),
-    ]
+def test_pins_and_merges_written_as_rows_presolve_like_the_reference(domain):
     reference = ReferenceSystemBuilder(domain)
-    for coeffs, rhs in rows:
+    for coeffs, rhs in PINS_AND_MERGES:
         reference.add_row(coeffs, rhs)
     expected = reference.build()
-    presolved = build(domain, *rows)
+    presolved = build(domain, *PINS_AND_MERGES)
     assert presolved.system == expected.system
     assert [type(c) for row in presolved.system.rows for c in row.values()] == \
         [type(c) for row in expected.system.rows for c in row.values()]
     assert (presolved.key_order, presolved.root_of, presolved.column_of) == \
         (expected.key_order, expected.root_of, expected.column_of)
+
+
+@pytest.mark.parametrize("domain", list(DomainTag), ids=[tag.value for tag in DomainTag])
+@pytest.mark.parametrize("order", [1, -1], ids=["in-order", "reversed"])
+def test_pins_and_merges_stated_directly_presolve_like_the_same_rows(domain, order):
+    # each one-term row with a nonzero coefficient becomes a pin and each
+    # two-term difference a merge, stated in the rows' order or reversed
+    index: dict = {}
+    for coeffs, _ in PINS_AND_MERGES:
+        for key in coeffs:
+            index.setdefault(key, len(index))
+    builder = EqualitySystemBuilder(domain, tuple(index))
+    stated = []
+    for coeffs, rhs in PINS_AND_MERGES:
+        ids = {index[key]: c for key, c in coeffs.items()}
+        (first, c), *rest = ids.items()
+        if rhs == 0 and c and not rest:
+            stated.append((builder.pin, first))
+        elif rhs == 0 and c and len(rest) == 1 and rest[0][1] == -c:
+            stated.append((builder.merge, first, rest[0][0]))
+        else:
+            builder.add_row(ids, rhs)
+    assert len(stated) == 8
+    for state, *args in stated[::order]:
+        state(*args)
+    presolved = builder.build()
+    expected = build(domain, *PINS_AND_MERGES)
+    assert presolved.system == expected.system
+    point = {j: j + 1 for j in range(expected.system.num_vars)}
+    assert presolved.expand(point) == expected.expand(point)

@@ -33,7 +33,7 @@ from minionlab.rationals import rat
 from minionlab.structures import k_enhance
 
 from conftest import clique
-from references import certificate_from_json
+from references import certificate_from_json, identity_row
 
 XY = ("x", "y")
 
@@ -60,7 +60,7 @@ def rows_by_marginal(Xk: Structure, Ak: Structure, k: int) -> dict:
     """
     sym = next(s for s in Xk.signature.names() if Xk.has_tuple(s, XY))
     keys, _, id_rows = _marginal_rows(Xk, Ak, k, DEFAULT_BUDGET)
-    identities = [{keys[v]: c for v, c in row.items()} for row in id_rows]
+    identities = [{keys[v]: c for v, c in identity_row(ident).items()} for ident in id_rows]
     identities = [row for row in identities
                   if all(key[:2] == (sym, XY) for key, c in row.items() if c == 1)]
     out = {}
