@@ -186,9 +186,16 @@ class ExactSimplex:
             self.obj, self.obj_den = _eliminate(self.obj, self.obj_den, f, p, nonzeros)
         self.basis[row] = col
 
-    def _run(self) -> bool:
-        """Bland iterations over the structural columns; False if unbounded."""
+    def _run(self, target: int = -1) -> bool:
+        """Bland iterations over the structural columns; False if unbounded.
+
+        With a ``target`` column, stop at the first basis in which that
+        column is basic and positive.
+        """
         while True:
+            if target >= 0 and target in self.basis \
+                    and self.table[self.basis.index(target)][-1] > 0:
+                return True
             enter = -1
             for j in range(self.n):
                 if self.obj[j] < 0:
@@ -269,11 +276,14 @@ class ExactSimplex:
 
     # - phase 2 -
 
-    def maximize(self, col: int) -> dict:
-        """Maximize x_col over the feasible region; phase 1 must have succeeded.
+    def make_positive(self, col: int) -> dict:
+        """Raise x_col over the feasible region until it is positive; phase 1 must
+        have succeeded.
 
-        Returns an optimal point or, when x_col is unbounded, a feasible point
-        moved one unit along an improving ray.
+        Returns the point of the first basis in which x_col is basic and
+        positive, else an optimal point, whose x_col is then 0, or, when
+        x_col is unbounded, a feasible point moved one unit along an
+        improving ray.
         """
         assert self.feasible
         width = self.n + self.m + 1
@@ -286,7 +296,7 @@ class ExactSimplex:
                 self.obj, self.obj_den = list(self.table[i]), self.den[i]
                 self.obj[col] = 0
                 break
-        bounded = self._run()
+        bounded = self._run(col)
         if bounded:
             return self.solution()
         # ray step: find the entering column with improving reduced cost
@@ -386,10 +396,11 @@ def maximal_support(
 ) -> tuple[Optional[set[int]], Optional[dict], Optional[Certificate], int]:
     """The union of supports over all feasible points, with a point attaining it.
 
-    A variable belongs to the maximal support exactly when its maximum over
-    the feasible region is positive; averaging the maximizers produces one
-    solution whose support is the whole union (supports only grow under
-    convex combination of nonnegative solutions).
+    A variable belongs to the maximal support exactly when some feasible
+    point makes it positive, so each column outside the support found so
+    far is raised only until it is positive, not to its maximum; averaging
+    those points produces one solution whose support is the whole union
+    (supports only grow under convex combination of nonnegative solutions).
     """
     if sys.domain_tag is not DomainTag.NONNEG_RAT:
         raise WrongKind("maximal_support needs a nonneg-rational system")
@@ -412,7 +423,7 @@ def maximal_support(
     for j in range(n):
         if acc[j] > 0:
             continue
-        point = simplex.maximize(j)
+        point = simplex.make_positive(j)
         if point.get(j, R0) > 0:
             absorb(point)
     support = {j for j in range(n) if acc[j] > 0}

@@ -322,12 +322,12 @@ def validate_marginal_witness(
     One pass checks that every weight is an int or a Fraction, and its sign,
     integrality and the image's length.
     A nonzero weight must also respect its scope and name a variable: a
-    scope ``(sym, xt)`` of ``Xk`` and a tuple ``at`` of ``Ak``; a zero weight
-    may sit on any key.  Each scope's nonzero weights are filed under it and
-    scaled to ints by the lcm of all denominators, so unit mass is a sum
-    equal to that lcm, and each projection of a scope's weights must equal
-    the projected scope's weights on ``R_k``.  Cells of A^k are walked only
-    to name the first mismatch.
+    scope ``(sym, xt)`` of ``Xk``, checked once per scope, and a tuple ``at``
+    of ``Ak``; a zero weight may sit on any key.  Each scope's nonzero
+    weights are filed under it and scaled to ints by the lcm of all
+    denominators, so unit mass is a sum equal to that lcm, and each
+    projection of a scope's weights must equal the projected scope's weights
+    on ``R_k``.  Cells of A^k are walked only to name the first mismatch.
     """
     enh = f"R_{k}"
     weights: dict = {}  # (sym, xt) -> {at: the nonzero weight}
@@ -343,9 +343,14 @@ def validate_marginal_witness(
         if v:
             if not precedes(xt, at):
                 raise InvalidWitness(f"scope-violating weight at {(sym, xt, at)}")
-            if not (sym in Xk.signature and Xk.has_tuple(sym, xt) and Ak.has_tuple(sym, at)):
+            own = weights.get((sym, xt))
+            if own is None:  # the scope's first nonzero weight: is it a scope of Xk?
+                if not (sym in Xk.signature and Xk.has_tuple(sym, xt)):
+                    raise InvalidWitness(f"weight on no variable of the system at {(sym, xt, at)}")
+                own = weights[(sym, xt)] = {}
+            if not Ak.has_tuple(sym, at):
                 raise InvalidWitness(f"weight on no variable of the system at {(sym, xt, at)}")
-            weights.setdefault((sym, xt), {})[at] = v
+            own[at] = v
     scale = math.lcm(*(v.denominator for own in weights.values() for v in own.values()))
     for own in weights.values():
         for at, v in own.items():

@@ -53,16 +53,19 @@ class PresolvedSystem:
     column_of: dict
 
     def expand(self, point: dict) -> dict:
-        """Lift a solution over representative columns back to every key.
+        """Lift a solution over representative columns back to the keys it makes nonzero.
 
         Merged keys take their representative's value.  A representative
         without a column is zero: either the presolve pinned it, or every row
-        it was in was discharged, leaving it free.
+        it was in was discharged, leaving it free.  A key left out is zero.
         """
         out = {}
         for key in self.key_order:
             col = self.column_of.get(self.root_of[key])
-            out[key] = 0 if col is None else point.get(col, 0)
+            if col is not None:
+                v = point.get(col, 0)
+                if v:
+                    out[key] = v
         return out
 
 

@@ -7,7 +7,8 @@ basic-SDP solution obeys, the exact Gram reduction in Fractions alone, the
 Gram projector through the pseudo-inverse of the dense constraint matrix, the
 marginal rows, witness check and presolve with one projection per tuple,
 every variable keyed by its tuple and every sum and row key on the
-original values, the simplex on a
+original values, the marginal front end that stamped one dict per
+identity and presolved each as a row, the simplex on a
 Fraction tableau, integer points,
 homomorphism counts, the homomorphism search that rescanned A's relation
 for each partly mapped tuple, the partial maps as a product over images,
@@ -48,8 +49,8 @@ from minionlab.rationals import R0, R1, is_integral, rat, rat_to_str
 from minionlab.structures import (
     Assignment,
     Structure,
-    _projections,
     _iter_homomorphisms,
+    _projections,
     is_partial_homomorphism,
     precedes,
     project,
@@ -498,7 +499,6 @@ class ReferenceSystemBuilder:
         return PresolvedSystem(system, keys, root_of, column_of)
 
 
-
 # -- the marginal front end with one dict per identity ------------------------------------
 
 
@@ -761,9 +761,16 @@ class ReferenceSimplex:
                 obj[j] -= f * p
         self.basis[row] = col
 
-    def _run(self) -> bool:
-        """Bland iterations over the structural columns; False if unbounded."""
+    def _run(self, target: int = -1) -> bool:
+        """Bland iterations over the structural columns; False if unbounded.
+
+        With a ``target`` column, stop at the first basis in which that
+        column is basic and positive.
+        """
         while True:
+            if target >= 0 and target in self.basis \
+                    and self.table[self.basis.index(target)][-1] > 0:
+                return True
             enter = -1
             for j in range(self.n):
                 if self.obj[j] < 0:
@@ -845,11 +852,14 @@ class ReferenceSimplex:
 
     # - phase 2 -
 
-    def maximize(self, col: int) -> dict:
-        """Maximize x_col over the feasible region; phase 1 must have succeeded.
+    def make_positive(self, col: int) -> dict:
+        """Raise x_col over the feasible region until it is positive; phase 1 must
+        have succeeded.
 
-        Returns an optimal point or, when x_col is unbounded, a feasible point
-        moved one unit along an improving ray.
+        Returns the point of the first basis in which x_col is basic and
+        positive, else an optimal point, whose x_col is then 0, or, when
+        x_col is unbounded, a feasible point moved one unit along an
+        improving ray.
         """
         assert self.feasible
         width = self.n + self.m + 1
@@ -863,7 +873,7 @@ class ReferenceSimplex:
                         obj[j] += p
                 break
         self.obj = obj
-        bounded = self._run()
+        bounded = self._run(col)
         if bounded:
             return self.solution()
         # ray step: find the entering column with improving reduced cost

@@ -16,7 +16,8 @@ from minionlab import Signature, Status, Structure, aip, ba, project, sa, sdp
 from minionlab import verify_farkas, verify_parity_certificate
 from minionlab.errors import InvalidWitness
 from minionlab.free_structures import HornFreeStructure
-from minionlab.hierarchies import validate_marginal_witness
+from minionlab.budgets import DEFAULT_BUDGET
+from minionlab.hierarchies import _marginal_rows, validate_marginal_witness
 from minionlab.rationals import is_integral, rat
 from minionlab.structures import k_enhance
 
@@ -75,7 +76,8 @@ def test_stochastic_membership():
     doubled = {key: 2 * v if key[0] == "R" else v for key, v in values.items()}
     with pytest.raises(InvalidWitness, match="unit mass"):
         validate_marginal_witness(doubled, Xk, Ak, 1)
-    key = next(key for key, v in values.items() if v == 0)
+    keys, _, _ = _marginal_rows(Xk, Ak, 1, DEFAULT_BUDGET)
+    key = next(key for key in keys if values.get(key, 0) == 0)
     negative = values | {key: rat(-1, 3)}
     with pytest.raises(InvalidWitness, match="negative"):
         validate_marginal_witness(negative, Xk, Ak, 1)
