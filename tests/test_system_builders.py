@@ -128,7 +128,7 @@ PINS_AND_MERGES = [
 
 
 @pytest.mark.parametrize("domain", list(DomainTag), ids=[tag.value for tag in DomainTag])
-def test_pins_and_merges_written_as_rows_presolve_like_the_reference(domain):
+def test_pins_and_merges_as_written_presolve_like_the_reference(domain):
     reference = ReferenceSystemBuilder(domain)
     for coeffs, rhs in PINS_AND_MERGES:
         reference.add_row(coeffs, rhs)
