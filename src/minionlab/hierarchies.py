@@ -47,11 +47,13 @@ from .exact_solvers import (
 )
 from .free_structures import arc_consistency
 from .psd import (
+    DualCertificate,
     GramProblem,
     Inconsistent,
     NumericReject,
     affine_reduce,
     psd_feasibility,
+    verify_dual_certificate,
 )
 from .rationals import RATIONAL_TYPES, is_integral, rat, rat_to_str
 from .structures import (
@@ -505,7 +507,12 @@ def _sdp_problem(X: Structure, A: Structure) -> GramProblem:
                     row = [(("c", sym, xt, at), 1) for at in A.tuples(sym) if at[i - 1] == a]
                     row.append((("v", xt[i - 1], a), -1))
                     idents.append(tuple(row))
-    return GramProblem(tuple(labels), unit_groups, tuple(zero_pairs), tuple(idents))
+    # a constraint's vectors are orthogonal and, through the identifications of
+    # its first position, sum to the orthogonal sum of a variable's vectors:
+    # their squared norms sum to one as well
+    implied = tuple(tuple(("c", sym, xt, at) for at in A.tuples(sym))
+                    for sym in X.signature.names() for xt in X.tuples(sym))
+    return GramProblem(tuple(labels), unit_groups, tuple(zero_pairs), tuple(idents), implied)
 
 
 @driver
@@ -547,7 +554,8 @@ def _finish_gram(algorithm: str, level: Optional[int], problem: GramProblem) -> 
     """Reduce the Gram problem exactly, then solve it by projections.
 
     The solve reads the Gram problem alone and starts at I/n: no search for
-    a homomorphism runs inside the relaxation.
+    a homomorphism runs inside the relaxation.  A dual certificate from the
+    solve is checked again, exactly, before it becomes a REJECT.
     """
     stats = {
         "vars": len(problem.labels),
@@ -566,6 +574,10 @@ def _finish_gram(algorithm: str, level: Optional[int], problem: GramProblem) -> 
     stats["iterations"] = outcome.iterations
     if isinstance(outcome, NumericReject):
         return verdict(Status.REJECT_NUMERIC, certificate=outcome)
+    if isinstance(outcome, DualCertificate):
+        if not verify_dual_certificate(outcome):
+            raise InvalidWitness("the dual certificate fails its exact check")
+        return verdict(Status.REJECT, certificate=outcome)
     return verdict(Status.ACCEPT, witness=outcome)
 
 

@@ -1,11 +1,11 @@
-"""Gram-matrix feasibility: exact affine reduction, then projections in float.
+"""Gram-matrix feasibility: exact affine reduction, projections in float, exact verdicts.
 
 A Gram problem constrains the pairwise inner products of a family of labelled
 vectors: some pairs are forced orthogonal, some signed sums of vectors are
 identified with each other, and some groups of squared norms must sum to one.
 
-The solve is two-phase.  Phase one, :func:`affine_reduce`, is the only exact
-phase: over the rationals, vector identifications are Gauss-eliminated,
+The solve is two-phase.  Phase one, :func:`affine_reduce`, is exact: over the
+rationals, vector identifications are Gauss-eliminated,
 forced-zero vectors are propagated to a fixpoint, and the Gram constraints on
 the remaining representatives are filtered down to an independent set.  Its
 values are Python ints while they are integral: a row whose pivot is ±1 is
@@ -20,37 +20,53 @@ formed into a Gram constraint once.  Every
 contradiction (a unit group whose members all collapse to the zero vector, or
 a Gram constraint that reduces to 0 = nonzero) is returned as an exact
 rejection whose trace holds only derived steps: the vectors forced to zero,
-then the contradiction itself.  Phase two, :func:`psd_feasibility`, works in
-float only: Douglas-Rachford iterations, started at I/n, between the affine
-subspace of admissible Gram matrices (an orthogonal projection through the
-constraints' nonzeros and the pseudo-inverse of the m x m matrix C C^T, where
-C has one row per constraint) and the cone of positive semidefinite matrices
-(eigenvalue clamping).  An accepted Gram matrix is built from the clamped
+then the contradiction itself.
+
+Phase two, :func:`psd_feasibility`, iterates in float: Douglas-Rachford,
+started at I/n, between the affine subspace of admissible Gram matrices (an
+orthogonal projection through the constraints' nonzeros and the
+pseudo-inverse of the m x m matrix C C^T, where C has one row per
+constraint) and the cone of positive semidefinite matrices (eigenvalue
+clamping).  An accepted Gram matrix is built from the clamped
 eigendecomposition of the last iterate, so that same decomposition gives its
-vectors: the witness arrives with one vector per label.  Numeric stalls are
-reported as an explicitly non-rigorous outcome.
+vectors: the witness arrives with one vector per label.  On an infeasible
+problem the Douglas-Rachford step tends to a direction that separates the
+subspace from the cone, and every ``DUAL_EVERY`` iterations that step is
+read as candidate multipliers y, one per constraint.  When rounded to exact
+rationals they make S = sum y_i C_i positive definite with y^T b < 0, which
+:func:`verify_dual_certificate` checks exactly, the loop ends with a
+:class:`DualCertificate`: an exact rejection.  A solve that stalls without
+one is reported as an explicitly non-rigorous :class:`NumericReject`.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
-from .rationals import R1, rat_to_str
+from .rationals import R1, RATIONAL_TYPES, rat, rat_to_str
 
 Label = Hashable
 
 
 @dataclass(frozen=True)
 class GramProblem:
-    """Feasibility data for a family of labelled vectors."""
+    """Feasibility data for a family of labelled vectors.
+
+    ``implied_unit_groups`` are further groups whose squared norms sum to one
+    as a consequence of the constraints.  They constrain nothing; only
+    :func:`psd_feasibility`'s search for a dual certificate reads them.
+    """
 
     labels: tuple[Label, ...]
     unit_groups: tuple[tuple[Label, ...], ...]
     zero_pairs: tuple[tuple[Label, Label], ...]
     identifications: tuple[tuple[tuple[Label, object], ...], ...]
+    implied_unit_groups: tuple[tuple[Label, ...], ...] = ()
 
 
 @dataclass
@@ -77,6 +93,8 @@ class ReducedGramProblem:
     # exact coefficients are ints, or Fractions past a non-unit pivot
     combos: dict  # label -> {rep: exact coefficient}
     constraints: list  # independent (dict[(si, ti) with si <= ti] -> exact coeff, rhs)
+    # the unit groups, then the implied ones: labels whose squared norms sum to one
+    unit_groups: tuple = ()
 
 
 @dataclass
@@ -121,13 +139,43 @@ class NumericReject:
         }
 
 
+@dataclass
+class DualCertificate:
+    """Exact multipliers that refute the reduced Gram constraints.
+
+    With C_i the symmetric matrix of constraint i and b_i its right-hand
+    side, S = sum y_i C_i is positive definite and y^T b < 0.  Any positive
+    semidefinite G meeting the constraints would have <S, G> = y^T b < 0,
+    while <S, G> >= 0 for S and G both semidefinite: no such G exists.
+    ``multipliers`` holds y, one exact rational per entry of ``constraints``,
+    whose indices number ``reps``; :func:`verify_dual_certificate` checks it.
+    """
+
+    reps: tuple[Label, ...]
+    constraints: list
+    multipliers: list
+    iterations: int
+
+    def to_doc(self) -> dict:
+        return {
+            "iterations": self.iterations,
+            "reps": [str(r) for r in self.reps],
+            "constraints": [[[[s, t, rat_to_str(v)] for (s, t), v in row.items()],
+                             rat_to_str(rhs)] for row, rhs in self.constraints],
+            "multipliers": [rat_to_str(v) for v in self.multipliers],
+        }
+
+
 # the projection loop accepts at this residual, and gives up (reject-numeric)
 # once the residual has stayed above the floor without a 1 % improvement for
-# the stall window, or after the iteration cap
+# the stall window, or after the iteration cap.  Every DUAL_EVERY iterations
+# it reads its step as a dual certificate, rounded to multiples of 2^-DUAL_BITS
 ACCEPT_TOL = 1e-8
 REJECT_FLOOR = 1e-4
 STALL_WINDOW = 500
 MAX_ITER = 100_000
+DUAL_EVERY = 25
+DUAL_BITS = 30
 
 
 # -- phase one: exact affine reduction -------------------------------------------
@@ -320,7 +368,8 @@ def affine_reduce(problem: GramProblem):
         if bad:
             return bad
 
-    return ReducedGramProblem(problem.labels, reps, combos, constraints)
+    return ReducedGramProblem(problem.labels, reps, combos, constraints,
+                              problem.unit_groups + problem.implied_unit_groups)
 
 
 def _proportional(u: dict, w: dict) -> bool:
@@ -352,6 +401,8 @@ class _AffineProjector:
     the entries that share a flat index, and ``project(G)`` is
     G - C^T (C C^T)^+ (C vec G - b), the nearest point in the Frobenius norm:
     C^T (C C^T)^+ is the pseudo-inverse of C, so dependent rows project too.
+    The pseudo-inverse comes from one eigendecomposition of C C^T, dropping
+    eigenvalues below 1e-15 of the largest, as ``numpy.linalg.pinv`` does.
     """
 
     def __init__(self, n: int, constraints: Sequence[tuple[dict, object]]):
@@ -367,6 +418,7 @@ class _AffineProjector:
                     rows.append(i)
                     flat.append(f)
                     vals.append(float(v) / len(cells))
+        self.n = n
         self.rows = np.array(rows, dtype=np.intp)
         self.flat = np.array(flat, dtype=np.intp)
         self.vals = np.array(vals)
@@ -383,23 +435,152 @@ class _AffineProjector:
         right = order[np.repeat(first + size - np.cumsum(size), size) + np.arange(len(left))]
         cct = np.bincount(self.rows[left] * m + self.rows[right],
                           weights=self.vals[left] * self.vals[right], minlength=m * m)
-        self.cct_pinv = np.linalg.pinv(cct.reshape(m, m), hermitian=True)
+        lam, vec = np.linalg.eigh(cct.reshape(m, m))
+        kept = np.abs(lam) > 1e-15 * np.abs(lam).max(initial=0.0)
+        self.cct_pinv = (vec[:, kept] / lam[kept]) @ vec[:, kept].T
 
-    def _misfit(self, G: np.ndarray) -> np.ndarray:
+    def _apply(self, G: np.ndarray) -> np.ndarray:
+        """C vec G: the left-hand side of each constraint at G."""
         products = G.take(self.flat)
         products *= self.vals
-        misfit = np.add.reduceat(products, self.starts)
+        return np.add.reduceat(products, self.starts)
+
+    def _misfit(self, G: np.ndarray) -> np.ndarray:
+        misfit = self._apply(G)
         misfit -= self.rhs
         return misfit
 
     def violation(self, G: np.ndarray) -> float:
         return float(np.abs(self._misfit(G)).max(initial=0.0))
 
-    def project(self, G: np.ndarray) -> np.ndarray:
-        weights = (self.cct_pinv @ self._misfit(G)).take(self.rows)
+    def combine(self, y: np.ndarray) -> np.ndarray:
+        """C^T y as an n x n matrix: sum y_i C_i."""
+        weights = y.take(self.rows)
         weights *= self.vals
-        step = np.bincount(self.flat, weights, G.size)
-        return G - step.reshape(G.shape)
+        return np.bincount(self.flat, weights, self.n * self.n).reshape(self.n, self.n)
+
+    def multipliers(self, D: np.ndarray) -> np.ndarray:
+        """The y with C^T y nearest to the symmetric D: (C C^T)^+ C vec D."""
+        return self.cct_pinv @ self._apply(D)
+
+    def project(self, G: np.ndarray) -> np.ndarray:
+        return G - self.combine(self.cct_pinv @ self._misfit(G))
+
+
+class _DualSearch:
+    """Reads a Douglas-Rachford step as a candidate :class:`DualCertificate`.
+
+    On an infeasible problem the step xb - xa tends to the shortest vector D
+    from the affine subspace to the semidefinite cone (Banjac, Goulart,
+    Stellato and Boyd, JOTA 2019).  D is semidefinite and normal to the
+    subspace, so D = sum y_i C_i with y^T b = -||D||^2 < 0.  The multipliers
+    y of a step are read through the projector and scaled to y^T b = -1.
+    S = sum y_i C_i is then only near-semidefinite, often singular, so
+    t * y_M is added, where sum (y_M)_i C_i is the projection M' onto the
+    constraints' span of the unit groups' form M = sum over their labels of
+    combo combo^T.  Each group's form lies in the span, so M' = M, which is
+    positive definite when the groups cover every representative.  Only a
+    positive definite M' with y_M^T b > 0 is used, and t keeps S + t M'
+    positive definite while y^T b + t y_M^T b stays negative.  The
+    multipliers, rounded to exact rationals, are kept only if they verify.
+    """
+
+    def __init__(self, reduced: ReducedGramProblem, projector: _AffineProjector):
+        self.reduced = reduced
+        self.projector = projector
+
+    @functools.cached_property
+    def slack(self) -> tuple:
+        """y_M, lambda_min(M') and y_M^T b; computed on first use."""
+        reduced = self.reduced
+        rep_index = {lab: i for i, lab in enumerate(reduced.reps)}
+        labels = [lab for group in reduced.unit_groups for lab in group]
+        V = np.zeros((len(labels), len(reduced.reps)))
+        for row, lab in enumerate(labels):
+            for rep, c in reduced.combos[lab].items():
+                V[row, rep_index[rep]] = float(c)
+        y_m = self.projector.multipliers(V.T @ V)
+        low = float(np.linalg.eigvalsh(self.projector.combine(y_m))[0])
+        return y_m, low, float(y_m @ self.projector.rhs)
+
+    def attempt(self, step: np.ndarray, iterations: int) -> Optional[DualCertificate]:
+        projector = self.projector
+        y = projector.multipliers(step)
+        S = projector.combine(y)
+        # the limit D has y^T b = -||D||^2; a step whose y^T b is not within a
+        # factor of two of that is still far from it, or has y^T b >= 0
+        yb, norm2 = float(y @ projector.rhs), float(np.vdot(S, S))
+        if not 0.5 * norm2 < -yb < 2.0 * norm2:
+            return None
+        y /= -yb
+        low = float(np.linalg.eigvalsh(S)[0]) / -yb
+        y_m, low_m, yb_m = self.slack
+        if low_m > 0 and yb_m > 0:
+            # lambda_min(S + t M') >= low + t low_m; y^T b + t y_M^T b = -1 + t yb_m
+            t_low, t_high = max(0.0, -low / low_m), 1.0 / yb_m
+            if t_low >= t_high:
+                return None
+            y += 0.5 * (t_low + t_high) * y_m
+        elif low <= 0:
+            return None
+        scale = 1 << DUAL_BITS
+        exact = [rat(round(v * scale), scale) for v in y.tolist()]
+        certificate = DualCertificate(self.reduced.reps, self.reduced.constraints, exact,
+                                      iterations)
+        return certificate if verify_dual_certificate(certificate) else None
+
+
+def verify_dual_certificate(certificate: DualCertificate) -> bool:
+    """Exact check that y^T b < 0 and that S = sum y_i C_i is positive definite.
+
+    False unless y has one exact rational entry per constraint: a float's
+    rounding can make a feasible problem look refuted.  y is scaled by the
+    common denominator of its entries, which keeps every sign, so an int y
+    over int constraints is summed in ints; S is then scaled to an int
+    matrix and tested by Sylvester's criterion, its leading principal minors
+    being the pivots of a fraction-free (Bareiss) elimination.
+    """
+    y, constraints = certificate.multipliers, certificate.constraints
+    if len(y) != len(constraints) or not all(isinstance(v, RATIONAL_TYPES) for v in y):
+        return False
+    common = math.lcm(*(v.denominator for v in y))
+    y = [v.numerator * (common // v.denominator) for v in y]
+    if sum(yi * rhs for yi, (_, rhs) in zip(y, constraints)) >= 0:
+        return False
+    # 2S on and above the diagonal: constraint i adds y_i v at (s, t) for s < t,
+    # and 2 y_i v at (s, s)
+    upper: dict = {}
+    for yi, (row, _) in zip(y, constraints):
+        if yi:
+            for (s, t), v in row.items():
+                key = (s, t) if s <= t else (t, s)
+                upper[key] = upper.get(key, 0) + (2 * yi * v if s == t else yi * v)
+    scale = math.lcm(*(v.denominator for v in upper.values()))
+    n = len(certificate.reps)
+    a = [[0] * n for _ in range(n)]
+    for (s, t), v in upper.items():
+        a[s][t] = v.numerator * (scale // v.denominator)
+    return _positive_definite(a)
+
+
+def _positive_definite(a: list) -> bool:
+    """Is the symmetric int matrix, given on and above its diagonal, positive definite?
+
+    Bareiss elimination on the upper triangle: the pivot of step k is the
+    leading principal minor of order k + 1, and every division is exact.
+    """
+    n = len(a)
+    prev = 1
+    for k in range(n):
+        pivot, rk = a[k][k], a[k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, n):
+            ri, c = a[i], rk[i]
+            for j in range(i, n):
+                ri[j] = (pivot * ri[j] - c * rk[j]) // prev
+        prev = pivot
+    return True
 
 
 def psd_feasibility(reduced: ReducedGramProblem):
@@ -412,9 +593,12 @@ def psd_feasibility(reduced: ReducedGramProblem):
     at I/n, and the residual reported with an accept is measured on the
     returned matrix itself.
 
-    Returns an (accept) :class:`SoSWitness` or a (non-rigorous)
-    :class:`NumericReject`; every rigorous rejection comes from
-    :func:`affine_reduce`.  An accepted matrix is V V^T for the factor V of
+    Returns an (accept) :class:`SoSWitness`, an (exact reject)
+    :class:`DualCertificate` that :func:`verify_dual_certificate` has
+    passed, or a (non-rigorous) :class:`NumericReject`.  Every
+    ``DUAL_EVERY`` iterations the step is tried as a dual certificate; the
+    tries only read the iterates, so an accept is the same with or without
+    them.  An accepted matrix is V V^T for the factor V of
     its own clamped eigendecomposition, whose row i is the vector of
     ``reduced.reps[i]``; the witness carries those vectors, expanded to every
     label through the exact elimination combos.
@@ -424,6 +608,7 @@ def psd_feasibility(reduced: ReducedGramProblem):
         empty = np.zeros((0, 0))
         return SoSWitness(reduced.reps, empty, 0.0, 0.0, 0, expand_vectors(reduced, empty))
     projector = _AffineProjector(n, reduced.constraints)
+    search = _DualSearch(reduced, projector)
     z = np.eye(n) / n
     trace: list = []
     best = np.inf
@@ -453,7 +638,12 @@ def psd_feasibility(reduced: ReducedGramProblem):
         reflected = 2.0 * xa - z
         lam_r, vec_r = np.linalg.eigh((reflected + reflected.T) / 2.0)
         xb = (vec_r * np.maximum(lam_r, 0.0)) @ vec_r.T
-        z = z + (xb - xa)
+        step = xb - xa
+        if it % DUAL_EVERY == 0:
+            certificate = search.attempt(step, it)
+            if certificate is not None:
+                return certificate
+        z = z + step
     trace.append((it, residual))
     return NumericReject(residual, it, trace)
 

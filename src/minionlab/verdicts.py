@@ -21,14 +21,21 @@ class Verdict:
     """Outcome of a relaxation: accept with witness, or reject with certificate.
 
     ``reject-numeric`` marks the one non-rigorous outcome (a stalled numeric
-    solve); it is never to be treated as ground truth or conflated with a
-    certified rejection.
+    solve, which carries a ``NumericReject``); it is never to be treated as
+    ground truth or conflated with a certified rejection.
 
-    A ``reject`` carries a ``RejectionEvidence`` (a Farkas or parity vector
-    and the exact system it refutes) from ``sa``, ``aip``, ``ba`` and the
-    ``sos`` LP; an ``Inconsistent`` trace or a ``NumericReject`` from ``sdp``
-    and ``sos``; and nothing from ``bw``, ``minion-h`` or ``oracle``, which
-    is exempt: an exhaustive search has no short certificate.
+    A ``reject`` carries:
+
+    - from ``sa``, ``aip``, ``ba`` and the ``sos`` LP, a
+      ``RejectionEvidence``: a Farkas or parity vector and the exact system
+      it refutes;
+    - from ``sdp`` and ``sos``, an ``Inconsistent`` trace of the exact affine
+      phase, or a ``DualCertificate``: exact multipliers of the reduced Gram
+      constraints whose combination is positive definite with a negative
+      right-hand side;
+    - from ``bw`` and ``minion-h``, nothing;
+    - from ``oracle``, nothing: it is exempt, as an exhaustive search has no
+      short certificate.
 
     ``stats`` has one schema for every driver:
 

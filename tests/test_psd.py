@@ -1,27 +1,34 @@
 """The two Gram phases: the exact affine reduction and the float projections."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from minionlab import sdp
+import minionlab.hierarchies as hierarchies
+from minionlab import sdp, sos
 from minionlab.budgets import DEFAULT_BUDGET
+from minionlab.errors import InvalidWitness
 from minionlab.hierarchies import _gram_problem, _marginal_rows, _sdp_problem
 from minionlab.psd import (
+    DualCertificate,
     GramProblem,
     Inconsistent,
     NumericReject,
     ReducedGramProblem,
     SoSWitness,
     _AffineProjector,
+    _positive_definite,
     _proportional,
     affine_reduce,
     psd_feasibility,
+    verify_dual_certificate,
 )
+from minionlab.verdicts import Status
 from minionlab.structures import k_enhance
 
-from conftest import clique, cycle, digraphs_up_to_renaming, named
+from conftest import clique, cycle, digraphs_up_to_renaming, named, wheel
 from references import (
     ReferenceAffineProjector,
     dict_row_gram_problem,
@@ -87,11 +94,93 @@ def contradictory() -> ReducedGramProblem:
 
 @pytest.mark.parametrize("build, outcome", [
     (lambda: affine_reduce(_sdp_problem(clique(2), clique(3))), SoSWitness),
-    (lambda: affine_reduce(_sdp_problem(clique(4), clique(3))), NumericReject),
+    (lambda: affine_reduce(_sdp_problem(clique(4), clique(3))), DualCertificate),
     (contradictory, NumericReject),
 ], ids=["sdp-K2-K3", "sdp-K4-K3", "contradictory"])
 def test_psd_feasibility_accepts_or_gives_up(build, outcome):
     assert type(psd_feasibility(build())) is outcome
+
+
+# -- dual certificates ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("driver, k, X, iterations", [
+    ("sos", 1, clique(4), 50), ("sos", 2, clique(4), 25), ("sos", 1, wheel(5), 125),
+    ("sdp", None, clique(4), 75), ("sdp", None, wheel(5), 175),
+], ids=["sos1-K4", "sos2-K4", "sos1-W5", "sdp-K4", "sdp-W5"])
+def test_an_infeasible_gram_problem_is_refuted_exactly(driver, k, X, iterations):
+    # no 3-colouring of K4 or of the odd wheel W5 survives the vector relaxations
+    verdict = sdp(X, clique(3)) if driver == "sdp" else sos(X, clique(3), k)
+    assert verdict.status is Status.REJECT
+    certificate = verdict.certificate
+    assert isinstance(certificate, DualCertificate)
+    assert certificate.iterations == verdict.stats["iterations"] == iterations
+    assert verify_dual_certificate(certificate)
+    reduced = affine_reduce(gram_problem(driver, k, X, clique(3)))
+    assert (certificate.reps, certificate.constraints) == (reduced.reps, reduced.constraints)
+    doc = json.loads(verdict.to_json())["certificate"]
+    assert len(doc["multipliers"]) == len(doc["constraints"]) == len(reduced.constraints)
+
+
+def sos2_k4_k3_certificate() -> DualCertificate:
+    certificate = sos(clique(4), clique(3), 2).certificate
+    assert verify_dual_certificate(certificate)
+    return certificate
+
+
+def with_one_multiplier_changed(certificate: DualCertificate) -> list:
+    # a unit group's multiplier, moved so that y^T b is 0
+    y, constraints = list(certificate.multipliers), certificate.constraints
+    i = next(i for i, (_, rhs) in enumerate(constraints) if rhs)
+    y[i] -= sum(yj * rhs for yj, (_, rhs) in zip(y, constraints)) / constraints[i][1]
+    return y
+
+
+def with_s_indefinite(certificate: DualCertificate) -> list:
+    # an orthogonal pair's form, with y^T b unchanged, swamps S in the off-diagonal
+    i = next(i for i, (row, rhs) in enumerate(certificate.constraints)
+             if not rhs and all(s != t for s, t in row))
+    y = list(certificate.multipliers)
+    y[i] += 10**6
+    return y
+
+
+@pytest.mark.parametrize("tamper", [
+    with_one_multiplier_changed,
+    lambda c: [-y for y in c.multipliers],
+    lambda c: c.multipliers[:-1],
+    lambda c: [float(c.multipliers[0])] + c.multipliers[1:],
+    with_s_indefinite,
+], ids=["one-multiplier", "sign-flipped", "one-short", "float-entry", "s-indefinite"])
+def test_a_tampered_dual_certificate_fails(tamper):
+    certificate = sos2_k4_k3_certificate()
+    tampered = DualCertificate(certificate.reps, certificate.constraints, tamper(certificate),
+                               certificate.iterations)
+    assert not verify_dual_certificate(tampered)
+
+
+def test_the_driver_refuses_a_dual_certificate_that_fails(monkeypatch):
+    certificate = sos2_k4_k3_certificate()
+    forged = DualCertificate(certificate.reps, certificate.constraints,
+                             [-y for y in certificate.multipliers], certificate.iterations)
+    monkeypatch.setattr(hierarchies, "psd_feasibility", lambda reduced: forged)
+    with pytest.raises(InvalidWitness):
+        sos(clique(4), clique(3), 2)
+
+
+@pytest.mark.parametrize("upper, definite", [
+    ([[2, 1], [0, 2]], True),
+    ([[1, 2], [0, 1]], False),  # indefinite
+    ([[1, 1], [0, 1]], False),  # singular
+    ([[4, 2, 2], [0, 5, 3], [0, 0, 6]], True),
+    ([[4, 2, 2], [0, 5, 3], [0, 0, 1]], False),  # the last leading minor alone is negative
+    ([[0]], False),
+], ids=["pd", "indefinite", "singular", "pd3", "last-minor", "zero"])
+def test_positive_definiteness_is_decided_by_the_leading_minors(upper, definite):
+    assert _positive_definite([list(row) for row in upper]) is definite
+    full = np.triu(np.array(upper, dtype=float))
+    full = full + np.triu(full, 1).T
+    assert bool(np.linalg.eigvalsh(full)[0] > 1e-12) is definite
 
 
 @pytest.mark.parametrize("solve", [
