@@ -152,17 +152,6 @@ def minion_test_horn_level(
     return Verdict("minion-h", k, Status.ACCEPT, witness=witness, stats=stats)
 
 
-def verify_free_hom(X: Structure, free: HornFreeStructure, masks: dict) -> bool:
-    """Full re-check that ``masks`` is a homomorphism of X into the free structure."""
-    if any(masks.get(a, 0) == 0 for a in X.domain):
-        return False
-    for sym in X.signature.names():
-        for t in X.tuples(sym):
-            if not free.admits(sym, [masks[a] for a in t]):
-                return False
-    return True
-
-
 def check_vanishing(
     witness: HornWitness, X: Structure, A: Structure, k: int, budget: Budget = DEFAULT_BUDGET
 ) -> bool:
@@ -175,11 +164,14 @@ def check_vanishing(
     ``R_k`` tuple built from an atom has every projection of the atom as a
     cell, the atom itself on the diagonal, and a free relation admits only
     masks that are the cellwise projections of one set of k-tuples of A.
-    Returns True, or raises NotAHomomorphism if the witness is not a
-    homomorphism.
+    Returns True when every mask is nonempty and every tuple of masks lies in
+    a free relation, and raises NotAHomomorphism otherwise.
     """
     Xk = tensor_power(k_enhance(X, k, budget), k, budget)
-    Ak = tensor_power(k_enhance(A, k, budget), k, budget)
-    if not verify_free_hom(Xk, HornFreeStructure(Ak), witness.masks):
+    free = HornFreeStructure(tensor_power(k_enhance(A, k, budget), k, budget))
+    masks = witness.masks
+    if not (all(masks.get(a, 0) for a in Xk.domain)
+            and all(free.admits(sym, [masks[a] for a in t])
+                    for sym in Xk.signature.names() for t in Xk.tuples(sym))):
         raise NotAHomomorphism("witness fails the free-structure constraints")
     return True

@@ -14,7 +14,8 @@ variables once, 0..n-1 in scope order, and states every identity over
 those ids as the tuple ``(*images, cell)``, read as sum(images) - cell = 0.
 ``_linear_system`` hands a one-id identity to the presolve as a pin and a
 two-id one as a merge, and only the longer ones become rows; ``sos`` reads
-the same tuples, in the same order, as Gram identifications.  A
+the same tuples, in the same order, as the identifications of ``_gram``,
+the group-first Gram builder that it shares with ``sdp``.  A
 variable's ``(symbol, scope, image)`` key is read back only in the
 presolved system and the witness.  The images a scope admits, and how
 they project, depend only on the target and on the scope's symbol and
@@ -302,18 +303,24 @@ def _linear_system(domain_tag: DomainTag, keys: tuple, scopes: list,
     return builder.build()
 
 
+def _gram(groups: tuple, identifications, implied: tuple = ()) -> GramProblem:
+    """Groups of pairwise orthogonal vectors over their labels, in order, tied by identities.
+
+    An implied group's squared norms sum to one as a consequence of the unit
+    groups'.  An identity ``(*images, cell)`` reads sum(images) - cell = 0."""
+    every = groups + implied
+    return GramProblem(
+        tuple(lab for group in every for lab in group), groups,
+        tuple(pair for group in every for pair in itertools.combinations(group, 2)),
+        tuple((*[(lab, 1) for lab in ident[:-1]], (ident[-1], -1)) for ident in identifications),
+        implied)
+
+
 def _gram_problem(keys: tuple, scopes: list, identities: list) -> GramProblem:
     """One vector per variable; a scope's vectors are orthogonal with unit total norm."""
     labels = tuple(("c",) + key for key in keys)
-    groups = tuple(labels[ids.start:ids.stop] for ids in scopes)
-    return GramProblem(
-        labels=labels,
-        unit_groups=groups,
-        zero_pairs=tuple(pair for group in groups for pair in itertools.combinations(group, 2)),
-        identifications=tuple(
-            tuple((labels[v], 1) for v in ident[:-1]) + ((labels[ident[-1]], -1),)
-            for ident in identities),
-    )
+    return _gram(tuple(labels[ids.start:ids.stop] for ids in scopes),
+                 [[labels[v] for v in ident] for ident in identities])
 
 
 def validate_marginal_witness(
@@ -480,39 +487,16 @@ def ba(X: Structure, A: Structure, k: int, budget: Budget = DEFAULT_BUDGET) -> V
 
 
 def _sdp_problem(X: Structure, A: Structure) -> GramProblem:
-    labels: list = []
-    for x in X.domain:
-        for a in A.domain:
-            labels.append(("v", x, a))
-    for sym in X.signature.names():
-        for xt in X.tuples(sym):
-            for at in A.tuples(sym):
-                labels.append(("c", sym, xt, at))
-    unit_groups = tuple(
-        tuple(("v", x, a) for a in A.domain) for x in X.domain
-    )
-    zero_pairs: list = []
-    for x in X.domain:
-        for a, a2 in itertools.combinations(A.domain, 2):
-            zero_pairs.append((("v", x, a), ("v", x, a2)))
-    for sym in X.signature.names():
-        for xt in X.tuples(sym):
-            for at, at2 in itertools.combinations(A.tuples(sym), 2):
-                zero_pairs.append((("c", sym, xt, at), ("c", sym, xt, at2)))
-    idents: list = []
-    for sym, arity in X.signature.symbols:
-        for xt in X.tuples(sym):
-            for i in range(1, arity + 1):
-                for a in A.domain:
-                    row = [(("c", sym, xt, at), 1) for at in A.tuples(sym) if at[i - 1] == a]
-                    row.append((("v", xt[i - 1], a), -1))
-                    idents.append(tuple(row))
-    # a constraint's vectors are orthogonal and, through the identifications of
-    # its first position, sum to the orthogonal sum of a variable's vectors:
-    # their squared norms sum to one as well
-    implied = tuple(tuple(("c", sym, xt, at) for at in A.tuples(sym))
-                    for sym in X.signature.names() for xt in X.tuples(sym))
-    return GramProblem(tuple(labels), unit_groups, tuple(zero_pairs), tuple(idents), implied)
+    """A unit group per variable of X, an implied one per constraint tuple, and their identities."""
+    variables = tuple(tuple(("v", x, a) for a in A.domain) for x in X.domain)
+    # a constraint's vectors sum, through the identities of its first position,
+    # to the orthogonal sum of a variable's vectors: their squared norms sum to one
+    constraints = tuple(tuple(("c", sym, xt, at) for at in A.tuples(sym))
+                        for sym in X.signature.names() for xt in X.tuples(sym))
+    identities = ((*(("c", sym, xt, at) for at in A.tuples(sym) if at[i] == a), ("v", xt[i], a))
+                  for sym, arity in X.signature.symbols for xt in X.tuples(sym)
+                  for i in range(arity) for a in A.domain)
+    return _gram(variables, identities, constraints)
 
 
 @driver

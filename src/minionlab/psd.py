@@ -57,9 +57,11 @@ Label = Hashable
 class GramProblem:
     """Feasibility data for a family of labelled vectors.
 
-    ``implied_unit_groups`` are further groups whose squared norms sum to one
-    as a consequence of the constraints.  They constrain nothing; only
-    :func:`psd_feasibility`'s search for a dual certificate reads them.
+    A driver's zero pairs are the pairs inside its groups, unit or implied;
+    a problem built by hand may state others.  ``implied_unit_groups`` are
+    further groups whose squared norms sum to one as a consequence of the
+    constraints.  They constrain nothing; only :func:`psd_feasibility`'s
+    search for a dual certificate reads them.
     """
 
     labels: tuple[Label, ...]
@@ -356,9 +358,8 @@ def affine_reduce(problem: GramProblem):
         if not form or key in pushed:
             continue
         pushed.add(key)
-        bad = push(form, 0)
-        if bad:
-            return bad
+        push(form, 0)
+    # every row so far is homogeneous: only the unit rows can close a contradiction
     for group in problem.unit_groups:
         acc: dict = {}
         for lab in group:

@@ -8,7 +8,8 @@ Gram projector through the pseudo-inverse of the dense constraint matrix, the
 marginal rows, witness check and presolve with one projection per tuple,
 every variable keyed by its tuple and every sum and row key on the
 original values, the marginal front end that stamped one dict per
-identity and presolved each as a row, the simplex on a
+identity and presolved each as a row, the basic SDP's Gram problem written
+out loop by loop, the simplex on a
 Fraction tableau, integer points,
 homomorphism counts, the homomorphism search that rescanned A's relation
 for each partly mapped tuple, the partial maps as a product over images,
@@ -692,6 +693,46 @@ def dict_row_gram_problem(keys: tuple, scopes: list, identities: list) -> GramPr
         identifications=tuple(tuple((labels[v], c) for v, c in row.items())
                               for row in identities),
     )
+
+
+# -- the basic SDP's Gram problem, written out loop by loop ------------------------------
+
+
+def reference_sdp_problem(X: Structure, A: Structure) -> GramProblem:
+    """``hierarchies._sdp_problem`` as it was, each label, pair and identity appended in turn."""
+    labels: list = []
+    for x in X.domain:
+        for a in A.domain:
+            labels.append(("v", x, a))
+    for sym in X.signature.names():
+        for xt in X.tuples(sym):
+            for at in A.tuples(sym):
+                labels.append(("c", sym, xt, at))
+    unit_groups = tuple(
+        tuple(("v", x, a) for a in A.domain) for x in X.domain
+    )
+    zero_pairs: list = []
+    for x in X.domain:
+        for a, a2 in itertools.combinations(A.domain, 2):
+            zero_pairs.append((("v", x, a), ("v", x, a2)))
+    for sym in X.signature.names():
+        for xt in X.tuples(sym):
+            for at, at2 in itertools.combinations(A.tuples(sym), 2):
+                zero_pairs.append((("c", sym, xt, at), ("c", sym, xt, at2)))
+    idents: list = []
+    for sym, arity in X.signature.symbols:
+        for xt in X.tuples(sym):
+            for i in range(1, arity + 1):
+                for a in A.domain:
+                    row = [(("c", sym, xt, at), 1) for at in A.tuples(sym) if at[i - 1] == a]
+                    row.append((("v", xt[i - 1], a), -1))
+                    idents.append(tuple(row))
+    # a constraint's vectors are orthogonal and, through the identifications of
+    # its first position, sum to the orthogonal sum of a variable's vectors:
+    # their squared norms sum to one as well
+    implied = tuple(tuple(("c", sym, xt, at) for at in A.tuples(sym))
+                    for sym in X.signature.names() for xt in X.tuples(sym))
+    return GramProblem(tuple(labels), unit_groups, tuple(zero_pairs), tuple(idents), implied)
 
 
 # -- exact solvers ------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import minionlab.hierarchies as hierarchies
-from minionlab import sdp, sos
+from minionlab import oracle, sdp, sos
 from minionlab.budgets import DEFAULT_BUDGET
 from minionlab.errors import InvalidWitness
 from minionlab.hierarchies import _gram_problem, _marginal_rows, _sdp_problem
@@ -28,12 +28,22 @@ from minionlab.psd import (
 from minionlab.verdicts import Status
 from minionlab.structures import k_enhance
 
-from conftest import clique, cycle, digraphs_up_to_renaming, named, wheel
+from conftest import (
+    clique,
+    cycle,
+    digraphs_up_to_renaming,
+    directed_triangle,
+    graphs_up_to_isomorphism,
+    mycielski,
+    named,
+    wheel,
+)
 from references import (
     ReferenceAffineProjector,
     dict_row_gram_problem,
     dict_row_marginal_rows,
     reference_affine_reduce,
+    reference_sdp_problem,
 )
 
 
@@ -266,6 +276,15 @@ def test_sos_poses_the_gram_problems_of_the_identity_dicts():
                 outcome_by_value(affine_reduce(expected))
 
 
+def test_sdp_poses_the_gram_problem_it_wrote_out_loop_by_loop():
+    pairs = [(X, A) for A in (clique(2), clique(3), cycle(4), directed_triangle())
+             for X in digraphs_up_to_renaming(3)]
+    pairs += [(X, A) for A in (clique(3), clique(4))
+              for X in (clique(2), clique(3), clique(4), cycle(5), wheel(5), mycielski(cycle(5)))]
+    for X, A in pairs:
+        assert _sdp_problem(X, A) == reference_sdp_problem(X, A), (X.name, A.name)
+
+
 @pytest.mark.slow
 def test_the_projector_matches_the_dense_pseudo_inverse():
     reduced = [affine_reduce(gram_problem(driver, k, named(x), named(a)))
@@ -338,3 +357,28 @@ def test_forced_zeros_that_grow_over_three_rounds_reduce_like_the_reference():
     assert reduced.combos == {lab: {"h": 1} if lab == "h" else {} for lab in feasible.labels}
     assert reduced.constraints == [({(0, 0): 1}, 1)]
     assert_reduces_like_reference(feasible)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("relax", [lambda X, A: sdp(X, A), lambda X, A: sos(X, A, 1)],
+                         ids=["sdp", "sos1"])
+def test_the_vector_relaxations_decide_the_small_graphs_into_k3(relax):
+    # sdp and sos^1 into K3 accept exactly the 3-colourable graphs on 4 and 5
+    # vertices, and refute each graph on 4-6 vertices that is not with a dual
+    # certificate.  The 3-colourable graphs on 6 vertices are left out: on
+    # some of them the loop takes thousands of iterations to accept
+    k3 = clique(3)
+    accepts = rejects = 0
+    for n in (4, 5, 6):
+        for X in graphs_up_to_isomorphism(n):
+            colourable = oracle(X, k3).accepted
+            if colourable and n == 6:
+                continue
+            verdict = relax(X, k3)
+            assert verdict.accepted == colourable, X.name
+            if not colourable:
+                assert isinstance(verdict.certificate, DualCertificate), X.name
+                assert verify_dual_certificate(verdict.certificate)
+            accepts += colourable
+            rejects += not colourable
+    assert (accepts, rejects) == (39, 43)
