@@ -7,8 +7,12 @@ identified with each other, and some groups of squared norms must sum to one.
 The solve is two-phase.  Phase one, :func:`affine_reduce`, is exact: over the
 rationals, vector identifications are Gauss-eliminated,
 forced-zero vectors are propagated to a fixpoint, and the Gram constraints on
-the remaining representatives are filtered down to an independent set.  Its
-values are Python ints while they are integral: a row whose pivot is ±1 is
+the remaining representatives are filtered down to an independent set.  It
+reads each label as its index in the problem's label order, so the
+elimination, the fixpoint and the combinations run on int keys, and the
+greatest index of a row, the latest-registered label, is the one eliminated;
+labels come back only in the reduced problem and in the trace.  Its values
+are Python ints while they are integral: a row whose pivot is ±1 is
 normalised by multiplying it by the pivot, and only a non-unit pivot brings
 in a Fraction, so the elimination of ±1 identifications runs on ints.  Both
 echelon forms, of the identifications and of the Gram constraints, index
@@ -16,7 +20,12 @@ each free key to the rows that hold it, so a new pivot rewrites only those
 rows, and a row is reduced by substituting each of its pivots once.  Each
 round of the fixpoint rereads only the orthogonal pairs holding a label whose
 row the round before rewrote, and each distinct pair of combinations is
-formed into a Gram constraint once.  Every
+formed into a Gram constraint once.  The orthogonality forms go in first,
+and a unit group's row is tested as soon as the last pair inside the group
+is in: reduced against the forms so far and not kept, it ends the phase if
+it reads 0 = nonzero.  A row refuted by part of the span is refuted by all
+of it, and every unit row is still pushed after the last form, so a
+contradiction that needs several unit rows is found there.  Every
 contradiction (a unit group whose members all collapse to the zero vector, or
 a Gram constraint that reduces to 0 = nonzero) is returned as an exact
 rejection whose trace holds only derived steps: the vectors forced to zero,
@@ -187,11 +196,15 @@ class _Echelon:
     """Rows in reduced echelon form, with an index from each free key to the rows holding it.
 
     Each pivot's row is scaled to 1 at the pivot and holds no other pivot.
-    The pivot is a row's greatest key by ``rank`` (natural order if None).
+    The pivot is a row's greatest key in natural order.  In the echelon of
+    the identifications the keys are label indices, so the latest-registered
+    label is eliminated; in the Gram echelon they are the (s, t) of the
+    representatives, and the right-hand side's key () sorts below every one
+    of them, so it is never a pivot.  ``reduce`` changes no row, so a row can
+    be tested against the echelon without being kept.
     """
 
-    def __init__(self, rank):
-        self.rank = rank
+    def __init__(self):
         self.rows: dict = {}  # pivot -> its row
         self.holders: dict = {}  # free key -> {pivot: None} for each row that holds it
 
@@ -202,7 +215,7 @@ class _Echelon:
         substituted once.
         """
         out = dict(row)
-        for hit in [lab for lab in row if lab in self.rows]:
+        for hit in [key for key in row if key in self.rows]:
             c = out.pop(hit)
             for k, v in self.rows[hit].items():
                 if k != hit:
@@ -215,7 +228,7 @@ class _Echelon:
         Returns the pivots whose rows this wrote: the new pivot, then each
         row that held it.
         """
-        pivot = max(row, key=self.rank)
+        pivot = max(row)
         # a unit pivot is its own inverse, so an integral row stays integral
         p = row[pivot]
         scale = p if p in (1, -1) else R1 / p
@@ -244,79 +257,97 @@ class _Echelon:
 def affine_reduce(problem: GramProblem):
     """Exact consequence closure of the vector identifications.
 
+    Each label is read as its index in ``problem.labels``, once: the
+    identifications, the forced-zero fixpoint and the combos all run on
+    those ints, and the greatest index of a row, the latest-registered
+    label, is the one eliminated, so early labels stay representatives.
+    Labels come back only in the returned problem and in the trace.
+
     The Gram constraints over the representatives left by the closure are
     kept when independent of those kept before them, so the reduced
     constraints are linearly independent.  Returns a
     :class:`ReducedGramProblem`, or :class:`Inconsistent` when the closure
     contradicts a unit-norm group (all members forced to the zero vector) or
     a Gram constraint reduces to 0 = nonzero.
+
+    The zero-pair forms are pushed first, in the order of
+    ``problem.zero_pairs``.  As soon as the pair that is the last one with
+    both labels in a unit group is in, that group's unit row is reduced
+    against the forms pushed so far, without being kept.  The forms are
+    homogeneous, so a unit row whose form lies in their span reads 0 = 1,
+    and that ends the reduction there.  The early test is sound: a row
+    refuted by part of the span is refuted by all of it.  It misses
+    nothing: after the last form the unit pass pushes every unit row, as
+    it would without the early tests, so a contradiction that needs several
+    unit rows is still found.
     """
-    label_order = {lab: i for i, lab in enumerate(problem.labels)}
-    # eliminate the latest-registered label so early labels stay representatives
-    vectors = _Echelon(label_order.__getitem__)
+    labels = problem.labels
+    index = {lab: i for i, lab in enumerate(labels)}
+    vectors = _Echelon()
     steps: list = []
 
     def add_relation(row: dict) -> list:
-        """Insert the row's reduction; return the labels whose combo changed."""
+        """Insert the row's reduction; return the indices whose combo changed."""
         reduced = vectors.reduce(row)
         return vectors.insert(reduced) if reduced else []
 
     for ident in problem.identifications:
         row: dict = {}
         for lab, c in ident:
-            row[lab] = row.get(lab, 0) + c
+            i = index[lab]
+            row[i] = row.get(i, 0) + c
         add_relation(row)
 
-    def combo(lab: Label) -> dict:
-        if lab not in vectors.rows:
-            return {lab: 1}
-        return {k: -v for k, v in vectors.rows[lab].items() if k != lab}
+    def combo(i: int) -> dict:
+        if i not in vectors.rows:
+            return {i: 1}
+        return {k: -v for k, v in vectors.rows[i].items() if k != i}
 
     # propagate forced-zero vectors to a fixpoint.  Each round reads the combos
     # as they were at its start; a pair whose combos are unchanged since it was
     # last read would only repeat a row that is already in the span, so a round
     # rereads only the pairs holding a label whose combo the last round changed
-    combos = {lab: combo(lab) for lab in problem.labels}
+    combos = [combo(i) for i in range(len(labels))]
+    pairs = [(index[l1], index[l2]) for l1, l2 in problem.zero_pairs]
     pairs_of: dict = {}
-    for i, pair in enumerate(problem.zero_pairs):
-        for lab in set(pair):
-            pairs_of.setdefault(lab, []).append(i)
-    recheck = range(len(problem.zero_pairs))
+    for p, pair in enumerate(pairs):
+        for i in set(pair):
+            pairs_of.setdefault(i, []).append(p)
+    recheck = range(len(pairs))
     while recheck:
         new_rows = []
-        for i in recheck:
-            l1, l2 = problem.zero_pairs[i]
-            u, w = combos[l1], combos[l2]
+        for p in recheck:
+            u, w = combos[pairs[p][0]], combos[pairs[p][1]]
             if u and w and _proportional(u, w):
                 # u = r*w with r != 0, so <u, w> = r * ||w||^2 = 0 forces w = 0
+                l1, l2 = problem.zero_pairs[p]
                 new_rows.append((w, ("zero-norm", str(l1), str(l2))))
         changed: set = set()
         for row, note in new_rows:
-            labs = add_relation(row)
-            if labs:
+            rewritten = add_relation(row)
+            if rewritten:
                 steps.append(note)
-                changed.update(labs)
-        for lab in changed:
-            combos[lab] = combo(lab)
-        recheck = sorted({i for lab in changed for i in pairs_of.get(lab, ())})
+                changed.update(rewritten)
+        for i in changed:
+            combos[i] = combo(i)
+        recheck = sorted({p for i in changed for p in pairs_of.get(i, ())})
 
-    for group in problem.unit_groups:
-        if all(not combos[lab] for lab in group):
+    groups = [[index[lab] for lab in group] for group in problem.unit_groups]
+    for group, members in zip(problem.unit_groups, groups):
+        if all(not combos[i] for i in members):
             steps.append(("unit-group-empty", _fmt_labels(group)))
             return Inconsistent(steps, "a unit-norm group collapsed to the zero vector")
 
-    reps_set: set = set()
-    for c in combos.values():
-        reps_set.update(c)
-    reps = tuple(sorted(reps_set, key=lambda lab: label_order[lab]))
-    rep_index = {lab: i for i, lab in enumerate(reps)}
+    # natural order on the indices is registration order
+    reps = sorted({r for c in combos for r in c})
+    rep_index = {r: i for i, r in enumerate(reps)}
 
     # each distinct combo once, as (rep index, coefficient) pairs
-    combo_id: dict = {}
+    combo_id: list = []
     indexed: dict = {}
-    for lab, c in combos.items():
+    for c in combos:
         key = tuple((rep_index[r], v) for r, v in c.items())
-        combo_id[lab] = indexed.setdefault(key, len(indexed))
+        combo_id.append(indexed.setdefault(key, len(indexed)))
     indexed_combos = list(indexed)
 
     def bilinear(i: int, j: int) -> dict:
@@ -327,50 +358,75 @@ def affine_reduce(problem: GramProblem):
                 out[key] = out.get(key, 0) + cs * ct
         return {k: v for k, v in out.items() if v != 0}
 
+    @functools.cache
+    def unit_form(g: int) -> dict:
+        """The form of unit group g's squared norms; computed once."""
+        acc: dict = {}
+        for i in groups[g]:
+            for k, v in bilinear(combo_id[i], combo_id[i]).items():
+                acc[k] = acc.get(k, 0) + v
+        return acc
+
     # keep each Gram constraint that is independent of those kept before it.
     # The right-hand side rides along under the key (), which sorts below
     # every (si, ti) and so is never a pivot: a row that reduces to () alone
     # reads 0 = nonzero
     constraints: list = []
-    gram = _Echelon(None)
+    gram = _Echelon()
+
+    def refuted(reduced: dict) -> Optional[Inconsistent]:
+        if list(reduced) != [()]:
+            return None
+        steps.append(("affine-contradiction", f"0 = {rat_to_str(reduced[()])}"))
+        return Inconsistent(steps, "the Gram constraints are affinely contradictory")
 
     def push(coeffs: dict, rhs) -> Optional[Inconsistent]:
         reduced = gram.reduce({**coeffs, (): rhs})
-        if list(reduced) == [()]:
-            steps.append(("affine-contradiction", f"0 = {rat_to_str(reduced[()])}"))
-            return Inconsistent(steps, "the Gram constraints are affinely contradictory")
-        if reduced:
+        bad = refuted(reduced)
+        if not bad and reduced:
             gram.insert(reduced)
             constraints.append((coeffs, rhs))
-        return None
+        return bad
+
+    # each unit group is tested early, after the last zero pair inside it
+    group_sets = [set(members) for members in groups]
+    groups_of: dict = {}
+    for g, members in enumerate(group_sets):
+        for i in members:
+            groups_of.setdefault(i, []).append(g)
+    last_inside = {g: p for p, (i, j) in enumerate(pairs)
+                   for g in groups_of.get(i, ()) if j in group_sets[g]}
+    tests_after: dict = {}
+    for g, p in sorted(last_inside.items()):
+        tests_after.setdefault(p, []).append(g)
 
     # a pair of combos formed before, an empty form, or one pushed before would
     # reduce to nothing
     formed: set = set()
     pushed: set = set()
-    for l1, l2 in problem.zero_pairs:
-        i, j = combo_id[l1], combo_id[l2]
-        if (i, j) in formed:
-            continue
-        formed.update(((i, j), (j, i)))
-        form = bilinear(i, j)
-        key = frozenset(form.items())
-        if not form or key in pushed:
-            continue
-        pushed.add(key)
-        push(form, 0)
+    for p, (a, b) in enumerate(pairs):
+        i, j = combo_id[a], combo_id[b]
+        if (i, j) not in formed:
+            formed.update(((i, j), (j, i)))
+            form = bilinear(i, j)
+            key = frozenset(form.items())
+            if form and key not in pushed:
+                pushed.add(key)
+                push(form, 0)
+        for g in tests_after.get(p, ()):
+            bad = refuted(gram.reduce({**unit_form(g), (): 1}))
+            if bad:
+                return bad
     # every row so far is homogeneous: only the unit rows can close a contradiction
-    for group in problem.unit_groups:
-        acc: dict = {}
-        for lab in group:
-            for k, v in bilinear(combo_id[lab], combo_id[lab]).items():
-                acc[k] = acc.get(k, 0) + v
-        bad = push(acc, 1)
+    for g in range(len(groups)):
+        bad = push(unit_form(g), 1)
         if bad:
             return bad
 
-    return ReducedGramProblem(problem.labels, reps, combos, constraints,
-                              problem.unit_groups + problem.implied_unit_groups)
+    return ReducedGramProblem(
+        labels, tuple(labels[r] for r in reps),
+        {labels[i]: {labels[r]: v for r, v in c.items()} for i, c in enumerate(combos)},
+        constraints, problem.unit_groups + problem.implied_unit_groups)
 
 
 def _proportional(u: dict, w: dict) -> bool:

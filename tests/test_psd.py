@@ -1,12 +1,17 @@
 """The two Gram phases: the exact affine reduction and the float projections."""
 
+import importlib
 import json
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import minionlab
 import minionlab.hierarchies as hierarchies
+import minionlab.psd as psd
 from minionlab import oracle, sdp, sos
 from minionlab.budgets import DEFAULT_BUDGET
 from minionlab.errors import InvalidWitness
@@ -241,19 +246,18 @@ def gram_problem(driver: str, k, X, A) -> GramProblem:
     return _sdp_problem(X, A) if driver == "sdp" else sos_problem(X, A, k)
 
 
+def benchmark_workloads():
+    """``minionbench/workloads.py``, imported from its own directory and left as it is."""
+    bench = str(Path(minionlab.__file__).parent.parent.parent / "minionbench")
+    sys.path.insert(0, bench)
+    try:
+        return importlib.import_module("workloads")
+    finally:
+        sys.path.remove(bench)
+
+
 # the queries of the gram benchmark workload
-GRAM_QUERIES = [
-    *(("sdp", None, x, a) for x, a in (
-        ("K2", "K3"), ("K2", "C4"), ("D6", "K3"), ("D12", "K3"), ("D10", "C4"), ("1in3", "NAE"),
-        ("K3", "C4"), ("K4", "C4"), ("C5", "C4"), ("C7", "C4"), ("DT", "C4"), ("K3", "K2"),
-        ("C5", "K2"))),
-    *(("sos", 1, x, a) for x, a in (
-        ("K2", "C4"), ("DT", "K3"), ("C4", "K2"), ("C6", "K2"), ("1in3", "NAE"), ("DT", "C4"),
-        ("K3", "K2"))),
-    *(("sos", 2, x, a) for x, a in (
-        ("K2", "K3"), ("K2", "C4"), ("C4", "K2"), ("1in3", "NAE"), ("K3", "C4"), ("DT", "C4"),
-        ("C6", "DT"), ("C5", "K2"), ("K3", "K2"), ("K4", "K2"), ("K4", "K3"))),
-]
+GRAM_QUERIES = [(q.driver, q.k, q.x, q.a) for q in benchmark_workloads().GRAM]
 
 
 @pytest.mark.slow
@@ -305,10 +309,47 @@ def test_the_projector_matches_the_dense_pseudo_inverse():
 @pytest.mark.slow
 @pytest.mark.parametrize("driver, k", [("sdp", None), ("sos", 1), ("sos", 2)],
                          ids=["sdp", "sos1", "sos2"])
-@pytest.mark.parametrize("target", [2, 3], ids=["K2", "K3"])
+@pytest.mark.parametrize("target", ["K2", "K3", "C4", "DT"])
 def test_the_three_vertex_sweep_reduces_like_the_reference(driver, k, target):
+    # into C4 and DT nearly every problem ends on an early unit-row test
     for X in digraphs_up_to_renaming(3):
-        assert_reduces_like_reference(gram_problem(driver, k, X, clique(target)))
+        assert_reduces_like_reference(gram_problem(driver, k, X, named(target)))
+
+
+@pytest.fixture
+def gram_rows(monkeypatch) -> list:
+    """The right-hand side of each row reduced against a Gram echelon, in order:
+    0 for an orthogonality form, 1 for a unit row."""
+    seen = []
+
+    class Spy(psd._Echelon):
+        def reduce(self, row: dict) -> dict:
+            if () in row:
+                seen.append(row[()])
+            return super().reduce(row)
+
+    monkeypatch.setattr(psd, "_Echelon", Spy)
+    return seen
+
+
+def test_a_unit_group_is_refuted_as_soon_as_its_own_pairs_are_in(gram_rows):
+    # the first variable's 6 orthogonality forms already span its unit row;
+    # pushing every form before any unit row took 435 reductions
+    problem = _sdp_problem(cycle(7), cycle(4))
+    outcome = affine_reduce(problem)
+    assert isinstance(outcome, Inconsistent)
+    assert gram_rows == [0] * 6 + [1]
+    assert outcome.to_doc() == reference_affine_reduce(problem).to_doc()
+
+
+def test_a_contradiction_of_several_unit_rows_is_left_to_the_unit_pass(gram_rows):
+    # ||a||^2 + ||b||^2 = 1, ||a||^2 = 1 and ||b||^2 = 1 clash only together:
+    # the early test of (a, b), after <a, b> = 0, passes, and the unit pass refutes
+    problem = GramProblem(("a", "b"), (("a", "b"), ("a",), ("b",)), (("a", "b"),), ())
+    outcome = affine_reduce(problem)
+    assert isinstance(outcome, Inconsistent)
+    assert gram_rows == [0, 1, 1, 1, 1]
+    assert outcome.to_doc() == reference_affine_reduce(problem).to_doc()
 
 
 def non_unit_problem(*extra_groups) -> GramProblem:
