@@ -21,7 +21,12 @@ presolved system and the witness.  The images a scope admits, and how
 they project, depend only on the target and on the scope's symbol and
 equality pattern, so ``_marginal_rows`` works them out once per (symbol,
 pattern) as a template, and each scope of the tensorised X stamps its
-identities from that template at its own id offset.  ``validate_marginal_witness``
+identities from that template at its own id offset.  An ``R_k`` scope xi
+that an earlier stated scope xt projects onto, by a projection naming
+every position of xt, is a repeat: it keeps its variables and unit-mass
+row, but its identities are not stamped, since the presolve would read
+each as a copy of one of xt's and drop it (``_marginal_rows`` gives the
+argument).  ``validate_marginal_witness``
 files each nonzero weight under its scope, refusing one that names no
 variable, and compares each scope's projections with the ``R_k`` weights.
 It re-derives every identity from the structures on its own, so it does
@@ -243,6 +248,28 @@ def _marginal_rows(Xk: Structure, Ak: Structure, k: int, budget: Budget) -> tupl
     a projection names the t-th of them.  ``Xk`` holds the full ``R_k`` as
     well, so every projected tuple xi has its own ``R_k`` scope.
 
+    The scopes are walked in the order they are numbered, and a scope's
+    identities are stamped unless it is an ``R_k`` scope marked as a
+    *repeat*.  Each stated scope xt marks as a repeat every ``R_k`` scope
+    xi = π(xt), other than itself and those already stated, for each
+    projection π whose position tuple names every position of xt; a repeat
+    marks nothing.  A repeat keeps its variables, ids and unit-mass row,
+    and the emitted system is the one that stating every identity gives:
+
+    - π names every position of xt, so it is injective on xt's images.
+    - xt's π-identities are therefore merges of each image ``at`` with the
+      cell π(at) of xi, and pins of the cells of xi that no image reaches.
+    - Under those merges and pins, xi's identity (ρ, b) reads as xt's
+      identity (π∘ρ, b), and xi's unit row reads as xt's.
+    - xt comes first, so ``build`` keeps xt's copy, and the emitted
+      ``LinearSystem`` (columns, rows in order, right-hand sides) and
+      ``column_of`` are unchanged.
+    - Only the union-find roots of pinned keys can differ, and
+      ``PresolvedSystem.expand`` reads a pinned key as zero whatever its
+      root.
+    - For ``sos``, the skipped identities lie in the span of the stated
+      ones, so the exact Gram reduction is the same.
+
     Returns the key tuple, each scope's id range (its unit-mass row), and
     the identities.
     """
@@ -252,7 +279,7 @@ def _marginal_rows(Xk: Structure, Ak: Structure, k: int, budget: Budget) -> tupl
     templates: dict = {}  # (sym, equality pattern) -> _template
     targets_of: dict = {}  # the equality pattern of xi -> the cells that xi precedes
     keys: list = []
-    scopes = []  # (xt, template stamps, ids) in scope order
+    scopes = []  # (sym, xt, template stamps, ids) in scope order
     enh_start: dict = {}  # xi -> the id of (enh, xi, b) for the first cell b that xi precedes
     for sym in Xk.signature.names():
         tuples = Ak.tuples(sym)
@@ -267,10 +294,23 @@ def _marginal_rows(Xk: Structure, Ak: Structure, k: int, budget: Budget) -> tupl
             keys.extend((sym, xt, at) for at in images)
             if sym == enh:
                 enh_start[xt] = ids.start
-            scopes.append((xt, stamps, ids))
+            scopes.append((sym, xt, stamps, ids))
     budget.check_tuples(len(keys), "marginal system variables")
+    # the getters of the projections that name every position of a scope
+    covering = {arity: [get for i, get in projections[arity] if len(set(i)) == arity]
+                for arity in projections}
+    stated: set = set()  # the R_k scopes, walked so far, whose identities are stamped
+    repeats: set = set()  # the R_k scopes a stated scope projects onto by a covering getter
     identities = []
-    for xt, stamps, ids in scopes:
+    for sym, xt, stamps, ids in scopes:
+        if sym == enh:
+            if xt in repeats:
+                continue
+            stated.add(xt)
+        for get in covering[len(xt)]:
+            xi = get(xt)
+            if xi not in stated:
+                repeats.add(xi)
         base = ids.start
         for get, groups in stamps:
             for v, group in enumerate(groups, enh_start[get(xt)]):
@@ -278,7 +318,7 @@ def _marginal_rows(Xk: Structure, Ak: Structure, k: int, budget: Budget) -> tupl
                 if len(group) == 1 and base + group[0] == v:
                     continue  # xt is xi itself, and its weight cancels
                 identities.append((*[base + i for i in group], v))
-    return tuple(keys), [ids for _, _, ids in scopes], identities
+    return tuple(keys), [ids for *_, ids in scopes], identities
 
 
 def _linear_system(domain_tag: DomainTag, keys: tuple, scopes: list,

@@ -280,6 +280,13 @@ def affine_reduce(problem: GramProblem):
     nothing: after the last form the unit pass pushes every unit row, as
     it would without the early tests, so a contradiction that needs several
     unit rows is still found.
+
+    Precondition: the unit groups are pairwise disjoint, as the drivers'
+    are.  Then the outcome, the closing constant of an ``Inconsistent``
+    included, is the one that pushing every form before any unit row gives.
+    With overlapping groups the verdict is the same, but the early test of
+    one group can close on its own row before the unit pass meets a joint
+    contradiction of earlier rows, with another constant.
     """
     labels = problem.labels
     index = {lab: i for i, lab in enumerate(labels)}

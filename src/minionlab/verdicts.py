@@ -45,7 +45,9 @@ class Verdict:
       and constraints of a Gram problem (``sdp``, ``sos``), the partial maps
       and the variable subsets of at most k atoms (``bw``), or the atoms and
       relation tuples of the tested structure (``oracle``, and the Horn test
-      on the tensorised structure).
+      on the tensorised structure).  An ``sos`` Gram problem's
+      ``constraints`` counts only the marginal identities that were
+      stated: a repeated ``R_k`` scope's are left out.
     - ``millis``: the driver's wall time, set by :func:`driver`.
     - optional counters: ``pivots`` (simplex pivots), ``lp_support`` (``ba``:
       the variables in the LP's maximal support), ``reduced_dim`` (Gram

@@ -7,7 +7,8 @@ basic-SDP solution obeys, the exact Gram reduction in Fractions alone, the
 Gram projector through the pseudo-inverse of the dense constraint matrix, the
 marginal rows, witness check and presolve with one projection per tuple,
 every variable keyed by its tuple and every sum and row key on the
-original values, the marginal front end that stamped one dict per
+original values, the repeated ``R_k`` scopes whose identities the marginal
+rows leave out, the marginal front end that stamped one dict per
 identity and presolved each as a row, the basic SDP's Gram problem written
 out loop by loop, the simplex on a
 Fraction tableau, integer points,
@@ -26,7 +27,7 @@ import itertools
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Collection, Iterator, Optional
 from unittest import mock
 
 import numpy as np
@@ -358,17 +359,48 @@ class ReferenceAffineProjector:
 # -- the marginal front end, every projection and sum on the original values --------------
 
 
-def reference_marginal_rows(Xk: Structure, Ak: Structure, k: int) -> tuple[list, list]:
+def reference_repeated_scopes(Xk: Structure, k: int) -> set:
+    """The ``R_k`` scopes whose identities ``hierarchies._marginal_rows`` leaves out.
+
+    The scopes are walked in the order they are numbered.  An ``R_k`` scope
+    is stated unless an earlier stated scope marked it; each stated scope
+    marks as repeats the ``R_k`` scopes it projects onto by a position tuple
+    naming each of its positions, other than itself and those already
+    stated.  Each projection is made by ``project``.
+    """
+    enh = f"R_{k}"
+    stated: set = set()
+    repeats: set = set()
+    for sym, arity in Xk.signature.symbols:
+        for xt in Xk.tuples(sym):
+            if sym == enh:
+                if xt in repeats:
+                    continue
+                stated.add(xt)
+            for i in itertools.product(range(1, arity + 1), repeat=k):
+                if set(i) == set(range(1, arity + 1)):
+                    xi = project(xt, i)
+                    if xi not in stated:
+                        repeats.add(xi)
+    return repeats
+
+
+def reference_marginal_rows(Xk: Structure, Ak: Structure, k: int,
+                            skip: Collection = ()) -> tuple[list, list]:
     """``hierarchies._marginal_rows`` as it was with one ``project`` and ``precedes`` per cell.
 
-    The fast version must list equal scopes and equal identity dicts, in the
-    same order: ``sos`` reads the identities as Gram identifications.
+    The identities of the ``R_k`` scopes in ``skip`` are left out.  The fast
+    version must list equal scopes and equal identity dicts, in the same
+    order, when ``skip`` is ``reference_repeated_scopes``: ``sos`` reads the
+    identities as Gram identifications.
     """
     enh = f"R_{k}"
     scopes = [(sym, xt, tuple(at for at in Ak.tuples(sym) if precedes(xt, at)))
               for sym in Xk.signature.names() for xt in Xk.tuples(sym)]
     identities = []
     for sym, xt, images in scopes:
+        if sym == enh and xt in skip:
+            continue
         for i in itertools.product(range(1, len(xt) + 1), repeat=k):
             xi = project(xt, i)
             groups: dict = {}
@@ -510,11 +542,14 @@ def identity_row(ident: tuple) -> dict:
     return row
 
 
-def dict_row_marginal_rows(Xk: Structure, Ak: Structure, k: int) -> tuple:
+def dict_row_marginal_rows(Xk: Structure, Ak: Structure, k: int,
+                           skip: Collection = ()) -> tuple:
     """``hierarchies._marginal_rows`` as it was with each identity stamped as its own dict.
 
     Returns the key tuple, each scope's id range, and one dict from id to
-    coefficient per identity, in the same order as the id tuples.
+    coefficient per identity, in the same order as the id tuples.  The
+    identities of the ``R_k`` scopes in ``skip`` are left out; by default
+    every scope's are stated.
     """
     enh = f"R_{k}"
     cells = list(itertools.product(Ak.domain, repeat=k))
@@ -537,9 +572,11 @@ def dict_row_marginal_rows(Xk: Structure, Ak: Structure, k: int) -> tuple:
             keys.extend((sym, xt, at) for at in images)
             if sym == enh:
                 enh_start[xt] = ids.start
-            scopes.append((xt, stamps, ids))
+            scopes.append((sym, xt, stamps, ids))
     identities = []
-    for xt, stamps, ids in scopes:
+    for sym, xt, stamps, ids in scopes:
+        if sym == enh and xt in skip:
+            continue
         base = ids.start
         for get, groups in stamps:
             for v, group in enumerate(groups, enh_start[get(xt)]):
@@ -553,7 +590,7 @@ def dict_row_marginal_rows(Xk: Structure, Ak: Structure, k: int) -> tuple:
                     row = dict.fromkeys([base + i for i in group], 1)
                     row[v] = -1
                     identities.append(row)
-    return tuple(keys), [ids for _, _, ids in scopes], identities
+    return tuple(keys), [ids for *_, ids in scopes], identities
 
 
 class DictRowSystemBuilder:

@@ -70,6 +70,7 @@ from references import (
     reference_hnf_outputs,
     reference_is_valid_bw_family,
     reference_marginal_rows,
+    reference_repeated_scopes,
     reference_validate_marginal_witness,
     simplex_outputs,
     support_family,
@@ -756,17 +757,21 @@ def assert_front_end_matches_reference(X: Structure, A: Structure, k: int) -> No
 def assert_rows_match_reference(Xk: Structure, Ak: Structure, k: int) -> tuple:
     """The rows and the presolve of the pair as given; returns the rows.
 
-    The presolve is compared twice: with the per-tuple reference, and with
-    the identities stamped one dict each and read back as rows.
+    The identities are those of the references' stated scopes, in order.
+    The presolve is compared twice with every scope's identities stated:
+    with the per-tuple reference, and with the identities stamped one dict
+    each and read back as rows.
     """
     keys, scopes, identities = _marginal_rows(Xk, Ak, k, DEFAULT_BUDGET)
+    repeats = reference_repeated_scopes(Xk, k)
     dict_rows = dict_row_marginal_rows(Xk, Ak, k)
-    assert (keys, scopes, [identity_row(ident) for ident in identities]) == dict_rows
+    assert (keys, scopes, [identity_row(ident) for ident in identities]) == \
+        dict_row_marginal_rows(Xk, Ak, k, repeats)
     ref_scopes, ref_identities = reference_marginal_rows(Xk, Ak, k)
     ref_units = [{(sym, xt, at): 1 for at in images} for sym, xt, images in ref_scopes]
     assert [[keys[v] for v in ids] for ids in scopes] == [list(unit) for unit in ref_units]
     assert [[(keys[v], c) for v, c in identity_row(ident).items()] for ident in identities] == \
-        [list(row.items()) for row in ref_identities]
+        [list(row.items()) for row in reference_marginal_rows(Xk, Ak, k, repeats)[1]]
     for tag in DomainTag:
         reference = ReferenceSystemBuilder(tag)
         for unit in ref_units:
@@ -831,20 +836,61 @@ def test_the_marginal_variables_are_numbered_densely_in_unit_mass_order():
         assert {v for row in identities for v in row} <= set(range(len(keys)))
 
 
+def r_2_declared_first(S: Structure) -> Structure:
+    """The binary structure with its full R_2 declared ahead of R."""
+    sig = Signature.of({"R_2": 2, "R": 2})
+    return Structure(sig, S.domain, {"R_2": itertools.product(S.domain, repeat=2),
+                                     "R": S.tuples("R")})
+
+
 def test_an_input_that_already_holds_r_k_is_numbered_as_given():
     # R_2 declared ahead of R: k_enhance returns both structures unchanged, so
     # the R_2 scopes come first and their variables take the lowest ids
-    sig = Signature.of({"R_2": 2, "R": 2})
     X, A = cycle(4), clique(3)
-    X2 = Structure(sig, X.domain, {"R_2": itertools.product(X.domain, repeat=2),
-                                   "R": X.tuples("R")})
-    A2 = Structure(sig, A.domain, {"R_2": itertools.product(A.domain, repeat=2),
-                                   "R": A.tuples("R")})
+    X2, A2 = r_2_declared_first(X), r_2_declared_first(A)
     assert k_enhance(X2, 2) is X2 and k_enhance(A2, 2) is A2
     keys, _, _ = _marginal_rows(X2, A2, 2, DEFAULT_BUDGET)
     assert keys[0][0] == "R_2" and keys[-1][0] == "R"
     assert_front_end_matches_reference(X2, A2, 2)
     assert sa(X2, A2, 2).status is sa(X, A, 2).status is Status.ACCEPT
+
+
+def stamped_r_k_scopes(Xk: Structure, Ak: Structure, k: int) -> set:
+    """The ``R_k`` scopes that own an image of some stamped identity."""
+    keys, _, identities = _marginal_rows(Xk, Ak, k, DEFAULT_BUDGET)
+    return {keys[v][1] for ident in identities for v in ident[:-1] if keys[v][0] == f"R_{k}"}
+
+
+def test_c4_into_k3_states_no_identity_of_a_repeated_r_2_scope():
+    # each ordered edge (x, y) projects onto the R_2 scopes (x, y) and (y, x)
+    # by a position tuple naming both its positions; of the R_2 scopes left,
+    # (0, 2) and (1, 3) are stated first and mark their swaps
+    X, A = cycle(4), clique(3)
+    Xk, Ak = k_enhance(X, 2), k_enhance(A, 2)
+    edges = {("0", "1"), ("1", "0"), ("1", "2"), ("2", "1"),
+             ("2", "3"), ("3", "2"), ("3", "0"), ("0", "3")}
+    assert set(X.tuples("R")) == edges
+    repeats = edges | {("2", "0"), ("3", "1")}
+    stated = {(x, x) for x in X.domain} | {("0", "2"), ("1", "3")}
+    assert reference_repeated_scopes(Xk, 2) == repeats
+    assert set(Xk.tuples("R_2")) - repeats == stated
+    # a diagonal R_2 scope projects only onto itself, so it stamps no identity
+    assert stamped_r_k_scopes(Xk, Ak, 2) == {("0", "2"), ("1", "3")}
+    keys, scopes, identities = _marginal_rows(Xk, Ak, 2, DEFAULT_BUDGET)
+    assert (keys, scopes, [identity_row(ident) for ident in identities]) == \
+        dict_row_marginal_rows(Xk, Ak, 2, repeats)
+
+
+def test_with_r_2_declared_first_only_swaps_of_earlier_r_2_scopes_are_repeats():
+    # every R_2 scope is walked before the edges, which then mark nothing
+    X, A = cycle(4), clique(3)
+    X2, A2 = r_2_declared_first(X), r_2_declared_first(A)
+    swaps = {(y, x) for x, y in itertools.combinations(X.domain, 2)}
+    assert reference_repeated_scopes(X2, 2) == swaps
+    assert stamped_r_k_scopes(X2, A2, 2) == set(itertools.combinations(X.domain, 2))
+    _, _, identities = _marginal_rows(X2, A2, 2, DEFAULT_BUDGET)
+    assert [identity_row(ident) for ident in identities] == \
+        dict_row_marginal_rows(X2, A2, 2, swaps)[2]
 
 
 @pytest.mark.slow

@@ -48,6 +48,7 @@ from references import (
     dict_row_gram_problem,
     dict_row_marginal_rows,
     reference_affine_reduce,
+    reference_repeated_scopes,
     reference_sdp_problem,
 )
 
@@ -242,6 +243,14 @@ def assert_reduces_like_reference(problem: GramProblem) -> None:
         outcome_by_value(reference_affine_reduce(problem))
 
 
+def assert_unit_groups_are_disjoint(problem: GramProblem) -> None:
+    """``affine_reduce``'s precondition: its early unit-row tests close an
+    ``Inconsistent`` like the all-forms-first reference only when no label
+    is in two unit groups."""
+    grouped = [lab for group in problem.unit_groups for lab in group]
+    assert len(grouped) == len(set(grouped))
+
+
 def gram_problem(driver: str, k, X, A) -> GramProblem:
     return _sdp_problem(X, A) if driver == "sdp" else sos_problem(X, A, k)
 
@@ -263,21 +272,40 @@ GRAM_QUERIES = [(q.driver, q.k, q.x, q.a) for q in benchmark_workloads().GRAM]
 @pytest.mark.slow
 def test_the_gram_workload_reduces_like_the_reference():
     for driver, k, x, a in GRAM_QUERIES:
-        assert_reduces_like_reference(gram_problem(driver, k, named(x), named(a)))
+        problem = gram_problem(driver, k, named(x), named(a))
+        assert_unit_groups_are_disjoint(problem)
+        assert_reduces_like_reference(problem)
+
+
+def assert_sos_reduces_like_the_full_statement(X, A, k: int) -> GramProblem:
+    """The reduction of the ``sos`` problem, by value, is that of the problem
+    stating the identities of every scope, one dict each; returns the problem."""
+    Xk, Ak = k_enhance(X, k), k_enhance(A, k)
+    problem = sos_problem(X, A, k)
+    full = dict_row_gram_problem(*dict_row_marginal_rows(Xk, Ak, k))
+    assert outcome_by_value(affine_reduce(problem)) == outcome_by_value(affine_reduce(full))
+    return problem
 
 
 @pytest.mark.slow
 def test_sos_poses_the_gram_problems_of_the_identity_dicts():
     # the identity tuples, read as Gram identifications, give the problem that
-    # one dict per identity gave, and so the same reduction
+    # one dict per identity of a stated scope gave; the identities of the
+    # repeated R_k scopes lie in the span of the others, so the reduction is
+    # that of every scope's identities
     for driver, k, x, a in GRAM_QUERIES:
         if driver == "sos":
             Xk, Ak = k_enhance(named(x), k), k_enhance(named(a), k)
-            problem = sos_problem(named(x), named(a), k)
-            expected = dict_row_gram_problem(*dict_row_marginal_rows(Xk, Ak, k))
-            assert problem == expected
-            assert outcome_by_value(affine_reduce(problem)) == \
-                outcome_by_value(affine_reduce(expected))
+            problem = assert_sos_reduces_like_the_full_statement(named(x), named(a), k)
+            repeats = reference_repeated_scopes(Xk, k)
+            assert problem == dict_row_gram_problem(*dict_row_marginal_rows(Xk, Ak, k, repeats))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("target", ["K2", "K3", "C4", "DT"])
+def test_sos2_over_the_three_vertex_sweep_reduces_like_the_full_statement(target):
+    for X in digraphs_up_to_renaming(3):
+        assert_sos_reduces_like_the_full_statement(X, named(target), 2)
 
 
 def test_sdp_poses_the_gram_problem_it_wrote_out_loop_by_loop():
@@ -313,7 +341,9 @@ def test_the_projector_matches_the_dense_pseudo_inverse():
 def test_the_three_vertex_sweep_reduces_like_the_reference(driver, k, target):
     # into C4 and DT nearly every problem ends on an early unit-row test
     for X in digraphs_up_to_renaming(3):
-        assert_reduces_like_reference(gram_problem(driver, k, X, named(target)))
+        problem = gram_problem(driver, k, X, named(target))
+        assert_unit_groups_are_disjoint(problem)
+        assert_reduces_like_reference(problem)
 
 
 @pytest.fixture
