@@ -263,10 +263,9 @@ def _marginal_rows(Xk: Structure, Ak: Structure, k: int, budget: Budget) -> tupl
       identity (π∘ρ, b), and xi's unit row reads as xt's.
     - xt comes first, so ``build`` keeps xt's copy, and the emitted
       ``LinearSystem`` (columns, rows in order, right-hand sides) and
-      ``column_of`` are unchanged.
-    - Only the union-find roots of pinned keys can differ, and
-      ``PresolvedSystem.expand`` reads a pinned key as zero whatever its
-      root.
+      ``PresolvedSystem.columns`` are unchanged.  The union-find roots of
+      pinned keys can differ, but the roots are not part of the output: a
+      pinned key has no column whatever its root.
     - For ``sos``, the skipped identities lie in the span of the stated
       ones, so the exact Gram reduction is the same.
 

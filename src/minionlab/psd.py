@@ -5,31 +5,30 @@ vectors: some pairs are forced orthogonal, some signed sums of vectors are
 identified with each other, and some groups of squared norms must sum to one.
 
 The solve is two-phase.  Phase one, :func:`affine_reduce`, is exact: over the
-rationals, vector identifications are Gauss-eliminated,
-forced-zero vectors are propagated to a fixpoint, and the Gram constraints on
-the remaining representatives are filtered down to an independent set.  It
-reads each label as its index in the problem's label order, so the
-elimination, the fixpoint and the combinations run on int keys, and the
-greatest index of a row, the latest-registered label, is the one eliminated;
-labels come back only in the reduced problem and in the trace.  Its values
-are Python ints while they are integral: a row whose pivot is ±1 is
-normalised by multiplying it by the pivot, and only a non-unit pivot brings
-in a Fraction, so the elimination of ±1 identifications runs on ints.  Both
-echelon forms, of the identifications and of the Gram constraints, index
-each free key to the rows that hold it, so a new pivot rewrites only those
-rows, and a row is reduced by substituting each of its pivots once.  Each
-round of the fixpoint rereads only the orthogonal pairs holding a label whose
-row the round before rewrote, and each distinct pair of combinations is
+rationals, vector identifications are Gauss-eliminated, forced-zero vectors
+are propagated to a fixpoint, and the Gram constraints on the remaining
+representatives are filtered down to an independent set.  It reads each label
+as its index in the problem's label order, so the elimination, the fixpoint
+and the combinations run on int keys, and the greatest index of a row, the
+latest-registered label, is the one eliminated; labels come back only in the
+reduced problem and in the trace.  Its values are Python ints while they are
+integral: a row whose pivot is ±1 is normalised by multiplying it by the
+pivot, and only a non-unit pivot brings in a Fraction, so the elimination of
+±1 identifications runs on ints.  Both echelon forms, of the identifications
+and of the Gram constraints, index each free key to the rows that hold it, so
+a new pivot rewrites only those rows, and a row is reduced by substituting
+each of its pivots once.  Each round of the fixpoint rereads every orthogonal
+pair: rounds after the first are few, and an index of the pairs holding each
+label cost more to build than it saved.  Each distinct pair of combinations is
 formed into a Gram constraint once.  The orthogonality forms go in first,
-and a unit group's row is tested as soon as the last pair inside the group
-is in: reduced against the forms so far and not kept, it ends the phase if
-it reads 0 = nonzero.  A row refuted by part of the span is refuted by all
-of it, and every unit row is still pushed after the last form, so a
-contradiction that needs several unit rows is found there.  Every
-contradiction (a unit group whose members all collapse to the zero vector, or
-a Gram constraint that reduces to 0 = nonzero) is returned as an exact
-rejection whose trace holds only derived steps: the vectors forced to zero,
-then the contradiction itself.
+and a unit group's row is tested as soon as the last pair inside the group is
+in: reduced against the forms so far and not kept, it ends the phase if it
+reads 0 = nonzero.  A row refuted by part of the span is refuted by all of it, and
+every unit row is still pushed after the last form, so a contradiction that
+needs several unit rows is found there.  Every contradiction (a unit group
+whose members all collapse to the zero vector, or a Gram constraint that
+reduces to 0 = nonzero) is returned as an exact rejection whose trace holds
+only derived steps: the vectors forced to zero, then the contradiction itself.
 
 Phase two, :func:`psd_feasibility`, iterates in float: Douglas-Rachford,
 started at I/n, between the affine subspace of admissible Gram matrices (an
@@ -57,6 +56,7 @@ from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
+from .errors import MalformedInput
 from .rationals import R1, RATIONAL_TYPES, rat, rat_to_str
 
 Label = Hashable
@@ -99,10 +99,9 @@ class Inconsistent:
 
 @dataclass
 class ReducedGramProblem:
-    labels: tuple[Label, ...]
     reps: tuple[Label, ...]
     # exact coefficients are ints, or Fractions past a non-unit pivot
-    combos: dict  # label -> {rep: exact coefficient}
+    combos: dict  # every label, in the problem's order -> {rep: exact coefficient}
     constraints: list  # independent (dict[(si, ti) with si <= ti] -> exact coeff, rhs)
     # the unit groups, then the implied ones: labels whose squared norms sum to one
     unit_groups: tuple = ()
@@ -310,26 +309,22 @@ def affine_reduce(problem: GramProblem):
             return {i: 1}
         return {k: -v for k, v in vectors.rows[i].items() if k != i}
 
-    # propagate forced-zero vectors to a fixpoint.  Each round reads the combos
-    # as they were at its start; a pair whose combos are unchanged since it was
-    # last read would only repeat a row that is already in the span, so a round
-    # rereads only the pairs holding a label whose combo the last round changed
+    # propagate forced-zero vectors to a fixpoint.  Each round reads every pair
+    # against the combos as they were at its start.  A pair whose combos did not
+    # change since it was last read was not proportional, or its w was zeroed,
+    # which changed it; rounds after the first are few, so an index of the pairs
+    # to reread would cost more than the pairs it skips
     combos = [combo(i) for i in range(len(labels))]
     pairs = [(index[l1], index[l2]) for l1, l2 in problem.zero_pairs]
-    pairs_of: dict = {}
-    for p, pair in enumerate(pairs):
-        for i in set(pair):
-            pairs_of.setdefault(i, []).append(p)
-    recheck = range(len(pairs))
-    while recheck:
+    changed = True
+    while changed:
         new_rows = []
-        for p in recheck:
-            u, w = combos[pairs[p][0]], combos[pairs[p][1]]
+        for (a, b), (l1, l2) in zip(pairs, problem.zero_pairs):
+            u, w = combos[a], combos[b]
             if u and w and _proportional(u, w):
                 # u = r*w with r != 0, so <u, w> = r * ||w||^2 = 0 forces w = 0
-                l1, l2 = problem.zero_pairs[p]
                 new_rows.append((w, ("zero-norm", str(l1), str(l2))))
-        changed: set = set()
+        changed = set()
         for row, note in new_rows:
             rewritten = add_relation(row)
             if rewritten:
@@ -337,7 +332,6 @@ def affine_reduce(problem: GramProblem):
                 changed.update(rewritten)
         for i in changed:
             combos[i] = combo(i)
-        recheck = sorted({p for i in changed for p in pairs_of.get(i, ())})
 
     groups = [[index[lab] for lab in group] for group in problem.unit_groups]
     for group, members in zip(problem.unit_groups, groups):
@@ -431,7 +425,7 @@ def affine_reduce(problem: GramProblem):
             return bad
 
     return ReducedGramProblem(
-        labels, tuple(labels[r] for r in reps),
+        tuple(labels[r] for r in reps),
         {labels[i]: {labels[r]: v for r, v in c.items()} for i, c in enumerate(combos)},
         constraints, problem.unit_groups + problem.implied_unit_groups)
 
@@ -474,7 +468,7 @@ class _AffineProjector:
         rows, flat, vals, starts = [], [], [], []
         for i, (row, _) in enumerate(constraints):
             if not row:
-                raise ValueError("every Gram constraint needs a nonzero coefficient")
+                raise MalformedInput("every Gram constraint needs a nonzero coefficient")
             starts.append(len(flat))
             for (s, t), v in row.items():
                 cells = (s * n + t,) if s == t else (s * n + t, t * n + s)
@@ -556,13 +550,8 @@ class _DualSearch:
     @functools.cached_property
     def slack(self) -> tuple:
         """y_M, lambda_min(M') and y_M^T b; computed on first use."""
-        reduced = self.reduced
-        rep_index = {lab: i for i, lab in enumerate(reduced.reps)}
-        labels = [lab for group in reduced.unit_groups for lab in group]
-        V = np.zeros((len(labels), len(reduced.reps)))
-        for row, lab in enumerate(labels):
-            for rep, c in reduced.combos[lab].items():
-                V[row, rep_index[rep]] = float(c)
+        V = _combos_matrix(self.reduced,
+                           [lab for group in self.reduced.unit_groups for lab in group])
         y_m = self.projector.multipliers(V.T @ V)
         low = float(np.linalg.eigvalsh(self.projector.combine(y_m))[0])
         return y_m, low, float(y_m @ self.projector.rhs)
@@ -712,14 +701,17 @@ def psd_feasibility(reduced: ReducedGramProblem):
     return NumericReject(residual, it, trace)
 
 
+def _combos_matrix(reduced: ReducedGramProblem, labels) -> np.ndarray:
+    """The combos of ``labels`` in float: one row per label, one column per representative."""
+    rep_index = {rep: j for j, rep in enumerate(reduced.reps)}
+    V = np.zeros((len(labels), len(reduced.reps)))
+    for row, lab in enumerate(labels):
+        for rep, c in reduced.combos[lab].items():
+            V[row, rep_index[rep]] = float(c)
+    return V
+
+
 def expand_vectors(reduced: ReducedGramProblem, factor: np.ndarray) -> dict:
     """Vectors for every original label, via the exact elimination combos."""
-    out = {}
-    dim = factor.shape[1]
-    rep_index = {lab: i for i, lab in enumerate(reduced.reps)}
-    for lab in reduced.labels:
-        v = np.zeros(dim)
-        for repl, c in reduced.combos[lab].items():
-            v += float(c) * factor[rep_index[repl]]
-        out[lab] = v
-    return out
+    labels = list(reduced.combos)
+    return dict(zip(labels, _combos_matrix(reduced, labels) @ factor))

@@ -19,8 +19,10 @@ The caller numbers the variables once: the builder takes the key tuple, and
 each row is a dict from a variable's index in that tuple to its
 coefficient.  The presolve runs on those ints alone (a list union-find, a
 bytearray of pins, columns sorted by index, and the lower index kept as a
-merge's root), and turns indices back into keys only when it emits the
-:class:`PresolvedSystem`.
+merge's root), and turns indices back into keys only for the emitted
+system's column names.  Besides that ``LinearSystem``, ``build`` hands back
+one int per variable index: the column of its merge class, or -1 when the
+class has no column, being pinned or left free by discharged rows.
 
 A caller that already knows a row to be ``x_v = 0`` or ``x_u - x_v = 0``
 hands it over as ``pin(v)`` or ``merge(u, v)`` rather than as a row.
@@ -49,24 +51,17 @@ from .rationals import rat
 class PresolvedSystem:
     system: LinearSystem
     key_order: tuple[Hashable, ...]
-    root_of: dict
-    column_of: dict
+    columns: list[int]  # variable index -> the column of its merge class, or -1
 
     def expand(self, point: dict) -> dict:
-        """Lift a solution over representative columns back to the keys it makes nonzero.
+        """Lift a solution over the columns back to the keys it makes nonzero.
 
-        Merged keys take their representative's value.  A representative
-        without a column is zero: either the presolve pinned it, or every row
-        it was in was discharged, leaving it free.  A key left out is zero.
+        Merged keys take their class's value.  A class without a column is
+        zero: either the presolve pinned it, or every row it was in was
+        discharged, leaving it free.  A key left out is zero.
         """
-        out = {}
-        for key in self.key_order:
-            col = self.column_of.get(self.root_of[key])
-            if col is not None:
-                v = point.get(col, 0)
-                if v:
-                    out[key] = v
-        return out
+        return {key: v for key, col in zip(self.key_order, self.columns)
+                if col >= 0 and (v := point.get(col, 0))}
 
 
 class EqualitySystemBuilder:
@@ -177,6 +172,4 @@ class EqualitySystemBuilder:
         rows = tuple({column[root]: c for root, c in canon.items()} for canon, _ in final_rows)
         rhs = tuple(b for _, b in final_rows)
         system = LinearSystem(tuple(keys[root] for root in roots), rows, rhs, self.domain)
-        root_of = {key: keys[find(v)] for v, key in enumerate(keys)}
-        column_of = {keys[root]: j for j, root in enumerate(roots)}
-        return PresolvedSystem(system, keys, root_of, column_of)
+        return PresolvedSystem(system, keys, [column.get(find(v), -1) for v in range(len(keys))])

@@ -322,7 +322,7 @@ def reference_affine_reduce(problem: GramProblem):
         if bad:
             return bad
 
-    return ReducedGramProblem(problem.labels, reps, combos, constraints)
+    return ReducedGramProblem(reps, combos, constraints)
 
 
 # -- the Gram projector, through the pseudo-inverse of the dense constraint matrix ---------
@@ -528,8 +528,7 @@ class ReferenceSystemBuilder:
         rows = tuple({column_of[root]: c for root, c in canon.items()} for canon, _ in final_rows)
         rhs = tuple(b for _, b in final_rows)
         system = LinearSystem(tuple(roots_in_rows), rows, rhs, self.domain)
-        root_of = {k: find(k) for k in keys}
-        return PresolvedSystem(system, keys, root_of, column_of)
+        return PresolvedSystem(system, keys, [column_of.get(find(k), -1) for k in keys])
 
 
 # -- the marginal front end with one dict per identity ------------------------------------
@@ -704,9 +703,8 @@ class DictRowSystemBuilder:
         rows = tuple({column[root]: c for root, c in canon.items()} for canon, _ in final_rows)
         rhs = tuple(b for _, b in final_rows)
         system = LinearSystem(tuple(keys[root] for root in roots), rows, rhs, self.domain)
-        root_of = {key: keys[find(v)] for v, key in enumerate(keys)}
-        column_of = {keys[root]: j for j, root in enumerate(roots)}
-        return PresolvedSystem(system, keys, root_of, column_of)
+        return PresolvedSystem(system, keys, [column.get(find(v), -1) for v in range(len(keys))])
+
 
 def dict_row_linear_system(domain_tag: DomainTag, keys: tuple, scopes: list,
                            identities: list) -> PresolvedSystem:

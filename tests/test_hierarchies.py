@@ -721,17 +721,13 @@ def _moved_mass(values: dict, Ak: Structure) -> dict:
 
 
 def _presolved_by_value(presolved) -> tuple:
-    """The emitted system, items in order, and the map ``expand`` lifts its columns by.
-
-    The union-find's roots of pinned keys are left out: a pinned key expands
-    to zero whichever root it was filed under.
-    """
+    """The emitted system, items in order, and the column ``expand`` lifts each key from."""
     system = presolved.system
     return (system.var_names,
             [[(j, c, type(c)) for j, c in row.items()] for row in system.rows],
             [(b, type(b)) for b in system.rhs],
             presolved.key_order,
-            presolved.expand({j: j + 1 for j in range(system.num_vars)}))
+            presolved.columns)
 
 
 def assert_front_end_matches_reference(X: Structure, A: Structure, k: int) -> None:

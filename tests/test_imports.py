@@ -2,7 +2,8 @@
 function reads each of its parameters, every function reads each local it
 assigns, every module is imported, directly or through others, by a driver
 module, every private function is called by the package, and every public
-definition is used by the package or the benchmark, not only by the tests."""
+definition is used by the package or the benchmark, not only by the tests,
+and every ``raise`` names an exception class of ``errors.py`` or re-raises."""
 
 import ast
 import importlib
@@ -250,6 +251,50 @@ def test_guard_sees_an_uncalled_private_function():
 def test_every_private_function_is_called_by_the_package():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert uncalled_private_functions(sources) == []
+
+
+def untyped_raises(source: str, typed: set[str]) -> list[str]:
+    """``raise`` statements whose exception is not a class named in ``typed``.
+
+    A bare ``raise`` re-raises the exception being handled and is left alone.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if not (isinstance(exc, ast.Name) and exc.id in typed):
+                found.append(f"{ast.unparse(exc)} (line {node.lineno})")
+    return found
+
+
+def test_guard_sees_an_untyped_raise():
+    source = ("def f(x):\n"
+              "    if x is None:\n"
+              "        raise MalformedInput('no x')\n"
+              "    try:\n"
+              "        return 1 / x\n"
+              "    except ZeroDivisionError as exc:\n"
+              "        raise ArityMismatch from exc\n"
+              "    except TypeError:\n"
+              "        raise\n"
+              "    raise ValueError('untyped')\n"
+              "def g():\n"
+              "    raise errors.MalformedInput('through a module')\n")
+    assert untyped_raises(source, {"MalformedInput", "ArityMismatch"}) == \
+        ["ValueError (line 10)", "errors.MalformedInput (line 12)"]
+
+
+def test_every_raise_names_an_error_of_the_package():
+    # the benchmark counts a MinionLabError as a failed query; any other
+    # exception ends its run
+    errors = ast.parse((PACKAGE / "errors.py").read_text())
+    typed = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    found = {
+        path.name: untyped
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (untyped := untyped_raises(path.read_text(), typed))
+    }
+    assert found == {}
 
 
 def test_the_benchmark_loads_and_patches_names_the_package_has(monkeypatch):

@@ -14,9 +14,10 @@ import minionlab.hierarchies as hierarchies
 import minionlab.psd as psd
 from minionlab import oracle, sdp, sos
 from minionlab.budgets import DEFAULT_BUDGET
-from minionlab.errors import InvalidWitness
+from minionlab.errors import InvalidWitness, MalformedInput
 from minionlab.hierarchies import _gram_problem, _marginal_rows, _sdp_problem
 from minionlab.psd import (
+    DUAL_EVERY,
     DualCertificate,
     GramProblem,
     Inconsistent,
@@ -105,7 +106,7 @@ def test_affine_reduce_alone_rejects_sdp_k3_into_c4():
 def contradictory() -> ReducedGramProblem:
     """||a||^2 = 1, ||b||^2 = 1 and ||a||^2 + ||b||^2 = 1, which affine_reduce would refuse."""
     rows = [({(0, 0): 1}, 1), ({(1, 1): 1}, 1), ({(0, 0): 1, (1, 1): 1}, 1)]
-    return ReducedGramProblem(("a", "b"), ("a", "b"), {"a": {"a": 1}, "b": {"b": 1}}, rows)
+    return ReducedGramProblem(("a", "b"), {"a": {"a": 1}, "b": {"b": 1}}, rows)
 
 
 @pytest.mark.parametrize("build, outcome", [
@@ -115,6 +116,38 @@ def contradictory() -> ReducedGramProblem:
 ], ids=["sdp-K2-K3", "sdp-K4-K3", "contradictory"])
 def test_psd_feasibility_accepts_or_gives_up(build, outcome):
     assert type(psd_feasibility(build())) is outcome
+
+
+def test_a_constraint_without_a_coefficient_is_a_typed_error():
+    # the benchmark counts a MinionLabError as a failed query; any other error ends its run
+    reduced = ReducedGramProblem(("a",), {"a": {"a": 1}}, [({(0, 0): 1}, 1), ({}, 1)])
+    with pytest.raises(MalformedInput):
+        psd_feasibility(reduced)
+
+
+def test_a_problem_without_representatives_accepts_with_empty_vectors():
+    # a - b = 0 and <a, b> = 0 force a = b = 0, and no unit group asks for more
+    problem = GramProblem(("a", "b"), (), (("a", "b"),), ((("a", 1), ("b", -1)),))
+    reduced = affine_reduce(problem)
+    assert (reduced.reps, reduced.combos, reduced.constraints) == ((), {"a": {}, "b": {}}, [])
+    assert_reduces_like_reference(problem)
+    witness = psd_feasibility(reduced)
+    assert isinstance(witness, SoSWitness)
+    assert (witness.gram.shape, witness.iterations) == ((0, 0), 0)
+    assert {lab: v.shape for lab, v in witness.vectors.items()} == {"a": (0,), "b": (0,)}
+
+
+def test_the_driver_reports_a_stalled_solve_as_reject_numeric(monkeypatch):
+    stalled = NumericReject(0.5, 600, [(1, 0.75), (25, 0.5), (600, 0.5)])
+    monkeypatch.setattr(hierarchies, "psd_feasibility", lambda reduced: stalled)
+    verdict = sdp(clique(4), clique(3))
+    assert verdict.status is Status.REJECT_NUMERIC
+    assert verdict.certificate is stalled
+    assert verdict.stats["iterations"] == 600
+    doc = json.loads(verdict.to_json())
+    assert doc["verdict"] == "reject-numeric"
+    assert doc["certificate"] == {"rigorous": False, "residual": 0.5, "iterations": 600,
+                                  "residual_trace": [[1, 0.75], [25, 0.5], [600, 0.5]]}
 
 
 # -- dual certificates ----------------------------------------------------------------------
@@ -136,6 +169,15 @@ def test_an_infeasible_gram_problem_is_refuted_exactly(driver, k, X, iterations)
     assert (certificate.reps, certificate.constraints) == (reduced.reps, reduced.constraints)
     doc = json.loads(verdict.to_json())["certificate"]
     assert len(doc["multipliers"]) == len(doc["constraints"]) == len(reduced.constraints)
+
+
+def test_a_dual_certificate_needs_no_unit_group_when_s_is_definite():
+    # ||a||^2 = -1 alone: S = y C is positive definite without the unit groups' slack
+    reduced = ReducedGramProblem(("a",), {"a": {"a": 1}}, [({(0, 0): 1}, -1)])
+    certificate = psd_feasibility(reduced)
+    assert isinstance(certificate, DualCertificate)
+    assert certificate.iterations == DUAL_EVERY
+    assert verify_dual_certificate(certificate)
 
 
 def sos2_k4_k3_certificate() -> DualCertificate:

@@ -42,7 +42,7 @@ def test_zero_sum_pins_only_nonnegative_variables():
 def test_difference_row_merges_and_expand_repeats_the_value():
     presolved = build(DomainTag.NONNEG_RAT, ({"x": 1, "y": -1}, 0), ({"y": 1, "z": 1}, 1))
     system = presolved.system
-    assert presolved.root_of["y"] == presolved.root_of["x"]
+    assert presolved.columns == [0, 0, 1]  # x and y share x's column
     assert system.var_names == ("x", "z")
     assert system.rows == ({0: 1, 1: 1},) and system.rhs == (1,)
     values = presolved.expand({0: rat(1, 3), 1: rat(2, 3)})
@@ -53,7 +53,7 @@ def test_difference_row_merges_and_expand_repeats_the_value():
                          ids=["later-key-first", "earlier-key-first"])
 def test_a_merge_keeps_the_key_registered_first(difference):
     presolved = build(DomainTag.NONNEG_RAT, ({"y": 1, "z": 1}, 1), (difference, 0))
-    assert presolved.root_of["x"] == "y"
+    assert presolved.columns == [0, 1, 0]  # x, registered last, takes y's column
     assert presolved.system.var_names == ("y", "z")
 
 
@@ -137,8 +137,7 @@ def test_pins_and_merges_as_written_presolve_like_the_reference(domain):
     assert presolved.system == expected.system
     assert [type(c) for row in presolved.system.rows for c in row.values()] == \
         [type(c) for row in expected.system.rows for c in row.values()]
-    assert (presolved.key_order, presolved.root_of, presolved.column_of) == \
-        (expected.key_order, expected.root_of, expected.column_of)
+    assert (presolved.key_order, presolved.columns) == (expected.key_order, expected.columns)
 
 
 @pytest.mark.parametrize("domain", list(DomainTag), ids=[tag.value for tag in DomainTag])
