@@ -31,7 +31,7 @@ from typing import Hashable, Optional, Sequence
 
 from .budgets import DEFAULT_BUDGET, Budget
 from .errors import InvalidWitness, IterationBudget, MalformedInput, WrongKind
-from .rationals import R0, R1, RATIONAL_TYPES, is_integral, rat, rat_to_str
+from .rationals import R0, R1, RATIONAL_TYPES, is_integral, rat
 
 
 class DomainTag(str, Enum):
@@ -84,8 +84,7 @@ class LinearSystem:
             "domain": self.domain_tag.value,
             "vars": [str(v) for v in self.var_names],
             "rows": [
-                {"coeffs": {str(j): rat_to_str(c) for j, c in sorted(row.items())},
-                 "rhs": rat_to_str(b)}
+                {"coeffs": {str(j): str(c) for j, c in sorted(row.items())}, "rhs": str(b)}
                 for row, b in zip(self.rows, self.rhs)
             ],
         }
@@ -99,7 +98,7 @@ class Certificate:
     farkas: tuple = ()
 
     def to_doc(self) -> dict:
-        return {"kind": self.kind.value, "y": [rat_to_str(v) for v in self.farkas]}
+        return {"kind": self.kind.value, "y": [str(v) for v in self.farkas]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_doc(), sort_keys=True)

@@ -1,9 +1,13 @@
 """The relaxation drivers: local consistency, marginal LP/IP hierarchies, SDP, SoS.
 
 Every driver maps a pair of structures (and a level k where applicable) to a
-:class:`~minionlab.verdicts.Verdict`.  Accepts carry witnesses that are
-re-validated against the defining equations before being returned; rejects
-carry machine-checkable certificates wherever the underlying solver is exact.
+:class:`~minionlab.verdicts.Verdict`.  Only the accepts of ``sa``, ``aip``
+and ``ba`` are re-validated against the defining equations before being
+returned: ``bw``'s family (``is_valid_bw_family`` checks one) and the Gram
+witnesses of ``sdp`` and ``sos`` are returned as found, with no re-check in
+the driver.  Rejects carry machine-checkable certificates wherever the
+underlying solver is exact, and ``_finish_gram`` checks a dual certificate
+again before it becomes a REJECT.
 
 Level k of ``sa``, ``aip``, ``ba`` and ``sos`` is one minion test: one
 marginal system over the k-enhanced pair, enumerated once by
@@ -61,7 +65,7 @@ from .psd import (
     psd_feasibility,
     verify_dual_certificate,
 )
-from .rationals import RATIONAL_TYPES, is_integral, rat, rat_to_str
+from .rationals import RATIONAL_TYPES, is_integral, rat
 from .structures import (
     Assignment,
     Structure,
@@ -87,7 +91,7 @@ class MarginalWitness:
     def to_doc(self) -> dict:
         nonzero = [(key, v) for key, v in self.values.items() if v != 0]
         return {
-            f"{sym}|{xt}|{at}": rat_to_str(v)
+            f"{sym}|{xt}|{at}": str(v)
             for (sym, xt, at), v in sorted(nonzero, key=lambda kv: str(kv[0]))
         }
 

@@ -18,12 +18,13 @@ pivot, and only a non-unit pivot brings in a Fraction, so the elimination of
 and of the Gram constraints, index each free key to the rows that hold it, so
 a new pivot rewrites only those rows, and a row is reduced by substituting
 each of its pivots once.  Each round of the fixpoint rereads every orthogonal
-pair: rounds after the first are few, and an index of the pairs holding each
-label cost more to build than it saved.  Each distinct pair of combinations is
-formed into a Gram constraint once.  The orthogonality forms go in first,
-and a unit group's row is tested as soon as the last pair inside the group is
-in: reduced against the forms so far and not kept, it ends the phase if it
-reads 0 = nonzero.  A row refuted by part of the span is refuted by all of it, and
+pair, and one that added a row rereads every combination from the echelon:
+rounds after the first are few, so an index of the pairs or rows that changed
+would cost more than it saves.  Each distinct pair of combinations is formed
+into a Gram constraint once.  The orthogonality forms go in first, and a unit
+group's row is tested as soon as the last pair inside the group is in: reduced
+against the forms so far and not kept, it ends the phase if it reads
+0 = nonzero.  A row refuted by part of the span is refuted by all of it, and
 every unit row is still pushed after the last form, so a contradiction that
 needs several unit rows is found there.  Every contradiction (a unit group
 whose members all collapse to the zero vector, or a Gram constraint that
@@ -57,7 +58,7 @@ from typing import Hashable, Optional, Sequence
 import numpy as np
 
 from .errors import MalformedInput
-from .rationals import R1, RATIONAL_TYPES, rat, rat_to_str
+from .rationals import R1, RATIONAL_TYPES, rat
 
 Label = Hashable
 
@@ -94,7 +95,7 @@ class Inconsistent:
     reason: str
 
     def to_doc(self) -> dict:
-        return {"reason": self.reason, "steps": [list(map(str, s)) for s in self.steps]}
+        return {"reason": self.reason, "steps": [list(s) for s in self.steps]}
 
 
 @dataclass
@@ -170,9 +171,9 @@ class DualCertificate:
         return {
             "iterations": self.iterations,
             "reps": [str(r) for r in self.reps],
-            "constraints": [[[[s, t, rat_to_str(v)] for (s, t), v in row.items()],
-                             rat_to_str(rhs)] for row, rhs in self.constraints],
-            "multipliers": [rat_to_str(v) for v in self.multipliers],
+            "constraints": [[[[s, t, str(v)] for (s, t), v in row.items()], str(rhs)]
+                            for row, rhs in self.constraints],
+            "multipliers": [str(v) for v in self.multipliers],
         }
 
 
@@ -221,20 +222,15 @@ class _Echelon:
                     out[k] = out.get(k, 0) - c * v
         return {k: v for k, v in out.items() if v != 0}
 
-    def insert(self, row: dict) -> list:
-        """Add a reduced nonzero row, eliminating its pivot from the rows that hold it.
-
-        Returns the pivots whose rows this wrote: the new pivot, then each
-        row that held it.
-        """
+    def insert(self, row: dict) -> None:
+        """Add a reduced nonzero row, eliminating its pivot from the rows that hold it."""
         pivot = max(row)
         # a unit pivot is its own inverse, so an integral row stays integral
         p = row[pivot]
         scale = p if p in (1, -1) else R1 / p
         norm = {k: v * scale for k, v in row.items()}
         holders = self.holders
-        rewritten = list(holders.pop(pivot, ()))
-        for other in rewritten:
+        for other in holders.pop(pivot, ()):
             prow = self.rows[other]
             c = prow.pop(pivot)
             for k, v in norm.items():
@@ -250,7 +246,6 @@ class _Echelon:
         for k in norm:
             if k != pivot:
                 holders.setdefault(k, {})[pivot] = None
-        return [pivot, *rewritten]
 
 
 def affine_reduce(problem: GramProblem):
@@ -292,10 +287,11 @@ def affine_reduce(problem: GramProblem):
     vectors = _Echelon()
     steps: list = []
 
-    def add_relation(row: dict) -> list:
-        """Insert the row's reduction; return the indices whose combo changed."""
-        reduced = vectors.reduce(row)
-        return vectors.insert(reduced) if reduced else []
+    def add_relation(row: dict) -> bool:
+        """Insert the row's reduction; return whether it was new."""
+        if reduced := vectors.reduce(row):
+            vectors.insert(reduced)
+        return bool(reduced)
 
     for ident in problem.identifications:
         row: dict = {}
@@ -312,8 +308,8 @@ def affine_reduce(problem: GramProblem):
     # propagate forced-zero vectors to a fixpoint.  Each round reads every pair
     # against the combos as they were at its start.  A pair whose combos did not
     # change since it was last read was not proportional, or its w was zeroed,
-    # which changed it; rounds after the first are few, so an index of the pairs
-    # to reread would cost more than the pairs it skips
+    # which changed it; rounds after the first are few, so they reread every
+    # pair, and every combo from the echelon, rather than index what changed
     combos = [combo(i) for i in range(len(labels))]
     pairs = [(index[l1], index[l2]) for l1, l2 in problem.zero_pairs]
     changed = True
@@ -324,19 +320,18 @@ def affine_reduce(problem: GramProblem):
             if u and w and _proportional(u, w):
                 # u = r*w with r != 0, so <u, w> = r * ||w||^2 = 0 forces w = 0
                 new_rows.append((w, ("zero-norm", str(l1), str(l2))))
-        changed = set()
+        changed = False
         for row, note in new_rows:
-            rewritten = add_relation(row)
-            if rewritten:
+            if add_relation(row):
                 steps.append(note)
-                changed.update(rewritten)
-        for i in changed:
-            combos[i] = combo(i)
+                changed = True
+        if changed:
+            combos = [combo(i) for i in range(len(labels))]
 
     groups = [[index[lab] for lab in group] for group in problem.unit_groups]
     for group, members in zip(problem.unit_groups, groups):
         if all(not combos[i] for i in members):
-            steps.append(("unit-group-empty", _fmt_labels(group)))
+            steps.append(("unit-group-empty", ", ".join(map(str, group))))
             return Inconsistent(steps, "a unit-norm group collapsed to the zero vector")
 
     # natural order on the indices is registration order
@@ -378,7 +373,7 @@ def affine_reduce(problem: GramProblem):
     def refuted(reduced: dict) -> Optional[Inconsistent]:
         if list(reduced) != [()]:
             return None
-        steps.append(("affine-contradiction", f"0 = {rat_to_str(reduced[()])}"))
+        steps.append(("affine-contradiction", f"0 = {reduced[()]}"))
         return Inconsistent(steps, "the Gram constraints are affinely contradictory")
 
     def push(coeffs: dict, rhs) -> Optional[Inconsistent]:
@@ -440,10 +435,6 @@ def _proportional(u: dict, w: dict) -> bool:
     k0 = next(iter(u))
     u0, w0 = u[k0], w[k0]
     return all(uv * w0 == u0 * w[k] for k, uv in u.items())
-
-
-def _fmt_labels(group) -> str:
-    return ", ".join(str(lab) for lab in group)
 
 
 # -- phase two: alternating projections -------------------------------------------

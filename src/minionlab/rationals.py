@@ -24,12 +24,6 @@ R0 = rat(0)
 R1 = rat(1)
 
 
-def rat_to_str(x) -> str:
-    """Render an exact rational as ``"p/q"`` (or ``"p"`` when integral)."""
-    n, d = x.numerator, x.denominator
-    return f"{n}/{d}" if d != 1 else str(n)
-
-
 def is_integral(x) -> bool:
     return x.denominator == 1
 

@@ -90,7 +90,10 @@ class Structure:
             raise MalformedInput("domain must be nonempty")
         self.signature = signature
         self.domain: tuple[Atom, ...] = tuple(domain)
-        self._atom_id = {a: i for i, a in enumerate(self.domain)}
+        try:
+            self._atom_id = {a: i for i, a in enumerate(self.domain)}
+        except TypeError:
+            raise MalformedInput("domain atoms must be hashable") from None
         if len(self._atom_id) != len(self.domain):
             raise MalformedInput("domain atoms must be distinct")
         self.name = name
@@ -111,9 +114,12 @@ class Structure:
                     raise ArityMismatch(
                         f"tuple {t!r} has length {len(t)}, symbol {sym!r} has arity {arity}"
                     )
-                for a in t:
-                    if a not in self._atom_id:
-                        raise UnknownAtom(f"atom {a!r} of {sym!r} tuple is not in the domain")
+                try:
+                    for a in t:
+                        if a not in self._atom_id:
+                            raise UnknownAtom(f"atom {a!r} of {sym!r} tuple is not in the domain")
+                except TypeError:
+                    raise MalformedInput(f"a tuple of {sym!r} holds an unhashable atom") from None
             # Canonical order: lexicographic by atom ids.  Witness indices
             # elsewhere in the package refer to this order.
             uniq = sorted(set(tuples), key=lambda t: tuple(self._atom_id[a] for a in t))
@@ -260,12 +266,6 @@ def _json_array(value, what: str) -> list:
     return value
 
 
-def _atom_to_json(atom: Atom):
-    if isinstance(atom, tuple):
-        return [_atom_to_json(a) for a in atom]
-    return atom
-
-
 def parse_structure(text: str, name: str = "") -> Structure:
     """Parse the JSON structure format.
 
@@ -300,14 +300,9 @@ def parse_structure(text: str, name: str = "") -> Structure:
 
 def structure_to_json(A: Structure) -> str:
     doc = {
-        "domain": [_atom_to_json(a) for a in A.domain],
-        "relations": {
-            sym: {
-                "arity": A.signature.arity(sym),
-                "tuples": [[_atom_to_json(a) for a in t] for t in A.tuples(sym)],
-            }
-            for sym in A.signature.names()
-        },
+        "domain": A.domain,
+        "relations": {sym: {"arity": arity, "tuples": A.tuples(sym)}
+                      for sym, arity in A.signature.symbols},
     }
     if A.name:
         doc["name"] = A.name

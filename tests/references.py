@@ -47,7 +47,7 @@ from minionlab.exact_solvers import (
 from minionlab.free_structures import HornFreeStructure
 from minionlab.hierarchies import BWFamily, MarginalWitness, _template, is_valid_bw_family
 from minionlab.psd import GramProblem, Inconsistent, ReducedGramProblem
-from minionlab.rationals import R0, R1, is_integral, rat, rat_to_str
+from minionlab.rationals import R0, R1, is_integral, rat
 from minionlab.structures import (
     Assignment,
     Structure,
@@ -302,7 +302,7 @@ def reference_affine_reduce(problem: GramProblem):
     def push(coeffs: dict, rhs):
         reduced = _reference_reduce_row({**coeffs, (): rat(rhs)}, gram_pivots)
         if list(reduced) == [()]:
-            steps.append(("affine-contradiction", f"0 = {rat_to_str(reduced[()])}"))
+            steps.append(("affine-contradiction", f"0 = {reduced[()]}"))
             return Inconsistent(steps, "the Gram constraints are affinely contradictory")
         if reduced:
             _reference_insert_pivot(reduced, gram_pivots, None)

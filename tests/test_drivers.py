@@ -5,8 +5,20 @@ import pytest
 
 import minionlab.free_structures as free_structures
 import minionlab.hierarchies as hierarchies
-from minionlab import Verdict, aip, ba, bw, minion_test_horn_level, oracle, sa, sdp, sos
-from minionlab.errors import ArityMismatch
+from minionlab import (
+    Signature,
+    Structure,
+    Verdict,
+    aip,
+    ba,
+    bw,
+    minion_test_horn_level,
+    oracle,
+    sa,
+    sdp,
+    sos,
+)
+from minionlab.errors import ArityMismatch, SignatureMismatch
 from minionlab.hierarchies import RejectionEvidence
 
 from conftest import clique, not_all_equal, one_in_three
@@ -26,6 +38,13 @@ def decide(name: str, X, A, k: int = 1) -> Verdict:
 def test_levels_below_one_are_refused(name, k, k3, k2):
     with pytest.raises(ArityMismatch):
         decide(name, k3, k2, k)
+
+
+@pytest.mark.parametrize("name", sorted(LEVELLED) + sorted(LEVEL_FREE))
+def test_a_pair_whose_signatures_differ_is_refused(name, k3):
+    arc = Structure(Signature.of({"E": 2}), ["0", "1"], {"E": [("0", "1")]})
+    with pytest.raises(SignatureMismatch):
+        decide(name, k3, arc)
 
 
 # (X, A, k, rejects that carry a refuted system): 1-in-3 into NAE is accepted

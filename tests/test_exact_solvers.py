@@ -219,6 +219,11 @@ def test_maximal_support_union():
     assert point[0] > 0 and point[1] > 0 and point[2] == 0
 
 
+def test_maximal_support_refuses_an_integer_system():
+    with pytest.raises(WrongKind):
+        maximal_support(system([{0: 1}], [1], 1, DomainTag.INT))
+
+
 def test_maximal_support_detects_infeasible():
     sys = system([{0: 1}], [-2], 1)
     support, point, cert, _ = maximal_support(sys)

@@ -559,6 +559,18 @@ def test_a_marginal_witness_may_leave_out_its_zero_weights():
         validate_marginal_witness(sparse, Xk, Ak, 2)
 
 
+def test_ba_refuses_an_integer_point_outside_the_lp_support(monkeypatch):
+    # a plain LP vertex passed off as the maximal support's point: K2 -> K3's
+    # integer solution is positive where the vertex is zero
+    def vertex_as_support(system, budget):
+        outcome = lp_feasible(system, budget)
+        return set(range(system.num_vars)), outcome.point, None, outcome.pivots
+
+    monkeypatch.setattr(hierarchies, "maximal_support", vertex_as_support)
+    with pytest.raises(InvalidWitness, match="leaks outside the LP support"):
+        ba(clique(2), clique(3), 1)
+
+
 # -- every driver on the three-vertex digraphs ------------------------------------------
 
 

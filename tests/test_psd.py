@@ -118,6 +118,17 @@ def test_psd_feasibility_accepts_or_gives_up(build, outcome):
     assert type(psd_feasibility(build())) is outcome
 
 
+def test_a_solve_that_reaches_the_iteration_cap_gives_up(monkeypatch):
+    # under DUAL_EVERY iterations, with no stall in sight, only the cap ends the loop
+    cap = DUAL_EVERY - 5
+    monkeypatch.setattr(psd, "MAX_ITER", cap)
+    monkeypatch.setattr(psd, "STALL_WINDOW", 10**6)
+    outcome = psd_feasibility(contradictory())
+    assert type(outcome) is NumericReject
+    assert outcome.iterations == cap
+    assert outcome.trace[-1] == (cap, outcome.residual)
+
+
 def test_a_constraint_without_a_coefficient_is_a_typed_error():
     # the benchmark counts a MinionLabError as a failed query; any other error ends its run
     reduced = ReducedGramProblem(("a",), {"a": {"a": 1}}, [({(0, 0): 1}, 1), ({}, 1)])

@@ -133,6 +133,93 @@ def test_json_round_trip(k3):
     assert again.relations == k3.relations
 
 
+def test_json_round_trip_of_a_tensor_square(k2):
+    square = tensor_power(k2, 2)
+    text = structure_to_json(square)
+    doc = json.loads(text)
+    # each tuple atom is written, and read back, as an array
+    assert doc["domain"][:2] == [["0", "0"], ["0", "1"]]
+    assert doc["relations"]["R"]["tuples"][1] == [["1", "1"], ["1", "0"], ["0", "1"], ["0", "0"]]
+    again = parse_structure(text)
+    assert again == square and again.name == square.name
+    assert structure_to_json(again) == text
+
+
+# -- input checks -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("symbols, error", [
+    ((("R", 2), ("R", 1)), MalformedInput),
+    ((("R", 0),), ArityMismatch),
+], ids=["duplicate-symbol", "arity-zero"])
+def test_a_signature_refuses_a_bad_symbol(symbols, error):
+    with pytest.raises(error):
+        Signature(symbols)
+
+
+def test_the_arity_of_an_unknown_symbol_is_refused():
+    with pytest.raises(MalformedInput, match="unknown relation symbol"):
+        Signature.of({"R": 2}).arity("S")
+
+
+@pytest.mark.parametrize("domain, relations, error", [
+    ([], {}, MalformedInput),
+    (["a", "a"], {}, MalformedInput),
+    (["a", "b"], {"S": [("a",)]}, MalformedInput),
+    (["a", "b"], {"R": [("a",)]}, ArityMismatch),
+    (["a", "b"], {"R": [("a", "c")]}, UnknownAtom),
+], ids=["empty-domain", "repeated-atom", "symbol-outside-signature", "short-tuple",
+        "atom-outside-domain"])
+def test_the_constructor_refuses_a_bad_structure(domain, relations, error):
+    with pytest.raises(error):
+        Structure(Signature.of({"R": 2}), domain, relations)
+
+
+@pytest.mark.parametrize("domain, relations", [
+    ([["a"], "b"], {}),
+    (["a", "b"], {"R": [(["a"], "b")]}),
+    (["a", "b"], {"R": [(("a", ["b"]), "b")]}),
+], ids=["list-in-domain", "list-in-tuple", "list-inside-tuple-atom"])
+def test_an_unhashable_atom_is_a_typed_error(domain, relations):
+    with pytest.raises(MalformedInput, match="hashable"):
+        Structure(Signature.of({"R": 2}), domain, relations)
+
+
+def test_the_id_of_an_atom_outside_the_domain_is_refused(k2):
+    assert k2.atom_id("1") == 1
+    with pytest.raises(UnknownAtom):
+        k2.atom_id("2")
+
+
+@pytest.mark.parametrize("doc", [
+    [],
+    {"domain": ["0"]},
+    {"domain": ["0"], "relations": []},
+    {"domain": ["0"], "relations": {"R": []}},
+    {"domain": ["0"], "relations": {"R": {"arity": 1}}},
+    {"domain": [0], "relations": {}},
+    {"domain": ["0"], "relations": {"R": {"arity": 1, "tuples": [[None]]}}},
+    {"domain": [["0", 1]], "relations": {}},
+], ids=["array-document", "no-relations", "relations-array", "relation-array",
+        "relation-without-tuples", "number-atom", "null-atom", "number-inside-tuple-atom"])
+def test_parse_rejects_a_malformed_document(doc):
+    with pytest.raises(MalformedInput):
+        parse_structure(json.dumps(doc))
+
+
+@pytest.mark.parametrize("k, error", [(0, ArityMismatch), (10, SymbolClash)],
+                         ids=["level-zero", "level-ten"])
+def test_k_enhance_refuses_a_level_outside_one_to_nine(k, error):
+    with pytest.raises(error):
+        k_enhance(single_vertex(), k)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_tensor_power_refuses_a_level_below_one(k2, k):
+    with pytest.raises(ArityMismatch):
+        tensor_power(k2, k)
+
+
 # -- tuples ----------------------------------------------------------------------
 
 
@@ -407,6 +494,12 @@ def test_a_partial_homomorphism_ignores_tuples_leaving_its_domain():
     assert is_partial_homomorphism(Assignment.of({"0": "v"}), X, A)
     assert not is_partial_homomorphism(Assignment.of({"0": "v", "1": "v"}), X, A)
     assert not is_homomorphism(Assignment.of({"0": "v", "1": "v"}, total=True), X, A)
+
+
+def test_a_map_into_atoms_outside_the_target_is_no_partial_homomorphism(k2, k3):
+    # k3's atoms are "1", "2", "3" and k2's are "0", "1"
+    assert is_partial_homomorphism(Assignment.of({"1": "0"}), k3, k2)
+    assert not is_partial_homomorphism(Assignment.of({"1": "2"}), k3, k2)
 
 
 def test_total_hom_appears_in_partial_enumeration(k2, k3):
