@@ -15,6 +15,14 @@ from .errors import BudgetExceeded
 
 @dataclass(frozen=True)
 class Budget:
+    """Caps on one run.
+
+    ``max_tuples`` bounds the size of each exponential construction.
+    ``max_pivots`` bounds each exact solve: it counts the simplex pivots of
+    an LP and the echelon column operations of an integer system, and a
+    solve that would exceed it raises ``IterationBudget``.
+    """
+
     max_tuples: int = 100_000
     max_pivots: int = 1_000_000
 

@@ -4,15 +4,19 @@ Everything here is exact.  The simplex, with Bland's anti-cycling rule,
 keeps each tableau row as arbitrary-precision ints over one positive
 denominator and pivots fraction-free (Edmonds 1967); it builds a Fraction
 only for the points and multipliers it returns.  Integer systems go
-through a column Hermite normal form H = A U, which keeps only H and logs
-each column operation; the point x = U z replays that log on z.  The
-systems the hierarchies pose are tall, sparse and mostly +-1, so both
-solvers skip zero entries: a simplex pivot leaves every row with a zero in
-the pivot column alone and subtracts the pivot row's nonzero columns only,
-a Hermite-form column operation walks the source column's nonzeros, and
-the Hermite form's search in a row visits only the columns that an index
-of that row lists.  Every rejection carries one rational vector y, with
-one multiplier per row, that a single sparse product checks:
+through a column echelon form H' = A U' built by Euclid's steps alone,
+which keeps only H' and logs each column operation, and solves H' z = b
+row by row as it goes, stopping at the first row that no integer clears;
+the point x = U' z replays the log on z.  Only a rejection reduces the
+rows up to the failing one to column Hermite form, which its certificate
+reads (Cohen 1993, 2.4.2-2.4.3).  The systems the hierarchies pose are
+tall, sparse and mostly +-1, so both solvers skip zero entries: a simplex
+pivot leaves every row with a zero in the pivot column alone and
+subtracts the pivot row's nonzero columns only, an echelon column
+operation walks the source column's nonzeros, and the echelon form's
+search in a row visits only the columns that an index of that row lists.
+Every rejection carries one rational vector y, with one multiplier per
+row, that a single sparse product checks:
 
 - ``FARKAS``: y^T A <= 0 and y^T b > 0, so A x = b has no solution x >= 0
   (Farkas' lemma); a solution would give 0 < y^T b = (y^T A) x <= 0.
@@ -431,43 +435,51 @@ def maximal_support(
     return support, point, None, simplex.pivots
 
 
-# -- integer systems via column Hermite normal form ---------------------------------
+# -- integer systems via column echelon form -------------------------------------------
 
 
-def _hnf(cols: list[dict], m: int, budget: Budget) -> tuple[list[tuple[int, int]], list[tuple]]:
-    """Column Hermite normal form H = A U, U unimodular, in place; returns the pivots
-    (row, col) and the log of column operations.
+def _check_budget(log: list, budget: Budget) -> None:
+    """Checked once a row's operations are logged: a row takes finitely many, and the
+    count only grows, so this raises exactly when the whole solve would exceed
+    ``max_pivots``."""
+    if len(log) > budget.max_pivots:
+        raise IterationBudget(f"echelon form exceeded {budget.max_pivots} column operations")
+
+
+def _hnf(cols: list[dict], m: int, b: Sequence[int], budget: Budget) -> tuple:
+    """Column echelon form H' = A U', U' unimodular, in place, by Euclid's steps alone,
+    solving H' z = b row by row; returns the pivots (row, col), the log of column
+    operations, the nonzero z_j, the first row whose residual no integer clears
+    (-1 if none) and that residual.
 
     ``cols[j]`` holds the nonzero entries of column j of A, keyed by row
-    0..m-1, and ends as column j of H.  U is never formed.  Each column
+    0..m-1, and ends as column j of H'.  U' is never formed.  Each column
     operation is appended to the log instead: a swap of columns a and b as
     ``(a, b)``, a negation of column a as ``(a,)``, and adding q times column
-    src to column dst as ``(dst, src, q)``.  U is the product of those
+    src to column dst as ``(dst, src, q)``.  U' is the product of those
     operations in log order, and ``_times_u`` applies it to a vector.  A
     per-row index holds the columns with a nonzero entry in each row, so the
-    pivot search in a row and the reduction to the left of its pivot visit
-    only those columns.  An added multiple walks the source column's
-    nonzeros, and updates the index where an entry appears or vanishes.
+    pivot search in a row visits only those columns.  An added multiple
+    walks the source column's nonzeros, and updates the index where an
+    entry appears or vanishes.
 
-    Pivot entries are positive, entries above a pivot vanish, and entries to
-    the left of a pivot in its row are reduced modulo the pivot, which keeps
-    coefficient growth under control.  Column operations count against the
-    budget.
+    In row i, Euclid's steps on the columns from c on leave one of them
+    nonzero there, which becomes column c with a positive pivot.  Columns
+    before c are final and have fixed their z_j, and no later column has an
+    entry above row i, so row i's residual b_i - (H' z)_i is final: the
+    pivot fixes z_c, or, with no pivot, the residual must be 0.  The form
+    stops at the first row where neither holds.  Entries left of a pivot
+    are left as they are: ``_reduce`` reduces them for a certificate.
+    Column operations count against the budget.
     """
-    n = len(cols)
     in_row: list[set] = [set() for _ in range(m)]
     for j, col in enumerate(cols):
         for t in col:
             in_row[t].add(j)
     log: list[tuple] = []
 
-    def record(op: tuple) -> None:
-        if len(log) >= budget.max_pivots:
-            raise IterationBudget(f"Hermite form exceeded {budget.max_pivots} column operations")
-        log.append(op)
-
     def col_swap(a: int, b: int) -> None:
-        record((a, b))
+        log.append((a, b))
         ca, cb = cols[a], cols[b]
         for t in ca:
             if t not in cb:
@@ -480,7 +492,7 @@ def _hnf(cols: list[dict], m: int, budget: Budget) -> tuple[list[tuple[int, int]
         cols[a], cols[b] = cb, ca
 
     def col_negate(a: int) -> None:
-        record((a,))
+        log.append((a,))
         col = cols[a]
         for t in col:
             col[t] = -col[t]
@@ -488,7 +500,7 @@ def _hnf(cols: list[dict], m: int, budget: Budget) -> tuple[list[tuple[int, int]
     def col_addmul(dst: int, src: int, q: int) -> None:
         if q == 0:
             return
-        record((dst, src, q))
+        log.append((dst, src, q))
         d = cols[dst]
         for t, v in cols[src].items():
             w = d.get(t)
@@ -504,19 +516,12 @@ def _hnf(cols: list[dict], m: int, budget: Budget) -> tuple[list[tuple[int, int]
                     in_row[t].remove(dst)
 
     pivots: list[tuple[int, int]] = []
+    z: dict[int, int] = {}
+    residual = list(b)
     c = 0
     for i in range(m):
-        if c >= n:
-            break
-        row = in_row[i]
-        while True:
-            nz = sorted(j for j in row if j >= c)
-            if not nz:
-                break
-            if len(nz) == 1:
-                if nz[0] != c:
-                    col_swap(c, nz[0])
-                break
+        nz = sorted(j for j in in_row[i] if j >= c)
+        while len(nz) > 1:
             j0 = min(nz, key=lambda j: abs(cols[j][i]))
             if cols[j0][i] < 0:
                 col_negate(j0)
@@ -524,19 +529,66 @@ def _hnf(cols: list[dict], m: int, budget: Budget) -> tuple[list[tuple[int, int]
             for j in nz:
                 if j != j0:
                     col_addmul(j, j0, -(cols[j][i] // h0))
-        if c < n and i in cols[c]:
-            if cols[c][i] < 0:
+            # j0 and the columns left with a remainder are all that stay nonzero in row i
+            nz = [j for j in nz if i in cols[j]]
+        acc = residual[i]
+        if nz:
+            if nz[0] != c:
+                col_swap(c, nz[0])
+            col = cols[c]
+            if col[i] < 0:
                 col_negate(c)
-            h = cols[c][i]
-            for j in sorted(j for j in row if j < c):
-                col_addmul(j, c, -(cols[j][i] // h))
+            _check_budget(log, budget)
             pivots.append((i, c))
+            q, rem = divmod(acc, col[i])
+            if rem:
+                return pivots, log, z, i, acc
+            if q:
+                z[c] = q
+                for t, h in col.items():
+                    residual[t] -= h * q
             c += 1
-    return pivots, log
+        elif acc:
+            return pivots, log, z, i, acc
+    return pivots, log, z, -1, 0
+
+
+def _reduce(cols: list[dict], pivots, r: int, log: list, budget: Budget) -> None:
+    """Reduce the echelon form on rows 0..r to the column Hermite form H = A U, in place.
+
+    For each pivot (i, c) with i <= r, in row order, adding q times column
+    c to each column j < c brings the entry left of the pivot into
+    [0, H[i][c]).  Column c is zero above row i, so only rows from i on
+    change, and only the entries of rows up to r are written, which are all
+    that ``_integer_farkas`` reads; with r = m - 1 this is the whole form.
+    No such operation touches a column from c on, so each commutes with
+    every later Euclid step of ``_hnf``: the result, and U, are those of
+    the reduction done row by row between Euclid's steps.  Each operation
+    is logged and counts against the budget.
+    """
+    for i, c in pivots:
+        if i > r:
+            break
+        col = cols[c]
+        h = col[i]
+        part = [(t, v) for t, v in col.items() if t <= r]
+        for j in range(c):
+            d = cols[j]
+            q = -(d.get(i, 0) // h)
+            if q:
+                log.append((j, c, q))
+                for t, v in part:
+                    w = d.get(t, 0) + q * v
+                    if w:
+                        d[t] = w
+                    else:
+                        del d[t]
+        _check_budget(log, budget)
 
 
 def _times_u(log: list[tuple], z: list[int]) -> list[int]:
-    """U z for the U that ``_hnf`` logged, by replaying the log backwards on z.
+    """U z for the U that ``_hnf`` (and ``_reduce``) logged, by replaying the log
+    backwards on z.
 
     U is the product E_1 ... E_r of the logged column operations, so U z
     applies E_r first.  Each E acts on z as its operation acts on the
@@ -557,40 +609,13 @@ def _times_u(log: list[tuple], z: list[int]) -> list[int]:
     return x
 
 
-def _substitute(cols: list[dict], m: int, b: Sequence[int], pivots) -> tuple[dict, int, int]:
-    """Forward substitution for H z = b over the integers; the echelon form forces each z_j.
-
-    The residual b - H z is updated as each z_j is fixed.  Column j has no
-    entries above its pivot row, so each row's residual is final when that
-    row is reached.  Returns the nonzero z_j, the first row whose residual
-    no integer clears (-1 if none), and that residual.
-    """
-    z: dict[int, int] = {}
-    residual = list(b)
-    pivot_of_row = dict(pivots)
-    for i in range(m):
-        acc = residual[i]
-        j = pivot_of_row.get(i)
-        if j is None:
-            if acc != 0:
-                return z, i, acc
-            continue
-        q, r = divmod(acc, cols[j][i])
-        if r != 0:
-            return z, i, acc
-        if q:
-            z[j] = q
-            for t, h in cols[j].items():
-                residual[t] -= h * q
-    return z, -1, 0
-
-
 def _integer_farkas(cols: list[dict], m: int, pivots, r: int, residual: int) -> tuple:
     """A y with y^T H = e_j or 0 and y^T b = residual / H[r][j] or 1/2.
 
-    Substitution failed at row r.  If it pivots on column j, y_r = 1/H[r][j];
-    otherwise y_r = 1/(2 residual).  Each earlier pivot (i, c), last first,
-    then cancels column c of y^T H, reading only that column's nonzeros.
+    Substitution failed at row r, and H is in Hermite form on rows 0..r.
+    If r pivots on column j, y_r = 1/H[r][j]; otherwise y_r = 1/(2 residual).
+    Each earlier pivot (i, c), last first, then cancels column c of y^T H,
+    reading only that column's nonzeros.
     """
     y = [R0] * m
     j = dict(pivots).get(r)
@@ -605,14 +630,19 @@ def _integer_farkas(cols: list[dict], m: int, pivots, r: int, residual: int) -> 
 def diophantine_solve(sys: LinearSystem, budget: Budget = DEFAULT_BUDGET) -> SolveOutcome:
     """Integer feasibility of A x = b, with an integer Farkas vector on reject.
 
-    With H = A U (U unimodular), x = U z turns A x = b into H z = b; x is
-    found by replaying the Hermite form's log of column operations on z.
-    When substitution fails, y^T A = y^T H U^{-1} is integral and y^T b is
-    not; such a y exists exactly when no integer solution does (Schrijver
-    1986, Cor. 4.1a).  Hermite-form column operations count against
-    ``max_pivots``, and the outcome's ``pivots`` is their number.  Entries
-    must be integral (``MalformedInput`` otherwise) and are read as
-    ints; an accepted point maps each column to an int.
+    With H' = A U' (U' unimodular) in column echelon form, x = U' z turns
+    A x = b into H' z = b, which ``_hnf`` solves row by row as it builds H';
+    x is found by replaying its log of column operations on z.  The Hermite
+    form H = H' V reduces the entries left of each pivot, which makes it
+    unique but changes no x, since U z = U' (V z); so an accept never
+    reduces.  When substitution fails at row r, ``_reduce`` brings rows
+    0..r into Hermite form, and then y^T A = y^T H U^{-1} is integral and
+    y^T b is not; such a y exists exactly when no integer solution does
+    (Schrijver 1986, Cor. 4.1a).  Column operations count against
+    ``max_pivots``, and the outcome's ``pivots`` is their number: the
+    Euclid steps up to the failing row, and on a reject the reductions up
+    to it.  Entries must be integral (``MalformedInput`` otherwise) and are
+    read as ints; an accepted point maps each column to an int.
     """
     if sys.domain_tag is not DomainTag.INT:
         raise WrongKind("diophantine_solve needs an integer system")
@@ -620,17 +650,19 @@ def diophantine_solve(sys: LinearSystem, budget: Budget = DEFAULT_BUDGET) -> Sol
     cols: list[dict] = [{} for _ in range(n)]
     b = []
     for i, (row, rhs) in enumerate(zip(sys.rows, sys.rhs)):
-        if not is_integral(rhs) or any(not is_integral(c) for c in row.values()):
+        if not is_integral(rhs):
             raise MalformedInput("integer systems need integer entries")
         for j, c in row.items():
+            if not is_integral(c):
+                raise MalformedInput("integer systems need integer entries")
             if c:
                 cols[j][i] = int(c)
         b.append(int(rhs))
-    pivots, log = _hnf(cols, m, budget)
-    z, r, residual = _substitute(cols, m, b, pivots)
+    pivots, log, z, r, residual = _hnf(cols, m, b, budget)
     if r < 0:
         x = _times_u(log, [z.get(j, 0) for j in range(n)])
         return SolveOutcome(True, point=dict(enumerate(x)), pivots=len(log))
+    _reduce(cols, pivots, r, log, budget)
     y = _integer_farkas(cols, m, pivots, r, residual)
     cert = Certificate(CertificateKind.PARITY, farkas=y)
     return SolveOutcome(False, certificate=cert, pivots=len(log))

@@ -86,10 +86,15 @@ class Structure:
         relations: Mapping[str, Iterable[tuple]],
         name: str = "",
     ):
-        if not domain:
+        try:
+            self.domain: tuple[Atom, ...] = tuple(domain)
+        except TypeError:
+            raise MalformedInput(f"domain {domain!r} is not a sequence of atoms") from None
+        if not self.domain:
             raise MalformedInput("domain must be nonempty")
+        if not isinstance(relations, Mapping):
+            raise MalformedInput("relations must map each symbol to its tuples")
         self.signature = signature
-        self.domain: tuple[Atom, ...] = tuple(domain)
         try:
             self._atom_id = {a: i for i, a in enumerate(self.domain)}
         except TypeError:
@@ -103,12 +108,19 @@ class Structure:
             given = relations.get(sym, ())
             if isinstance(given, str):
                 raise MalformedInput(f"relation {sym!r} is a string, not a collection of tuples")
+            try:
+                given = iter(given)
+            except TypeError:
+                raise MalformedInput(f"relation {sym!r} is not a collection of tuples") from None
             tuples = []
             for t in given:
                 # a string is a sequence of characters, not a tuple of atoms
                 if isinstance(t, str):
                     raise MalformedInput(f"a tuple of {sym!r} is the string {t!r}")
-                t = tuple(t)
+                try:
+                    t = tuple(t)
+                except TypeError:
+                    raise MalformedInput(f"a tuple of {sym!r} is {t!r}, not a sequence") from None
                 tuples.append(t)
                 if len(t) != arity:
                     raise ArityMismatch(
@@ -157,10 +169,16 @@ class Structure:
             raise UnknownAtom(f"atom {atom!r} is not in the domain") from None
 
     def has_tuple(self, symbol: str, t: tuple) -> bool:
-        return t in self._rel_sets[symbol]
+        try:
+            return t in self._rel_sets[symbol]
+        except KeyError:
+            raise MalformedInput(f"unknown relation symbol {symbol!r}") from None
 
     def tuples(self, symbol: str) -> tuple[tuple, ...]:
-        return self.relations[symbol]
+        try:
+            return self.relations[symbol]
+        except KeyError:
+            raise MalformedInput(f"unknown relation symbol {symbol!r}") from None
 
     def same_signature(self, other: "Structure") -> bool:
         return self.signature.symbols == other.signature.symbols

@@ -16,9 +16,10 @@ homomorphism counts, the homomorphism search that rescanned A's relation
 for each partly mapped tuple, the partial maps as a product over images,
 tensor-power
 cell positions, certificates read back from JSON, the Hermite form with
-U rebuilt from its log, the Hermite form that carried U in its column maps,
-the Horn free structure enumerated in full, and the vanishing conditions on a
-level-k Horn witness.
+U rebuilt from its log, the Hermite form that reduced each row as it went
+and carried U in its column maps, with its own forward substitution and
+parity vector, the Horn free structure enumerated in full, and the
+vanishing conditions on a level-k Horn witness.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from minionlab.exact_solvers import (
     LinearSystem,
     SolveOutcome,
     _hnf,
+    _reduce,
     _times_u,
 )
 from minionlab.free_structures import HornFreeStructure
@@ -1032,12 +1034,13 @@ def _sparse_columns(matrix) -> tuple[int, int, list[dict]]:
 
 def hnf_outputs(matrix) -> tuple:
     """H and U as dense rows, the pivots and the number of column operations of ``_hnf``
-    (default budget).
+    followed by the full ``_reduce`` (default budget).
 
     U is rebuilt by replaying the logged operations on each column of the identity.
     """
     m, n, cols = _sparse_columns(matrix)
-    pivots, log = _hnf(cols, m, DEFAULT_BUDGET)
+    pivots, log, _z, _r, _residual = _hnf(cols, m, [0] * m, DEFAULT_BUDGET)
+    _reduce(cols, pivots, m - 1, log, DEFAULT_BUDGET)
     H = [[cols[j].get(i, 0) for j in range(n)] for i in range(m)]
     U_cols = [_times_u(log, [int(i == j) for i in range(n)]) for j in range(n)]
     U = [[U_cols[j][i] for j in range(n)] for i in range(n)]
@@ -1050,9 +1053,10 @@ def hnf(matrix) -> tuple[list[list[int]], list[list[int]]]:
     return H, U
 
 
-def reference_hnf(cols: list[dict], m: int, budget: Budget) -> tuple[list[tuple[int, int]], int]:
-    """``exact_solvers._hnf`` as it was, with U in the column maps; returns the pivots
-    (row, col) and the number of column operations.
+def reference_hnf(cols: list[dict], m: int, budget: Budget) -> tuple[list[tuple[int, int]], list]:
+    """The column Hermite form with each row reduced as soon as it has its pivot, and U
+    in the column maps; returns the pivots (row, col) and, for each column
+    operation in order, its row and whether it reduces left of a pivot.
 
     ``cols[j]`` holds the nonzero entries of column j of A, keyed by row
     0..m-1.  Each column gains the entries of U at keys m..m+n-1, so one
@@ -1064,12 +1068,13 @@ def reference_hnf(cols: list[dict], m: int, budget: Budget) -> tuple[list[tuple[
     n = len(cols)
     for j, col in enumerate(cols):
         col[m + j] = 1
-    ops = 0
+    ops: list[tuple[int, bool]] = []
+    row = 0
+    reducing = False
 
     def count() -> None:
-        nonlocal ops
-        ops += 1
-        if ops > budget.max_pivots:
+        ops.append((row, reducing))
+        if len(ops) > budget.max_pivots:
             raise IterationBudget(f"Hermite form exceeded {budget.max_pivots} column operations")
 
     def col_swap(a: int, b: int) -> None:
@@ -1097,6 +1102,7 @@ def reference_hnf(cols: list[dict], m: int, budget: Budget) -> tuple[list[tuple[
     for i in range(m):
         if c >= n:
             break
+        row, reducing = i, False
         while True:
             nz = [j for j in range(c, n) if i in cols[j]]
             if not nz:
@@ -1116,6 +1122,7 @@ def reference_hnf(cols: list[dict], m: int, budget: Budget) -> tuple[list[tuple[
             if cols[c][i] < 0:
                 col_negate(c)
             h = cols[c][i]
+            reducing = True
             for j in range(c):
                 col_addmul(j, c, -(cols[j].get(i, 0) // h))
             pivots.append((i, c))
@@ -1129,12 +1136,52 @@ def reference_hnf_outputs(matrix) -> tuple:
     pivots, ops = reference_hnf(cols, m, DEFAULT_BUDGET)
     H = [[cols[j].get(i, 0) for j in range(n)] for i in range(m)]
     U = [[cols[j].get(m + i, 0) for j in range(n)] for i in range(n)]
-    return H, U, pivots, ops
+    return H, U, pivots, len(ops)
+
+
+def reference_substitute(H: list[list[int]], b: list[int], pivots) -> tuple[list[int], int, int]:
+    """Forward substitution for H z = b over the integers, H a dense column Hermite form.
+
+    Each row i is b_i minus the row's sum over the z_j fixed so far; a
+    pivot (i, c) must divide it and fixes z_c, and a row with no pivot must
+    sum to b_i.  Returns z, the first row where that fails (-1 if none),
+    and its residual there.
+    """
+    z = [0] * (len(H[0]) if H else 0)
+    pivot_of_row = dict(pivots)
+    for i, row in enumerate(H):
+        residual = b[i] - sum(h * zj for h, zj in zip(row, z))
+        c = pivot_of_row.get(i)
+        if c is None:
+            if residual:
+                return z, i, residual
+        elif residual % row[c]:
+            return z, i, residual
+        else:
+            z[c] = residual // row[c]
+    return z, -1, 0
+
+
+def reference_parity_vector(H: list[list[int]], pivots, r: int, residual: int) -> tuple:
+    """The y that refutes H z = b at row r: y_r is 1 over r's pivot, or 1/(2 residual)
+    with none, every row after r and every row with no pivot gets 0, and each
+    earlier pivot row's y makes y^T H vanish in its pivot column."""
+    y = [R0] * len(H)
+    c = dict(pivots).get(r)
+    y[r] = rat(1, H[r][c]) if c is not None else rat(1, 2 * residual)
+    for i, c in sorted((p for p in pivots if p[0] < r), reverse=True):
+        y[i] = -sum((y[t] * H[t][c] for t in range(i + 1, r + 1)), R0) / H[i][c]
+    return tuple(y)
 
 
 def reference_diophantine_solve(sys: LinearSystem) -> SolveOutcome:
     """``diophantine_solve`` on ``reference_hnf`` (default budget): x = U z summed from the
-    U entries of the maps."""
+    U entries of the maps, or the parity vector of the failing row.
+
+    The operation count is the one ``diophantine_solve`` keeps: on an accept
+    the Euclid steps alone, on a reject every operation of a row up to the
+    failing one.
+    """
     n, m = sys.num_vars, sys.num_rows
     if not m:
         return SolveOutcome(True, point={j: 0 for j in range(n)})
@@ -1145,18 +1192,19 @@ def reference_diophantine_solve(sys: LinearSystem) -> SolveOutcome:
                 cols[j][i] = int(c)
     b = [int(rhs) for rhs in sys.rhs]
     pivots, ops = reference_hnf(cols, m, DEFAULT_BUDGET)
-    H = [{t: v for t, v in col.items() if t < m} for col in cols]
-    z, r, residual = exact_solvers._substitute(H, m, b, pivots)
+    H = [[cols[j].get(i, 0) for j in range(n)] for i in range(m)]
+    z, r, residual = reference_substitute(H, b, pivots)
     if r < 0:
         x = [0] * n
-        for t, zt in z.items():
+        for t, zt in enumerate(z):
             for row, u in cols[t].items():
                 if row >= m:
                     x[row - m] += u * zt
-        return SolveOutcome(True, point=dict(enumerate(x)), pivots=ops)
-    y = exact_solvers._integer_farkas(H, m, pivots, r, residual)
+        euclid = sum(1 for _, reducing in ops if not reducing)
+        return SolveOutcome(True, point=dict(enumerate(x)), pivots=euclid)
+    y = reference_parity_vector(H, pivots, r, residual)
     return SolveOutcome(False, certificate=Certificate(CertificateKind.PARITY, farkas=y),
-                        pivots=ops)
+                        pivots=sum(1 for row, _ in ops if row <= r))
 
 
 def integer_outputs(solve, sys: LinearSystem) -> tuple:

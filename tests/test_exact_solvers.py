@@ -343,8 +343,9 @@ def test_hnf_idempotence():
 
 @pytest.mark.slow
 def test_the_hermite_form_matches_its_reference_on_random_matrices():
-    # H, U, the pivots and the operation count, then the point or parity vector
-    # and the operation count of the integer system each matrix poses
+    # H, U, the pivots and the operation count of the whole form, then the point
+    # or parity vector of the integer system each matrix poses, and its operation
+    # count: the Euclid steps, and on a reject the reductions, up to the failing row
     rng = random.Random(1986)
     feasible = 0
     for _ in range(200):
@@ -366,6 +367,30 @@ def test_the_hermite_budget_runs_out_at_the_reference_count():
     assert diophantine_solve(sys, Budget(max_pivots=needed)).pivots == needed
     with pytest.raises(IterationBudget):
         diophantine_solve(sys, Budget(max_pivots=needed - 1))
+
+
+def test_a_reject_stops_at_its_failing_row():
+    # row 1 pivots on the 2 in column 1 and leaves 1 over, so the form stops
+    # there; its one operation reduces the 3 left of that pivot to 1, for the
+    # certificate, and row 2, where 6 and 10 would take Euclid's steps, is never read
+    A = [[1, 0, 0, 0], [3, 2, 0, 0], [0, 0, 6, 10]]
+    sys = system([{j: c for j, c in enumerate(row) if c} for row in A], [0, 1, 4], 4,
+                 DomainTag.INT)
+    out = diophantine_solve(sys, Budget(max_pivots=1))
+    assert not out.feasible and out.pivots == 1
+    assert out.certificate.farkas == (rat(-1, 2), rat(1, 2), rat(0))
+    assert verify_parity_certificate(out.certificate, sys)
+    assert hnf_outputs(A)[3] > 3
+
+
+def test_an_accept_logs_no_reduction():
+    # the Hermite form of [[1, 0], [1, 1]] takes one operation, which clears the
+    # 1 left of row 1's pivot; solving x0 = 1, x0 + x1 = 1 takes none
+    sys = system([{0: 1}, {0: 1, 1: 1}], [1, 1], 2, DomainTag.INT)
+    out = diophantine_solve(sys, Budget(max_pivots=0))
+    assert out.feasible and out.pivots == 0
+    assert out.point == {0: 1, 1: 0}
+    assert hnf_outputs([[1, 0], [1, 1]])[3] == 1
 
 
 # -- integer systems ------------------------------------------------------------------------

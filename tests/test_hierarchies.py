@@ -905,7 +905,9 @@ def test_with_r_2_declared_first_only_swaps_of_earlier_r_2_scopes_are_repeats():
 def test_the_hermite_form_matches_its_reference(monkeypatch):
     # every integer system that aip and ba pose at k = 1, 2 over the three-vertex
     # classes into K2, K3, C4 and DT: the same H, U, pivots and operation count,
-    # and the same point or parity vector, as the form that carried U
+    # and the same point or parity vector, as the form that carried U; each
+    # solve counts the Euclid steps, and on a reject the reductions, up to the
+    # failing row
     posed = {}
     solve = hierarchies.diophantine_solve
 

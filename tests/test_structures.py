@@ -185,6 +185,25 @@ def test_an_unhashable_atom_is_a_typed_error(domain, relations):
         Structure(Signature.of({"R": 2}), domain, relations)
 
 
+@pytest.mark.parametrize("domain, relations", [
+    (["a", "b"], {"R": [5]}),
+    (["a", "b"], {"R": 5}),
+    (5, {}),
+    (["a", "b"], [("R", [("a", "b")])]),
+], ids=["number-tuple", "number-relation", "number-domain", "relations-as-pairs"])
+def test_a_constructor_argument_of_the_wrong_shape_is_a_typed_error(domain, relations):
+    with pytest.raises(MalformedInput):
+        Structure(Signature.of({"R": 2}), domain, relations)
+
+
+def test_an_unknown_symbol_is_refused_by_the_tuple_queries(k2):
+    assert k2.tuples("R") and k2.has_tuple("R", ("0", "1"))
+    with pytest.raises(MalformedInput, match="unknown relation symbol"):
+        k2.tuples("Z")
+    with pytest.raises(MalformedInput, match="unknown relation symbol"):
+        k2.has_tuple("Z", ("0", "1"))
+
+
 def test_the_id_of_an_atom_outside_the_domain_is_refused(k2):
     assert k2.atom_id("1") == 1
     with pytest.raises(UnknownAtom):
