@@ -17,9 +17,10 @@ integers (``aip``), the integers inside the rationals' maximal support
 variables once, 0..n-1 in scope order, and states every identity over
 those ids as the tuple ``(*images, cell)``, read as sum(images) - cell = 0.
 ``_linear_system`` hands a one-id identity to the presolve as a pin and a
-two-id one as a merge, and only the longer ones become rows; ``sos`` reads
-the same tuples, in the same order, as the identifications of ``_gram``,
-the group-first Gram builder that it shares with ``sdp``.  A
+two-id one as a merge, and only the longer ones become rows.  Every driver
+reads the presolved system, and no driver reads the tuples again: ``sos``
+poses its Gram problem on the presolved columns (``_sos_problem``), one
+vector per column, and lifts an accepted witness back to the keys.  A
 variable's ``(symbol, scope, image)`` key is read back only in the
 presolved system and the witness.  The images a scope admits, and how
 they project, depend only on the target and on the scope's symbol and
@@ -45,6 +46,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .budgets import DEFAULT_BUDGET, Budget
 from .errors import ArityMismatch, InvalidWitness, LengthMismatch
 from .exact_solvers import (
@@ -61,6 +64,7 @@ from .psd import (
     GramProblem,
     Inconsistent,
     NumericReject,
+    SoSWitness,
     affine_reduce,
     psd_feasibility,
     verify_dual_certificate,
@@ -270,8 +274,7 @@ def _marginal_rows(Xk: Structure, Ak: Structure, k: int, budget: Budget) -> tupl
       ``PresolvedSystem.columns`` are unchanged.  The union-find roots of
       pinned keys can differ, but the roots are not part of the output: a
       pinned key has no column whatever its root.
-    - For ``sos``, the skipped identities lie in the span of the stated
-      ones, so the exact Gram reduction is the same.
+    - ``sos`` reads the presolved system, so its Gram problem is unchanged.
 
     Returns the key tuple, each scope's id range (its unit-mass row), and
     the identities.
@@ -344,26 +347,6 @@ def _linear_system(domain_tag: DomainTag, keys: tuple, scopes: list,
             row[ident[-1]] = -1
             builder.add_row(row, 0)
     return builder.build()
-
-
-def _gram(groups: tuple, identifications, implied: tuple = ()) -> GramProblem:
-    """Groups of pairwise orthogonal vectors over their labels, in order, tied by identities.
-
-    An implied group's squared norms sum to one as a consequence of the unit
-    groups'.  An identity ``(*images, cell)`` reads sum(images) - cell = 0."""
-    every = groups + implied
-    return GramProblem(
-        tuple(lab for group in every for lab in group), groups,
-        tuple(pair for group in every for pair in itertools.combinations(group, 2)),
-        tuple((*[(lab, 1) for lab in ident[:-1]], (ident[-1], -1)) for ident in identifications),
-        implied)
-
-
-def _gram_problem(keys: tuple, scopes: list, identities: list) -> GramProblem:
-    """One vector per variable; a scope's vectors are orthogonal with unit total norm."""
-    labels = tuple(("c",) + key for key in keys)
-    return _gram(tuple(labels[ids.start:ids.stop] for ids in scopes),
-                 [[labels[v] for v in ident] for ident in identities])
 
 
 def validate_marginal_witness(
@@ -536,10 +519,15 @@ def _sdp_problem(X: Structure, A: Structure) -> GramProblem:
     # to the orthogonal sum of a variable's vectors: their squared norms sum to one
     constraints = tuple(tuple(("c", sym, xt, at) for at in A.tuples(sym))
                         for sym in X.signature.names() for xt in X.tuples(sym))
-    identities = ((*(("c", sym, xt, at) for at in A.tuples(sym) if at[i] == a), ("v", xt[i], a))
-                  for sym, arity in X.signature.symbols for xt in X.tuples(sym)
-                  for i in range(arity) for a in A.domain)
-    return _gram(variables, identities, constraints)
+    every = variables + constraints
+    return GramProblem(
+        tuple(lab for group in every for lab in group), variables,
+        tuple(pair for group in every for pair in itertools.combinations(group, 2)),
+        tuple((*((("c", sym, xt, at), 1) for at in A.tuples(sym) if at[i] == a),
+               (("v", xt[i], a), -1))
+              for sym, arity in X.signature.symbols for xt in X.tuples(sym)
+              for i in range(arity) for a in A.domain),
+        constraints)
 
 
 @driver
@@ -552,20 +540,71 @@ def sdp(X: Structure, A: Structure, budget: Budget = DEFAULT_BUDGET) -> Verdict:
     return _finish_gram("sdp", None, _sdp_problem(X, A))
 
 
+def _sos_problem(presolved: PresolvedSystem, scopes: list) -> GramProblem:
+    """One vector per presolved column; a scope's columns are orthogonal with unit total norm.
+
+    Column j is labelled ``("c",) + var_names[j]``, after the first key of
+    its merge class.  A scope's unit group holds the distinct columns of its
+    keys, in the order the keys first reach them, and a pinned key reaches
+    none.  The zero pairs are the pairs inside each group, and a self-pair
+    (c, c) for each column that two keys of the scope share.  The presolved
+    rows with right-hand side 0 are the identifications; the unit rows are
+    the groups'.
+    """
+    system, columns = presolved.system, presolved.columns
+    labels = tuple(("c",) + name for name in system.var_names)
+    groups, pairs = [], []
+    for ids in scopes:
+        shared: dict = {}  # column -> whether a second key of the scope reaches it
+        for v in ids:
+            if (j := columns[v]) >= 0:
+                shared[j] = j in shared
+        group = tuple(labels[j] for j in shared)
+        groups.append(group)
+        pairs.extend((labels[j], labels[j]) for j, twice in shared.items() if twice)
+        pairs.extend(itertools.combinations(group, 2))
+    identifications = tuple(tuple((labels[j], c) for j, c in row.items())
+                            for row, b in zip(system.rows, system.rhs) if b == 0)
+    return GramProblem(labels, tuple(groups), tuple(pairs), identifications)
+
+
 @driver
 def sos(X: Structure, A: Structure, k: int, budget: Budget = DEFAULT_BUDGET) -> Verdict:
     """Level-k squared relaxation: one vector per variable of the marginal system.
 
-    The pair is enhanced and its marginal system enumerated once, then read
-    twice.  Within one scope the vectors are pairwise orthogonal, so squared
+    The pair is enhanced and its marginal system enumerated and presolved
+    once.  Within one scope the vectors are pairwise orthogonal, so squared
     norms add across the marginal identities and the squared norms of any
     exact solution solve the level-k marginal LP.  That LP is therefore
     solved first, exactly; its infeasibility is a rigorous rejection here.
-    Otherwise the same scopes and identities become the Gram problem.
+
+    Otherwise the Gram problem is posed on the LP's presolved columns
+    (``_sos_problem``), since each step of the presolve holds for the
+    vectors too.  Each is a facial-reduction step (Borwein-Wolkowicz 1981;
+    Permenter-Parrilo 2018):
+
+    - a pin, x = 0 from a one-id identity or a row left with one term, says
+      that the vector is 0;
+    - a merge, x - y = 0 from a two-id identity or c x - c y = 0 from a row
+      left with two terms, says that two vectors are equal;
+    - a row of one sign with right-hand side 0 is what is left of an
+      identity sum(images) - cell = 0 once the cell has cancelled or been
+      pinned: a positive combination of images of one scope.  Distinct
+      columns of one scope have orthogonal vectors, so the combination's
+      squared norm is the positive sum of theirs, and each of them is 0;
+    - a column that two keys of one scope share has a vector orthogonal to
+      itself, which is 0.  It stays in the scope's group with the zero pair
+      (c, c), from which the exact phase derives it.
+
+    Conversely, a solution over the columns lifts to one over the keys: a
+    merged key takes its column's vector and a pinned key the zero vector.
+    That meets every orthogonality, unit norm and identity of the statement
+    with one vector per key, so the two problems are equivalent, and an
+    ACCEPT's witness is lifted so, with a vector for every key.
     """
     Xk, Ak = k_enhance(X, k, budget), k_enhance(A, k, budget)
-    marginal = _marginal_rows(Xk, Ak, k, budget)
-    presolved = _linear_system(DomainTag.NONNEG_RAT, *marginal)
+    keys, scopes, identities = _marginal_rows(Xk, Ak, k, budget)
+    presolved = _linear_system(DomainTag.NONNEG_RAT, keys, scopes, identities)
     outcome = lp_feasible(presolved.system, budget)
     if not outcome.feasible:
         evidence = RejectionEvidence(
@@ -574,7 +613,15 @@ def sos(X: Structure, A: Structure, k: int, budget: Budget = DEFAULT_BUDGET) -> 
         )
         stats = _stats(presolved.system, pivots=outcome.pivots)
         return Verdict("sos", k, Status.REJECT, certificate=evidence, stats=stats)
-    return _finish_gram("sos", k, _gram_problem(*marginal))
+    verdict = _finish_gram("sos", k, _sos_problem(presolved, scopes))
+    witness = verdict.witness
+    if isinstance(witness, SoSWitness):
+        # every key lies in its scope's unit row, whose positive coefficients
+        # cannot cancel, so a key without a column was pinned
+        names, zero = presolved.system.var_names, np.zeros(len(witness.labels))
+        witness.vectors = {("c",) + key: witness.vectors[("c",) + names[j]] if j >= 0 else zero
+                           for key, j in zip(keys, presolved.columns)}
+    return verdict
 
 
 def _finish_gram(algorithm: str, level: Optional[int], problem: GramProblem) -> Verdict:

@@ -67,8 +67,10 @@ Label = Hashable
 class GramProblem:
     """Feasibility data for a family of labelled vectors.
 
-    A driver's zero pairs are the pairs inside its groups, unit or implied;
-    a problem built by hand may state others.  ``implied_unit_groups`` are
+    A driver's zero pairs are the pairs inside its groups, unit or implied,
+    and ``sos`` adds a self-pair (c, c) for a label that two of a group's
+    members share: a vector orthogonal to itself is 0.  A problem built by
+    hand may state others.  ``implied_unit_groups`` are
     further groups whose squared norms sum to one as a consequence of the
     constraints.  They constrain nothing; only :func:`psd_feasibility`'s
     search for a dual certificate reads them.
@@ -275,11 +277,13 @@ def affine_reduce(problem: GramProblem):
     it would without the early tests, so a contradiction that needs several
     unit rows is still found.
 
-    Precondition: the unit groups are pairwise disjoint, as the drivers'
-    are.  Then the outcome, the closing constant of an ``Inconsistent``
-    included, is the one that pushing every form before any unit row gives.
-    With overlapping groups the verdict is the same, but the early test of
-    one group can close on its own row before the unit pass meets a joint
+    So the outcome is the one that pushing every form before any unit row
+    gives: an early test keeps no row, so a reduced problem is the same,
+    and so are the kind of an ``Inconsistent`` and every step before its
+    closing one.  The closing constant is the same too when the unit groups
+    are pairwise disjoint, as ``sdp``'s are.  ``sos``'s groups overlap
+    where two scopes share a column, and there the early test of one group
+    can close on its own row before the unit pass meets a joint
     contradiction of earlier rows, with another constant.
     """
     labels = problem.labels
@@ -333,6 +337,14 @@ def affine_reduce(problem: GramProblem):
         if all(not combos[i] for i in members):
             steps.append(("unit-group-empty", ", ".join(map(str, group))))
             return Inconsistent(steps, "a unit-norm group collapsed to the zero vector")
+
+    # a group with the members of an earlier one (sos states one per scope, and
+    # scopes can share all their columns) has the same unit row, and the same
+    # last pair inside it: it is tested and pushed once
+    distinct: dict = {}
+    for members in groups:
+        distinct.setdefault(frozenset(members), members)
+    groups = list(distinct.values())
 
     # natural order on the indices is registration order
     reps = sorted({r for c in combos for r in c})

@@ -45,9 +45,11 @@ class Verdict:
       and constraints of a Gram problem (``sdp``, ``sos``), the partial maps
       and the variable subsets of at most k atoms (``bw``), or the atoms and
       relation tuples of the tested structure (``oracle``, and the Horn test
-      on the tensorised structure).  An ``sos`` Gram problem's
-      ``constraints`` counts only the marginal identities that were
-      stated: a repeated ``R_k`` scope's are left out.
+      on the tensorised structure).  An ``sos`` Gram problem is posed on
+      the presolved marginal system: its ``vars`` counts the columns, and
+      its ``constraints`` the zero pairs inside each scope's group of
+      columns, the presolved rows with right-hand side 0 and the unit
+      groups.
     - ``millis``: the driver's wall time, set by :func:`driver`.
     - optional counters: ``pivots`` (simplex pivots), ``lp_support`` (``ba``:
       the variables in the LP's maximal support), ``reduced_dim`` (Gram

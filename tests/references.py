@@ -3,9 +3,10 @@
 Each one re-derives or re-checks something a driver or solver produces:
 the local-consistency family inside an LP witness, the family check against
 every subset of at most k atoms, the consequences every
-basic-SDP solution obeys, the exact Gram reduction in Fractions alone, the
-Gram projector through the pseudo-inverse of the dense constraint matrix, the
-marginal rows, witness check and presolve with one projection per tuple,
+basic-SDP solution obeys, the equations an ``sos`` witness meets, the exact
+Gram reduction in Fractions alone, the Gram projector through the
+pseudo-inverse of the dense constraint matrix, the marginal rows, witness
+check and presolve with one projection per tuple,
 every variable keyed by its tuple and every sum and row key on the
 original values, the repeated ``R_k`` scopes whose identities the marginal
 rows leave out, the marginal front end that stamped one dict per
@@ -186,6 +187,40 @@ def check_sdp_facts(vectors: dict, X, A, tol: float = 1e-6) -> FactReport:
             else:
                 note("sum-invariance", x, float(np.max(np.abs(sums[x] - ref))))
     return FactReport(checked, violations, max_err)
+
+
+def sos_keys(Xk: Structure, Ak: Structure) -> set:
+    """The label ``("c", sym, xt, at)`` of each variable of the marginal system of the
+    k-enhanced pair: a scope of Xk and a tuple of A^k that respects it."""
+    return {("c", sym, xt, at) for sym in Xk.signature.names() for xt in Xk.tuples(sym)
+            for at in Ak.tuples(sym) if precedes(xt, at)}
+
+
+def sos_violation(Xk: Structure, Ak: Structure, k: int, vectors: dict) -> float:
+    """The largest violation of the level-k vector relaxation's equations, one vector per key.
+
+    The vectors of one scope are pairwise orthogonal and their squared
+    norms sum to one.  For each k-tuple i of its positions and each b in
+    A^k, the sum of the scope's vectors whose tuple projects onto b equals
+    the vector of the ``R_k`` scope ``project(xt, i)`` at b, or 0 when that
+    scope has no variable at b.
+    """
+    zero = np.zeros_like(next(iter(vectors.values())))
+    worst = 0.0
+    for sym, arity in Xk.signature.symbols:
+        for xt in Xk.tuples(sym):
+            scope = {at: vectors[("c", sym, xt, at)] for at in Ak.tuples(sym) if precedes(xt, at)}
+            worst = max(worst, abs(sum(float(v @ v) for v in scope.values()) - 1.0))
+            for u, w in itertools.combinations(scope.values(), 2):
+                worst = max(worst, abs(float(u @ w)))
+            for i in itertools.product(range(1, arity + 1), repeat=k):
+                xi = project(xt, i)
+                for b in itertools.product(Ak.domain, repeat=k):
+                    total = sum((v for at, v in scope.items() if project(at, i) == b), zero)
+                    if precedes(xi, b):
+                        total = total - vectors[("c", f"R_{k}", xi, b)]
+                    worst = max(worst, float(np.max(np.abs(total), initial=0.0)))
+    return worst
 
 
 # -- the exact Gram reduction, every value a Fraction ----------------------------------
@@ -393,8 +428,7 @@ def reference_marginal_rows(Xk: Structure, Ak: Structure, k: int,
 
     The identities of the ``R_k`` scopes in ``skip`` are left out.  The fast
     version must list equal scopes and equal identity dicts, in the same
-    order, when ``skip`` is ``reference_repeated_scopes``: ``sos`` reads the
-    identities as Gram identifications.
+    order, when ``skip`` is ``reference_repeated_scopes``.
     """
     enh = f"R_{k}"
     scopes = [(sym, xt, tuple(at for at in Ak.tuples(sym) if precedes(xt, at)))
@@ -720,7 +754,12 @@ def dict_row_linear_system(domain_tag: DomainTag, keys: tuple, scopes: list,
 
 
 def dict_row_gram_problem(keys: tuple, scopes: list, identities: list) -> GramProblem:
-    """``hierarchies._gram_problem`` as it was, reading each identity's dict in order."""
+    """The Gram problem with one label ``("c",) + key`` per variable: a unit group per
+    scope, the pairs inside each, and each identity's dict as an identification.
+
+    ``sos`` posed this problem, over every key, before it read the presolved
+    columns; the tests compare its reduction with that of ``sos``'s problem.
+    """
     labels = tuple(("c",) + key for key in keys)
     groups = tuple(labels[ids.start:ids.stop] for ids in scopes)
     return GramProblem(

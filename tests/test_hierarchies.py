@@ -39,6 +39,7 @@ from minionlab.hierarchies import (
     _marginal_rows,
     validate_marginal_witness,
 )
+from minionlab.psd import Inconsistent
 from minionlab.rationals import rat
 from minionlab.structures import enumerate_partial_homomorphisms, k_enhance, precedes
 from minionlab.system_builders import EqualitySystemBuilder
@@ -282,6 +283,26 @@ GRAPH_NET_ACCEPTS = {
 }
 GRAPH_NET_DRIVERS = {"oracle": lambda X, A, k: oracle(X, A), "sa": sa, "aip": aip, "bw": bw,
                      "minion-h": minion_test_horn_level}
+
+
+@pytest.mark.slow
+def test_level_four_decides_k4_into_k3_except_for_the_affine_ip():
+    # level |X| of sa, bw and sos, and level |X| - 1 of ba, reject K4 -> K3,
+    # which has no homomorphism; level 3 of sa and bw still accepts.  The
+    # integer weights of aip can cancel, so aip^4 accepts, with a witness
+    # that meets the marginal equations exactly
+    K4, K3 = clique(4), clique(3)
+    assert oracle(K4, K3).status is Status.REJECT
+    rejects = [sa(K4, K3, 4), bw(K4, K3, 4), ba(K4, K3, 3), sos(K4, K3, 3)]
+    for verdict in rejects:
+        assert verdict.status is Status.REJECT, (verdict.algorithm, verdict.level)
+    # the Gram problem on the presolved columns contradicts exactly
+    assert isinstance(rejects[-1].certificate, Inconsistent)
+    assert sa(K4, K3, 3).accepted and bw(K4, K3, 3).accepted
+    verdict = aip(K4, K3, 4)
+    assert verdict.accepted
+    validate_marginal_witness(verdict.witness.values, k_enhance(K4, 4), k_enhance(K3, 4), 4,
+                              integral=True)
 
 
 @pytest.mark.slow

@@ -15,7 +15,8 @@ import minionlab.psd as psd
 from minionlab import oracle, sdp, sos
 from minionlab.budgets import DEFAULT_BUDGET
 from minionlab.errors import InvalidWitness, MalformedInput
-from minionlab.hierarchies import _gram_problem, _marginal_rows, _sdp_problem
+from minionlab.exact_solvers import DomainTag, lp_feasible
+from minionlab.hierarchies import _linear_system, _marginal_rows, _sdp_problem, _sos_problem
 from minionlab.psd import (
     DUAL_EVERY,
     DualCertificate,
@@ -49,14 +50,17 @@ from references import (
     dict_row_gram_problem,
     dict_row_marginal_rows,
     reference_affine_reduce,
-    reference_repeated_scopes,
     reference_sdp_problem,
+    sos_keys,
+    sos_violation,
 )
 
 
 def sos_problem(X, A, k: int) -> GramProblem:
+    """The Gram problem ``sos`` poses on the presolved columns of its marginal LP."""
     Xk, Ak = k_enhance(X, k), k_enhance(A, k)
-    return _gram_problem(*_marginal_rows(Xk, Ak, k, DEFAULT_BUDGET))
+    keys, scopes, identities = _marginal_rows(Xk, Ak, k, DEFAULT_BUDGET)
+    return _sos_problem(_linear_system(DomainTag.NONNEG_RAT, keys, scopes, identities), scopes)
 
 
 def misfit(reduced: ReducedGramProblem, G: np.ndarray) -> float:
@@ -297,9 +301,10 @@ def assert_reduces_like_reference(problem: GramProblem) -> None:
 
 
 def assert_unit_groups_are_disjoint(problem: GramProblem) -> None:
-    """``affine_reduce``'s precondition: its early unit-row tests close an
-    ``Inconsistent`` like the all-forms-first reference only when no label
-    is in two unit groups."""
+    """No label is in two unit groups, as in ``sdp``'s problems.  Then the
+    early unit-row tests of ``affine_reduce`` close an ``Inconsistent`` with
+    the constant of the all-forms-first reference; ``sos``'s groups share the
+    columns that two scopes share, and there only the outcome kind is sure."""
     grouped = [lab for group in problem.unit_groups for lab in group]
     assert len(grouped) == len(set(grouped))
 
@@ -326,39 +331,92 @@ GRAM_QUERIES = [(q.driver, q.k, q.x, q.a) for q in benchmark_workloads().GRAM]
 def test_the_gram_workload_reduces_like_the_reference():
     for driver, k, x, a in GRAM_QUERIES:
         problem = gram_problem(driver, k, named(x), named(a))
-        assert_unit_groups_are_disjoint(problem)
+        if driver == "sdp":
+            assert_unit_groups_are_disjoint(problem)
         assert_reduces_like_reference(problem)
 
 
-def assert_sos_reduces_like_the_full_statement(X, A, k: int) -> GramProblem:
-    """The reduction of the ``sos`` problem, by value, is that of the problem
-    stating the identities of every scope, one dict each; returns the problem."""
-    Xk, Ak = k_enhance(X, k), k_enhance(A, k)
-    problem = sos_problem(X, A, k)
-    full = dict_row_gram_problem(*dict_row_marginal_rows(Xk, Ak, k))
-    assert outcome_by_value(affine_reduce(problem)) == outcome_by_value(affine_reduce(full))
-    return problem
+def key_form_outcome(Xk, Ak, k: int):
+    """The reduction of ``sos``'s problem by value, its combos lifted to one per key.
+
+    A key takes the combo of its column's label, and a pinned key the empty
+    combo, so the outcome compares with the reduction of a problem with one
+    label per key.  None when the marginal LP rejects, as ``sos`` then poses
+    no Gram problem.
+    """
+    keys, scopes, identities = _marginal_rows(Xk, Ak, k, DEFAULT_BUDGET)
+    presolved = _linear_system(DomainTag.NONNEG_RAT, keys, scopes, identities)
+    if not lp_feasible(presolved.system, DEFAULT_BUDGET).feasible:
+        return None
+    problem = _sos_problem(presolved, scopes)
+    assert_reduces_like_reference(problem)
+    outcome = outcome_by_value(affine_reduce(problem))
+    if isinstance(outcome, dict):
+        return outcome
+    reps, combos, constraints = outcome
+    names = presolved.system.var_names
+    lifted = {("c",) + key: combos[("c",) + names[j]] if j >= 0 else {}
+              for key, j in zip(keys, presolved.columns)}
+    return reps, lifted, constraints
+
+
+def sweep_or_gram(case: str) -> list:
+    """The (X, A, k) of gram's ``sos`` queries, or ``sos``^1 and ``sos``^2 over
+    the 3-vertex sweep into one target."""
+    if case == "gram":
+        return [(named(x), named(a), k) for driver, k, x, a in GRAM_QUERIES if driver == "sos"]
+    return [(X, named(case), k) for X in digraphs_up_to_renaming(3) for k in (1, 2)]
+
+
+# (problems posed, of which Inconsistent): 136 and 46 in all
+POSED = {"gram": (17, 7), "K2": (32, 14), "K3": (32, 0), "C4": (32, 14), "DT": (23, 11)}
 
 
 @pytest.mark.slow
-def test_sos_poses_the_gram_problems_of_the_identity_dicts():
-    # the identity tuples, read as Gram identifications, give the problem that
-    # one dict per identity of a stated scope gave; the identities of the
-    # repeated R_k scopes lie in the span of the others, so the reduction is
-    # that of every scope's identities
-    for driver, k, x, a in GRAM_QUERIES:
-        if driver == "sos":
-            Xk, Ak = k_enhance(named(x), k), k_enhance(named(a), k)
-            problem = assert_sos_reduces_like_the_full_statement(named(x), named(a), k)
-            repeats = reference_repeated_scopes(Xk, k)
-            assert problem == dict_row_gram_problem(*dict_row_marginal_rows(Xk, Ak, k, repeats))
+@pytest.mark.parametrize("case", POSED)
+def test_sos_on_the_presolved_columns_reduces_like_the_full_statement(case):
+    # the problem on the columns, lifted to keys, reduces like the problem
+    # stating every identity of every scope over one label per key; its
+    # Inconsistents trace other steps, over columns, so only the kind is compared
+    posed = inconsistent = 0
+    for X, A, k in sweep_or_gram(case):
+        Xk, Ak = k_enhance(X, k), k_enhance(A, k)
+        outcome = key_form_outcome(Xk, Ak, k)
+        if outcome is None:
+            continue
+        full = outcome_by_value(affine_reduce(
+            dict_row_gram_problem(*dict_row_marginal_rows(Xk, Ak, k))))
+        if isinstance(full, dict):
+            assert isinstance(outcome, dict), (X.name, A.name, k)
+        else:
+            assert outcome == full, (X.name, A.name, k)
+        posed += 1
+        inconsistent += isinstance(full, dict)
+    assert (posed, inconsistent) == POSED[case]
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("target", ["K2", "K3", "C4", "DT"])
-def test_sos2_over_the_three_vertex_sweep_reduces_like_the_full_statement(target):
-    for X in digraphs_up_to_renaming(3):
-        assert_sos_reduces_like_the_full_statement(X, named(target), 2)
+def test_an_sos_accept_carries_a_vector_for_every_key():
+    # the witness is lifted from the columns: a merged key takes its column's
+    # vector, and a pinned key the zero vector
+    cases = [(named(x), named(a), k) for driver, k, x, a in GRAM_QUERIES if driver == "sos"]
+    cases.append((mycielski(cycle(5)), clique(3), 1))
+    accepts = pinned = 0
+    for X, A, k in cases:
+        verdict = sos(X, A, k)
+        if not verdict.accepted:
+            continue
+        accepts += 1
+        Xk, Ak = k_enhance(X, k), k_enhance(A, k)
+        vectors = verdict.witness.vectors
+        assert set(vectors) == sos_keys(Xk, Ak), (X.name, A.name, k)
+        presolved = _linear_system(DomainTag.NONNEG_RAT, *_marginal_rows(Xk, Ak, k, DEFAULT_BUDGET))
+        for key, j in zip(presolved.key_order, presolved.columns):
+            if j < 0:
+                assert not vectors[("c",) + key].any(), key
+                pinned += 1
+        assert sos_violation(Xk, Ak, k, vectors) <= 1e-6, (X.name, A.name, k)
+    assert (accepts, pinned) == (10, 42)
 
 
 def test_sdp_poses_the_gram_problem_it_wrote_out_loop_by_loop():
@@ -395,7 +453,8 @@ def test_the_three_vertex_sweep_reduces_like_the_reference(driver, k, target):
     # into C4 and DT nearly every problem ends on an early unit-row test
     for X in digraphs_up_to_renaming(3):
         problem = gram_problem(driver, k, X, named(target))
-        assert_unit_groups_are_disjoint(problem)
+        if driver == "sdp":
+            assert_unit_groups_are_disjoint(problem)
         assert_reduces_like_reference(problem)
 
 
@@ -433,6 +492,18 @@ def test_a_contradiction_of_several_unit_rows_is_left_to_the_unit_pass(gram_rows
     assert isinstance(outcome, Inconsistent)
     assert gram_rows == [0, 1, 1, 1, 1]
     assert outcome.to_doc() == reference_affine_reduce(problem).to_doc()
+
+
+def test_a_unit_group_with_the_members_of_an_earlier_one_is_reduced_once(gram_rows):
+    # (a, b) and (b, a) are one group: its early test and its unit row are
+    # reduced once, and the reduction is the reference's
+    problem = GramProblem(("a", "b", "c"), (("a", "b"), ("c",), ("b", "a")),
+                          (("a", "b"), ("b", "a")), ())
+    reduced = affine_reduce(problem)
+    assert gram_rows == [0, 1, 1, 1]
+    assert reduced.constraints == [({(0, 1): 1}, 0), ({(0, 0): 1, (1, 1): 1}, 1), ({(2, 2): 1}, 1)]
+    assert reduced.unit_groups == problem.unit_groups
+    assert_reduces_like_reference(problem)
 
 
 def non_unit_problem(*extra_groups) -> GramProblem:
