@@ -16,27 +16,26 @@ integers (``aip``), the integers inside the rationals' maximal support
 (``ba``), or as Gram vectors (``sos``).  ``_marginal_rows`` numbers the
 variables once, 0..n-1 in scope order, and states every identity over
 those ids as the tuple ``(*images, cell)``, read as sum(images) - cell = 0.
-``_linear_system`` hands a one-id identity to the presolve as a pin and a
-two-id one as a merge, and only the longer ones become rows.  Every driver
-reads the presolved system, and no driver reads the tuples again: ``sos``
-poses its Gram problem on the presolved columns (``_sos_problem``), one
-vector per column, and lifts an accepted witness back to the keys.  A
-variable's ``(symbol, scope, image)`` key is read back only in the
-presolved system and the witness.  The images a scope admits, and how
-they project, depend only on the target and on the scope's symbol and
-equality pattern, so ``_marginal_rows`` works them out once per (symbol,
-pattern) as a template, and each scope of the tensorised X stamps its
-identities from that template at its own id offset.  An ``R_k`` scope xi
-that an earlier stated scope xt projects onto, by a projection naming
-every position of xt, is a repeat: it keeps its variables and unit-mass
-row, but its identities are not stamped, since the presolve would read
+``_linear_system`` sorts the identities in one pass: a one-id identity goes
+to the presolve as a pin, a two-id one as a merge, and a longer one as a
+row.  Every driver reads the presolved system, and no driver reads the
+tuples again: ``sos`` poses its Gram problem on the presolved columns
+(``_sos_problem``), one vector per column, and lifts an accepted witness
+back to the keys.  A variable's ``(symbol, scope, image)`` key is read back
+only in the presolved system and the witness.  The images a scope admits,
+and how they project, depend only on the target and on the scope's symbol
+and equality pattern, so ``_marginal_rows`` works them out once per
+(symbol, pattern) as a template, and each scope of the tensorised X stamps
+its identities from that template at its own id offset.  An ``R_k`` scope
+xi that an earlier stated scope xt projects onto, by a projection naming
+every position of xt, is a repeat: it keeps its variables, but neither its
+identities nor its unit-mass row is stated, since the presolve would read
 each as a copy of one of xt's and drop it (``_marginal_rows`` gives the
-argument).  ``validate_marginal_witness``
-files each nonzero weight under its scope, refusing one that names no
-variable, and compares each scope's projections with the ``R_k`` weights.
-It re-derives every identity from the structures on its own, so it does
-not trust the numbering or the templates, and it sums the witness as ints
-over one common denominator.
+argument).  ``validate_marginal_witness`` files each nonzero weight under
+its scope, refusing one that names no variable, and compares each scope's
+projections with the ``R_k`` weights.  It re-derives every identity from
+the structures on its own, so it does not trust the numbering or the
+templates, and it sums the witness as ints over one common denominator.
 """
 
 from __future__ import annotations
@@ -93,11 +92,8 @@ class MarginalWitness:
     values: dict
 
     def to_doc(self) -> dict:
-        nonzero = [(key, v) for key, v in self.values.items() if v != 0]
-        return {
-            f"{sym}|{xt}|{at}": str(v)
-            for (sym, xt, at), v in sorted(nonzero, key=lambda kv: str(kv[0]))
-        }
+        """The nonzero weights by ``sym|xt|at``; ``Verdict.to_json`` sorts the keys."""
+        return {f"{sym}|{xt}|{at}": str(v) for (sym, xt, at), v in self.values.items() if v != 0}
 
 
 @dataclass
@@ -209,7 +205,7 @@ def is_valid_bw_family(
 
 
 def _template(xt: tuple, tuples: tuple, projections: list, cells: list,
-              targets_of: dict) -> tuple:
+              targets_of: dict, own: bool) -> tuple:
     """The images and projected groups shared by every scope with xt's equality pattern.
 
     The images are the tuples of the symbol that xt precedes, in order.  For
@@ -218,11 +214,16 @@ def _template(xt: tuple, tuples: tuple, projections: list, cells: list,
     by the equality pattern of xi), the local indices of the images
     projecting onto b.  No image projects outside those cells: equal
     positions of xi are equal positions of xt, which every image repeats.
+    For an ``R_k`` scope xt (``own``), a projection with xi = xt, which the
+    pattern decides, is left out: each image projects onto its own cell, so
+    each of its identities would read x - x = 0.
     """
     images = [at for at in tuples if precedes(xt, at)]
     stamps = []
     for _, get in projections:
         xi = get(xt)
+        if own and xi == xt:
+            continue
         xi_pattern = tuple(map(xi.index, xi))
         targets = targets_of.get(xi_pattern)
         if targets is None:
@@ -245,7 +246,8 @@ def _marginal_rows(Xk: Structure, Ak: Structure, k: int, budget: Budget) -> tupl
     read as sum(images) - cell = 0: projecting a scope onto a k-tuple of its
     positions reproduces the weight of the projected scope on ``R_k`` at
     that cell.  A cell that no image reaches gives the one-id tuple
-    ``(cell,)``, a zero weight.
+    ``(cell,)``, a zero weight.  An ``R_k`` scope's projections onto itself
+    state nothing and are not stamped (``_template``).
 
     What a scope admits and how its images project depend only on its
     symbol and the equality pattern of xt, so ``_template`` works them out
@@ -261,8 +263,9 @@ def _marginal_rows(Xk: Structure, Ak: Structure, k: int, budget: Budget) -> tupl
     *repeat*.  Each stated scope xt marks as a repeat every ``R_k`` scope
     xi = π(xt), other than itself and those already stated, for each
     projection π whose position tuple names every position of xt; a repeat
-    marks nothing.  A repeat keeps its variables, ids and unit-mass row,
-    and the emitted system is the one that stating every identity gives:
+    marks nothing.  A repeat keeps its variables and ids, but neither its
+    identities nor its unit-mass row is stated, and the emitted system is
+    the one that stating every identity and unit row gives:
 
     - π names every position of xt, so it is injective on xt's images.
     - xt's π-identities are therefore merges of each image ``at`` with the
@@ -276,8 +279,8 @@ def _marginal_rows(Xk: Structure, Ak: Structure, k: int, budget: Budget) -> tupl
       pinned key has no column whatever its root.
     - ``sos`` reads the presolved system, so its Gram problem is unchanged.
 
-    Returns the key tuple, each scope's id range (its unit-mass row), and
-    the identities.
+    Returns the key tuple, each scope's id range, the identities, and the
+    repeats' positions in the scope list (an empty range equals another).
     """
     enh = f"R_{k}"
     cells = list(itertools.product(Ak.domain, repeat=k))
@@ -294,7 +297,7 @@ def _marginal_rows(Xk: Structure, Ak: Structure, k: int, budget: Budget) -> tupl
             template = templates.get(pattern)
             if template is None:
                 template = templates[pattern] = _template(
-                    xt, tuples, projections[len(xt)], cells, targets_of)
+                    xt, tuples, projections[len(xt)], cells, targets_of, sym == enh)
             images, stamps = template
             ids = range(len(keys), len(keys) + len(images))
             keys.extend((sym, xt, at) for at in images)
@@ -307,45 +310,45 @@ def _marginal_rows(Xk: Structure, Ak: Structure, k: int, budget: Budget) -> tupl
                 for arity in projections}
     stated: set = set()  # the R_k scopes, walked so far, whose identities are stamped
     repeats: set = set()  # the R_k scopes a stated scope projects onto by a covering getter
+    repeat_at: set = set()  # the positions of the repeats in the scope list
     identities = []
-    for sym, xt, stamps, ids in scopes:
+    for s, (sym, xt, stamps, ids) in enumerate(scopes):
         if sym == enh:
             if xt in repeats:
+                repeat_at.add(s)
                 continue
             stated.add(xt)
         for get in covering[len(xt)]:
             xi = get(xt)
             if xi not in stated:
                 repeats.add(xi)
-        base = ids.start
+        # the projected mass onto the cell of (enh, xi, b) minus its weight
+        shift = ids.start.__add__
         for get, groups in stamps:
             for v, group in enumerate(groups, enh_start[get(xt)]):
-                # the projected mass onto the cell of (enh, xi, b) minus its weight
-                if len(group) == 1 and base + group[0] == v:
-                    continue  # xt is xi itself, and its weight cancels
-                identities.append((*[base + i for i in group], v))
-    return tuple(keys), [ids for *_, ids in scopes], identities
+                identities.append((*map(shift, group), v))
+    return tuple(keys), [ids for *_, ids in scopes], identities, repeat_at
 
 
 def _linear_system(domain_tag: DomainTag, keys: tuple, scopes: list,
-                   identities: list) -> PresolvedSystem:
-    """Unit mass on each scope's weights, then the identities, presolved.
+                   identities: list, repeats: set) -> PresolvedSystem:
+    """Unit mass on each scope's weights but the repeats', then the identities, presolved.
 
-    An identity of one id is a pin and one of two ids a merge; a longer one
-    becomes a row.
+    One pass sorts the identities: one of one id is a pin, one of two ids a
+    merge, and a longer one a row (``build`` reads all three lists).
     """
     builder = EqualitySystemBuilder(domain_tag, keys)
-    for ids in scopes:
-        builder.add_row(dict.fromkeys(ids, 1), 1)
+    rows, pins, merges = builder.rows, builder.pins, builder.merges
+    rows.extend((dict.fromkeys(ids, 1), 1) for s, ids in enumerate(scopes) if s not in repeats)
     for ident in identities:
-        if len(ident) == 1:
-            builder.pin(ident[0])
-        elif len(ident) == 2:
-            builder.merge(*ident)
-        else:
+        if len(ident) > 2:
             row = dict.fromkeys(ident, 1)
             row[ident[-1]] = -1
-            builder.add_row(row, 0)
+            rows.append((row, 0))
+        elif len(ident) == 2:
+            merges.append(ident)
+        else:
+            pins.append(ident[0])
     return builder.build()
 
 
@@ -603,8 +606,8 @@ def sos(X: Structure, A: Structure, k: int, budget: Budget = DEFAULT_BUDGET) -> 
     ACCEPT's witness is lifted so, with a vector for every key.
     """
     Xk, Ak = k_enhance(X, k, budget), k_enhance(A, k, budget)
-    keys, scopes, identities = _marginal_rows(Xk, Ak, k, budget)
-    presolved = _linear_system(DomainTag.NONNEG_RAT, keys, scopes, identities)
+    keys, scopes, identities, repeats = _marginal_rows(Xk, Ak, k, budget)
+    presolved = _linear_system(DomainTag.NONNEG_RAT, keys, scopes, identities, repeats)
     outcome = lp_feasible(presolved.system, budget)
     if not outcome.feasible:
         evidence = RejectionEvidence(

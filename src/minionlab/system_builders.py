@@ -25,26 +25,30 @@ one int per variable index: the column of its merge class, or -1 when the
 class has no column, being pinned or left free by discharged rows.
 
 A caller that already knows a row to be ``x_v = 0`` or ``x_u - x_v = 0``
-hands it over as ``pin(v)`` or ``merge(u, v)`` rather than as a row.
-``build`` applies every merge, then every pin, to its union-find before its
-fixpoint over the rows.  The presolve's state is its set of zero variables
-plus the merge classes of the others, the least fixpoint of monotone rules,
-so the order in which pins, merges and rows are applied cannot change which
-variables are zero or which are merged.  The fixpoint is the one place a
-row is summed over roots and cleared of zeros.  The emitted
-``LinearSystem`` holds the numbers the caller passed (the marginal rows
-pass ints).  A duplicate row is found by a key: the frozenset of the row's
-items, scaled by the coefficient of its lowest index.  Only that key
-divides into Fractions, and only for a row whose scale is not +-1.
+appends v to the builder's ``pins`` or (u, v) to its ``merges`` rather
+than a row to its ``rows``.  ``build`` applies every merge, then every
+pin, to its union-find, and flattens it so that each link names a root,
+before its fixpoint over the rows.  The presolve's state is its set of zero
+variables plus the merge classes of the others, the least fixpoint of
+monotone rules, so the order in which pins, merges and rows are applied
+cannot change which variables are zero or which are merged.  The fixpoint
+is the one place a row is summed over roots and cleared of zeros.  The
+emitted ``LinearSystem`` holds the numbers the caller passed (the marginal
+rows pass ints).  A duplicate row is found by a key, its primitive int
+vector: the row divided by the gcd of its entries, with the sign that
+makes its lowest-index entry positive.  An int row divides into no
+Fraction; a row with a Fraction is first scaled to ints by the lcm of its
+denominators.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Hashable
 
 from .exact_solvers import DomainTag, LinearSystem
-from .rationals import rat
 
 
 @dataclass
@@ -65,29 +69,19 @@ class PresolvedSystem:
 
 
 class EqualitySystemBuilder:
-    """Collects sparse equality rows over the variables numbered by ``keys``."""
+    """Collects rows ``(coeffs, rhs)``, pins v of ``x_v = 0`` and merges (u, v) of
+    ``x_u = x_v`` over the variables numbered by ``keys``.
+
+    A row's coeffs map a variable index to an int or exact rational; the
+    caller appends to ``rows``, ``pins`` and ``merges``, and ``build`` reads them.
+    """
 
     def __init__(self, domain: DomainTag, keys: tuple[Hashable, ...]):
         self.domain = domain
         self.keys = keys
-        self._rows: list[tuple[dict, object]] = []
-        self._pins: list[int] = []
-        self._merges: list[tuple[int, int]] = []
-
-    def add_row(self, coeffs: dict, rhs) -> None:
-        """Store the caller's row, a dict from variable index to coefficient, unchanged.
-
-        Coefficients may be ints or exact rationals; ``build`` reads the row.
-        """
-        self._rows.append((coeffs, rhs))
-
-    def pin(self, v: int) -> None:
-        """State ``x_v = 0``."""
-        self._pins.append(v)
-
-    def merge(self, u: int, v: int) -> None:
-        """State ``x_u = x_v``."""
-        self._merges.append((u, v))
+        self.rows: list[tuple[dict, object]] = []
+        self.pins: list[int] = []
+        self.merges: list[tuple[int, int]] = []
 
     def build(self) -> PresolvedSystem:
         keys = self.keys
@@ -102,22 +96,29 @@ class EqualitySystemBuilder:
                 parent[v], v = root, parent[v]
             return root
 
-        for u, v in self._merges:
+        def flatten() -> None:  # links point down, so one ascending pass links each to its root
+            for v, p in enumerate(parent):
+                parent[v] = parent[p]
+
+        for u, v in self.merges:
             ru, rv = find(u), find(v)
             if ru < rv:
                 parent[rv] = ru
             elif rv < ru:
                 parent[ru] = rv
-        for v in self._pins:
-            pinned[find(v)] = 1
-        pending = self._rows
+        flatten()
+        for v in self.pins:
+            pinned[parent[v]] = 1
+        pending = self.rows
         while True:
             changed = False
             survivors = []
             for coeffs, rhs in pending:
                 canon: dict = {}
                 for v, c in coeffs.items():
-                    root = find(v)
+                    root = parent[v]
+                    if parent[root] != root:
+                        root = find(v)
                     if not pinned[root]:
                         canon[root] = canon.get(root, 0) + c
                 if 0 in canon.values():
@@ -154,22 +155,32 @@ class EqualitySystemBuilder:
                 break
 
         # one row per hyperplane: rows equal up to a nonzero factor collapse, and so
-        # do the inconsistent empty rows, each scaled by its own right-hand side; an
-        # int and an equal Fraction hash alike, so both kinds of key meet
+        # do the inconsistent empty rows, each keyed by its primitive int vector
         distinct: dict = {}
         for canon, rhs in pending:
-            scale = canon[min(canon)] if canon else rhs
-            if scale == 1:
-                key = (frozenset(canon.items()), rhs)
-            elif scale == -1:
-                key = (frozenset((v, -c) for v, c in canon.items()), -rhs)
-            else:
-                key = (frozenset((v, rat(c, scale)) for v, c in canon.items()), rat(rhs, scale))
-            distinct.setdefault(key, (canon, rhs))
+            distinct.setdefault(_primitive(canon, rhs), (canon, rhs))
         final_rows = distinct.values()
         roots = sorted({root for canon, _ in final_rows for root in canon})
         column = {root: j for j, root in enumerate(roots)}
         rows = tuple({column[root]: c for root, c in canon.items()} for canon, _ in final_rows)
         rhs = tuple(b for _, b in final_rows)
         system = LinearSystem(tuple(keys[root] for root in roots), rows, rhs, self.domain)
-        return PresolvedSystem(system, keys, [column.get(find(v), -1) for v in range(len(keys))])
+        flatten()
+        return PresolvedSystem(system, keys, [column.get(root, -1) for root in parent])
+
+
+def _primitive(canon: dict, rhs) -> tuple:
+    """The row as coprime ints, its lowest-index entry (rhs, if none) positive: two rows
+    share it exactly when one is a nonzero multiple of the other."""
+    try:
+        g = math.gcd(*canon.values(), rhs)
+    except TypeError:  # gcd takes ints only: scale a row of other numbers to ints first
+        exact = [Fraction(c) for c in (*canon.values(), rhs)]
+        den = math.lcm(*(c.denominator for c in exact))
+        *coeffs, b = (int(c * den) for c in exact)
+        return _primitive(dict(zip(canon, coeffs)), b)
+    if (canon[min(canon)] if canon else rhs) < 0:
+        g = -g
+    if g == 1:
+        return frozenset(canon.items()), rhs
+    return frozenset((v, c // g) for v, c in canon.items()), rhs // g

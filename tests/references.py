@@ -10,7 +10,7 @@ check and presolve with one projection per tuple,
 every variable keyed by its tuple and every sum and row key on the
 original values, the repeated ``R_k`` scopes whose identities the marginal
 rows leave out, the marginal front end that stamped one dict per
-identity and presolved each as a row, the basic SDP's Gram problem written
+identity from its own template and presolved each as a row, the basic SDP's Gram problem written
 out loop by loop, the simplex on a
 Fraction tableau, integer points,
 homomorphism counts, the homomorphism search that rescanned A's relation
@@ -48,7 +48,7 @@ from minionlab.exact_solvers import (
     _times_u,
 )
 from minionlab.free_structures import HornFreeStructure
-from minionlab.hierarchies import BWFamily, MarginalWitness, _template, is_valid_bw_family
+from minionlab.hierarchies import BWFamily, MarginalWitness, is_valid_bw_family
 from minionlab.psd import GramProblem, Inconsistent, ReducedGramProblem
 from minionlab.rationals import R0, R1, is_integral, rat
 from minionlab.structures import (
@@ -577,6 +577,27 @@ def identity_row(ident: tuple) -> dict:
     return row
 
 
+def dict_row_template(xt: tuple, tuples: tuple, projections: list, cells: list,
+                      targets_of: dict) -> tuple:
+    """``hierarchies._template`` as it was: the images, and for every projection,
+    an ``R_k`` scope's projections onto itself included, its getter and the
+    local indices of the images projecting onto each cell the projected
+    scope precedes."""
+    images = [at for at in tuples if precedes(xt, at)]
+    stamps = []
+    for _, get in projections:
+        xi = get(xt)
+        xi_pattern = tuple(map(xi.index, xi))
+        targets = targets_of.get(xi_pattern)
+        if targets is None:
+            targets = targets_of[xi_pattern] = [b for b in cells if precedes(xi, b)]
+        local: dict = {}
+        for i, at in enumerate(images):
+            local.setdefault(get(at), []).append(i)
+        stamps.append((get, [local.get(b, ()) for b in targets]))
+    return images, stamps
+
+
 def dict_row_marginal_rows(Xk: Structure, Ak: Structure, k: int,
                            skip: Collection = ()) -> tuple:
     """``hierarchies._marginal_rows`` as it was with each identity stamped as its own dict.
@@ -600,7 +621,7 @@ def dict_row_marginal_rows(Xk: Structure, Ak: Structure, k: int,
             pattern = (sym, tuple(map(xt.index, xt)))
             template = templates.get(pattern)
             if template is None:
-                template = templates[pattern] = _template(
+                template = templates[pattern] = dict_row_template(
                     xt, tuples, projections[len(xt)], cells, targets_of)
             images, stamps = template
             ids = range(len(keys), len(keys) + len(images))

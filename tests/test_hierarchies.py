@@ -122,7 +122,7 @@ def sa_reference(X: Structure, A: Structure, k: int) -> bool:
     builder = EqualitySystemBuilder(DomainTag.NONNEG_RAT, tuple(keys))
 
     def add(row: dict, rhs) -> None:
-        builder.add_row({index[key]: c for key, c in row.items()}, rhs)
+        builder.rows.append(({index[key]: c for key, c in row.items()}, rhs))
 
     # unit mass on every subset distribution
     for V in subsets:
@@ -572,7 +572,7 @@ def test_a_marginal_witness_may_leave_out_its_zero_weights():
     C4, K2 = cycle(4), clique(2)
     Xk, Ak = k_enhance(C4, 2), k_enhance(K2, 2)
     sparse = sa(C4, K2, 2).witness.values
-    keys, _, _ = _marginal_rows(Xk, Ak, 2, DEFAULT_BUDGET)
+    keys, *_ = _marginal_rows(Xk, Ak, 2, DEFAULT_BUDGET)
     assert 0 not in sparse.values() and len(sparse) < len(keys)
     validate_marginal_witness(sparse, Xk, Ak, 2)
     del sparse[next(iter(sparse))]
@@ -786,17 +786,20 @@ def assert_front_end_matches_reference(X: Structure, A: Structure, k: int) -> No
 def assert_rows_match_reference(Xk: Structure, Ak: Structure, k: int) -> tuple:
     """The rows and the presolve of the pair as given; returns the rows.
 
-    The identities are those of the references' stated scopes, in order.
-    The presolve is compared twice with every scope's identities stated:
-    with the per-tuple reference, and with the identities stamped one dict
-    each and read back as rows.
+    The identities are those of the references' stated scopes, in order,
+    and the repeats are the references' repeats.  The presolve, which
+    states no unit row of a repeat, is compared twice with every scope's
+    identities and unit row stated: with the per-tuple reference, and with
+    the identities stamped one dict each and read back as rows.
     """
-    keys, scopes, identities = _marginal_rows(Xk, Ak, k, DEFAULT_BUDGET)
+    keys, scopes, identities, repeat_at = _marginal_rows(Xk, Ak, k, DEFAULT_BUDGET)
     repeats = reference_repeated_scopes(Xk, k)
     dict_rows = dict_row_marginal_rows(Xk, Ak, k)
     assert (keys, scopes, [identity_row(ident) for ident in identities]) == \
         dict_row_marginal_rows(Xk, Ak, k, repeats)
     ref_scopes, ref_identities = reference_marginal_rows(Xk, Ak, k)
+    assert repeat_at == {s for s, (sym, xt, _) in enumerate(ref_scopes)
+                         if sym == f"R_{k}" and xt in repeats}
     ref_units = [{(sym, xt, at): 1 for at in images} for sym, xt, images in ref_scopes]
     assert [[keys[v] for v in ids] for ids in scopes] == [list(unit) for unit in ref_units]
     assert [[(keys[v], c) for v, c in identity_row(ident).items()] for ident in identities] == \
@@ -807,7 +810,7 @@ def assert_rows_match_reference(Xk: Structure, Ak: Structure, k: int) -> tuple:
             reference.add_row(unit, 1)
         for row in ref_identities:
             reference.add_row(row, 0)
-        presolved = _presolved_by_value(_linear_system(tag, keys, scopes, identities))
+        presolved = _presolved_by_value(_linear_system(tag, keys, scopes, identities, repeat_at))
         assert presolved == _presolved_by_value(reference.build())
         assert presolved == _presolved_by_value(dict_row_linear_system(tag, *dict_rows))
     return keys, scopes, identities
@@ -857,7 +860,7 @@ def test_the_marginal_variables_are_numbered_densely_in_unit_mass_order():
     # order the unit-mass rows list them
     for X, A, k in ((cycle(5), clique(3), 1), (clique(3), directed_triangle(), 2)):
         Xk, Ak = k_enhance(X, k), k_enhance(A, k)
-        keys, scopes, identities = _marginal_rows(Xk, Ak, k, DEFAULT_BUDGET)
+        keys, scopes, identities, _ = _marginal_rows(Xk, Ak, k, DEFAULT_BUDGET)
         assert [v for ids in scopes for v in ids] == list(range(len(keys)))
         assert [[keys[v] for v in ids] for ids in scopes] == \
             [[(sym, xt, at) for at in Ak.tuples(sym) if precedes(xt, at)]
@@ -878,7 +881,7 @@ def test_an_input_that_already_holds_r_k_is_numbered_as_given():
     X, A = cycle(4), clique(3)
     X2, A2 = r_2_declared_first(X), r_2_declared_first(A)
     assert k_enhance(X2, 2) is X2 and k_enhance(A2, 2) is A2
-    keys, _, _ = _marginal_rows(X2, A2, 2, DEFAULT_BUDGET)
+    keys, *_ = _marginal_rows(X2, A2, 2, DEFAULT_BUDGET)
     assert keys[0][0] == "R_2" and keys[-1][0] == "R"
     assert_front_end_matches_reference(X2, A2, 2)
     assert sa(X2, A2, 2).status is sa(X, A, 2).status is Status.ACCEPT
@@ -886,7 +889,7 @@ def test_an_input_that_already_holds_r_k_is_numbered_as_given():
 
 def stamped_r_k_scopes(Xk: Structure, Ak: Structure, k: int) -> set:
     """The ``R_k`` scopes that own an image of some stamped identity."""
-    keys, _, identities = _marginal_rows(Xk, Ak, k, DEFAULT_BUDGET)
+    keys, _, identities, _ = _marginal_rows(Xk, Ak, k, DEFAULT_BUDGET)
     return {keys[v][1] for ident in identities for v in ident[:-1] if keys[v][0] == f"R_{k}"}
 
 
@@ -905,7 +908,7 @@ def test_c4_into_k3_states_no_identity_of_a_repeated_r_2_scope():
     assert set(Xk.tuples("R_2")) - repeats == stated
     # a diagonal R_2 scope projects only onto itself, so it stamps no identity
     assert stamped_r_k_scopes(Xk, Ak, 2) == {("0", "2"), ("1", "3")}
-    keys, scopes, identities = _marginal_rows(Xk, Ak, 2, DEFAULT_BUDGET)
+    keys, scopes, identities, _ = _marginal_rows(Xk, Ak, 2, DEFAULT_BUDGET)
     assert (keys, scopes, [identity_row(ident) for ident in identities]) == \
         dict_row_marginal_rows(Xk, Ak, 2, repeats)
 
@@ -917,9 +920,37 @@ def test_with_r_2_declared_first_only_swaps_of_earlier_r_2_scopes_are_repeats():
     swaps = {(y, x) for x, y in itertools.combinations(X.domain, 2)}
     assert reference_repeated_scopes(X2, 2) == swaps
     assert stamped_r_k_scopes(X2, A2, 2) == set(itertools.combinations(X.domain, 2))
-    _, _, identities = _marginal_rows(X2, A2, 2, DEFAULT_BUDGET)
+    _, _, identities, _ = _marginal_rows(X2, A2, 2, DEFAULT_BUDGET)
     assert [identity_row(ident) for ident in identities] == \
         dict_row_marginal_rows(X2, A2, 2, swaps)[2]
+
+
+def test_an_empty_marker_keeps_its_unit_row_beside_the_repeat_it_marks():
+    # D1's loop has no image in the loopless K2, so its R scope holds the empty
+    # range (0, 0) and marks the R_2 scope of the loop, whose range also starts
+    # at 0; the repeat states no unit row, and the marker's reads 0 = 1
+    X, A = named("D1"), clique(2)
+    Xk, Ak = k_enhance(X, 2), k_enhance(A, 2)
+    keys, scopes, identities, repeat_at = _marginal_rows(Xk, Ak, 2, DEFAULT_BUDGET)
+    assert scopes[:2] == [range(0, 0), range(0, 2)] and keys[0][:2] == ("R_2", ("0", "0"))
+    assert 1 in repeat_at and 0 not in repeat_at
+    for tag in DomainTag:
+        system = _linear_system(tag, keys, scopes, identities, repeat_at).system
+        assert ({}, 1) in zip(system.rows, system.rhs), tag
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("target", ["K2", "K3", "C4", "DT"])
+def test_leaving_out_the_repeats_unit_rows_presolves_like_stating_them(target):
+    for X in digraphs_up_to_renaming(3):
+        for k in LEVELS:
+            keys, scopes, identities, repeat_at = _marginal_rows(
+                k_enhance(X, k), k_enhance(named(target), k), k, DEFAULT_BUDGET)
+            for tag in DomainTag:
+                left_out = _linear_system(tag, keys, scopes, identities, repeat_at)
+                stated = _linear_system(tag, keys, scopes, identities, set())
+                assert _presolved_by_value(left_out) == _presolved_by_value(stated), \
+                    (X.name, target, k, tag)
 
 
 @pytest.mark.slow

@@ -76,7 +76,7 @@ def test_stochastic_membership():
     doubled = {key: 2 * v if key[0] == "R" else v for key, v in values.items()}
     with pytest.raises(InvalidWitness, match="unit mass"):
         validate_marginal_witness(doubled, Xk, Ak, 1)
-    keys, _, _ = _marginal_rows(Xk, Ak, 1, DEFAULT_BUDGET)
+    keys, *_ = _marginal_rows(Xk, Ak, 1, DEFAULT_BUDGET)
     key = next(key for key in keys if values.get(key, 0) == 0)
     negative = values | {key: rat(-1, 3)}
     with pytest.raises(InvalidWitness, match="negative"):

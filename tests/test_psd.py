@@ -59,8 +59,9 @@ from references import (
 def sos_problem(X, A, k: int) -> GramProblem:
     """The Gram problem ``sos`` poses on the presolved columns of its marginal LP."""
     Xk, Ak = k_enhance(X, k), k_enhance(A, k)
-    keys, scopes, identities = _marginal_rows(Xk, Ak, k, DEFAULT_BUDGET)
-    return _sos_problem(_linear_system(DomainTag.NONNEG_RAT, keys, scopes, identities), scopes)
+    keys, scopes, identities, repeats = _marginal_rows(Xk, Ak, k, DEFAULT_BUDGET)
+    return _sos_problem(
+        _linear_system(DomainTag.NONNEG_RAT, keys, scopes, identities, repeats), scopes)
 
 
 def misfit(reduced: ReducedGramProblem, G: np.ndarray) -> float:
@@ -344,8 +345,8 @@ def key_form_outcome(Xk, Ak, k: int):
     label per key.  None when the marginal LP rejects, as ``sos`` then poses
     no Gram problem.
     """
-    keys, scopes, identities = _marginal_rows(Xk, Ak, k, DEFAULT_BUDGET)
-    presolved = _linear_system(DomainTag.NONNEG_RAT, keys, scopes, identities)
+    keys, scopes, identities, repeats = _marginal_rows(Xk, Ak, k, DEFAULT_BUDGET)
+    presolved = _linear_system(DomainTag.NONNEG_RAT, keys, scopes, identities, repeats)
     if not lp_feasible(presolved.system, DEFAULT_BUDGET).feasible:
         return None
     problem = _sos_problem(presolved, scopes)

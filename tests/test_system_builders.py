@@ -2,6 +2,7 @@
 
 import pytest
 
+from minionlab.errors import MalformedInput
 from minionlab.exact_solvers import DomainTag, lp_feasible, verify_farkas
 from minionlab.rationals import rat
 from minionlab.system_builders import EqualitySystemBuilder
@@ -17,7 +18,7 @@ def build(domain, *rows):
             index.setdefault(key, len(index))
     builder = EqualitySystemBuilder(domain, tuple(index))
     for coeffs, rhs in rows:
-        builder.add_row({index[key]: c for key, c in coeffs.items()}, rhs)
+        builder.rows.append(({index[key]: c for key, c in coeffs.items()}, rhs))
     return builder.build()
 
 
@@ -89,8 +90,8 @@ def test_int_rows_leave_the_builder_as_ints():
 @pytest.mark.parametrize("lead", [-1, 2, rat(2, 3)], ids=["minus-one", "two", "fraction"])
 @pytest.mark.parametrize("unit_first", [True, False], ids=["unit-first", "scaled-first"])
 def test_a_scaled_copy_collapses_into_the_row_seen_first(lead, unit_first):
-    # a row led by +-1 is keyed as itself times that sign, any other through
-    # rat(c, lead); both keys must meet, and the first row seen is kept
+    # each row is keyed by its primitive int vector, whose x entry is positive;
+    # the keys must meet, and the first row seen is kept
     unit = ({"x": 1, "y": 2}, 3)
     scaled = ({"x": lead, "y": 2 * lead}, 3 * lead)
     first = unit if unit_first else scaled
@@ -98,6 +99,21 @@ def test_a_scaled_copy_collapses_into_the_row_seen_first(lead, unit_first):
     system = build(DomainTag.NONNEG_RAT, *rows).system
     assert system.var_names == ("x", "y")
     assert system.rows == ({0: first[0]["x"], 1: first[0]["y"]},) and system.rhs == (first[1],)
+    assert [type(c) for c in system.rows[0].values()] == [type(c) for c in first[0].values()]
+
+
+@pytest.mark.parametrize("domain", list(DomainTag), ids=[tag.value for tag in DomainTag])
+@pytest.mark.parametrize("int_first", [True, False], ids=["int-first", "fraction-first"])
+def test_an_int_row_led_by_two_and_a_fraction_multiple_collapse(domain, int_first):
+    # neither row is led by +-1, and the 2/3 multiple mixes Fractions with
+    # denominators 3 and 1; both key as the primitive vector (2, 3, -1 | 5)
+    ints = ({"x": 2, "y": 3, "z": -1}, 5)
+    fractions = ({key: rat(2, 3) * c for key, c in ints[0].items()}, rat(2, 3) * ints[1])
+    first, second = (ints, fractions) if int_first else (fractions, ints)
+    system = build(domain, first, second).system
+    assert system.var_names == ("x", "y", "z")
+    assert system.rows == ({0: first[0]["x"], 1: first[0]["y"], 2: first[0]["z"]},)
+    assert system.rhs == (first[1],)
     assert [type(c) for c in system.rows[0].values()] == [type(c) for c in first[0].values()]
 
 
@@ -110,6 +126,15 @@ def test_a_copy_written_in_another_order_collapses(lead):
     system = build(DomainTag.NONNEG_RAT, unit, scaled).system
     assert system.var_names == ("x", "y")
     assert system.rows == ({0: 1, 1: 2},) and system.rhs == (3,)
+
+
+@pytest.mark.parametrize("row", [{"x": 1, "y": 0.5}, {"x": 0.5, "y": 1}],
+                         ids=["int-lead", "float-lead"])
+def test_a_float_entry_is_refused_as_malformed_input(row):
+    # the duplicate key reads a float as the exact rational it stores, so the
+    # emitted system's own check refuses it, whichever entry leads the row
+    with pytest.raises(MalformedInput, match="not an exact rational"):
+        build(DomainTag.NONNEG_RAT, (row, 1))
 
 
 # one- and two-term rows with right-hand side 0 on free, pinned and merged
@@ -155,11 +180,11 @@ def test_pins_and_merges_stated_directly_presolve_like_the_same_rows(domain, ord
         ids = {index[key]: c for key, c in coeffs.items()}
         (first, c), *rest = ids.items()
         if rhs == 0 and c and not rest:
-            stated.append((builder.pin, first))
+            stated.append((builder.pins.append, first))
         elif rhs == 0 and c and len(rest) == 1 and rest[0][1] == -c:
-            stated.append((builder.merge, first, rest[0][0]))
+            stated.append((builder.merges.append, (first, rest[0][0])))
         else:
-            builder.add_row(ids, rhs)
+            builder.rows.append((ids, rhs))
     assert len(stated) == 8
     for state, *args in stated[::order]:
         state(*args)

@@ -59,7 +59,7 @@ def rows_by_marginal(Xk: Structure, Ak: Structure, k: int) -> dict:
     enhancement variables, so the keys do not collide.
     """
     sym = next(s for s in Xk.signature.names() if Xk.has_tuple(s, XY))
-    keys, _, id_rows = _marginal_rows(Xk, Ak, k, DEFAULT_BUDGET)
+    keys, _, id_rows, _ = _marginal_rows(Xk, Ak, k, DEFAULT_BUDGET)
     identities = [{keys[v]: c for v, c in identity_row(ident).items()} for ident in id_rows]
     identities = [row for row in identities
                   if all(key[:2] == (sym, XY) for key, c in row.items() if c == 1)]
@@ -81,7 +81,7 @@ def test_relation_projection_tensor_k2_first_coordinate(k2):
 def test_relation_projection_empty_relation():
     A = Structure(Signature.of({"R": 2}), ["0"], {"R": []})
     X = Structure(Signature.of({"R": 2}), list(XY), {"R": [XY]})
-    keys, scopes, _ = _marginal_rows(k_enhance(X, 1), k_enhance(A, 1), 1, DEFAULT_BUDGET)
+    keys, scopes, *_ = _marginal_rows(k_enhance(X, 1), k_enhance(A, 1), 1, DEFAULT_BUDGET)
     # the scope (R, XY) comes first and has no image, so no variable and an empty range
     assert len(scopes[0]) == 0 and not [key for key in keys if key[:2] == ("R", XY)]
     verdict = sa(X, A, 1)
