@@ -3,13 +3,13 @@
 Everything here is exact.  The simplex, with Bland's anti-cycling rule,
 keeps each tableau row as arbitrary-precision ints over one positive
 denominator and pivots fraction-free (Edmonds 1967); it builds a Fraction
-only for the points and multipliers it returns.  Integer systems go
-through a column echelon form H' = A U' built by Euclid's steps alone,
-which keeps only H' and logs each column operation, and solves H' z = b
-row by row as it goes, stopping at the first row that no integer clears;
-the point x = U' z replays the log on z.  Only a rejection reduces the
-rows up to the failing one to column Hermite form, which its certificate
-reads (Cohen 1993, 2.4.2-2.4.3).  The systems the hierarchies pose are
+only for the points and multipliers it returns.  Integer systems go through
+a column echelon form H' = A U' built by Euclid's steps alone, which keeps
+only H' and logs each column operation, and solves H' z = b row by row as
+it goes, stopping at the first row that no integer clears; the point
+x = U' z replays the log on z, and a rejection back-substitutes on the
+rows up to the failing one.  No Hermite form is formed, as no verdict
+reads the unique form it gives.  The systems the hierarchies pose are
 tall, sparse and mostly +-1, so both solvers skip zero entries: a simplex
 pivot leaves every row with a zero in the pivot column alone and
 subtracts the pivot row's nonzero columns only, an echelon column
@@ -22,7 +22,7 @@ row, that a single sparse product checks:
   (Farkas' lemma); a solution would give 0 < y^T b = (y^T A) x <= 0.
 - ``PARITY``: y^T A is integral and y^T b is not, so A x = b has no integer
   solution (integer Farkas lemma, Schrijver 1986, Cor. 4.1a); a solution
-  would make y^T b = (y^T A) x an integer.
+  would make y^T b = (y^T A) x an integer.  Each entry lies in [0, 1).
 """
 
 from __future__ import annotations
@@ -358,13 +358,14 @@ def verify_farkas(cert: Certificate, sys: LinearSystem) -> bool:
 def _combine(cert: Certificate, sys: LinearSystem, kind: CertificateKind):
     """The nonzero-column entries of y^T A and the value y^T b, in one sparse pass.
 
-    None unless y has one exact rational entry per row: a float's rounding
-    can make a feasible system look refuted.
+    None unless y is a tuple or list with one exact rational entry per row:
+    a float's rounding can make a feasible system look refuted.
     """
     if cert.kind is not kind:
         raise WrongKind(f"expected a {kind.value} certificate, got {cert.kind.value}")
     y = cert.farkas
-    if len(y) != sys.num_rows or not all(isinstance(yi, RATIONAL_TYPES) for yi in y):
+    if not isinstance(y, (tuple, list)) or len(y) != sys.num_rows \
+            or not all(isinstance(yi, RATIONAL_TYPES) for yi in y):
         return None
     cols: dict[int, object] = {}
     for yi, row in zip(y, sys.rows):
@@ -438,15 +439,7 @@ def maximal_support(
 # -- integer systems via column echelon form -------------------------------------------
 
 
-def _check_budget(log: list, budget: Budget) -> None:
-    """Checked once a row's operations are logged: a row takes finitely many, and the
-    count only grows, so this raises exactly when the whole solve would exceed
-    ``max_pivots``."""
-    if len(log) > budget.max_pivots:
-        raise IterationBudget(f"echelon form exceeded {budget.max_pivots} column operations")
-
-
-def _hnf(cols: list[dict], m: int, b: Sequence[int], budget: Budget) -> tuple:
+def _echelon(cols: list[dict], m: int, b: Sequence[int], budget: Budget) -> tuple:
     """Column echelon form H' = A U', U' unimodular, in place, by Euclid's steps alone,
     solving H' z = b row by row; returns the pivots (row, col), the log of column
     operations, the nonzero z_j, the first row whose residual no integer clears
@@ -468,9 +461,11 @@ def _hnf(cols: list[dict], m: int, b: Sequence[int], budget: Budget) -> tuple:
     before c are final and have fixed their z_j, and no later column has an
     entry above row i, so row i's residual b_i - (H' z)_i is final: the
     pivot fixes z_c, or, with no pivot, the residual must be 0.  The form
-    stops at the first row where neither holds.  Entries left of a pivot
-    are left as they are: ``_reduce`` reduces them for a certificate.
-    Column operations count against the budget.
+    stops at the first row where neither holds and reads no row after it.
+    Entries left of a pivot are left unreduced.  Column operations count
+    against ``max_pivots``, checked once a row's are logged: the count only
+    grows, so the form raises exactly when its Euclid steps up to the row
+    it stops at exceed the budget.
     """
     in_row: list[set] = [set() for _ in range(m)]
     for j, col in enumerate(cols):
@@ -538,7 +533,9 @@ def _hnf(cols: list[dict], m: int, b: Sequence[int], budget: Budget) -> tuple:
             col = cols[c]
             if col[i] < 0:
                 col_negate(c)
-            _check_budget(log, budget)
+            if len(log) > budget.max_pivots:
+                raise IterationBudget(
+                    f"echelon form exceeded {budget.max_pivots} column operations")
             pivots.append((i, c))
             q, rem = divmod(acc, col[i])
             if rem:
@@ -553,42 +550,8 @@ def _hnf(cols: list[dict], m: int, b: Sequence[int], budget: Budget) -> tuple:
     return pivots, log, z, -1, 0
 
 
-def _reduce(cols: list[dict], pivots, r: int, log: list, budget: Budget) -> None:
-    """Reduce the echelon form on rows 0..r to the column Hermite form H = A U, in place.
-
-    For each pivot (i, c) with i <= r, in row order, adding q times column
-    c to each column j < c brings the entry left of the pivot into
-    [0, H[i][c]).  Column c is zero above row i, so only rows from i on
-    change, and only the entries of rows up to r are written, which are all
-    that ``_integer_farkas`` reads; with r = m - 1 this is the whole form.
-    No such operation touches a column from c on, so each commutes with
-    every later Euclid step of ``_hnf``: the result, and U, are those of
-    the reduction done row by row between Euclid's steps.  Each operation
-    is logged and counts against the budget.
-    """
-    for i, c in pivots:
-        if i > r:
-            break
-        col = cols[c]
-        h = col[i]
-        part = [(t, v) for t, v in col.items() if t <= r]
-        for j in range(c):
-            d = cols[j]
-            q = -(d.get(i, 0) // h)
-            if q:
-                log.append((j, c, q))
-                for t, v in part:
-                    w = d.get(t, 0) + q * v
-                    if w:
-                        d[t] = w
-                    else:
-                        del d[t]
-        _check_budget(log, budget)
-
-
 def _times_u(log: list[tuple], z: list[int]) -> list[int]:
-    """U z for the U that ``_hnf`` (and ``_reduce``) logged, by replaying the log
-    backwards on z.
+    """U z for the U that ``_echelon`` logged, by replaying the log backwards on z.
 
     U is the product E_1 ... E_r of the logged column operations, so U z
     applies E_r first.  Each E acts on z as its operation acts on the
@@ -610,12 +573,14 @@ def _times_u(log: list[tuple], z: list[int]) -> list[int]:
 
 
 def _integer_farkas(cols: list[dict], m: int, pivots, r: int, residual: int) -> tuple:
-    """A y with y^T H = e_j or 0 and y^T b = residual / H[r][j] or 1/2.
+    """A y with y^T H' = e_j or 0 and y^T b = residual / H'[r][j] or 1/2, reduced mod 1.
 
-    Substitution failed at row r, and H is in Hermite form on rows 0..r.
-    If r pivots on column j, y_r = 1/H[r][j]; otherwise y_r = 1/(2 residual).
-    Each earlier pivot (i, c), last first, then cancels column c of y^T H,
-    reading only that column's nonzeros.
+    Substitution failed at row r of the echelon form H'.  If r pivots on
+    column j, y_r = 1/H'[r][j]; otherwise y_r = 1/(2 residual).  Each
+    earlier pivot (i, c), last first, then cancels column c of y^T H',
+    reading only that column's nonzeros.  So y^T A = y^T H' U'^{-1} is
+    integral and y^T b is not.  Shifting each entry into [0, 1) by an
+    integer keeps both, and every denominator, and bounds the entries.
     """
     y = [R0] * m
     j = dict(pivots).get(r)
@@ -624,25 +589,24 @@ def _integer_farkas(cols: list[dict], m: int, pivots, r: int, residual: int) -> 
         col = cols[c]
         acc = sum((y[t] * h for t, h in col.items() if i < t <= r and y[t] != 0), R0)
         y[i] = -acc / col[i]
-    return tuple(y)
+    return tuple(v - v.numerator // v.denominator for v in y)
 
 
 def diophantine_solve(sys: LinearSystem, budget: Budget = DEFAULT_BUDGET) -> SolveOutcome:
     """Integer feasibility of A x = b, with an integer Farkas vector on reject.
 
     With H' = A U' (U' unimodular) in column echelon form, x = U' z turns
-    A x = b into H' z = b, which ``_hnf`` solves row by row as it builds H';
-    x is found by replaying its log of column operations on z.  The Hermite
-    form H = H' V reduces the entries left of each pivot, which makes it
-    unique but changes no x, since U z = U' (V z); so an accept never
-    reduces.  When substitution fails at row r, ``_reduce`` brings rows
-    0..r into Hermite form, and then y^T A = y^T H U^{-1} is integral and
-    y^T b is not; such a y exists exactly when no integer solution does
-    (Schrijver 1986, Cor. 4.1a).  Column operations count against
-    ``max_pivots``, and the outcome's ``pivots`` is their number: the
-    Euclid steps up to the failing row, and on a reject the reductions up
-    to it.  Entries must be integral (``MalformedInput`` otherwise) and are
-    read as ints; an accepted point maps each column to an int.
+    A x = b into H' z = b, which ``_echelon`` solves row by row as it builds
+    H'; x is found by replaying its log of column operations on z.  When
+    substitution fails at row r, ``_integer_farkas`` reads off rows 0..r of
+    H' a y with y^T A integral and y^T b not; such a y exists exactly when
+    no integer solution does (Schrijver 1986, Cor. 4.1a).  Reducing H' to
+    the column Hermite form (Cohen 1993, 2.4.2-2.4.3) would change neither
+    x nor whether y exists, so it is never done.  Column operations count
+    against ``max_pivots``, and the outcome's ``pivots`` is their number:
+    the Euclid steps, up to the failing row on a reject.  Entries must be
+    integral (``MalformedInput`` otherwise) and are read as ints; an
+    accepted point maps each column to an int.
     """
     if sys.domain_tag is not DomainTag.INT:
         raise WrongKind("diophantine_solve needs an integer system")
@@ -658,11 +622,10 @@ def diophantine_solve(sys: LinearSystem, budget: Budget = DEFAULT_BUDGET) -> Sol
             if c:
                 cols[j][i] = int(c)
         b.append(int(rhs))
-    pivots, log, z, r, residual = _hnf(cols, m, b, budget)
+    pivots, log, z, r, residual = _echelon(cols, m, b, budget)
     if r < 0:
         x = _times_u(log, [z.get(j, 0) for j in range(n)])
         return SolveOutcome(True, point=dict(enumerate(x)), pivots=len(log))
-    _reduce(cols, pivots, r, log, budget)
     y = _integer_farkas(cols, m, pivots, r, residual)
     cert = Certificate(CertificateKind.PARITY, farkas=y)
     return SolveOutcome(False, certificate=cert, pivots=len(log))

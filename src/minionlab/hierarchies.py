@@ -261,9 +261,10 @@ def _marginal_rows(Xk: Structure, Ak: Structure, k: int, budget: Budget) -> tupl
     The scopes are walked in the order they are numbered, and a scope's
     identities are stamped unless it is an ``R_k`` scope marked as a
     *repeat*.  Each stated scope xt marks as a repeat every ``R_k`` scope
-    xi = π(xt), other than itself and those already stated, for each
-    projection π whose position tuple names every position of xt; a repeat
-    marks nothing.  A repeat keeps its variables and ids, but neither its
+    xi = π(xt) for each projection π whose position tuple names every
+    position of xt; a repeat marks nothing.  Only the scopes not yet walked
+    read the marks, so marking xt itself or a scope already stated changes
+    nothing.  A repeat keeps its variables and ids, but neither its
     identities nor its unit-mass row is stated, and the emitted system is
     the one that stating every identity and unit row gives:
 
@@ -308,7 +309,6 @@ def _marginal_rows(Xk: Structure, Ak: Structure, k: int, budget: Budget) -> tupl
     # the getters of the projections that name every position of a scope
     covering = {arity: [get for i, get in projections[arity] if len(set(i)) == arity]
                 for arity in projections}
-    stated: set = set()  # the R_k scopes, walked so far, whose identities are stamped
     repeats: set = set()  # the R_k scopes a stated scope projects onto by a covering getter
     repeat_at: set = set()  # the positions of the repeats in the scope list
     identities = []
@@ -317,11 +317,7 @@ def _marginal_rows(Xk: Structure, Ak: Structure, k: int, budget: Budget) -> tupl
             if xt in repeats:
                 repeat_at.add(s)
                 continue
-            stated.add(xt)
-        for get in covering[len(xt)]:
-            xi = get(xt)
-            if xi not in stated:
-                repeats.add(xi)
+        repeats.update(get(xt) for get in covering[len(xt)])
         # the projected mass onto the cell of (enh, xi, b) minus its weight
         shift = ids.start.__add__
         for get, groups in stamps:
@@ -357,8 +353,9 @@ def validate_marginal_witness(
 ) -> None:
     """Check the witness against the defining equations, exactly; an absent weight is zero.
 
-    One pass checks that every weight is an int or a Fraction, and its sign,
-    integrality and the image's length.
+    One pass checks that every key is a (symbol, scope, image) triple, that
+    every weight is an int or a Fraction, and its sign, integrality and the
+    image's length.
     A nonzero weight must also respect its scope and name a variable: a
     scope ``(sym, xt)`` of ``Xk``, checked once per scope, and a tuple ``at``
     of ``Ak``; a zero weight may sit on any key.  Each scope's nonzero
@@ -369,26 +366,30 @@ def validate_marginal_witness(
     """
     enh = f"R_{k}"
     weights: dict = {}  # (sym, xt) -> {at: the nonzero weight}
-    for (sym, xt, at), v in values.items():
-        if not isinstance(v, RATIONAL_TYPES):
-            raise InvalidWitness(f"weight {v!r} at {(sym, xt, at)} is not an exact rational")
-        if integral and not is_integral(v):
-            raise InvalidWitness(f"non-integer weight at {(sym, xt, at)}")
-        if not integral and v < 0:
-            raise InvalidWitness(f"negative weight at {(sym, xt, at)}")
-        if len(xt) != len(at):
-            raise LengthMismatch(f"tuples of lengths {len(xt)} and {len(at)}")
-        if v:
-            if not precedes(xt, at):
-                raise InvalidWitness(f"scope-violating weight at {(sym, xt, at)}")
-            own = weights.get((sym, xt))
-            if own is None:  # the scope's first nonzero weight: is it a scope of Xk?
-                if not (sym in Xk.signature and Xk.has_tuple(sym, xt)):
-                    raise InvalidWitness(f"weight on no variable of the system at {(sym, xt, at)}")
-                own = weights[(sym, xt)] = {}
-            if not Ak.has_tuple(sym, at):
-                raise InvalidWitness(f"weight on no variable of the system at {(sym, xt, at)}")
-            own[at] = v
+    try:
+        for key, v in values.items():
+            sym, xt, at = key
+            if not isinstance(v, RATIONAL_TYPES):
+                raise InvalidWitness(f"weight {v!r} at {key} is not an exact rational")
+            if integral and not is_integral(v):
+                raise InvalidWitness(f"non-integer weight at {key}")
+            if not integral and v < 0:
+                raise InvalidWitness(f"negative weight at {key}")
+            if len(xt) != len(at):
+                raise LengthMismatch(f"tuples of lengths {len(xt)} and {len(at)}")
+            if v:
+                if not precedes(xt, at):
+                    raise InvalidWitness(f"scope-violating weight at {key}")
+                own = weights.get((sym, xt))
+                if own is None:  # the scope's first nonzero weight: is it a scope of Xk?
+                    if not (sym in Xk.signature and Xk.has_tuple(sym, xt)):
+                        raise InvalidWitness(f"weight on no variable of the system at {key}")
+                    own = weights[(sym, xt)] = {}
+                if not Ak.has_tuple(sym, at):
+                    raise InvalidWitness(f"weight on no variable of the system at {key}")
+                own[at] = v
+    except (TypeError, ValueError) as exc:  # a key that is no (symbol, scope, image) triple
+        raise InvalidWitness(f"malformed key {key!r}: {exc}") from exc
     scale = math.lcm(*(v.denominator for own in weights.values() for v in own.values()))
     for own in weights.values():
         for at, v in own.items():

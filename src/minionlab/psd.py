@@ -589,16 +589,25 @@ class _DualSearch:
 def verify_dual_certificate(certificate: DualCertificate) -> bool:
     """Exact check that y^T b < 0 and that S = sum y_i C_i is positive definite.
 
-    False unless y has one exact rational entry per constraint: a float's
-    rounding can make a feasible problem look refuted.  y is scaled by the
-    common denominator of its entries, which keeps every sign, so an int y
-    over int constraints is summed in ints; S is then scaled to an int
-    matrix and tested by Sylvester's criterion, its leading principal minors
-    being the pivots of a fraction-free (Bareiss) elimination.
+    False unless y has one exact rational entry per constraint and every
+    constraint has exact rational coefficients, on index pairs of ``reps``,
+    and an exact rational right-hand side: a float's rounding can make a
+    feasible problem look refuted, and a negative index would wrap around.
+    y is scaled by the common denominator of its entries, which keeps every
+    sign, so an int y over int constraints is summed in ints; S is then
+    scaled to an int matrix and tested by Sylvester's criterion, its leading
+    principal minors being the pivots of a fraction-free (Bareiss)
+    elimination.
     """
     y, constraints = certificate.multipliers, certificate.constraints
     if len(y) != len(constraints) or not all(isinstance(v, RATIONAL_TYPES) for v in y):
         return False
+    n = len(certificate.reps)
+    for row, rhs in constraints:
+        if not isinstance(rhs, RATIONAL_TYPES) or not all(
+                isinstance(v, RATIONAL_TYPES) and 0 <= s < n and 0 <= t < n
+                for (s, t), v in row.items()):
+            return False
     common = math.lcm(*(v.denominator for v in y))
     y = [v.numerator * (common // v.denominator) for v in y]
     if sum(yi * rhs for yi, (_, rhs) in zip(y, constraints)) >= 0:
@@ -612,7 +621,6 @@ def verify_dual_certificate(certificate: DualCertificate) -> bool:
                 key = (s, t) if s <= t else (t, s)
                 upper[key] = upper.get(key, 0) + (2 * yi * v if s == t else yi * v)
     scale = math.lcm(*(v.denominator for v in upper.values()))
-    n = len(certificate.reps)
     a = [[0] * n for _ in range(n)]
     for (s, t), v in upper.items():
         a[s][t] = v.numerator * (scale // v.denominator)

@@ -16,10 +16,12 @@ Fraction tableau, integer points,
 homomorphism counts, the homomorphism search that rescanned A's relation
 for each partly mapped tuple, the partial maps as a product over images,
 tensor-power
-cell positions, certificates read back from JSON, the Hermite form with
-U rebuilt from its log, the Hermite form that reduced each row as it went
-and carried U in its column maps, with its own forward substitution and
-parity vector, the Horn free structure enumerated in full, and the
+cell positions, certificates read back from JSON, the Hermite form
+reduced from the solver's echelon form with U rebuilt from its log, the
+Hermite form that reduced each row as it went and carried U in its column
+maps, with an echelon form that leaves the reductions out and its own
+forward substitution and parity vector, the Horn free structure
+enumerated in full, and the
 vanishing conditions on a level-k Horn witness.
 """
 
@@ -43,8 +45,7 @@ from minionlab.exact_solvers import (
     DomainTag,
     LinearSystem,
     SolveOutcome,
-    _hnf,
-    _reduce,
+    _echelon,
     _times_u,
 )
 from minionlab.free_structures import HornFreeStructure
@@ -1093,14 +1094,21 @@ def _sparse_columns(matrix) -> tuple[int, int, list[dict]]:
 
 
 def hnf_outputs(matrix) -> tuple:
-    """H and U as dense rows, the pivots and the number of column operations of ``_hnf``
-    followed by the full ``_reduce`` (default budget).
+    """H and U as dense rows, the pivots and the number of column operations of
+    ``_echelon`` (default budget), followed by ``reduce_left_of`` at each pivot.
 
     U is rebuilt by replaying the logged operations on each column of the identity.
     """
     m, n, cols = _sparse_columns(matrix)
-    pivots, log, _z, _r, _residual = _hnf(cols, m, [0] * m, DEFAULT_BUDGET)
-    _reduce(cols, pivots, m - 1, log, DEFAULT_BUDGET)
+    pivots, log, _z, _r, _residual = _echelon(cols, m, [0] * m, DEFAULT_BUDGET)
+
+    def col_addmul(dst: int, src: int, q: int) -> None:
+        if q:
+            log.append((dst, src, q))
+            _add_multiple(cols[dst], cols[src], q)
+
+    for i, c in pivots:
+        reduce_left_of(cols, i, c, col_addmul)
     H = [[cols[j].get(i, 0) for j in range(n)] for i in range(m)]
     U_cols = [_times_u(log, [int(i == j) for i in range(n)]) for j in range(n)]
     U = [[U_cols[j][i] for j in range(n)] for i in range(n)]
@@ -1113,10 +1121,37 @@ def hnf(matrix) -> tuple[list[list[int]], list[list[int]]]:
     return H, U
 
 
-def reference_hnf(cols: list[dict], m: int, budget: Budget) -> tuple[list[tuple[int, int]], list]:
+def _add_multiple(dst: dict, src: dict, q: int) -> None:
+    """Add q times the sparse column ``src`` to ``dst``, dropping the entries that vanish."""
+    for t, v in src.items():
+        w = dst.get(t, 0) + q * v
+        if w:
+            dst[t] = w
+        else:
+            del dst[t]
+
+
+def reduce_left_of(cols: list[dict], i: int, c: int, col_addmul) -> None:
+    """Bring each entry left of the pivot (i, c) into [0, H[i][c]) by
+    ``col_addmul(j, c, q)`` for each column j < c.
+
+    Column c is zero above row i, so only rows from i on change.  No such
+    operation touches a column from c on, so it commutes with every later
+    Euclid step: reducing at each pivot as the form is built, or at each
+    pivot in row order once it is built, gives the same H and U.
+    """
+    h = cols[c][i]
+    for j in range(c):
+        col_addmul(j, c, -(cols[j].get(i, 0) // h))
+
+
+def reference_hnf(cols: list[dict], m: int, budget: Budget,
+                  reduce: bool = True) -> tuple[list[tuple[int, int]], list[int]]:
     """The column Hermite form with each row reduced as soon as it has its pivot, and U
-    in the column maps; returns the pivots (row, col) and, for each column
-    operation in order, its row and whether it reduces left of a pivot.
+    in the column maps; returns the pivots (row, col) and the row of each column
+    operation in order.  With ``reduce`` False no row is reduced, which leaves
+    the echelon form that ``_echelon`` builds, as the reductions commute with
+    the Euclid steps (``reduce_left_of``).
 
     ``cols[j]`` holds the nonzero entries of column j of A, keyed by row
     0..m-1.  Each column gains the entries of U at keys m..m+n-1, so one
@@ -1128,12 +1163,11 @@ def reference_hnf(cols: list[dict], m: int, budget: Budget) -> tuple[list[tuple[
     n = len(cols)
     for j, col in enumerate(cols):
         col[m + j] = 1
-    ops: list[tuple[int, bool]] = []
+    ops: list[int] = []
     row = 0
-    reducing = False
 
     def count() -> None:
-        ops.append((row, reducing))
+        ops.append(row)
         if len(ops) > budget.max_pivots:
             raise IterationBudget(f"Hermite form exceeded {budget.max_pivots} column operations")
 
@@ -1149,20 +1183,14 @@ def reference_hnf(cols: list[dict], m: int, budget: Budget) -> tuple[list[tuple[
         if q == 0:
             return
         count()
-        d = cols[dst]
-        for t, v in cols[src].items():
-            w = d.get(t, 0) + q * v
-            if w:
-                d[t] = w
-            else:
-                del d[t]
+        _add_multiple(cols[dst], cols[src], q)
 
     pivots: list[tuple[int, int]] = []
     c = 0
     for i in range(m):
         if c >= n:
             break
-        row, reducing = i, False
+        row = i
         while True:
             nz = [j for j in range(c, n) if i in cols[j]]
             if not nz:
@@ -1181,10 +1209,8 @@ def reference_hnf(cols: list[dict], m: int, budget: Budget) -> tuple[list[tuple[
         if c < n and i in cols[c]:
             if cols[c][i] < 0:
                 col_negate(c)
-            h = cols[c][i]
-            reducing = True
-            for j in range(c):
-                col_addmul(j, c, -(cols[j].get(i, 0) // h))
+            if reduce:
+                reduce_left_of(cols, i, c, col_addmul)
             pivots.append((i, c))
             c += 1
     return pivots, ops
@@ -1200,7 +1226,7 @@ def reference_hnf_outputs(matrix) -> tuple:
 
 
 def reference_substitute(H: list[list[int]], b: list[int], pivots) -> tuple[list[int], int, int]:
-    """Forward substitution for H z = b over the integers, H a dense column Hermite form.
+    """Forward substitution for H z = b over the integers, H a dense column echelon form.
 
     Each row i is b_i minus the row's sum over the z_j fixed so far; a
     pivot (i, c) must divide it and fixes z_c, and a row with no pivot must
@@ -1235,12 +1261,12 @@ def reference_parity_vector(H: list[list[int]], pivots, r: int, residual: int) -
 
 
 def reference_diophantine_solve(sys: LinearSystem) -> SolveOutcome:
-    """``diophantine_solve`` on ``reference_hnf`` (default budget): x = U z summed from the
-    U entries of the maps, or the parity vector of the failing row.
+    """``diophantine_solve`` on ``reference_hnf`` without its reductions (default
+    budget): x = U z summed from the U entries of the maps, or the parity vector
+    of the failing row with each entry reduced into [0, 1).
 
-    The operation count is the one ``diophantine_solve`` keeps: on an accept
-    the Euclid steps alone, on a reject every operation of a row up to the
-    failing one.
+    The operation count is the one ``diophantine_solve`` keeps: the Euclid
+    steps of every row up to the failing one, or of every row on an accept.
     """
     n, m = sys.num_vars, sys.num_rows
     if not m:
@@ -1251,7 +1277,7 @@ def reference_diophantine_solve(sys: LinearSystem) -> SolveOutcome:
             if c:
                 cols[j][i] = int(c)
     b = [int(rhs) for rhs in sys.rhs]
-    pivots, ops = reference_hnf(cols, m, DEFAULT_BUDGET)
+    pivots, ops = reference_hnf(cols, m, DEFAULT_BUDGET, reduce=False)
     H = [[cols[j].get(i, 0) for j in range(n)] for i in range(m)]
     z, r, residual = reference_substitute(H, b, pivots)
     if r < 0:
@@ -1260,11 +1286,10 @@ def reference_diophantine_solve(sys: LinearSystem) -> SolveOutcome:
             for row, u in cols[t].items():
                 if row >= m:
                     x[row - m] += u * zt
-        euclid = sum(1 for _, reducing in ops if not reducing)
-        return SolveOutcome(True, point=dict(enumerate(x)), pivots=euclid)
-    y = reference_parity_vector(H, pivots, r, residual)
+        return SolveOutcome(True, point=dict(enumerate(x)), pivots=len(ops))
+    y = tuple(v % 1 for v in reference_parity_vector(H, pivots, r, residual))
     return SolveOutcome(False, certificate=Certificate(CertificateKind.PARITY, farkas=y),
-                        pivots=sum(1 for row, _ in ops if row <= r))
+                        pivots=sum(1 for row in ops if row <= r))
 
 
 def integer_outputs(solve, sys: LinearSystem) -> tuple:

@@ -1,4 +1,5 @@
-"""Exact LP feasibility, Farkas certificates, Hermite form, integer systems."""
+"""Exact LP feasibility, Farkas certificates, the echelon form and the Hermite form
+the tests reduce from it, integer systems."""
 
 import json
 import random
@@ -345,7 +346,7 @@ def test_hnf_idempotence():
 def test_the_hermite_form_matches_its_reference_on_random_matrices():
     # H, U, the pivots and the operation count of the whole form, then the point
     # or parity vector of the integer system each matrix poses, and its operation
-    # count: the Euclid steps, and on a reject the reductions, up to the failing row
+    # count: the Euclid steps up to the failing row
     rng = random.Random(1986)
     feasible = 0
     for _ in range(200):
@@ -371,14 +372,15 @@ def test_the_hermite_budget_runs_out_at_the_reference_count():
 
 def test_a_reject_stops_at_its_failing_row():
     # row 1 pivots on the 2 in column 1 and leaves 1 over, so the form stops
-    # there; its one operation reduces the 3 left of that pivot to 1, for the
-    # certificate, and row 2, where 6 and 10 would take Euclid's steps, is never read
+    # there after no operation; back substitution gives y = (-3/2, 1/2, 0) on the
+    # unreduced 3 left of that pivot, which mod 1 is (1/2, 1/2, 0), and row 2,
+    # where 6 and 10 would take Euclid's steps, is never read
     A = [[1, 0, 0, 0], [3, 2, 0, 0], [0, 0, 6, 10]]
     sys = system([{j: c for j, c in enumerate(row) if c} for row in A], [0, 1, 4], 4,
                  DomainTag.INT)
-    out = diophantine_solve(sys, Budget(max_pivots=1))
-    assert not out.feasible and out.pivots == 1
-    assert out.certificate.farkas == (rat(-1, 2), rat(1, 2), rat(0))
+    out = diophantine_solve(sys, Budget(max_pivots=0))
+    assert not out.feasible and out.pivots == 0
+    assert out.certificate.farkas == (rat(1, 2), rat(1, 2), rat(0))
     assert verify_parity_certificate(out.certificate, sys)
     assert hnf_outputs(A)[3] > 3
 
@@ -442,7 +444,7 @@ def test_an_int_system_has_an_int_point():
 
 def test_an_int_system_with_no_rows_has_the_zero_point():
     # ba's support system drops a row left with no column; with every row
-    # dropped, the Hermite form logs nothing and the point is all int zeros
+    # dropped, the echelon form logs nothing and the point is all int zeros
     restricted, cols = _support_system(system([{0: 1}], [0], 3), {1, 2})
     assert (cols, restricted.num_vars, restricted.num_rows) == ([1, 2], 2, 0)
     out = diophantine_solve(restricted)
@@ -470,7 +472,7 @@ def test_inconsistent_pair_certificate_halves():
     assert not out.feasible
     y = out.certificate.farkas
     assert len(y) == 2
-    assert sum(yi * b for yi, b in zip(y, sys.rhs)) == rat(1, 2)
+    assert sum(yi * b for yi, b in zip(y, sys.rhs)) % 1 == rat(1, 2)
     assert verify_parity_certificate(out.certificate, sys)
 
 
@@ -503,6 +505,14 @@ def test_a_float_multiplier_refutes_nothing():
     assert not verify_farkas(Certificate(CertificateKind.FARKAS, farkas=y), sys)
     parity = system([{0: 2}], [2], 1, DomainTag.INT)
     assert not verify_parity_certificate(Certificate(CertificateKind.PARITY, farkas=(0.25,)), parity)
+
+
+@pytest.mark.parametrize("y", [None, 1], ids=["none", "int"])
+def test_a_multiplier_vector_that_is_no_sequence_refutes_nothing(y):
+    lp = system([{0: 1}], [-1], 1)
+    assert not verify_farkas(Certificate(CertificateKind.FARKAS, farkas=y), lp)
+    parity = system([{0: 2}], [1], 1, DomainTag.INT)
+    assert not verify_parity_certificate(Certificate(CertificateKind.PARITY, farkas=y), parity)
 
 
 def test_integer_negative_solutions_allowed():

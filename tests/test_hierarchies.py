@@ -541,6 +541,19 @@ def test_a_weight_that_is_no_exact_rational_is_refused(k2_into_k3, weight):
         validate_marginal_witness(values, Xk, Ak, 1)
 
 
+@pytest.mark.parametrize("key", [
+    ("R", ("0", "1")),
+    ("R", ("0", "1"), ("1", "2"), "extra"),
+    ("R_1", 0, ("1",)),
+    ("R_1", ("0",), 1),
+], ids=["pair", "quadruple", "int-scope", "int-image"])
+def test_a_key_that_is_no_triple_of_tuples_is_refused(k2_into_k3, key):
+    values, Xk, Ak = k2_into_k3
+    values[key] = rat(1, 2)
+    with pytest.raises(InvalidWitness, match="malformed key"):
+        validate_marginal_witness(values, Xk, Ak, 1)
+
+
 @pytest.fixture
 def sixths(k3):
     """Level-1 marginals of K2 -> K3 in thirds and sixths, over the common denominator 6."""
@@ -958,8 +971,7 @@ def test_the_hermite_form_matches_its_reference(monkeypatch):
     # every integer system that aip and ba pose at k = 1, 2 over the three-vertex
     # classes into K2, K3, C4 and DT: the same H, U, pivots and operation count,
     # and the same point or parity vector, as the form that carried U; each
-    # solve counts the Euclid steps, and on a reject the reductions, up to the
-    # failing row
+    # solve counts the Euclid steps up to the failing row
     posed = {}
     solve = hierarchies.diophantine_solve
 

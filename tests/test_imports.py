@@ -3,7 +3,9 @@ function reads each of its parameters, every function reads each local it
 assigns, every module is imported, directly or through others, by a driver
 module, every private function is called by the package, and every public
 definition is used by the package or the benchmark, not only by the tests,
-and every ``raise`` names an exception class of ``errors.py`` or re-raises."""
+every ``raise`` names an exception class of ``errors.py`` or re-raises, and
+every private name or cross-reference a docstring or comment quotes is
+defined in the package."""
 
 import ast
 import importlib
@@ -295,6 +297,51 @@ def test_every_raise_names_an_error_of_the_package():
         if (untyped := untyped_raises(path.read_text(), typed))
     }
     assert found == {}
+
+
+QUOTED = re.compile(r"``(_\w+)``|:(?:func|class|meth):`~?([\w.]+)`")
+
+
+def stale_names(sources: dict[str, str]) -> list[str]:
+    """Double-backticked ``_private`` names, and :func:, :class: or :meth:
+    targets, that name no definition in ``sources``: a def, a class, or an
+    assigned name or attribute.  A dotted target is read by its last part."""
+    defined = set()
+    for text in sources.values():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                defined.add(node.attr)
+    found = []
+    for module, text in sources.items():
+        for lineno, line in enumerate(text.splitlines(), 1):
+            for match in QUOTED.finditer(line):
+                name = match[1] or match[2].rsplit(".", 1)[-1]
+                if name not in defined:
+                    found.append(f"{module}.{name} (line {lineno})")
+    return found
+
+
+def test_guard_sees_a_stale_name():
+    sources = {"solve": 'def _run():\n'
+                        '    """Calls ``_step`` and ``_gone``; see :func:`helper`\n'
+                        '    and :class:`~pkg.shapes.Shape`."""\n\n\n'
+                        'def _step():\n    return 1\n',
+               "shapes": 'class Shape:\n'
+                         '    """Sets ``_cache``; :meth:`Shape.area`, :func:`vanished`."""\n\n'
+                         '    def __init__(self):\n        self._cache = {}\n\n'
+                         '    def area(self):\n        return 0\n\n\n'
+                         'LIMIT = 3  # was ``_LIMIT``\n'}
+    assert stale_names(sources) == ["solve._gone (line 2)", "solve.helper (line 2)",
+                                    "shapes.vanished (line 2)", "shapes._LIMIT (line 11)"]
+
+
+def test_every_quoted_name_is_defined_in_the_package():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert stale_names(sources) == []
 
 
 def test_the_benchmark_loads_and_patches_names_the_package_has(monkeypatch):

@@ -233,6 +233,30 @@ def test_a_tampered_dual_certificate_fails(tamper):
     assert not verify_dual_certificate(tampered)
 
 
+def with_first_key(row: dict, key) -> dict:
+    first = next(iter(row))
+    return {(key(*first) if st == first else st): v for st, v in row.items()}
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda row, rhs, n: (with_first_key(row, lambda s, t: (s - n, t - n)), rhs),
+    lambda row, rhs, n: (with_first_key(row, lambda s, t: (s, n)), rhs),
+    lambda row, rhs, n: ({st: float(v) for st, v in row.items()}, rhs),
+    lambda row, rhs, n: (row, float(rhs)),
+], ids=["negative-index", "index-past-reps", "float-coefficient", "float-rhs"])
+def test_a_malformed_constraint_fails(tamper):
+    # the first constraint has a nonzero multiplier; a negative index would
+    # wrap to the entry it was shifted from, and the float right-hand side
+    # sums to the same y^T b
+    certificate = sos2_k4_k3_certificate()
+    assert certificate.multipliers[0]
+    constraints = list(certificate.constraints)
+    constraints[0] = tamper(*constraints[0], len(certificate.reps))
+    tampered = DualCertificate(certificate.reps, constraints, certificate.multipliers,
+                               certificate.iterations)
+    assert not verify_dual_certificate(tampered)
+
+
 def test_the_driver_refuses_a_dual_certificate_that_fails(monkeypatch):
     certificate = sos2_k4_k3_certificate()
     forged = DualCertificate(certificate.reps, certificate.constraints,
